@@ -107,26 +107,34 @@ def _validate_run_config(cfg: dict, where: str) -> None:
     for key in sched:
         if key not in SCHEDULE_KEYS:
             raise ConfigError(f"unknown field {where}.schedule.{key}")
-    _build_schedule(sched)
+    _build_schedule(sched, f"{where}.schedule")
 
     # Numeric preconditions are rejected at load time, before any run starts.
-    if "theta" in cfg and not float(cfg["theta"]) > 0:
+    if "theta" in cfg and not _number(cfg["theta"], float, f"{where}.theta") > 0:
         raise ConfigError(f"{where}.theta must be positive")
     for key, low in (("max_outer", 1), ("cadence", 1), ("max_inner", 1)):
-        if key in cfg and int(cfg[key]) < low:
+        if key in cfg and _number(cfg[key], int, f"{where}.{key}") < low:
             raise ConfigError(f"{where}.{key} must be at least {low}")
     for key in ("target_err", "target_dist"):
-        if key in cfg and cfg[key] is not None and not float(cfg[key]) >= 0:
+        if cfg.get(key) is not None and not _number(cfg[key], float, f"{where}.{key}") >= 0:
             raise ConfigError(f"{where}.{key} must be nonnegative")
     x0 = cfg.get("x0")
     if x0 is not None and not isinstance(x0, (list, str)):
         raise ConfigError(f'{where}.x0 must be a list of numbers or "random"')
 
 
-def _build_schedule(spec: dict):
+def _number(value, convert, path: str):
+    """``convert(value)``, with a failed conversion reported as a config error."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path} must be a number, got {value!r}") from exc
+
+
+def _build_schedule(spec: dict, where: str = "schedule"):
     kind = spec.get("kind", "power")
-    a = float(spec.get("a", 1.0))
-    p = float(spec.get("p", 1.0))
+    a = _number(spec.get("a", 1.0), float, f"{where}.a")
+    p = _number(spec.get("p", 1.0), float, f"{where}.p")
     if kind == "power":
         return PowerStepsize(a, p)
     if kind == "adaptive_power":

@@ -9,6 +9,13 @@ Monotonicity of the shipped affine family is enforced at construction time
 (symmetric part positive semidefinite, tolerance ``-1e-10`` on the smallest
 eigenvalue). Subgradient oracles of convex functions are monotone by
 construction.
+
+Diagonal matrices (every off-diagonal entry zero, as in the scaled
+identities of the shipped families) are validated from their diagonal, which
+holds the exact eigenvalues, and applied elementwise, with results equal to
+the dense products bit for bit. A dense row sum adds exact zeros to a single
+product, starting from +0.0, so it never returns -0.0; the elementwise
+vectors add 0.0 to match.
 """
 
 from __future__ import annotations
@@ -19,6 +26,23 @@ from .errors import DimensionMismatch, NonFiniteValue
 from .space import Vector, as_point
 
 _PSD_TOL = -1e-10
+
+
+def _diagonal(A: np.ndarray) -> np.ndarray | None:
+    """A copy of the diagonal of square ``A`` if every off-diagonal entry is zero."""
+    d = np.diagonal(A)
+    if np.count_nonzero(A) != np.count_nonzero(d):
+        return None
+    return d.copy()
+
+
+def _min_sym_eigenvalue(A: np.ndarray) -> tuple[np.ndarray, float]:
+    """The symmetric part of ``A`` and its smallest eigenvalue."""
+    with np.errstate(over="ignore"):
+        sym = 0.5 * (A + A.T)
+    if not np.all(np.isfinite(sym)):
+        raise NonFiniteValue("symmetric part of the matrix overflows")
+    return sym, float(np.linalg.eigvalsh(sym).min())
 
 
 class Operator:
@@ -43,14 +67,17 @@ class AffineOperator(Operator):
     """x -> A x + b, monotone exactly when the symmetric part of A is PSD."""
 
     def __init__(self, matrix, offset=None, label: str = "affine"):
-        A = np.asarray(matrix, dtype=float)
+        A = np.array(matrix, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionMismatch(f"matrix must be square, got shape {A.shape}")
         if not np.all(np.isfinite(A)):
             raise NonFiniteValue("matrix has non-finite entries")
-        sym = 0.5 * (A + A.T)
-        lo = float(np.linalg.eigvalsh(sym).min())
-        if lo < _PSD_TOL:
+        self._diag = _diagonal(A)
+        if self._diag is not None:
+            lo = float(self._diag.min())
+        else:
+            lo = _min_sym_eigenvalue(A)[1]
+        if not lo >= _PSD_TOL:
             raise ValueError(
                 f"affine map is not monotone: symmetric part has eigenvalue {lo:.3e}"
             )
@@ -62,6 +89,8 @@ class AffineOperator(Operator):
 
     def select(self, x: Vector) -> Vector:
         x = as_point(x, self.dim)
+        if self._diag is not None:
+            return (self._diag * x + 0.0) + self.offset
         return self.matrix @ x + self.offset
 
 
@@ -205,9 +234,13 @@ class Quadratic(ConvexFunction):
             raise DimensionMismatch(f"Q must be square, got shape {Q.shape}")
         if not np.all(np.isfinite(Q)):
             raise NonFiniteValue("Q has non-finite entries")
-        Q = 0.5 * (Q + Q.T)
-        lo = float(np.linalg.eigvalsh(Q).min())
-        if lo < _PSD_TOL:
+        self._diag = _diagonal(Q)
+        if self._diag is not None:
+            Q = Q.copy()
+            lo = float(self._diag.min())
+        else:
+            Q, lo = _min_sym_eigenvalue(Q)
+        if not lo >= _PSD_TOL:
             raise ValueError(f"quadratic is not convex: Q has eigenvalue {lo:.3e}")
         super().__init__(Q.shape[0], label)
         self.Q = Q
@@ -231,10 +264,14 @@ class Quadratic(ConvexFunction):
 
     def value(self, x: Vector) -> float:
         x = as_point(x, self.dim)
+        if self._diag is not None:
+            return float(0.5 * x * self._diag @ x + self.b @ x + self.constant)
         return float(0.5 * x @ self.Q @ x + self.b @ x + self.constant)
 
     def subgradient(self, x: Vector) -> Vector:
         x = as_point(x, self.dim)
+        if self._diag is not None:
+            return (self._diag * x + 0.0) + self.b
         return self.Q @ x + self.b
 
 

@@ -166,6 +166,21 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert not os.path.isdir("runs")
 
 
+@pytest.mark.parametrize(
+    "cfg, field",
+    [
+        ({"family": "quadratic_over_ball", "theta": "abc"}, "theta"),
+        ({"family": "quadratic_over_ball", "max_outer": [1]}, "max_outer"),
+        ({"family": "quadratic_over_ball", "schedule": {"a": "x"}}, "schedule.a"),
+    ],
+)
+def test_non_numeric_values_exit_2(tmp_path, capsys, cfg, field):
+    path = _write_cfg(tmp_path / "cfg.json", cfg)
+    assert main(["run", path, "--output", str(tmp_path / "out")]) == 2
+    assert f"{path}.{field} must be a number" in capsys.readouterr().err
+    assert not os.path.isdir(tmp_path / "out")
+
+
 def test_budget_exhaustion_exits_3(tmp_path, capsys):
     cfg = _write_cfg(
         tmp_path / "cfg.json",

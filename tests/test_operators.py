@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from visplit import (
+    TRACE_COLUMNS,
     AffineFunction,
     AffineOperator,
     ConstantFunction,
@@ -11,13 +12,18 @@ from visplit import (
     LinearMap,
     LogSumExp,
     MaxOfAffine,
+    NonFiniteValue,
     NormFunction,
+    PowerStepsize,
     Quadratic,
     ScaledOperator,
     ShiftedFunction,
     ZeroOperator,
+    build,
+    run,
     sum_select,
 )
+from visplit import problems
 from visplit.oracle import fd_gradient_gap, subgradient_gap
 
 PAIRS = 1000
@@ -51,6 +57,108 @@ def test_affine_operator_rejects_nonmonotone_matrix():
         AffineOperator([[-1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(DimensionMismatch):
         AffineOperator([[1.0, 0.0]])
+
+
+def test_overflowing_symmetric_part_is_rejected():
+    # A + A.T overflows to +-inf; eigvalsh of that returns nan, which a plain
+    # `lo < tol` comparison would let through.
+    A = [[-1e308, 1e308], [1e308, -1e308]]
+    with pytest.raises(NonFiniteValue):
+        AffineOperator(A)
+    with pytest.raises(NonFiniteValue):
+        Quadratic(A)
+
+
+def _rotated(diag):
+    c, s = np.cos(0.3), np.sin(0.3)
+    R = np.array([[c, -s], [s, c]])
+    return R @ np.diag(diag) @ R.T
+
+
+@pytest.mark.parametrize("shape", [np.diag, _rotated], ids=["diagonal", "dense"])
+def test_psd_tolerance_boundary(shape):
+    for cls in (AffineOperator, Quadratic):
+        with pytest.raises(ValueError, match="eigenvalue -1.000e-09"):
+            cls(shape([1.0, -1e-9]))
+        cls(shape([1.0, -1e-11]))
+
+
+@pytest.mark.parametrize("shape", [np.diag, _rotated], ids=["diagonal", "dense"])
+def test_constructors_do_not_alias_their_input(shape):
+    A = shape([2.0, 3.0])
+    x = np.array([1.0, -2.0])
+    q, op = Quadratic(A), AffineOperator(A)
+    Q0, v0, s0, M0 = q.Q.copy(), q.value(x), op.select(x), op.matrix.copy()
+    A[...] = -7.0
+    assert np.array_equal(q.Q, Q0) and q.value(x) == v0
+    assert np.array_equal(op.matrix, M0) and np.array_equal(op.select(x), s0)
+
+
+class _DenseAffine(AffineOperator):
+    """Reference: the dense matvec for every matrix."""
+
+    def select(self, x):
+        return self.matrix @ np.asarray(x, dtype=float) + self.offset
+
+
+class _DenseQuadratic(Quadratic):
+    """Reference: the dense quadratic form for every Q."""
+
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        return float(0.5 * x @ self.Q @ x + self.b @ x + self.constant)
+
+    def subgradient(self, x):
+        x = np.asarray(x, dtype=float)
+        return self.Q @ x + self.b
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def test_diagonal_maps_match_the_dense_reference_bitwise():
+    rng = np.random.default_rng(21)
+    specials = np.array([0.0, -0.0, 5e-324, 1e-300])
+    for n in (1, 2, 3, 7, 64):
+        for _ in range(50):
+            d = np.abs(rng.standard_normal(n))
+            d[rng.random(n) < 0.3] = 0.0
+            d[rng.random(n) < 0.2] = -0.0
+            b = rng.standard_normal(n)
+            b[rng.random(n) < 0.3] = -0.0
+            b[rng.random(n) < 0.2] = 0.0
+            c = float(rng.choice([0.0, -0.0, rng.standard_normal()]))
+            x = rng.standard_normal(n)
+            mask = rng.random(n) < 0.3
+            x[mask] = rng.choice(specials, int(mask.sum())) * rng.choice([1.0, -1.0])
+            A = np.diag(d)
+            fast, ref = AffineOperator(A, b), _DenseAffine(A, b)
+            assert fast._diag is not None
+            assert _bits(fast.select(x)) == _bits(ref.select(x))
+            fast, ref = Quadratic(A, b, c), _DenseQuadratic(A, b, c)
+            assert fast._diag is not None
+            assert _bits(fast.value(x)) == _bits(ref.value(x))
+            assert _bits(fast.subgradient(x)) == _bits(ref.subgradient(x))
+
+
+def test_diagonal_maps_keep_the_trace(monkeypatch):
+    rng = np.random.default_rng(22)
+    params = {"target": (3.0 * rng.standard_normal(50)).tolist(), "m": 4}
+    x0 = 2.0 * rng.standard_normal(50)
+
+    def trace():
+        state = run(build("quadratic_over_ball", params), PowerStepsize(0.6, 0.55),
+                    x0=x0, max_outer=2000, cadence=1)
+        wall = TRACE_COLUMNS.index("wall_time")
+        return [_bits([v for i, v in enumerate(r.row()) if i != wall]) for r in state.trace]
+
+    fast = trace()
+    monkeypatch.setattr(problems, "AffineOperator", _DenseAffine)
+    monkeypatch.setattr(problems, "Quadratic", _DenseQuadratic)
+    ref = trace()
+    assert len(fast) == 2000
+    assert fast == ref
 
 
 def test_norm_subgradient_at_kink_is_minimum_norm():
