@@ -15,139 +15,63 @@ projections, ``solver`` runs the outer iteration with traces and
 diagnostics, ``problems`` ships ready-made families, ``oracle`` recomputes
 everything along independent routes, ``checks`` bundles seeded sweeps, and
 ``cli`` exposes the batch interface.
+
+Start-up: ``import visplit`` loads no submodule. Each public name below is
+imported from its submodule on first access (PEP 562), so a solver run
+loads ``space``, ``errors``, ``operators``, ``constraints``, ``innerloop``
+and ``solver`` only; ``visplit run`` adds ``problems`` and ``cli``.
+``oracle``, ``problems`` and ``checks`` load on first use, and
+``from visplit import *`` loads every module that exports a name.
 """
 
-from .constraints import (
-    BallSet,
-    BoxSet,
-    Constraint,
-    ExactSet,
-    GraphSet,
-    Halfspace,
-    WholeSpace,
-    project_halfspace_pair,
-)
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    InfeasibleConstraint,
-    IterationBudgetExceeded,
-    NonFiniteIterate,
-    NonFiniteValue,
-    VisplitError,
-)
-from .innerloop import InnerResult, feasible_shortcut, run_inner
-from .operators import (
-    AffineFunction,
-    AffineOperator,
-    ConstantFunction,
-    ConvexFunction,
-    EmbeddedOperator,
-    GradientOperator,
-    LinearMap,
-    LogSumExp,
-    MaxOfAffine,
-    NormFunction,
-    Operator,
-    Quadratic,
-    ScaledOperator,
-    ShiftedFunction,
-    ZeroOperator,
-    sum_select,
-)
-from .oracle import (
-    AuditReport,
-    fejer_audit,
-    grid_vi_solution,
-    qp_project,
-    reference_solution,
-    with_reference,
-)
-from .problems import (
-    FAMILIES,
-    build,
-    build_a1,
-    build_a2,
-    build_a3,
-    build_affine_vi_over_polyhedron,
-    build_quadratic_over_ball,
-)
-from .solver import (
-    AdaptivePowerStepsize,
-    ConstantStepsize,
-    CycleCheck,
-    PowerStepsize,
-    Problem,
-    SolverState,
-    StepSnapshot,
-    StepsizeSchedule,
-    TraceRecord,
-    TRACE_COLUMNS,
-    outer_step,
-    run,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdaptivePowerStepsize",
-    "AffineFunction",
-    "AffineOperator",
-    "AuditReport",
-    "BallSet",
-    "BoxSet",
-    "ConfigError",
-    "ConstantFunction",
-    "ConstantStepsize",
-    "Constraint",
-    "ConvexFunction",
-    "CycleCheck",
-    "DimensionMismatch",
-    "EmbeddedOperator",
-    "ExactSet",
-    "FAMILIES",
-    "GradientOperator",
-    "GraphSet",
-    "Halfspace",
-    "InfeasibleConstraint",
-    "InnerResult",
-    "IterationBudgetExceeded",
-    "LinearMap",
-    "LogSumExp",
-    "MaxOfAffine",
-    "NonFiniteIterate",
-    "NonFiniteValue",
-    "NormFunction",
-    "Operator",
-    "PowerStepsize",
-    "Problem",
-    "Quadratic",
-    "ScaledOperator",
-    "ShiftedFunction",
-    "SolverState",
-    "StepSnapshot",
-    "StepsizeSchedule",
-    "TRACE_COLUMNS",
-    "TraceRecord",
-    "VisplitError",
-    "WholeSpace",
-    "ZeroOperator",
-    "build",
-    "build_a1",
-    "build_a2",
-    "build_a3",
-    "build_affine_vi_over_polyhedron",
-    "build_quadratic_over_ball",
-    "fejer_audit",
-    "feasible_shortcut",
-    "grid_vi_solution",
-    "outer_step",
-    "project_halfspace_pair",
-    "qp_project",
-    "reference_solution",
-    "run",
-    "run_inner",
-    "sum_select",
-    "with_reference",
-    "__version__",
-]
+# Public names by the submodule that defines them.
+_EXPORTS = {
+    "constraints": (
+        "BallSet", "BoxSet", "Constraint", "ExactSet", "GraphSet", "Halfspace",
+        "WholeSpace", "project_halfspace_pair",
+    ),
+    "errors": (
+        "ConfigError", "DimensionMismatch", "InfeasibleConstraint",
+        "IterationBudgetExceeded", "NonFiniteIterate", "NonFiniteValue", "VisplitError",
+    ),
+    "innerloop": ("InnerResult", "feasible_shortcut", "run_inner"),
+    "operators": (
+        "AffineFunction", "AffineOperator", "ConstantFunction", "ConvexFunction",
+        "EmbeddedOperator", "GradientOperator", "LinearMap", "LogSumExp", "MaxOfAffine",
+        "NormFunction", "Operator", "Quadratic", "ScaledOperator", "ShiftedFunction",
+        "ZeroOperator", "sum_select",
+    ),
+    "oracle": (
+        "AuditReport", "fejer_audit", "grid_vi_solution", "qp_project",
+        "reference_solution", "with_reference",
+    ),
+    "problems": (
+        "FAMILIES", "build", "build_a1", "build_a2", "build_a3",
+        "build_affine_vi_over_polyhedron", "build_quadratic_over_ball",
+    ),
+    "solver": (
+        "AdaptivePowerStepsize", "ConstantStepsize", "CycleCheck", "PowerStepsize",
+        "Problem", "SolverState", "StepSnapshot", "StepsizeSchedule", "TraceRecord",
+        "TRACE_COLUMNS", "outer_step", "run",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE) + ["__version__"]
+
+
+def __getattr__(name):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -38,14 +38,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
-from . import checks, problems
+from . import problems
 from .constraints import Constraint
 from .errors import ConfigError, VisplitError
 from .innerloop import run_inner
@@ -54,9 +55,12 @@ from .solver import (
     AdaptivePowerStepsize,
     ConstantStepsize,
     PowerStepsize,
+    Problem,
+    StepsizeSchedule,
     TRACE_COLUMNS,
     run,
 )
+from .space import as_point
 
 RUN_KEYS = frozenset(
     {
@@ -77,6 +81,19 @@ RUN_KEYS = frozenset(
     }
 )
 SCHEDULE_KEYS = frozenset({"kind", "a", "p"})
+# The names of checks.SUITES, written out so that parsing a command line
+# does not import the check sweeps; a test holds the two equal.
+CHECK_SUITES = ("constraints", "fejer", "innerloop", "operators", "projections")
+
+
+class RunJob(NamedTuple):
+    """A validated run config and the objects its run is built from."""
+
+    cfg: dict
+    problem: Problem
+    schedule: StepsizeSchedule
+    x0: np.ndarray | None
+    seed: int
 
 
 def _load_configs(path: str) -> list[dict]:
@@ -94,33 +111,57 @@ def _load_configs(path: str) -> list[dict]:
     return data
 
 
-def _validate_run_config(cfg: dict, where: str) -> None:
+def _prepare_run(cfg: dict, where: str, args) -> RunJob:
+    """Validate ``cfg`` and build its problem, schedule and start point.
+
+    Every config of a batch passes through here before any run starts, so
+    a bad value stops the batch before it writes anything.
+    """
     for key in cfg:
         if key not in RUN_KEYS:
             raise ConfigError(f"unknown field {where}.{key}")
     if "family" not in cfg:
         raise ConfigError(f"{where}.family is required")
-    problems.validate_params(cfg["family"], cfg.get("params", {}), f"{where}.params")
     sched = cfg.get("schedule", {})
     if not isinstance(sched, dict):
         raise ConfigError(f"{where}.schedule must be an object")
     for key in sched:
         if key not in SCHEDULE_KEYS:
             raise ConfigError(f"unknown field {where}.schedule.{key}")
-    _build_schedule(sched, f"{where}.schedule")
+    schedule = _build_schedule(sched, f"{where}.schedule")
 
-    # Numeric preconditions are rejected at load time, before any run starts.
-    if "theta" in cfg and not _number(cfg["theta"], float, f"{where}.theta") > 0:
-        raise ConfigError(f"{where}.theta must be positive")
+    if "theta" in cfg:
+        theta = _number(cfg["theta"], float, f"{where}.theta")
+        if not (theta > 0 and math.isfinite(theta)):
+            raise ConfigError(f"{where}.theta must be positive and finite")
     for key, low in (("max_outer", 1), ("cadence", 1), ("max_inner", 1)):
         if key in cfg and _number(cfg[key], int, f"{where}.{key}") < low:
             raise ConfigError(f"{where}.{key} must be at least {low}")
     for key in ("target_err", "target_dist"):
         if cfg.get(key) is not None and not _number(cfg[key], float, f"{where}.{key}") >= 0:
             raise ConfigError(f"{where}.{key} must be nonnegative")
+    for key in ("label", "output"):
+        if key in cfg and not isinstance(cfg[key], str):
+            raise ConfigError(f"{where}.{key} must be a string")
     x0 = cfg.get("x0")
-    if x0 is not None and not isinstance(x0, (list, str)):
+    if not (x0 is None or x0 == "random" or isinstance(x0, list)):
         raise ConfigError(f'{where}.x0 must be a list of numbers or "random"')
+    seed = args.seed
+    if seed is None:
+        seed = _number(cfg.get("seed", 0), int, f"{where}.seed")
+
+    try:
+        problem = problems.build(cfg["family"], cfg.get("params", {}))
+    except (LookupError, TypeError, ValueError, VisplitError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    try:
+        if x0 == "random":
+            x0 = np.random.default_rng(seed).standard_normal(problem.dim)
+        elif x0 is not None:
+            x0 = as_point(x0, problem.dim)
+    except (TypeError, ValueError, VisplitError) as exc:
+        raise ConfigError(f"{where}.x0: {exc}") from exc
+    return RunJob(cfg, problem, schedule, x0, seed)
 
 
 def _number(value, convert, path: str):
@@ -131,7 +172,7 @@ def _number(value, convert, path: str):
         raise ConfigError(f"{path} must be a number, got {value!r}") from exc
 
 
-def _build_schedule(spec: dict, where: str = "schedule"):
+def _build_schedule(spec: dict, where: str):
     kind = spec.get("kind", "power")
     a = _number(spec.get("a", 1.0), float, f"{where}.a")
     p = _number(spec.get("p", 1.0), float, f"{where}.p")
@@ -141,9 +182,9 @@ def _build_schedule(spec: dict, where: str = "schedule"):
         return AdaptivePowerStepsize(a, p)
     if kind == "constant":
         if "p" in spec:
-            raise ConfigError("constant schedule takes no exponent")
+            raise ConfigError(f"{where}: a constant schedule takes no exponent")
         return ConstantStepsize(a)
-    raise ConfigError(f"unknown schedule kind {kind!r}")
+    raise ConfigError(f"{where}: unknown schedule kind {kind!r}")
 
 
 def _fmt(value) -> str:
@@ -171,17 +212,8 @@ def _write_trace(path: str, trace) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _execute_run(cfg: dict, label: str, outdir: str, args) -> dict:
-    problem = problems.build(cfg["family"], cfg.get("params", {}))
-    schedule = _build_schedule(cfg.get("schedule", {}))
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-
-    x0 = cfg.get("x0")
-    if isinstance(x0, str):
-        if x0 != "random":
-            raise ConfigError(f'x0 must be a list of numbers or "random", got {x0!r}')
-        x0 = np.random.default_rng(seed).standard_normal(problem.dim)
-
+def _execute_run(job: RunJob, label: str, outdir: str, args) -> dict:
+    cfg, problem, schedule = job.cfg, job.problem, job.schedule
     cadence = args.cadence if args.cadence is not None else cfg.get("cadence", 1)
     snapshots = bool(args.snapshots or cfg.get("snapshots", False))
 
@@ -190,7 +222,7 @@ def _execute_run(cfg: dict, label: str, outdir: str, args) -> dict:
         problem,
         schedule,
         theta=float(cfg.get("theta", 1.0)),
-        x0=x0,
+        x0=job.x0,
         max_outer=int(cfg.get("max_outer", 1000)),
         target_err=cfg.get("target_err"),
         target_dist=cfg.get("target_dist"),
@@ -215,7 +247,7 @@ def _execute_run(cfg: dict, label: str, outdir: str, args) -> dict:
         "iterations": state.k,
         "sigma": _jsonable(state.sigma),
         "stop_reason": state.stop_reason,
-        "seed": int(seed),
+        "seed": job.seed,
         "final": {c: _jsonable(v) for c, v in zip(TRACE_COLUMNS, final.row())},
         "known_solution": _jsonable(problem.known_solution),
         "solution_estimate": _jsonable(state.x),
@@ -233,14 +265,13 @@ def _cmd_run(args) -> int:
         loaded = _load_configs(path)
         for i, cfg in enumerate(loaded):
             where = f"{path}[{i}]" if len(loaded) > 1 else path
-            _validate_run_config(cfg, where)
-            jobs.append(cfg)
+            jobs.append(_prepare_run(cfg, where, args))
 
     # Resolve labels first so duplicates cannot overwrite each other.
     labels = []
     seen = {}
-    for i, cfg in enumerate(jobs):
-        base = cfg.get("label") or cfg["family"]
+    for job in jobs:
+        base = job.cfg.get("label") or job.cfg["family"]
         n = seen.get(base, 0)
         seen[base] = n + 1
         labels.append(base if n == 0 else f"{base}-{n}")
@@ -253,17 +284,9 @@ def _cmd_run(args) -> int:
             return env
         return cfg.get("output", "runs")
 
-    def one(idx):
-        return _execute_run(jobs[idx], labels[idx], outdir_for(jobs[idx]), args)
-
-    summaries = []
-    if args.parallel and args.parallel > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            summaries = list(pool.map(one, range(len(jobs))))
-    else:
-        for idx in range(len(jobs)):
-            summaries.append(one(idx))
-
+    summaries = [
+        _execute_run(job, label, outdir_for(job.cfg), args) for job, label in zip(jobs, labels)
+    ]
     for s in summaries:
         final = s["final"]
         err = final.get("err_x")
@@ -276,6 +299,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import checks
+
     rows = checks.run_suite(args.suite, seed=args.seed, trials=args.trials)
     failed = 0
     for row in rows:
@@ -398,13 +423,12 @@ def _parser() -> argparse.ArgumentParser:
     p_run.add_argument("--cadence", type=int, help="keep every N-th trace row")
     p_run.add_argument("--snapshots", action="store_true", help="record replay snapshots")
     p_run.add_argument("--seed", type=int, help="seed for random starting points")
-    p_run.add_argument("--parallel", type=int, help="run configs in N worker threads")
 
     p_check = sub.add_parser("check", help="run self-check sweeps")
     p_check.add_argument(
         "--suite",
         default="all",
-        choices=sorted(checks.SUITES) + ["all"],
+        choices=CHECK_SUITES + ("all",),
         help="which suite to run",
     )
     p_check.add_argument("--seed", type=int, default=0)

@@ -10,6 +10,7 @@ moves away from any feasible point (a Fejer step with respect to C).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .constraints import Constraint, Halfspace, project_halfspace_pair
@@ -50,7 +51,7 @@ def run_inner(
         Infeasible base point, c(z) > 0. Feasible points take the
         :func:`feasible_shortcut` instead.
     theta : float
-        Relaxation factor of the stopping test, positive.
+        Relaxation factor of the stopping test, positive and finite.
     alpha : float
         Tolerance scale of the stopping test (the outer stepsize, or the
         raw stepsize numerator under the adaptive rule), positive.
@@ -65,8 +66,8 @@ def run_inner(
     """
     theta = float(theta)
     alpha = float(alpha)
-    if theta <= 0 or alpha <= 0:
-        raise ConfigError("theta and alpha must be positive")
+    if not (theta > 0 and math.isfinite(theta)) or alpha <= 0:
+        raise ConfigError("theta must be positive and finite, alpha positive")
     max_iter = int(max_iter)
     if max_iter < 1:
         raise ConfigError("max_iter must be at least 1")

@@ -29,6 +29,7 @@ stepsize does not exist until the probe point does.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -430,7 +431,7 @@ def run(
     problem : Problem
     schedule : StepsizeSchedule
     theta : float
-        Relaxation factor of the feasibility stage, positive.
+        Relaxation factor of the feasibility stage, positive and finite.
     x0 : array_like, optional
         Starting point, defaults to the origin.
     max_outer : int
@@ -452,8 +453,8 @@ def run(
         Final state with trace, diagnostics, and stop_reason set.
     """
     theta = float(theta)
-    if theta <= 0:
-        raise ConfigError("theta must be positive")
+    if not (theta > 0 and math.isfinite(theta)):
+        raise ConfigError("theta must be positive and finite")
     cadence = int(cadence)
     if cadence < 1:
         raise ConfigError("cadence must be at least 1")

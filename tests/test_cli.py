@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from visplit import TRACE_COLUMNS
-from visplit.cli import main
+from visplit import TRACE_COLUMNS, checks
+from visplit.cli import CHECK_SUITES, main
 
 WALL = TRACE_COLUMNS.index("wall_time")
 
@@ -94,7 +94,7 @@ def test_run_err_column_is_zero_at_a_fixed_point(tmp_path):
     assert all(float(r[err]) == 0.0 for r in rows)
 
 
-def test_run_label_deduplication_and_parallel(tmp_path):
+def test_run_label_deduplication(tmp_path):
     cfg = _write_cfg(
         tmp_path / "cfg.json",
         [
@@ -104,7 +104,7 @@ def test_run_label_deduplication_and_parallel(tmp_path):
         ],
     )
     out = str(tmp_path / "out")
-    assert main(["run", cfg, "--output", out, "--parallel", "2"]) == 0
+    assert main(["run", cfg, "--output", out]) == 0
     assert sorted(os.listdir(out)) == [
         "a3",
         "quadratic_over_ball",
@@ -181,6 +181,28 @@ def test_non_numeric_values_exit_2(tmp_path, capsys, cfg, field):
     assert not os.path.isdir(tmp_path / "out")
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"family": "quadratic_over_ball", "params": {"target": "xyz"}},
+        {"family": "quadratic_over_ball", "x0": ["a", 1]},
+        {"family": "quadratic_over_ball", "x0": [1, 2, 3]},
+        {"family": "quadratic_over_ball", "x0": "rand"},
+        {"family": "quadratic_over_ball", "theta": float("inf")},
+        {"family": "quadratic_over_ball", "label": 5},
+    ],
+    ids=["params", "x0-text", "x0-dim", "x0-word", "theta-inf", "label"],
+)
+def test_bad_second_config_stops_the_batch_before_any_run(tmp_path, capsys, bad):
+    # The first config is valid; nothing may run or be written before the
+    # second one is rejected.
+    path = _write_cfg(tmp_path / "cfg.json", [{"family": "quadratic_over_ball", "max_outer": 5}, bad])
+    out = tmp_path / "out"
+    assert main(["run", path, "--output", str(out)]) == 2
+    assert f"{path}[1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_budget_exhaustion_exits_3(tmp_path, capsys):
     cfg = _write_cfg(
         tmp_path / "cfg.json",
@@ -201,8 +223,15 @@ def test_check_command(capsys):
     out = capsys.readouterr().out
     assert "checks passed" in out
     assert "FAIL" not in out
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["check", "--suite", "nonsense"])  # rejected by the parser
+    assert exc.value.code == 2
+    # The parser names the suites without importing the sweeps.
+    assert list(CHECK_SUITES) == sorted(checks.SUITES)
+    with pytest.raises(SystemExit):
+        main(["check", "--help"])
+    usage = capsys.readouterr().out
+    assert all(name in usage for name in CHECK_SUITES)
 
 
 def test_bench_command(tmp_path, capsys):

@@ -1,0 +1,60 @@
+"""Import boundaries: what ``import visplit`` and ``import visplit.cli`` load.
+
+Each check runs in a fresh interpreter, so modules this test process has
+already imported cannot hide an eager import.
+"""
+
+import os
+import subprocess
+import sys
+
+import visplit
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(visplit.__file__)))
+
+
+def _python(code: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_import_visplit_loads_no_oracle_problems_or_checks():
+    loaded = _python(
+        "import sys, visplit\n"
+        "for m in ('visplit.oracle', 'visplit.problems', 'visplit.checks'):\n"
+        "    print(m in sys.modules)"
+    )
+    assert loaded == ["False"] * 3
+
+
+def test_import_cli_loads_no_oracle_checks_or_thread_pool():
+    loaded = _python(
+        "import sys, visplit.cli\n"
+        "for m in ('visplit.oracle', 'visplit.checks', 'concurrent.futures'):\n"
+        "    print(m in sys.modules)"
+    )
+    assert loaded == ["False"] * 3
+
+
+def test_lazy_exports_resolve():
+    out = _python(
+        "import visplit\n"
+        "for name in visplit.__all__:\n"
+        "    getattr(visplit, name)\n"
+        "print(set(visplit.__all__) <= set(dir(visplit)))\n"
+        "try:\n"
+        "    visplit.nonexistent\n"
+        "except AttributeError:\n"
+        "    print('AttributeError')\n"
+        "from visplit import problems\n"
+        "print(problems.build is visplit.build)\n"
+        "ns = {}\n"
+        "exec('from visplit import *', ns)\n"
+        "print(set(visplit.__all__) <= set(ns))"
+    )
+    assert out == ["True", "AttributeError", "True", "True"]

@@ -51,8 +51,9 @@ def test_run_inner_rejects_feasible_base():
 
 
 def test_run_inner_validation():
-    with pytest.raises(ConfigError):
-        run_inner(_unit_ball(), [3.0, 0.0], theta=0.0, alpha=0.1)
+    for theta in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            run_inner(_unit_ball(), [3.0, 0.0], theta=theta, alpha=0.1)
     with pytest.raises(ConfigError):
         run_inner(_unit_ball(), [3.0, 0.0], theta=1.0, alpha=-1.0)
     with pytest.raises(ConfigError):

@@ -194,8 +194,9 @@ def test_eta_stress_flag():
 def test_run_validation():
     prob = build("quadratic_over_ball", {})
     sched = PowerStepsize(1.0, 1.0)
-    with pytest.raises(ConfigError):
-        run(prob, sched, theta=0.0)
+    for theta in (0.0, np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            run(prob, sched, theta=theta)
     with pytest.raises(ConfigError):
         run(prob, sched, cadence=0)
     with pytest.raises(ConfigError):
