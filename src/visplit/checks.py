@@ -52,8 +52,8 @@ def _row(name: str, worst: float, tol: float, extra: str = "") -> CheckResult:
 
 def _ball_gauge(center, radius) -> Constraint:
     n = center.size
-    fn = Quadratic(
-        2.0 * np.eye(n),
+    fn = Quadratic.from_diagonal(
+        np.full(n, 2.0),
         -2.0 * center,
         float(center @ center) - radius**2,
         label="gauge",

@@ -29,7 +29,7 @@ Run configuration fields (unknown fields are rejected by path):
     cadence       keep every cadence-th trace row
     snapshots     record replay snapshots (bool)
     max_inner     projection budget per feasibility stage
-    label         run name, defaults to the family name
+    label         run directory name (one path component), defaults to the family
     output        fallback output directory
     seed          RNG seed for "random" starting points
 """
@@ -143,6 +143,12 @@ def _prepare_run(cfg: dict, where: str, args) -> RunJob:
     for key in ("label", "output"):
         if key in cfg and not isinstance(cfg[key], str):
             raise ConfigError(f"{where}.{key} must be a string")
+    label = cfg.get("label")
+    if label is not None and (
+        label in ("", ".", "..")
+        or any(sep and sep in label for sep in ("/", os.sep, os.altsep))
+    ):
+        raise ConfigError(f"{where}.label must be a plain file name, got {label!r}")
     x0 = cfg.get("x0")
     if not (x0 is None or x0 == "random" or isinstance(x0, list)):
         raise ConfigError(f'{where}.x0 must be a list of numbers or "random"')
@@ -314,7 +320,7 @@ def _cmd_check(args) -> int:
 def _bench_constraints(dim: int):
     center = np.zeros(dim)
     curved = Constraint(
-        Quadratic(2.0 * np.eye(dim), np.zeros(dim), -1.0, label="unit_ball"),
+        Quadratic.from_diagonal(np.full(dim, 2.0), np.zeros(dim), -1.0, label="unit_ball"),
         slater_point=center,
     )
     rows = np.zeros((2, dim))
@@ -339,16 +345,24 @@ def _bench_config(args) -> dict:
         for key in cfg:
             if key not in BENCH_KEYS:
                 raise ConfigError(f"unknown field {args.config}.{key}")
-    grid = [float(t) for t in cfg.get("grid", [0.2, 0.1, 0.05, 0.025])]
-    if not grid or any(not t > 0 for t in grid):
+    where = args.config or "bench"
+    grid = cfg.get("grid", [0.2, 0.1, 0.05, 0.025])
+    if not isinstance(grid, list) or not grid:
+        raise ConfigError(f"{where}.grid must be a non-empty list of tolerances")
+    grid = [_number(t, float, f"{where}.grid[{i}]") for i, t in enumerate(grid)]
+    if any(not t > 0 for t in grid):
         raise ConfigError("grid must hold positive tolerances")
-    reps = int(args.reps if args.reps is not None else cfg.get("reps", 50))
+    reps = args.reps if args.reps is not None else cfg.get("reps", 50)
+    reps = _number(reps, int, f"{where}.reps")
     if reps < 1:
         raise ConfigError("reps must be at least 1")
-    dim = int(cfg.get("dim", 3))
+    dim = _number(cfg.get("dim", 3), int, f"{where}.dim")
     if dim < 2:
         raise ConfigError("dim must be at least 2")
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = _number(seed, int, f"{where}.seed")
+    if seed < 0:
+        raise ConfigError(f"{where}.seed must be nonnegative")
     return {"grid": grid, "reps": reps, "dim": dim, "seed": seed}
 
 

@@ -10,12 +10,15 @@ Monotonicity of the shipped affine family is enforced at construction time
 eigenvalue). Subgradient oracles of convex functions are monotone by
 construction.
 
-Diagonal matrices (every off-diagonal entry zero, as in the scaled
-identities of the shipped families) are validated from their diagonal, which
-holds the exact eigenvalues, and applied elementwise, with results equal to
-the dense products bit for bit. A dense row sum adds exact zeros to a single
-product, starting from +0.0, so it never returns -0.0; the elementwise
-vectors add 0.0 to match.
+Diagonal maps (every off-diagonal entry zero, as in the scaled identities
+of the shipped families) are stored as their diagonal only: built with
+``from_diagonal`` from the vector, or detected in a dense input, they hold
+O(n) memory. They are validated from the diagonal, which holds the exact
+eigenvalues, and applied elementwise, with results equal to the dense
+products bit for bit. A dense row sum adds exact zeros to a single product,
+starting from +0.0, so it never returns -0.0; the elementwise vectors add 0.0
+to match. The read-only dense ``.matrix`` / ``.Q`` of a diagonal map is built
+on first read and kept.
 """
 
 from __future__ import annotations
@@ -34,6 +37,23 @@ def _diagonal(A: np.ndarray) -> np.ndarray | None:
     if np.count_nonzero(A) != np.count_nonzero(d):
         return None
     return d.copy()
+
+
+def _square(A, name: str) -> np.ndarray:
+    """A finite square float copy of ``A``."""
+    A = np.array(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DimensionMismatch(f"{name} must be square, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise NonFiniteValue(f"{name} has non-finite entries")
+    return A
+
+
+def _dense_of(diag: np.ndarray) -> np.ndarray:
+    """The read-only dense matrix of a diagonal."""
+    D = np.diag(diag)
+    D.flags.writeable = False
+    return D
 
 
 def _min_sym_eigenvalue(A: np.ndarray) -> tuple[np.ndarray, float]:
@@ -67,31 +87,47 @@ class AffineOperator(Operator):
     """x -> A x + b, monotone exactly when the symmetric part of A is PSD."""
 
     def __init__(self, matrix, offset=None, label: str = "affine"):
-        A = np.array(matrix, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise DimensionMismatch(f"matrix must be square, got shape {A.shape}")
-        if not np.all(np.isfinite(A)):
-            raise NonFiniteValue("matrix has non-finite entries")
-        self._diag = _diagonal(A)
-        if self._diag is not None:
-            lo = float(self._diag.min())
+        A = _square(matrix, "matrix")
+        diag = _diagonal(A)
+        self._setup(diag, A if diag is None else None, offset, label)
+
+    @classmethod
+    def from_diagonal(cls, diag, offset=None, label: str = "affine") -> "AffineOperator":
+        """x -> D x + offset with D = diag(diag), without forming D."""
+        op = cls.__new__(cls)
+        op._setup(as_point(diag).copy(), None, offset, label)
+        return op
+
+    def _setup(self, diag, dense, offset, label: str) -> None:
+        """Check monotonicity and keep the map: ``diag``, or ``dense`` when that is None."""
+        if dense is None:
+            lo, n = float(diag.min()), diag.size
         else:
-            lo = _min_sym_eigenvalue(A)[1]
+            lo, n = _min_sym_eigenvalue(dense)[1], dense.shape[0]
+            dense.flags.writeable = False
         if not lo >= _PSD_TOL:
             raise ValueError(
                 f"affine map is not monotone: symmetric part has eigenvalue {lo:.3e}"
             )
-        super().__init__(A.shape[0], label)
-        self.matrix = A
+        super().__init__(n, label)
+        self._diag = diag
+        self._matrix = dense
         self.offset = (
-            np.zeros(self.dim) if offset is None else as_point(offset, self.dim)
+            np.zeros(self.dim) if offset is None else as_point(offset, self.dim).copy()
         )
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix A (read-only; built on first read for a diagonal map)."""
+        if self._matrix is None:
+            self._matrix = _dense_of(self._diag)
+        return self._matrix
 
     def select(self, x: Vector) -> Vector:
         x = as_point(x, self.dim)
         if self._diag is not None:
             return (self._diag * x + 0.0) + self.offset
-        return self.matrix @ x + self.offset
+        return self._matrix @ x + self.offset
 
 
 class GradientOperator(Operator):
@@ -229,23 +265,41 @@ class Quadratic(ConvexFunction):
     differentiable = True
 
     def __init__(self, Q, b=None, constant: float = 0.0, label: str = "quadratic"):
-        Q = np.asarray(Q, dtype=float)
-        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-            raise DimensionMismatch(f"Q must be square, got shape {Q.shape}")
-        if not np.all(np.isfinite(Q)):
-            raise NonFiniteValue("Q has non-finite entries")
-        self._diag = _diagonal(Q)
-        if self._diag is not None:
-            Q = Q.copy()
-            lo = float(self._diag.min())
+        Q = _square(Q, "Q")
+        diag = _diagonal(Q)
+        self._setup(diag, Q if diag is None else None, b, constant, label)
+
+    @classmethod
+    def from_diagonal(
+        cls, diag, b=None, constant: float = 0.0, label: str = "quadratic"
+    ) -> "Quadratic":
+        """0.5 x'Dx + b'x + constant with D = diag(diag), without forming D."""
+        q = cls.__new__(cls)
+        q._setup(as_point(diag).copy(), None, b, constant, label)
+        return q
+
+    def _setup(self, diag, dense, b, constant: float, label: str) -> None:
+        """Check convexity and keep Q: ``diag``, or the symmetric part of ``dense``."""
+        if dense is None:
+            lo, n = float(diag.min()), diag.size
         else:
-            Q, lo = _min_sym_eigenvalue(Q)
+            dense, lo = _min_sym_eigenvalue(dense)
+            n = dense.shape[0]
+            dense.flags.writeable = False
         if not lo >= _PSD_TOL:
             raise ValueError(f"quadratic is not convex: Q has eigenvalue {lo:.3e}")
-        super().__init__(Q.shape[0], label)
-        self.Q = Q
-        self.b = np.zeros(self.dim) if b is None else as_point(b, self.dim)
+        super().__init__(n, label)
+        self._diag = diag
+        self._Q = dense
+        self.b = np.zeros(self.dim) if b is None else as_point(b, self.dim).copy()
         self.constant = float(constant)
+
+    @property
+    def Q(self) -> np.ndarray:
+        """The symmetric matrix Q (read-only; built on first read for a diagonal map)."""
+        if self._Q is None:
+            self._Q = _dense_of(self._diag)
+        return self._Q
 
     @classmethod
     def half_sq_distance(cls, center, weight: float = 1.0, label: str = "") -> "Quadratic":
@@ -254,9 +308,8 @@ class Quadratic(ConvexFunction):
         w = float(weight)
         if w < 0:
             raise ValueError("weight must be nonnegative")
-        n = center.size
-        return cls(
-            w * np.eye(n),
+        return cls.from_diagonal(
+            np.full(center.size, w),
             -w * center,
             0.5 * w * float(center @ center),
             label or f"half_sq_dist(w={w})",
@@ -266,13 +319,13 @@ class Quadratic(ConvexFunction):
         x = as_point(x, self.dim)
         if self._diag is not None:
             return float(0.5 * x * self._diag @ x + self.b @ x + self.constant)
-        return float(0.5 * x @ self.Q @ x + self.b @ x + self.constant)
+        return float(0.5 * x @ self._Q @ x + self.b @ x + self.constant)
 
     def subgradient(self, x: Vector) -> Vector:
         x = as_point(x, self.dim)
         if self._diag is not None:
             return (self._diag * x + 0.0) + self.b
-        return self.Q @ x + self.b
+        return self._Q @ x + self.b
 
 
 class NormFunction(ConvexFunction):

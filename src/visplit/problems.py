@@ -124,9 +124,8 @@ def _try_solve(A, b):
     return x
 
 
-def _split_affine(matrix, offset, m: int) -> tuple[Operator, ...]:
-    """m equal monotone parts of x -> matrix x + offset."""
-    base = AffineOperator(matrix, offset)
+def _split_affine(base: AffineOperator, m: int) -> tuple[Operator, ...]:
+    """m equal monotone parts of an affine operator."""
     if m == 1:
         return (base,)
     return tuple(ScaledOperator(base, 1.0 / m, label=f"affine/{m}") for _ in range(m))
@@ -157,8 +156,8 @@ def build_quadratic_over_ball(
 
     ball = BallSet(center, radius)
     if squared:
-        fn = Quadratic(
-            2.0 * np.eye(n),
+        fn = Quadratic.from_diagonal(
+            np.full(n, 2.0),
             -2.0 * center,
             float(center @ center) - radius**2,
             label="ball_gauge_sq",
@@ -167,7 +166,7 @@ def build_quadratic_over_ball(
         fn = NormFunction(center, 1.0, -radius, label="ball_gauge")
     constraint = Constraint(fn, exact_set=ball, label="ball")
 
-    ops = _split_affine(np.eye(n), -target, m)
+    ops = _split_affine(AffineOperator.from_diagonal(np.ones(n), -target), m)
     x_star = ball.project(target)
     cert = tuple((x_star - target) / m for _ in range(m))
     return Problem(
@@ -236,7 +235,7 @@ def build_affine_vi_over_polyhedron(
             "interior_point": as_point(interior_point, n).tolist(),
         }
 
-    ops = _split_affine(A, offset, m)
+    ops = _split_affine(AffineOperator(A, offset), m)
     return Problem(
         operators=ops,
         constraint=constraint,
@@ -469,7 +468,7 @@ def build(family: str, params: dict) -> Problem:
         target = as_point(params.get("target", [0.05, 0.0]))
         n = target.size
         kind = params.get("objective", "relu")
-        op = AffineOperator(np.eye(n), -target, label="pull_to_target")
+        op = AffineOperator.from_diagonal(np.ones(n), -target, label="pull_to_target")
         if kind == "relu":
             # f = max(x_1, 0); the minimizer set is the halfspace {x_1 <= 0}
             # and the gauge itself is the exact distance to it.

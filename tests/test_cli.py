@@ -203,6 +203,15 @@ def test_bad_second_config_stops_the_batch_before_any_run(tmp_path, capsys, bad)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("label", ["../escaped", "a/b", "..", ".", ""])
+def test_label_must_be_a_plain_file_name(tmp_path, capsys, label):
+    path = _write_cfg(tmp_path / "cfg.json", {"family": "a3", "max_outer": 3, "label": label})
+    out = tmp_path / "o" / "inner"
+    assert main(["run", path, "--output", str(out)]) == 2
+    assert f"{path}.label" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_budget_exhaustion_exits_3(tmp_path, capsys):
     cfg = _write_cfg(
         tmp_path / "cfg.json",
@@ -256,3 +265,22 @@ def test_bench_command(tmp_path, capsys):
 
     bad = _write_cfg(tmp_path / "bad.json", {"grid": [0.1], "shape": 4})
     assert main(["bench", bad]) == 2
+
+
+@pytest.mark.parametrize(
+    "cfg, field",
+    [
+        ({"grid": ["x"]}, "grid[0] must be a number"),
+        ({"grid": 5}, "grid must be a non-empty list"),
+        ({"grid": []}, "grid must be a non-empty list"),
+        ({"dim": "two"}, "dim must be a number"),
+        ({"reps": "many"}, "reps must be a number"),
+        ({"seed": "s"}, "seed must be a number"),
+        ({"seed": -1}, "seed must be nonnegative"),
+    ],
+    ids=["grid-text", "grid-scalar", "grid-empty", "dim", "reps", "seed", "seed-negative"],
+)
+def test_bench_bad_values_exit_2(tmp_path, capsys, cfg, field):
+    path = _write_cfg(tmp_path / "bench.json", cfg)
+    assert main(["bench", path]) == 2
+    assert f"{path}.{field}" in capsys.readouterr().err

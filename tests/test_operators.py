@@ -75,23 +75,75 @@ def _rotated(diag):
     return R @ np.diag(diag) @ R.T
 
 
-@pytest.mark.parametrize("shape", [np.diag, _rotated], ids=["diagonal", "dense"])
+def _from_vector(d):
+    # Marks the diagonal for from_diagonal; the other shapes build a matrix.
+    return np.array(d, dtype=float)
+
+
+def _make(cls, shape, arg, *rest):
+    """``cls`` built from ``arg``, an output of ``shape``, and ``rest``."""
+    return cls.from_diagonal(arg, *rest) if shape is _from_vector else cls(arg, *rest)
+
+
+SHAPES = pytest.mark.parametrize(
+    "shape", [np.diag, _rotated, _from_vector], ids=["diagonal", "dense", "from_diagonal"]
+)
+
+
+@SHAPES
 def test_psd_tolerance_boundary(shape):
     for cls in (AffineOperator, Quadratic):
         with pytest.raises(ValueError, match="eigenvalue -1.000e-09"):
-            cls(shape([1.0, -1e-9]))
-        cls(shape([1.0, -1e-11]))
+            _make(cls, shape, shape([1.0, -1e-9]))
+        _make(cls, shape, shape([1.0, -1e-11]))
 
 
-@pytest.mark.parametrize("shape", [np.diag, _rotated], ids=["diagonal", "dense"])
+@SHAPES
 def test_constructors_do_not_alias_their_input(shape):
     A = shape([2.0, 3.0])
+    b = np.array([0.5, -1.0])
     x = np.array([1.0, -2.0])
-    q, op = Quadratic(A), AffineOperator(A)
+    q, op = _make(Quadratic, shape, A, b), _make(AffineOperator, shape, A, b)
     Q0, v0, s0, M0 = q.Q.copy(), q.value(x), op.select(x), op.matrix.copy()
     A[...] = -7.0
+    b[...] = 4.0
     assert np.array_equal(q.Q, Q0) and q.value(x) == v0
     assert np.array_equal(op.matrix, M0) and np.array_equal(op.select(x), s0)
+    # The dense views are read-only, so they cannot drift from the map either.
+    assert not q.Q.flags.writeable and not op.matrix.flags.writeable
+    if shape is not _rotated:
+        assert np.array_equal(q.Q, np.diag([2.0, 3.0]))
+        assert np.array_equal(op.matrix, np.diag([2.0, 3.0]))
+
+
+@pytest.mark.parametrize(
+    "diag, error",
+    [
+        (np.eye(2), DimensionMismatch),
+        ([1.0, np.nan], NonFiniteValue),
+        ([np.inf, 1.0], NonFiniteValue),
+        ([], DimensionMismatch),
+    ],
+    ids=["2d", "nan", "inf", "empty"],
+)
+def test_from_diagonal_rejects_bad_vectors(diag, error):
+    for cls in (AffineOperator, Quadratic):
+        with pytest.raises(error):
+            cls.from_diagonal(diag)
+
+
+def test_diagonal_maps_hold_no_dense_matrix():
+    import tracemalloc
+
+    target = np.random.default_rng(23).standard_normal(2000)
+    tracemalloc.start()
+    try:
+        problems.build_quadratic_over_ball(target, m=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One dense 2000 x 2000 matrix alone takes 32 MB.
+    assert peak < 1e6
 
 
 class _DenseAffine(AffineOperator):
@@ -133,13 +185,15 @@ def test_diagonal_maps_match_the_dense_reference_bitwise():
             mask = rng.random(n) < 0.3
             x[mask] = rng.choice(specials, int(mask.sum())) * rng.choice([1.0, -1.0])
             A = np.diag(d)
-            fast, ref = AffineOperator(A, b), _DenseAffine(A, b)
-            assert fast._diag is not None
-            assert _bits(fast.select(x)) == _bits(ref.select(x))
-            fast, ref = Quadratic(A, b, c), _DenseQuadratic(A, b, c)
-            assert fast._diag is not None
-            assert _bits(fast.value(x)) == _bits(ref.value(x))
-            assert _bits(fast.subgradient(x)) == _bits(ref.subgradient(x))
+            ref = _DenseAffine(A, b)
+            for fast in (AffineOperator(A, b), AffineOperator.from_diagonal(d, b)):
+                assert fast._diag is not None
+                assert _bits(fast.select(x)) == _bits(ref.select(x))
+            ref = _DenseQuadratic(A, b, c)
+            for fast in (Quadratic(A, b, c), Quadratic.from_diagonal(d, b, c)):
+                assert fast._diag is not None
+                assert _bits(fast.value(x)) == _bits(ref.value(x))
+                assert _bits(fast.subgradient(x)) == _bits(ref.subgradient(x))
 
 
 def test_diagonal_maps_keep_the_trace(monkeypatch):
