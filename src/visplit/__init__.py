@@ -41,9 +41,9 @@ _EXPORTS = {
     "innerloop": ("InnerResult", "feasible_shortcut", "run_inner"),
     "operators": (
         "AffineFunction", "AffineOperator", "ConstantFunction", "ConvexFunction",
-        "EmbeddedOperator", "GradientOperator", "LinearMap", "LogSumExp", "MaxOfAffine",
-        "NormFunction", "Operator", "Quadratic", "ScaledOperator", "ShiftedFunction",
-        "ZeroOperator", "sum_select",
+        "EmbeddedOperator", "GradientOperator", "MaxOfAffine", "NormFunction",
+        "Operator", "Quadratic", "ScaledOperator", "ShiftedFunction", "ZeroOperator",
+        "sum_select",
     ),
     "oracle": (
         "AuditReport", "fejer_audit", "grid_vi_solution", "qp_project",

@@ -27,7 +27,6 @@ from .innerloop import feasible_shortcut, run_inner
 from .operators import (
     AffineOperator,
     GradientOperator,
-    LinearMap,
     MaxOfAffine,
     NormFunction,
     Quadratic,
@@ -130,7 +129,7 @@ def check_projections(seed: int = 0, trials: int = 1000) -> list[CheckResult]:
 
 
 def check_operators(seed: int = 0, trials: int = 1000) -> list[CheckResult]:
-    """Monotonicity, subgradient inequality, and adjoint identities."""
+    """Monotonicity, subgradient inequality, and finite-difference gradients."""
     rng = np.random.default_rng(seed)
     out = []
 
@@ -169,17 +168,6 @@ def check_operators(seed: int = 0, trials: int = 1000) -> list[CheckResult]:
         f = Quadratic(A @ A.T, rng.standard_normal(n))
         worst = max(worst, oracle.fd_gradient_gap(f, rng.standard_normal(n)))
     out.append(_row("gradients vs finite differences", worst, 1e-5))
-
-    worst = 0.0
-    for _ in range(trials):
-        p, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        L = LinearMap(rng.standard_normal((p, n)))
-        x, y = rng.standard_normal(n), rng.standard_normal(p)
-        worst = max(
-            worst,
-            abs(float(L.apply(x) @ y) - float(x @ L.adjoint_apply(y))),
-        )
-    out.append(_row("adjoint identity", worst, 1e-10))
     return out
 
 

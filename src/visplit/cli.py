@@ -16,22 +16,8 @@ bench
 
 Exit codes: 0 success, 2 configuration problem, 3 solver or check failure.
 
-Run configuration fields (unknown fields are rejected by path):
-
-    family        shipped family name (required)
-    params        family parameters, see problems.FAMILY_PARAMS
-    schedule      {"kind": "power" | "adaptive_power" | "constant", "a", "p"}
-    theta         relaxation factor of the feasibility stage
-    x0            starting point: list of numbers, or "random"
-    max_outer     outer iteration cap
-    target_err    stop at this distance to the known solution
-    target_dist   stop at this feasibility distance bound
-    cadence       keep every cadence-th trace row
-    snapshots     record replay snapshots (bool)
-    max_inner     projection budget per feasibility stage
-    label         run directory name (one path component), defaults to the family
-    output        fallback output directory
-    seed          RNG seed for "random" starting points
+The run configuration fields are ``RUN_KEYS``, documented in the "Command
+line" section of the README; unknown fields are rejected by path.
 """
 
 from __future__ import annotations
@@ -73,7 +59,6 @@ RUN_KEYS = frozenset(
         "target_err",
         "target_dist",
         "cadence",
-        "snapshots",
         "max_inner",
         "label",
         "output",
@@ -160,6 +145,8 @@ def _prepare_run(cfg: dict, where: str, args) -> RunJob:
         problem = problems.build(cfg["family"], cfg.get("params", {}))
     except (LookupError, TypeError, ValueError, VisplitError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    if cfg.get("target_err") is not None and problem.known_solution is None:
+        raise ConfigError(f"{where}.target_err needs a problem with a known solution")
     try:
         if x0 == "random":
             x0 = np.random.default_rng(seed).standard_normal(problem.dim)
@@ -221,7 +208,6 @@ def _write_trace(path: str, trace) -> None:
 def _execute_run(job: RunJob, label: str, outdir: str, args) -> dict:
     cfg, problem, schedule = job.cfg, job.problem, job.schedule
     cadence = args.cadence if args.cadence is not None else cfg.get("cadence", 1)
-    snapshots = bool(args.snapshots or cfg.get("snapshots", False))
 
     t0 = time.perf_counter()
     state = run(
@@ -233,7 +219,6 @@ def _execute_run(job: RunJob, label: str, outdir: str, args) -> dict:
         target_err=cfg.get("target_err"),
         target_dist=cfg.get("target_dist"),
         cadence=int(cadence),
-        snapshots=snapshots,
         max_inner=int(cfg.get("max_inner", 10_000)),
     )
     elapsed = time.perf_counter() - t0
@@ -435,7 +420,6 @@ def _parser() -> argparse.ArgumentParser:
     p_run.add_argument("configs", nargs="+", help="JSON config files")
     p_run.add_argument("--output", help="output directory (overrides env and config)")
     p_run.add_argument("--cadence", type=int, help="keep every N-th trace row")
-    p_run.add_argument("--snapshots", action="store_true", help="record replay snapshots")
     p_run.add_argument("--seed", type=int, help="seed for random starting points")
 
     p_check = sub.add_parser("check", help="run self-check sweeps")

@@ -92,11 +92,6 @@ class Halfspace:
         return max(0.0, self.residual(y)) / float(np.sqrt(self._sq))
 
 
-def project_halfspace(halfspace: Halfspace, y) -> Vector:
-    """Exact projection of ``y`` onto a halfspace."""
-    return halfspace.project(y)
-
-
 def project_halfspace_pair(sep: Halfspace, z, w) -> Vector:
     """Exact projection of ``w`` onto sep ∩ {x : <x - z, w - z> <= 0}.
 
@@ -190,7 +185,7 @@ class BallSet(ExactSet):
         center = as_point(center)
         radius = float(radius)
         if radius < 0:
-            raise ValueError("radius must be nonnegative")
+            raise ConfigError("radius must be nonnegative")
         super().__init__(center.size)
         self.center = center
         self.radius = radius
@@ -217,7 +212,7 @@ class BoxSet(ExactSet):
         lo = as_point(lo)
         hi = as_point(hi, lo.size)
         if np.any(lo > hi):
-            raise ValueError("box has lo > hi in some coordinate")
+            raise ConfigError("box has lo > hi in some coordinate")
         super().__init__(lo.size)
         self.lo = lo
         self.hi = hi
@@ -238,6 +233,8 @@ class GraphSet(ExactSet):
         M = np.asarray(matrix, dtype=float)
         if M.ndim != 2:
             raise DimensionMismatch("graph set needs a matrix")
+        if not np.all(np.isfinite(M)):
+            raise NonFiniteValue("graph set matrix has non-finite entries")
         super().__init__(M.shape[1] + M.shape[0])
         self.matrix = M
         self.n = M.shape[1]
@@ -252,11 +249,6 @@ class GraphSet(ExactSet):
         x0, y0 = self.split(y)
         x = self._solve @ (x0 + self.matrix.T @ y0)
         return np.concatenate([x, self.matrix @ x])
-
-
-def exact_project(region: ExactSet | Halfspace, y) -> Vector:
-    """Exact projection onto a set carrying a closed-form projector."""
-    return region.project(y)
 
 
 class Constraint:
@@ -346,13 +338,3 @@ class Constraint:
                 )
             return Halfspace.whole_space(self.dim)
         return Halfspace(g, float(g @ y) - cy)
-
-
-def separator_at(constraint: Constraint, y) -> Halfspace:
-    """Separating halfspace of the feasible set built at ``y``."""
-    return constraint.separator_at(y)
-
-
-def dist_upper(constraint: Constraint, y) -> float:
-    """Upper bound on dist(y, C); zero exactly when c(y) <= 0."""
-    return constraint.dist_upper(y)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue
+from .errors import ConfigError, DimensionMismatch, NonFiniteValue
 from .space import Vector, as_point
 
 _PSD_TOL = -1e-10
@@ -106,7 +106,7 @@ class AffineOperator(Operator):
             lo, n = _min_sym_eigenvalue(dense)[1], dense.shape[0]
             dense.flags.writeable = False
         if not lo >= _PSD_TOL:
-            raise ValueError(
+            raise ConfigError(
                 f"affine map is not monotone: symmetric part has eigenvalue {lo:.3e}"
             )
         super().__init__(n, label)
@@ -155,7 +155,7 @@ class ScaledOperator(Operator):
     def __init__(self, base: Operator, factor: float, label: str = ""):
         factor = float(factor)
         if not np.isfinite(factor) or factor < 0:
-            raise ValueError("scale factor must be finite and nonnegative")
+            raise ConfigError("scale factor must be finite and nonnegative")
         super().__init__(base.dim, label or f"{factor}*{base.label}")
         self.base = base
         self.factor = factor
@@ -191,7 +191,7 @@ def sum_select(oracles, x) -> Vector:
     """Sum of one selection from each oracle at ``x`` (an element of (T1+...+Tm)(x))."""
     oracles = list(oracles)
     if not oracles:
-        raise ValueError("sum_select needs at least one oracle")
+        raise ConfigError("sum_select needs at least one oracle")
     x = as_point(x, oracles[0].dim)
     out = np.zeros(oracles[0].dim)
     for op in oracles:
@@ -199,38 +199,6 @@ def sum_select(oracles, x) -> Vector:
             raise DimensionMismatch("oracles act on spaces of different dimensions")
         out += op.select(x)
     return out
-
-
-class LinearMap:
-    """Dense linear map between coordinate spaces, with its adjoint."""
-
-    def __init__(self, matrix, label: str = "L"):
-        M = np.asarray(matrix, dtype=float)
-        if M.ndim != 2:
-            raise DimensionMismatch(f"linear map must be a matrix, got shape {M.shape}")
-        if not np.all(np.isfinite(M)):
-            raise NonFiniteValue("linear map has non-finite entries")
-        self.matrix = M
-        self.label = label
-
-    @property
-    def in_dim(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, x: Vector) -> Vector:
-        return self.matrix @ as_point(x, self.in_dim)
-
-    def adjoint_apply(self, y: Vector) -> Vector:
-        return self.matrix.T @ as_point(y, self.out_dim)
-
-    def is_self_adjoint(self, tol: float = 1e-12) -> bool:
-        if self.in_dim != self.out_dim:
-            return False
-        return bool(np.max(np.abs(self.matrix - self.matrix.T)) <= tol)
 
 
 class ConvexFunction:
@@ -287,7 +255,7 @@ class Quadratic(ConvexFunction):
             n = dense.shape[0]
             dense.flags.writeable = False
         if not lo >= _PSD_TOL:
-            raise ValueError(f"quadratic is not convex: Q has eigenvalue {lo:.3e}")
+            raise ConfigError(f"quadratic is not convex: Q has eigenvalue {lo:.3e}")
         super().__init__(n, label)
         self._diag = diag
         self._Q = dense
@@ -307,7 +275,7 @@ class Quadratic(ConvexFunction):
         center = as_point(center)
         w = float(weight)
         if w < 0:
-            raise ValueError("weight must be nonnegative")
+            raise ConfigError("weight must be nonnegative")
         return cls.from_diagonal(
             np.full(center.size, w),
             -w * center,
@@ -339,7 +307,7 @@ class NormFunction(ConvexFunction):
         center = as_point(center)
         scale = float(scale)
         if scale < 0:
-            raise ValueError("scale must be nonnegative")
+            raise ConfigError("scale must be nonnegative")
         super().__init__(center.size, label)
         self.center = center
         self.scale = scale
@@ -408,25 +376,6 @@ class AffineFunction(ConvexFunction):
     def subgradient(self, x: Vector) -> Vector:
         as_point(x, self.dim)
         return self.slope.copy()
-
-
-class LogSumExp(ConvexFunction):
-    """log(sum exp(x_i)), a smooth convex test function for gradient checks."""
-
-    differentiable = True
-
-    def __init__(self, dim: int, label: str = "logsumexp"):
-        super().__init__(dim, label)
-
-    def value(self, x: Vector) -> float:
-        x = as_point(x, self.dim)
-        m = float(np.max(x))
-        return m + float(np.log(np.sum(np.exp(x - m))))
-
-    def subgradient(self, x: Vector) -> Vector:
-        x = as_point(x, self.dim)
-        e = np.exp(x - np.max(x))
-        return e / e.sum()
 
 
 class ConstantFunction(ConvexFunction):

@@ -38,14 +38,13 @@ from .constraints import (
     GraphSet,
     WholeSpace,
 )
-from .errors import ConfigError, DimensionMismatch
+from .errors import ConfigError, DimensionMismatch, NonFiniteValue
 from .operators import (
     AffineOperator,
     ConstantFunction,
     ConvexFunction,
     EmbeddedOperator,
     GradientOperator,
-    LinearMap,
     MaxOfAffine,
     NormFunction,
     Operator,
@@ -92,6 +91,8 @@ class _SaddleCoupling(Operator):
         n = M.shape[0]
         if M.shape != (n, n):
             raise DimensionMismatch("saddle coupling needs a square matrix")
+        if not np.all(np.isfinite(M)):
+            raise NonFiniteValue("saddle coupling matrix has non-finite entries")
         if np.max(np.abs(M - M.T)) > 1e-12:
             raise ConfigError("saddle coupling needs a self-adjoint matrix")
         if phi2.dim != n:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,19 +40,6 @@ from .errors import ConfigError, NonFiniteIterate
 from .innerloop import feasible_shortcut, run_inner
 from .operators import Operator
 from .space import Vector, as_point
-
-TRACE_COLUMNS = (
-    "k",
-    "alpha_k",
-    "eta_k",
-    "sigma_k",
-    "inner_iterations",
-    "dist_x",
-    "dist_z0",
-    "err_x",
-    "fejer_slack",
-    "wall_time",
-)
 
 
 class StepsizeSchedule:
@@ -120,23 +107,19 @@ class ConstantStepsize(StepsizeSchedule):
         return {"kind": "constant", "a": self.a}
 
 
-class AdaptivePowerStepsize(StepsizeSchedule):
+class AdaptivePowerStepsize(PowerStepsize):
     """Adaptive rule alpha_k = beta_k / max(1, eta_k), beta_k = a / (k+1)**p.
 
     Dividing by the realized operator-norm proxy keeps eta_k * alpha_k equal
     to the square-summable numerator regardless of how large the selections
-    get, at the price of a smaller effective step.
+    get, at the price of a smaller effective step. The inherited
+    inner_tolerance is alpha at eta = 1, which is beta_k itself.
     """
 
     adaptive = True
 
-    def __init__(self, a: float = 1.0, p: float = 1.0):
-        self._base = PowerStepsize(a, p)
-        self.a = self._base.a
-        self.p = self._base.p
-
     def beta(self, k: int) -> float:
-        return self._base.alpha(k)
+        return super().alpha(k)
 
     def alpha(self, k: int, eta: float = 1.0) -> float:
         eta = float(eta)
@@ -144,21 +127,18 @@ class AdaptivePowerStepsize(StepsizeSchedule):
             raise ConfigError("eta must be finite and at least 1")
         return self.beta(k) / eta
 
-    def inner_tolerance(self, k: int) -> float:
-        return self.beta(k)
-
     def spec(self) -> dict:
         return {"kind": "adaptive_power", "a": self.a, "p": self.p}
 
 
 def stepsize(schedule: StepsizeSchedule, k: int, eta_k: float = 1.0) -> float:
-    """Stepsize at outer index k; validates inputs and the output sign."""
+    """Stepsize at outer index k; validates the index and the output sign.
+
+    eta_k is checked by the schedule that reads it.
+    """
     k = int(k)
     if k < 0:
         raise ConfigError("outer index must be nonnegative")
-    eta_k = float(eta_k)
-    if not (eta_k >= 1.0 and np.isfinite(eta_k)):
-        raise ConfigError("eta_k must be finite and at least 1")
     a = schedule.alpha(k, eta_k)
     if not (a > 0 and np.isfinite(a)):
         raise ConfigError(f"schedule produced a nonpositive stepsize {a!r}")
@@ -244,6 +224,9 @@ class TraceRecord:
         return [getattr(self, c) for c in TRACE_COLUMNS]
 
 
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
+
+
 @dataclass
 class StepSnapshot:
     """Raw per-step data for replay audits; stored only on request."""
@@ -281,7 +264,6 @@ class SolverState:
     x: Vector
     k: int = 0
     sigma: float = 0.0
-    last_eta: float = 1.0
     trace: list = field(default_factory=list)
     snapshots: list | None = None
     cycle_checks: list = field(default_factory=list)
@@ -393,7 +375,6 @@ def outer_step(
     state.z = z_next
     state.x = x_next
     state.sigma = sigma
-    state.last_eta = eta
 
     rec = TraceRecord(
         k=k,

@@ -1,8 +1,8 @@
-"""Vector primitives for the ambient coordinate space.
+"""Point validation for the ambient coordinate space.
 
-Points are plain 1-D float64 numpy arrays. Every public helper validates
-shape and finiteness so that bad values fail fast instead of propagating
-through an iterative run.
+Points are plain 1-D float64 numpy arrays. ``as_point`` validates shape and
+finiteness so that bad values fail fast instead of propagating through an
+iterative run.
 """
 
 from __future__ import annotations
@@ -27,24 +27,3 @@ def as_point(x, dim: int | None = None) -> Vector:
         raise DimensionMismatch(f"expected dimension {dim}, got {p.size}")
     return p
 
-
-def inner(x, y) -> float:
-    """Euclidean inner product."""
-    x = as_point(x)
-    y = as_point(y, x.size)
-    return float(np.dot(x, y))
-
-
-def norm(x) -> float:
-    """Norm induced by :func:`inner`."""
-    return float(np.linalg.norm(as_point(x)))
-
-
-def axpy(a: float, x, y) -> Vector:
-    """Return ``a * x + y``."""
-    a = float(a)
-    if not np.isfinite(a):
-        raise NonFiniteValue("scalar coefficient must be finite")
-    x = as_point(x)
-    y = as_point(y, x.size)
-    return a * x + y

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from visplit import TRACE_COLUMNS, checks
-from visplit.cli import CHECK_SUITES, main
+from visplit.cli import CHECK_SUITES, RUN_KEYS, main
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 WALL = TRACE_COLUMNS.index("wall_time")
 
@@ -162,6 +164,13 @@ def test_config_errors_exit_2(tmp_path, capsys):
 
     bad_x0 = _write_cfg(tmp_path / "f.json", {"family": "a3", "x0": "sideways"})
     assert main(["run", bad_x0]) == 2
+
+    snapshots = _write_cfg(tmp_path / "g.json", {"family": "a3", "snapshots": True})
+    assert main(["run", snapshots]) == 2
+    assert "snapshots" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["run", bad_field, "--snapshots"])  # rejected by the parser
+    assert exc.value.code == 2
     # Validation happens before execution, so no output was produced.
     assert not os.path.isdir("runs")
 
@@ -190,8 +199,14 @@ def test_non_numeric_values_exit_2(tmp_path, capsys, cfg, field):
         {"family": "quadratic_over_ball", "x0": "rand"},
         {"family": "quadratic_over_ball", "theta": float("inf")},
         {"family": "quadratic_over_ball", "label": 5},
+        {"family": "a3", "params": {"matrix": [[float("nan")]]}},
+        {"family": "a2", "params": {"matrix": [[float("inf")]]}},
+        {"family": "affine_vi_over_polyhedron", "target_err": 0.1},
     ],
-    ids=["params", "x0-text", "x0-dim", "x0-word", "theta-inf", "label"],
+    ids=[
+        "params", "x0-text", "x0-dim", "x0-word", "theta-inf", "label",
+        "a3-nan", "a2-inf", "target_err",
+    ],
 )
 def test_bad_second_config_stops_the_batch_before_any_run(tmp_path, capsys, bad):
     # The first config is valid; nothing may run or be written before the
@@ -210,6 +225,16 @@ def test_label_must_be_a_plain_file_name(tmp_path, capsys, label):
     assert main(["run", path, "--output", str(out)]) == 2
     assert f"{path}.label" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_readme_documents_the_run_fields():
+    # The README's field block is the one written list of run fields.
+    with open(README, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Command line", 1)[1]
+    block = section.split("Fields:\n\n```\n", 1)[1].split("```", 1)[0]
+    names = {line.split()[0] for line in block.splitlines() if line[:1].strip()}
+    assert names == RUN_KEYS
 
 
 def test_budget_exhaustion_exits_3(tmp_path, capsys):

@@ -12,15 +12,10 @@ from visplit import (
     Halfspace,
     InfeasibleConstraint,
     MaxOfAffine,
+    NonFiniteValue,
     Quadratic,
     WholeSpace,
     project_halfspace_pair,
-)
-from visplit.constraints import (
-    dist_upper,
-    exact_project,
-    project_halfspace,
-    separator_at,
 )
 from visplit.oracle import qp_project
 
@@ -75,11 +70,6 @@ def test_halfspace_projection_is_firmly_nonexpansive():
         worst_obtuse = min(worst_obtuse, -float((x - px) @ (c - px)))
     assert worst_firm >= -1e-10
     assert worst_obtuse >= -1e-10
-
-
-def test_project_halfspace_helper_delegates():
-    h = Halfspace([3.0, 0.0], 5.0)
-    assert np.array_equal(project_halfspace(h, [3.0, 2.0]), h.project([3.0, 2.0]))
 
 
 def test_pair_projection_vertex_case():
@@ -144,10 +134,8 @@ def test_exact_set_projectors_frozen():
     ws = WholeSpace(2)
     assert np.array_equal(ws.project([3.0, 4.0]), [3.0, 4.0])
     assert ws.distance([3.0, 4.0]) == 0.0
-    assert np.array_equal(exact_project(ball, [2.0, 0.0]), [1.0, 0.0])
-    assert np.array_equal(
-        exact_project(Halfspace([1.0, 0.0], 0.0), [2.0, 3.0]), [0.0, 3.0]
-    )
+    assert np.array_equal(ball.project([2.0, 0.0]), [1.0, 0.0])
+    assert np.array_equal(Halfspace([1.0, 0.0], 0.0).project([2.0, 3.0]), [0.0, 3.0])
 
 
 def test_exact_set_projections_are_optimal():
@@ -173,6 +161,8 @@ def test_ball_set_validation():
         BallSet([0.0, 0.0], -1.0)
     with pytest.raises(ValueError):
         BoxSet([1.0, 0.0], [0.0, 1.0])
+    with pytest.raises(NonFiniteValue):
+        GraphSet([[np.nan]])
 
 
 def test_dist_mode_precedence():
@@ -199,7 +189,6 @@ def test_slater_distance_bound_frozen():
     # c(y) = 3, c(w) = -1: bound = ||y - w|| * 3 / 4 = 1.5 against true 1.0.
     assert c.dist_upper([2.0, 0.0]) == pytest.approx(1.5, abs=1e-15)
     assert c.dist_upper([0.5, 0.0]) == 0.0
-    assert dist_upper(c, [2.0, 0.0]) == c.dist_upper([2.0, 0.0])
 
 
 def test_dist_upper_majorizes_true_distance():
@@ -225,7 +214,6 @@ def test_separator_frozen_and_contains_the_set():
     sep = c.separator_at([2.0, 0.0])
     assert np.array_equal(sep.normal, [4.0, 0.0])
     assert sep.offset == 5.0
-    assert separator_at(c, [2.0, 0.0]).offset == 5.0
     rng = np.random.default_rng(25)
     for _ in range(500):
         y = 3.0 * rng.standard_normal(2)

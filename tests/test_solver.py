@@ -84,10 +84,11 @@ def test_stepsize_helper_validation():
     assert stepsize(sched, 5) == 1.0 / 6.0
     with pytest.raises(ConfigError):
         stepsize(sched, -1)
+    adaptive = AdaptivePowerStepsize(1.0, 1.0)
     with pytest.raises(ConfigError):
-        stepsize(sched, 0, eta_k=0.0)
+        stepsize(adaptive, 0, eta_k=0.0)
     with pytest.raises(ConfigError):
-        stepsize(sched, 0, eta_k=np.nan)
+        stepsize(adaptive, 0, eta_k=np.nan)
 
 
 def test_problem_validation():
@@ -184,7 +185,6 @@ def test_eta_stress_flag():
     state = run(prob, AdaptivePowerStepsize(0.5, 0.55), x0=[0.0, 0.0], max_outer=1)
     assert state.cycle_checks[0].eta_stress
     assert state.trace[0].eta_k == 500.0
-    assert state.last_eta == 500.0
     # Explicit schedules never probe, so the flag stays off.
     state = run(prob, PowerStepsize(0.001, 1.0), x0=[0.0, 0.0], max_outer=1)
     assert not state.cycle_checks[0].eta_stress

@@ -10,7 +10,7 @@ from visplit import (
     NonFiniteValue,
     VisplitError,
 )
-from visplit.space import as_point, axpy, inner, norm
+from visplit.space import as_point
 
 
 def test_as_point_coerces_lists_and_scalars():
@@ -33,25 +33,6 @@ def test_as_point_rejects_bad_inputs():
         as_point([1.0, np.nan])
     with pytest.raises(NonFiniteValue):
         as_point([np.inf, 0.0])
-
-
-def test_inner_norm_axpy_values():
-    assert inner([1, 2], [3, 4]) == 11.0
-    assert norm([3, 4]) == 5.0
-    assert np.array_equal(axpy(2.0, [1, 2], [3, 4]), [5.0, 8.0])
-    with pytest.raises(DimensionMismatch):
-        inner([1, 2], [1, 2, 3])
-    with pytest.raises(NonFiniteValue):
-        axpy(np.nan, [1.0], [1.0])
-
-
-def test_cauchy_schwarz_sweep():
-    rng = np.random.default_rng(7)
-    for _ in range(1000):
-        n = int(rng.integers(1, 8))
-        x = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(n)
-        y = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(n)
-        assert abs(inner(x, y)) <= norm(x) * norm(y) + 1e-12
 
 
 def test_error_hierarchy():
