@@ -35,7 +35,7 @@ import numpy as np
 from . import problems
 from .constraints import Constraint
 from .errors import ConfigError, VisplitError
-from .innerloop import run_inner
+from .innerloop import projection_growth, run_inner
 from .operators import MaxOfAffine, Quadratic
 from .solver import (
     AdaptivePowerStepsize,
@@ -356,18 +356,7 @@ def _cmd_bench(args) -> int:
     grid, reps, dim = cfg["grid"], cfg["reps"], cfg["dim"]
     rng = np.random.default_rng(cfg["seed"])
     curved, flat = _bench_constraints(dim)
-
-    means, times = [], []
-    for tol in grid:
-        counts = []
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            d = rng.standard_normal(dim)
-            d /= float(np.linalg.norm(d))
-            z = (1.0 + float(rng.uniform(0.05, 2.0))) * d
-            counts.append(run_inner(curved, z, 1.0, tol).iterations)
-        times.append((time.perf_counter() - t0) / reps)
-        means.append(float(np.mean(counts)))
+    means, times = projection_growth(curved, grid, reps, rng)
 
     # A single-tolerance grid gives nothing to fit.
     slope = None

@@ -16,6 +16,14 @@ the exact projector for every configuration, including parallel boundaries;
 the two-active case solves a 2x2 Gram system for the multipliers and keeps
 the candidate only when it is feasible, so no multiplier clamping heuristics
 are needed.
+
+Each public per-point method checks its points with ``as_point`` and calls
+a kernel that trusts them: ``_project``, ``_distance``, ``_residual``,
+``_separator`` (for ``separator_at``), ``_dist_upper`` and ``_project_pair``
+(for ``project_halfspace_pair``). ``Halfspace`` and ``ExactSet`` share the
+kernel names, and an ``ExactSet`` subclass implements only the kernels. The
+separator and distance kernels take a precomputed ``c(y)``; the normals they
+take from subgradient oracles are still checked.
 """
 
 from __future__ import annotations
@@ -46,8 +54,17 @@ class Halfspace:
     offset: float
 
     def __post_init__(self):
-        normal = as_point(self.normal)
-        offset = float(self.offset)
+        self._init(as_point(self.normal), self.offset)
+
+    @classmethod
+    def _of(cls, normal: Vector, offset: float) -> "Halfspace":
+        """The halfspace of a normal already known to be a finite 1-D float array."""
+        h = object.__new__(cls)
+        h._init(normal, offset)
+        return h
+
+    def _init(self, normal: Vector, offset) -> None:
+        offset = float(offset)
         if not np.isfinite(offset):
             raise NonFiniteValue("halfspace offset must be finite")
         sq = float(normal @ normal)
@@ -59,7 +76,10 @@ class Halfspace:
 
     @classmethod
     def whole_space(cls, dim: int) -> "Halfspace":
-        return cls(np.zeros(int(dim)), 0.0)
+        dim = int(dim)
+        if dim < 1:
+            raise DimensionMismatch("halfspace dimension must be at least 1")
+        return cls._of(np.zeros(dim), 0.0)
 
     @property
     def dim(self) -> int:
@@ -71,25 +91,32 @@ class Halfspace:
 
     def residual(self, y) -> float:
         """<normal, y> - offset; positive outside, nonpositive inside."""
-        y = as_point(y, self.dim)
-        return float(self.normal @ y) - self.offset
+        return self._residual(as_point(y, self.dim))
 
     def contains(self, y, tol: float = 0.0) -> bool:
         return self.residual(y) <= tol
 
     def project(self, y) -> Vector:
-        y = as_point(y, self.dim)
+        return self._project(as_point(y, self.dim))
+
+    def distance(self, y) -> float:
+        return self._distance(as_point(y, self.dim))
+
+    def _residual(self, y: Vector) -> float:
+        return float(self.normal @ y) - self.offset
+
+    def _project(self, y: Vector) -> Vector:
         if self._sq == 0.0:
             return y.copy()
-        r = float(self.normal @ y) - self.offset
+        r = self._residual(y)
         if r <= 0.0:
             return y.copy()
         return y - (r / self._sq) * self.normal
 
-    def distance(self, y) -> float:
+    def _distance(self, y: Vector) -> float:
         if self._sq == 0.0:
             return 0.0
-        return max(0.0, self.residual(y)) / float(np.sqrt(self._sq))
+        return max(0.0, self._residual(y)) / float(np.sqrt(self._sq))
 
 
 def project_halfspace_pair(sep: Halfspace, z, w) -> Vector:
@@ -105,24 +132,27 @@ def project_halfspace_pair(sep: Halfspace, z, w) -> Vector:
     ``sep``. Raises InfeasibleConstraint if the intersection is empty, which
     cannot happen for separators of a nonempty feasible set.
     """
-    z = as_point(z, sep.dim)
-    w = as_point(w, sep.dim)
+    return _project_pair(sep, as_point(z, sep.dim), as_point(w, sep.dim))
+
+
+def _project_pair(sep: Halfspace, z: Vector, w: Vector) -> Vector:
+    """``project_halfspace_pair`` on finite 1-D float arrays of length ``sep.dim``."""
     d = w - z
     dd = float(d @ d)
     if dd == 0.0:
-        return sep.project(w)
+        return sep._project(w)
 
-    loc = Halfspace(d, float(d @ z))
+    loc = Halfspace._of(d, float(d @ z))
     tol = 1e-10 * max(1.0, float(np.linalg.norm(w)), float(np.linalg.norm(z)))
 
-    if sep.distance(w) <= tol and loc.distance(w) <= tol:
+    if sep._distance(w) <= tol and loc._distance(w) <= tol:
         return w.copy()
     candidates = []
-    p1 = sep.project(w)
-    if loc.distance(p1) <= tol:
+    p1 = sep._project(w)
+    if loc._distance(p1) <= tol:
         candidates.append(p1)
-    p2 = loc.project(w)
-    if sep.distance(p2) <= tol:
+    p2 = loc._project(w)
+    if sep._distance(p2) <= tol:
         candidates.append(p2)
     if not candidates and not sep.is_whole_space:
         a = sep.normal
@@ -134,12 +164,12 @@ def project_halfspace_pair(sep: Halfspace, z, w) -> Vector:
             # Refinement passes keep the vertex accurate on thin wedges,
             # where the Gram system loses digits to near-parallel normals.
             for _ in range(3):
-                ra = sep.residual(q)
-                rd = loc.residual(q)
+                ra = sep._residual(q)
+                rd = loc._residual(q)
                 mu1 = (ra * dd - ad * rd) / det
                 mu2 = (aa * rd - ad * ra) / det
                 q = q - mu1 * a - mu2 * d
-            if sep.distance(q) <= tol and loc.distance(q) <= tol:
+            if sep._distance(q) <= tol and loc._distance(q) <= tol:
                 candidates.append(q)
     if not candidates:
         raise InfeasibleConstraint("halfspace pair has empty intersection")
@@ -157,11 +187,20 @@ class ExactSet:
         self.dim = dim
 
     def project(self, y) -> Vector:
-        raise NotImplementedError
+        """The nearest point of the set to a point ``y`` of length ``dim``."""
+        return self._project(as_point(y, self.dim))
 
     def distance(self, y) -> float:
-        y = as_point(y, self.dim)
-        return float(np.linalg.norm(y - self.project(y)))
+        """The distance from a point ``y`` of length ``dim`` to the set."""
+        return self._distance(as_point(y, self.dim))
+
+    def _project(self, y: Vector) -> Vector:
+        """``project`` on a finite 1-D float array of length ``dim``."""
+        raise NotImplementedError
+
+    def _distance(self, y: Vector) -> float:
+        """``distance`` on a finite 1-D float array of length ``dim``."""
+        return float(np.linalg.norm(y - self._project(y)))
 
     def contains(self, y, tol: float = 0.0) -> bool:
         return self.distance(y) <= tol
@@ -170,11 +209,10 @@ class ExactSet:
 class WholeSpace(ExactSet):
     """The ambient space; projection is the identity."""
 
-    def project(self, y) -> Vector:
-        return as_point(y, self.dim).copy()
+    def _project(self, y: Vector) -> Vector:
+        return y.copy()
 
-    def distance(self, y) -> float:
-        as_point(y, self.dim)
+    def _distance(self, y: Vector) -> float:
         return 0.0
 
 
@@ -190,8 +228,7 @@ class BallSet(ExactSet):
         self.center = center
         self.radius = radius
 
-    def project(self, y) -> Vector:
-        y = as_point(y, self.dim)
+    def _project(self, y: Vector) -> Vector:
         d = y - self.center
         r = float(np.linalg.norm(d))
         if r <= self.radius:
@@ -200,8 +237,7 @@ class BallSet(ExactSet):
             return self.center.copy()
         return self.center + (self.radius / r) * d
 
-    def distance(self, y) -> float:
-        y = as_point(y, self.dim)
+    def _distance(self, y: Vector) -> float:
         return max(0.0, float(np.linalg.norm(y - self.center)) - self.radius)
 
 
@@ -217,8 +253,7 @@ class BoxSet(ExactSet):
         self.lo = lo
         self.hi = hi
 
-    def project(self, y) -> Vector:
-        y = as_point(y, self.dim)
+    def _project(self, y: Vector) -> Vector:
         return np.clip(y, self.lo, self.hi)
 
 
@@ -241,12 +276,8 @@ class GraphSet(ExactSet):
         self.p = M.shape[0]
         self._solve = np.linalg.inv(np.eye(self.n) + M.T @ M)
 
-    def split(self, v) -> tuple[Vector, Vector]:
-        v = as_point(v, self.dim)
-        return v[: self.n], v[self.n :]
-
-    def project(self, y) -> Vector:
-        x0, y0 = self.split(y)
+    def _project(self, y: Vector) -> Vector:
+        x0, y0 = y[: self.n], y[self.n :]
         x = self._solve @ (x0 + self.matrix.T @ y0)
         return np.concatenate([x, self.matrix @ x])
 
@@ -311,11 +342,14 @@ class Constraint:
 
     def dist_upper(self, y) -> float:
         y = as_point(y, self.dim)
-        cy = self.fn.value(y)
+        return self._dist_upper(y, self.fn._value(y))
+
+    def _dist_upper(self, y: Vector, cy: float) -> float:
+        """``dist_upper`` at a finite point ``y`` of length ``dim`` with ``cy = c(y)``."""
         if cy <= 0.0:
             return 0.0
         if self.exact_set is not None:
-            return self.exact_set.distance(y)
+            return self.exact_set._distance(y)
         if self.surrogate is not None:
             return float(self.surrogate(y))
         w = self.slater_point
@@ -329,12 +363,18 @@ class Constraint:
         fails; otherwise the separator is the whole space.
         """
         y = as_point(y, self.dim)
-        cy = self.fn.value(y)
-        g = as_point(self.fn.subgradient(y), self.dim)
+        return self._separator(y, self.fn._value(y))
+
+    def _separator(self, y: Vector, cy: float) -> Halfspace:
+        """``separator_at`` at a finite point ``y`` of length ``dim`` with ``cy = c(y)``.
+
+        The normal comes from the subgradient oracle and is checked here.
+        """
+        g = as_point(self.fn._subgradient(y), self.dim)
         if float(g @ g) == 0.0:
             if cy > 0.0:
                 raise InfeasibleConstraint(
                     "zero subgradient at an infeasible point: feasible set is empty"
                 )
             return Halfspace.whole_space(self.dim)
-        return Halfspace(g, float(g @ y) - cy)
+        return Halfspace._of(g, float(g @ y) - cy)

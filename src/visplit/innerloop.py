@@ -6,14 +6,19 @@ a localizer anchored at the current iterate, until the constraint's distance
 bound at the new iterate drops to ``theta * alpha``. Each iterate is a
 projection of the base point onto a set containing C, so the loop never
 moves away from any feasible point (a Fejer step with respect to C).
+The outer step calls the kernels ``_run_inner`` and ``_feasible_shortcut``
+with the gauge value it has computed; the public functions check first.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
-from .constraints import Constraint, Halfspace, project_halfspace_pair
+import numpy as np
+
+from .constraints import Constraint, Halfspace, _project_pair
 from .errors import ConfigError, IterationBudgetExceeded
 from .space import Vector, as_point
 
@@ -72,19 +77,25 @@ def run_inner(
     if max_iter < 1:
         raise ConfigError("max_iter must be at least 1")
     y0 = as_point(z, constraint.dim)
-    if not constraint.value(y0) > 0:
+    cz = constraint.fn._value(y0)
+    if not cz > 0:
         raise ConfigError("run_inner expects an infeasible base point, c(z) > 0")
+    return _run_inner(constraint, y0, cz, theta * alpha, max_iter)
 
-    tol = theta * alpha
-    y = y0
+
+def _run_inner(constraint: Constraint, y0: Vector, cz: float, tol: float, max_iter: int):
+    """``run_inner`` from a finite base point ``y0`` with ``cz = c(y0) > 0``.
+
+    The first pair projection has a vacuous localizer (y == y0) and reduces
+    to the projection onto the separator. Each gauge value serves the exit
+    test at its point and then the separator built there.
+    """
+    y, cy = y0, cz
     for j in range(max_iter):
-        sep = constraint.separator_at(y)
-        if j == 0:
-            # The localizer is vacuous at the base point itself.
-            y_next = sep.project(y0)
-        else:
-            y_next = project_halfspace_pair(sep, y, y0)
-        bound = constraint.dist_upper(y_next)
+        sep = constraint._separator(y, cy)
+        y_next = _project_pair(sep, y, y0)
+        cy = constraint.fn._value(y_next)
+        bound = constraint._dist_upper(y_next, cy)
         if bound <= tol:
             return InnerResult(y_next, sep, j + 1, bound)
         y = y_next
@@ -102,12 +113,34 @@ def feasible_shortcut(constraint: Constraint, z) -> InnerResult:
     of the subgradient at z.
     """
     z = as_point(z, constraint.dim)
-    cz = constraint.value(z)
+    cz = constraint.fn._value(z)
     if cz > 0:
         raise ConfigError("feasible_shortcut expects c(z) <= 0")
-    if cz < 0:
-        sep = Halfspace.whole_space(constraint.dim)
-    else:
-        g = as_point(constraint.subgradient(z), constraint.dim)
-        sep = Halfspace(g, float(g @ z))
+    return _feasible_shortcut(constraint, z, cz)
+
+
+def _feasible_shortcut(constraint: Constraint, z: Vector, cz: float) -> InnerResult:
+    """``feasible_shortcut`` at a finite point ``z`` with ``cz = c(z) <= 0``."""
+    sep = Halfspace.whole_space(constraint.dim) if cz < 0 else constraint._separator(z, cz)
     return InnerResult(z.copy(), sep, 0, 0.0)
+
+
+def projection_growth(constraint: Constraint, grid, reps: int, rng) -> tuple[list, list]:
+    """Mean ``run_inner`` projections and mean seconds per call, per tolerance.
+
+    For each tolerance of ``grid``, ``reps`` base points are drawn outside
+    the unit sphere (a uniform direction scaled by 1 + U(0.05, 2)) and each
+    is driven to the tolerance with theta = 1.
+    """
+    means, seconds = [], []
+    for tol in grid:
+        counts = []
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            d = rng.standard_normal(constraint.dim)
+            d /= float(np.linalg.norm(d))
+            z = (1.0 + float(rng.uniform(0.05, 2.0))) * d
+            counts.append(run_inner(constraint, z, 1.0, tol).iterations)
+        seconds.append((time.perf_counter() - t0) / reps)
+        means.append(float(np.mean(counts)))
+    return means, seconds

@@ -10,6 +10,12 @@ Monotonicity of the shipped affine family is enforced at construction time
 eigenvalue). Subgradient oracles of convex functions are monotone by
 construction.
 
+Points are checked once: ``Operator.select`` and ``ConvexFunction.value`` /
+``subgradient`` apply ``as_point`` and call the kernel ``_select``,
+``_value`` or ``_subgradient``, which trusts its array. Subclasses implement
+only the kernels, wrappers call their base's kernel, and the solver loop
+calls kernels on the arrays it made itself.
+
 Diagonal maps (every off-diagonal entry zero, as in the scaled identities
 of the shipped families) are stored as their diagonal only: built with
 ``from_diagonal`` from the vector, or detected in a dense input, they hold
@@ -75,8 +81,12 @@ class Operator:
         self.dim = dim
         self.label = label or type(self).__name__
 
-    def select(self, x: Vector) -> Vector:
-        """Return one element of T(x)."""
+    def select(self, x) -> Vector:
+        """Return one element of T(x) for a point ``x`` of length ``dim``."""
+        return self._select(as_point(x, self.dim))
+
+    def _select(self, x: Vector) -> Vector:
+        """``select`` on a finite 1-D float array of length ``dim``."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -123,8 +133,7 @@ class AffineOperator(Operator):
             self._matrix = _dense_of(self._diag)
         return self._matrix
 
-    def select(self, x: Vector) -> Vector:
-        x = as_point(x, self.dim)
+    def _select(self, x: Vector) -> Vector:
         if self._diag is not None:
             return (self._diag * x + 0.0) + self.offset
         return self._matrix @ x + self.offset
@@ -137,15 +146,14 @@ class GradientOperator(Operator):
         super().__init__(fn.dim, label or f"subgrad[{fn.label}]")
         self.fn = fn
 
-    def select(self, x: Vector) -> Vector:
-        return self.fn.subgradient(x)
+    def _select(self, x: Vector) -> Vector:
+        return self.fn._subgradient(x)
 
 
 class ZeroOperator(Operator):
     """The zero map; monotone and a neutral element for operator sums."""
 
-    def select(self, x: Vector) -> Vector:
-        as_point(x, self.dim)
+    def _select(self, x: Vector) -> Vector:
         return np.zeros(self.dim)
 
 
@@ -160,8 +168,8 @@ class ScaledOperator(Operator):
         self.base = base
         self.factor = factor
 
-    def select(self, x: Vector) -> Vector:
-        return self.factor * self.base.select(x)
+    def _select(self, x: Vector) -> Vector:
+        return self.factor * self.base._select(x)
 
 
 class EmbeddedOperator(Operator):
@@ -179,10 +187,9 @@ class EmbeddedOperator(Operator):
         self.base = base
         self.start = start
 
-    def select(self, x: Vector) -> Vector:
-        x = as_point(x, self.dim)
+    def _select(self, x: Vector) -> Vector:
         out = np.zeros(self.dim)
-        block = self.base.select(x[self.start : self.start + self.base.dim])
+        block = self.base._select(x[self.start : self.start + self.base.dim])
         out[self.start : self.start + self.base.dim] = block
         return out
 
@@ -197,7 +204,7 @@ def sum_select(oracles, x) -> Vector:
     for op in oracles:
         if op.dim != out.size:
             raise DimensionMismatch("oracles act on spaces of different dimensions")
-        out += op.select(x)
+        out += op._select(x)
     return out
 
 
@@ -217,10 +224,20 @@ class ConvexFunction:
         self.dim = dim
         self.label = label or type(self).__name__
 
-    def value(self, x: Vector) -> float:
+    def value(self, x) -> float:
+        """c(x) for a point ``x`` of length ``dim``."""
+        return self._value(as_point(x, self.dim))
+
+    def subgradient(self, x) -> Vector:
+        """One subgradient of c at a point ``x`` of length ``dim``."""
+        return self._subgradient(as_point(x, self.dim))
+
+    def _value(self, x: Vector) -> float:
+        """``value`` on a finite 1-D float array of length ``dim``."""
         raise NotImplementedError
 
-    def subgradient(self, x: Vector) -> Vector:
+    def _subgradient(self, x: Vector) -> Vector:
+        """``subgradient`` on a finite 1-D float array of length ``dim``."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -283,14 +300,12 @@ class Quadratic(ConvexFunction):
             label or f"half_sq_dist(w={w})",
         )
 
-    def value(self, x: Vector) -> float:
-        x = as_point(x, self.dim)
+    def _value(self, x: Vector) -> float:
         if self._diag is not None:
             return float(0.5 * x * self._diag @ x + self.b @ x + self.constant)
         return float(0.5 * x @ self._Q @ x + self.b @ x + self.constant)
 
-    def subgradient(self, x: Vector) -> Vector:
-        x = as_point(x, self.dim)
+    def _subgradient(self, x: Vector) -> Vector:
         if self._diag is not None:
             return (self._diag * x + 0.0) + self.b
         return self._Q @ x + self.b
@@ -313,12 +328,10 @@ class NormFunction(ConvexFunction):
         self.scale = scale
         self.offset = float(offset)
 
-    def value(self, x: Vector) -> float:
-        x = as_point(x, self.dim)
+    def _value(self, x: Vector) -> float:
         return self.scale * float(np.linalg.norm(x - self.center)) + self.offset
 
-    def subgradient(self, x: Vector) -> Vector:
-        x = as_point(x, self.dim)
+    def _subgradient(self, x: Vector) -> Vector:
         d = x - self.center
         r = float(np.linalg.norm(d))
         if r == 0.0:
@@ -348,12 +361,10 @@ class MaxOfAffine(ConvexFunction):
         self.rows = A
         self.rhs = b
 
-    def value(self, x: Vector) -> float:
-        x = as_point(x, self.dim)
+    def _value(self, x: Vector) -> float:
         return float(np.max(self.rows @ x - self.rhs))
 
-    def subgradient(self, x: Vector) -> Vector:
-        x = as_point(x, self.dim)
+    def _subgradient(self, x: Vector) -> Vector:
         i = int(np.argmax(self.rows @ x - self.rhs))
         return self.rows[i].copy()
 
@@ -369,12 +380,10 @@ class AffineFunction(ConvexFunction):
         self.slope = slope
         self.constant = float(constant)
 
-    def value(self, x: Vector) -> float:
-        x = as_point(x, self.dim)
+    def _value(self, x: Vector) -> float:
         return float(self.slope @ x) + self.constant
 
-    def subgradient(self, x: Vector) -> Vector:
-        as_point(x, self.dim)
+    def _subgradient(self, x: Vector) -> Vector:
         return self.slope.copy()
 
 
@@ -387,12 +396,10 @@ class ConstantFunction(ConvexFunction):
         super().__init__(dim, label)
         self.constant = float(constant)
 
-    def value(self, x: Vector) -> float:
-        as_point(x, self.dim)
+    def _value(self, x: Vector) -> float:
         return self.constant
 
-    def subgradient(self, x: Vector) -> Vector:
-        as_point(x, self.dim)
+    def _subgradient(self, x: Vector) -> Vector:
         return np.zeros(self.dim)
 
 
@@ -405,8 +412,8 @@ class ShiftedFunction(ConvexFunction):
         self.delta = float(delta)
         self.differentiable = base.differentiable
 
-    def value(self, x: Vector) -> float:
-        return self.base.value(x) - self.delta
+    def _value(self, x: Vector) -> float:
+        return self.base._value(x) - self.delta
 
-    def subgradient(self, x: Vector) -> Vector:
-        return self.base.subgradient(x)
+    def _subgradient(self, x: Vector) -> Vector:
+        return self.base._subgradient(x)

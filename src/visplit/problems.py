@@ -55,6 +55,10 @@ from .operators import (
 from .solver import Problem
 from .space import Vector, as_point
 
+# Largest m a family's operator may be split into: each part costs an
+# operator, a certificate vector and O(m) drift-diagnostic work per step.
+MAX_PARTS = 1000
+
 
 class _GraphResidual(ConvexFunction):
     """c(x, y) = 0.5 ||L x - y||^2 on the stacked space; zero exactly on the graph."""
@@ -67,13 +71,11 @@ class _GraphResidual(ConvexFunction):
         self.matrix = M
         self.n = M.shape[1]
 
-    def value(self, v: Vector) -> float:
-        v = as_point(v, self.dim)
+    def _value(self, v: Vector) -> float:
         r = self.matrix @ v[: self.n] - v[self.n :]
         return 0.5 * float(r @ r)
 
-    def subgradient(self, v: Vector) -> Vector:
-        v = as_point(v, self.dim)
+    def _subgradient(self, v: Vector) -> Vector:
         r = self.matrix @ v[: self.n] - v[self.n :]
         return np.concatenate([self.matrix.T @ r, -r])
 
@@ -104,11 +106,10 @@ class _SaddleCoupling(Operator):
         self.phi2 = phi2
         self.n = n
 
-    def select(self, v: Vector) -> Vector:
-        v = as_point(v, self.dim)
+    def _select(self, v: Vector) -> Vector:
         x1, x2 = v[: self.n], v[self.n :]
         return np.concatenate(
-            [self.matrix @ x2, self.phi2.subgradient(x2) - self.matrix @ x1]
+            [self.matrix @ x2, self.phi2._subgradient(x2) - self.matrix @ x1]
         )
 
 
@@ -125,8 +126,19 @@ def _try_solve(A, b):
     return x
 
 
+def _parts(m) -> int:
+    """``m`` as an int in [1, MAX_PARTS], checked before any of the m parts is built."""
+    try:
+        m = int(m)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"m must be an integer, got {m!r}") from exc
+    if not 1 <= m <= MAX_PARTS:
+        raise ConfigError(f"m must lie in [1, {MAX_PARTS}], got {m}")
+    return m
+
+
 def _split_affine(base: AffineOperator, m: int) -> tuple[Operator, ...]:
-    """m equal monotone parts of an affine operator."""
+    """m equal monotone parts of an affine operator; m comes from ``_parts``."""
     if m == 1:
         return (base,)
     return tuple(ScaledOperator(base, 1.0 / m, label=f"affine/{m}") for _ in range(m))
@@ -145,11 +157,9 @@ def build_quadratic_over_ball(
     is ||x - center||^2 - radius^2 by default (smooth), or the norm form
     ||x - center|| - radius with squared=False.
     """
+    m = _parts(m)
     target = as_point(target)
     n = target.size
-    m = int(m)
-    if m < 1:
-        raise ConfigError("m must be at least 1")
     center = np.zeros(n) if center is None else as_point(center, n)
     radius = float(radius)
     if radius <= 0:
@@ -203,9 +213,7 @@ def build_affine_vi_over_polyhedron(
     ``interior_point`` for the distance rule. No solution is attached here;
     the reference oracle recovers one by face enumeration.
     """
-    m = int(m)
-    if m < 1:
-        raise ConfigError("m must be at least 1")
+    m = _parts(m)
     A = np.asarray(matrix, dtype=float)
     n = A.shape[0]
     offset = as_point(offset, n)

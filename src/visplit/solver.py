@@ -25,6 +25,9 @@ cycle's own selections. Under the adaptive rule the stepsize divides the raw
 numerator beta_k by a probe of that bound taken at z_0 before the cycle
 runs, and the feasibility stage is driven by beta_k itself, since the
 stepsize does not exist until the probe point does.
+
+``outer_step`` calls only kernels, which trust their points: ``run`` and
+``Problem`` check what enters, and the step checks that z_{k+1} is finite.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 
 from .constraints import Constraint, ExactSet, Halfspace
 from .errors import ConfigError, NonFiniteIterate
-from .innerloop import feasible_shortcut, run_inner
+from .innerloop import _feasible_shortcut, _run_inner
 from .operators import Operator
 from .space import Vector, as_point
 
@@ -155,7 +158,8 @@ class Problem:
     optional and enable error traces and per-step descent audits.
     use_exact_projection replaces the feasibility stage with the
     constraint's exact projector, for feasible sets that are cheap to
-    project onto directly.
+    project onto directly. The descent-bound constants of a certificate,
+    max_i ||u_i|| and ||sum_i u_i||, are computed once here.
     """
 
     operators: tuple[Operator, ...]
@@ -190,6 +194,8 @@ class Problem:
             if len(cert) != len(ops):
                 raise ConfigError("certificate needs one selection per operator")
             object.__setattr__(self, "certificate", cert)
+            object.__setattr__(self, "_eta_bar", max(float(np.linalg.norm(u)) for u in cert))
+            object.__setattr__(self, "_u_bar", float(np.linalg.norm(self.certificate_sum())))
         if self.use_exact_projection and self.constraint.exact_set is None:
             raise ConfigError("exact projection requested but constraint has no exact set")
 
@@ -287,17 +293,17 @@ def outer_step(
 
     # Feasibility stage. The loop tolerance is theta times the schedule's
     # raw scale at k (the stepsize itself for explicit rules).
-    cz = constraint.value(z)
+    cz = constraint.fn._value(z)
     if problem.use_exact_projection:
         region = constraint.exact_set
-        z0 = z if cz <= 0 else region.project(z)
+        z0 = z if cz <= 0 else region._project(z)
         inner_iters, dist_z0 = 0, 0.0
     elif cz <= 0:
-        res = feasible_shortcut(constraint, z)
+        res = _feasible_shortcut(constraint, z, cz)
         z0, region, inner_iters, dist_z0 = res.z0, res.sep, 0, 0.0
     else:
-        res = run_inner(
-            constraint, z, theta, schedule.inner_tolerance(k), max_inner
+        res = _run_inner(
+            constraint, z, cz, theta * schedule.inner_tolerance(k), max_inner
         )
         z0, region, inner_iters, dist_z0 = (
             res.z0,
@@ -311,7 +317,7 @@ def outer_step(
     if schedule.adaptive:
         probe = 1.0
         for op in problem.operators:
-            probe = max(probe, float(np.linalg.norm(op.select(z0))))
+            probe = max(probe, float(np.linalg.norm(op._select(z0))))
         alpha = stepsize(schedule, k, probe)
     else:
         alpha = stepsize(schedule, k)
@@ -321,9 +327,9 @@ def outer_step(
     cur = z0
     eta = 1.0
     for op in problem.operators:
-        u = op.select(cur)
+        u = op._select(cur)
         eta = max(eta, float(np.linalg.norm(u)))
-        cur = region.project(cur - alpha * u)
+        cur = region._project(cur - alpha * u)
         points.append(cur)
     z_next = cur
     if not np.all(np.isfinite(z_next)):
@@ -335,7 +341,7 @@ def outer_step(
     x_next = (1.0 - weight) * state.x + weight * z_next
 
     # Cycle diagnostics: containment in the region and the drift bound.
-    containment = max(float(region.distance(p)) for p in points)
+    containment = max(float(region._distance(p)) for p in points)
     drift = 0.0
     step_bound = eta * alpha
     for i in range(len(points)):
@@ -353,16 +359,14 @@ def outer_step(
         err_x = float(np.linalg.norm(x_next - xs))
         if problem.certificate is not None:
             m = problem.m
-            eta_bar = max(float(np.linalg.norm(u)) for u in problem.certificate)
-            u_bar = float(np.linalg.norm(problem.certificate_sum()))
             bound = m * (
-                (eta * alpha) ** 2 + (m - 1) * eta_bar * eta * alpha**2
-            ) + 2.0 * theta * u_bar * schedule.inner_tolerance(k) * alpha
+                (eta * alpha) ** 2 + (m - 1) * problem._eta_bar * eta * alpha**2
+            ) + 2.0 * theta * problem._u_bar * schedule.inner_tolerance(k) * alpha
             before = float(np.linalg.norm(z - xs)) ** 2
             after = float(np.linalg.norm(z_next - xs)) ** 2
             fejer_slack = before + bound - after
 
-    dist_x = constraint.dist_upper(x_next)
+    dist_x = constraint._dist_upper(x_next, constraint.fn._value(x_next))
 
     if keep_snapshot:
         if state.snapshots is None:
@@ -441,6 +445,9 @@ def run(
         raise ConfigError("cadence must be at least 1")
     if max_outer < 1:
         raise ConfigError("max_outer must be at least 1")
+    max_inner = int(max_inner)
+    if max_inner < 1:
+        raise ConfigError("max_inner must be at least 1")
     if target_err is not None and problem.known_solution is None:
         raise ConfigError("target_err needs a problem with a known solution")
 

@@ -22,6 +22,7 @@ from visplit import (
     build,
     outer_step,
     project_halfspace_pair,
+    projection_growth,
     run,
     run_inner,
     with_reference,
@@ -169,15 +170,7 @@ def test_criterion_03_projection_cost_growth_is_mild():
     curved = _ball_gauge(np.zeros(dim), 1.0)
     grid = [0.2, 0.1, 0.05, 0.025]
     t0 = time.perf_counter()
-    means = []
-    for tol in grid:
-        counts = []
-        for _ in range(50):
-            d = rng.standard_normal(dim)
-            d /= float(np.linalg.norm(d))
-            z = (1.0 + float(rng.uniform(0.05, 2.0))) * d
-            counts.append(run_inner(curved, z, 1.0, tol).iterations)
-        means.append(float(np.mean(counts)))
+    means, _ = projection_growth(curved, grid, 50, rng)
     elapsed = time.perf_counter() - t0
     slope = float(np.polyfit(np.log([1.0 / t for t in grid]), np.log(means), 1)[0])
     ok = slope <= 2.3 and elapsed < 60.0

@@ -202,10 +202,13 @@ def test_non_numeric_values_exit_2(tmp_path, capsys, cfg, field):
         {"family": "a3", "params": {"matrix": [[float("nan")]]}},
         {"family": "a2", "params": {"matrix": [[float("inf")]]}},
         {"family": "affine_vi_over_polyhedron", "target_err": 0.1},
+        {"family": "quadratic_over_ball", "params": {"m": 1e8}},
+        {"family": "affine_vi_over_polyhedron", "params": {"m": 1e8}},
+        {"family": "quadratic_over_ball", "params": {"m": float("inf")}},
     ],
     ids=[
         "params", "x0-text", "x0-dim", "x0-word", "theta-inf", "label",
-        "a3-nan", "a2-inf", "target_err",
+        "a3-nan", "a2-inf", "target_err", "ball-m-huge", "polyhedron-m-huge", "m-inf",
     ],
 )
 def test_bad_second_config_stops_the_batch_before_any_run(tmp_path, capsys, bad):

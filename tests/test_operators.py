@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -170,22 +172,27 @@ def test_diagonal_maps_hold_no_dense_matrix():
     assert peak < 1e6
 
 
+# Calls of the reference kernels by name, so a test can show they ran.
+_REFERENCE_CALLS = Counter()
+
+
 class _DenseAffine(AffineOperator):
     """Reference: the dense matvec for every matrix."""
 
-    def select(self, x):
-        return self.matrix @ np.asarray(x, dtype=float) + self.offset
+    def _select(self, x):
+        _REFERENCE_CALLS["select"] += 1
+        return self.matrix @ x + self.offset
 
 
 class _DenseQuadratic(Quadratic):
     """Reference: the dense quadratic form for every Q."""
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
+    def _value(self, x):
+        _REFERENCE_CALLS["value"] += 1
         return float(0.5 * x @ self.Q @ x + self.b @ x + self.constant)
 
-    def subgradient(self, x):
-        x = np.asarray(x, dtype=float)
+    def _subgradient(self, x):
+        _REFERENCE_CALLS["subgradient"] += 1
         return self.Q @ x + self.b
 
 
@@ -234,7 +241,12 @@ def test_diagonal_maps_keep_the_trace(monkeypatch):
     fast = trace()
     monkeypatch.setattr(problems, "AffineOperator", _DenseAffine)
     monkeypatch.setattr(problems, "Quadratic", _DenseQuadratic)
+    _REFERENCE_CALLS.clear()
     ref = trace()
+    # The solver calls kernels; the reference run must have gone through them.
+    assert _REFERENCE_CALLS["select"] >= 2000 * 4
+    assert _REFERENCE_CALLS["value"] >= 2000
+    assert _REFERENCE_CALLS["subgradient"] >= 1
     assert len(fast) == 2000
     assert fast == ref
 

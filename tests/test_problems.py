@@ -14,7 +14,7 @@ from visplit import (
     with_reference,
 )
 from visplit.oracle import feasible_points, vi_gap
-from visplit.problems import validate_params
+from visplit.problems import MAX_PARTS, validate_params
 
 
 def test_family_names_are_stable():
@@ -210,3 +210,11 @@ def test_unknown_fields_are_rejected_by_path():
         build("mystery", {})
     with pytest.raises(ConfigError, match="together"):
         build("affine_vi_over_polyhedron", {"rows": [[1.0, 0.0]]})
+
+
+@pytest.mark.parametrize("family", ["quadratic_over_ball", "affine_vi_over_polyhedron"])
+def test_operator_parts_are_capped(family):
+    assert build(family, {"m": MAX_PARTS}).m == MAX_PARTS
+    for m in (0, MAX_PARTS + 1, 1e8, float("inf"), "many"):
+        with pytest.raises(ConfigError, match="m must"):
+            build(family, {"m": m})

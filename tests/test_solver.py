@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from visplit import (
     outer_step,
     run,
 )
+from visplit import solver
 from visplit.solver import stepsize
 
 
@@ -278,3 +281,14 @@ def test_recursive_average_matches_direct_weights():
     zs = np.stack([s.z_next for s in state.snapshots])
     direct = (alphas[:, None] * zs).sum(axis=0) / alphas.sum()
     assert np.linalg.norm(state.x - direct) <= 1e-12
+
+
+def test_wall_time_is_the_seconds_of_its_own_step(monkeypatch):
+    # A clock that advances 1.0 per read: each step reads it twice, so a
+    # per-step duration is 1.0 on every row, where time since the start of
+    # the run would grow.
+    clock = itertools.count()
+    monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=lambda: float(next(clock))))
+    state = run(build("quadratic_over_ball", {}), PowerStepsize(1.0, 1.0), x0=[2.0, 0.0],
+                max_outer=20)
+    assert [rec.wall_time for rec in state.trace] == [1.0] * 20
