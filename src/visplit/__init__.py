@@ -38,7 +38,7 @@ _EXPORTS = {
         "ConfigError", "DimensionMismatch", "InfeasibleConstraint",
         "IterationBudgetExceeded", "NonFiniteIterate", "NonFiniteValue", "VisplitError",
     ),
-    "innerloop": ("InnerResult", "feasible_shortcut", "projection_growth", "run_inner"),
+    "innerloop": ("InnerResult", "feasible_shortcut", "run_inner"),
     "operators": (
         "AffineFunction", "AffineOperator", "ConstantFunction", "ConvexFunction",
         "EmbeddedOperator", "GradientOperator", "MaxOfAffine", "NormFunction",

@@ -276,6 +276,11 @@ class GraphSet(ExactSet):
         self.p = M.shape[0]
         self._solve = np.linalg.inv(np.eye(self.n) + M.T @ M)
 
+    def split(self, v) -> tuple[Vector, Vector]:
+        """The (x, y) blocks of a stacked point, checked."""
+        v = as_point(v, self.dim)
+        return v[: self.n], v[self.n :]
+
     def _project(self, y: Vector) -> Vector:
         x0, y0 = y[: self.n], y[self.n :]
         x = self._solve @ (x0 + self.matrix.T @ y0)

@@ -127,14 +127,19 @@ def _try_solve(A, b):
 
 
 def _parts(m) -> int:
-    """``m`` as an int in [1, MAX_PARTS], checked before any of the m parts is built."""
+    """``m`` as an int in [1, MAX_PARTS], checked before any of the m parts is built.
+
+    An integral number such as 4.0 is accepted; 2.5, a bool or a string is not.
+    """
     try:
-        m = int(m)
+        whole = int(m)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"m must be an integer, got {m!r}") from exc
-    if not 1 <= m <= MAX_PARTS:
-        raise ConfigError(f"m must lie in [1, {MAX_PARTS}], got {m}")
-    return m
+    if isinstance(m, bool) or whole != m:
+        raise ConfigError(f"m must be an integer, got {m!r}")
+    if not 1 <= whole <= MAX_PARTS:
+        raise ConfigError(f"m must lie in [1, {MAX_PARTS}], got {whole}")
+    return whole
 
 
 def _split_affine(base: AffineOperator, m: int) -> tuple[Operator, ...]:

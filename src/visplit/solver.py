@@ -26,8 +26,9 @@ numerator beta_k by a probe of that bound taken at z_0 before the cycle
 runs, and the feasibility stage is driven by beta_k itself, since the
 stepsize does not exist until the probe point does.
 
-``outer_step`` calls only kernels, which trust their points: ``run`` and
-``Problem`` check what enters, and the step checks that z_{k+1} is finite.
+``outer_step`` calls only kernels, which trust their points: ``SolverState``,
+``run`` and ``Problem`` check what enters, the step checks that the state's
+dimension is the problem's, and that z_{k+1} is finite.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .constraints import Constraint, ExactSet, Halfspace
-from .errors import ConfigError, NonFiniteIterate
+from .errors import ConfigError, DimensionMismatch, NonFiniteIterate
 from .innerloop import _feasible_shortcut, _run_inner
 from .operators import Operator
 from .space import Vector, as_point
@@ -264,7 +265,11 @@ class CycleCheck:
 
 @dataclass
 class SolverState:
-    """Mutable run state: base point, average, accumulators, and records."""
+    """Mutable run state: base point, average, accumulators, and records.
+
+    The constructor checks z and x (same length, finite); ``outer_step``
+    trusts them and writes only finite points back.
+    """
 
     z: Vector
     x: Vector
@@ -274,6 +279,10 @@ class SolverState:
     snapshots: list | None = None
     cycle_checks: list = field(default_factory=list)
     stop_reason: str | None = None
+
+    def __post_init__(self):
+        self.z = as_point(self.z)
+        self.x = as_point(self.x, self.z.size)
 
 
 def outer_step(
@@ -289,6 +298,8 @@ def outer_step(
     t0 = time.perf_counter()
     k = state.k
     z = state.z
+    if z.shape != (problem.dim,):
+        raise DimensionMismatch(f"state has dimension {z.size}, problem has {problem.dim}")
     constraint = problem.constraint
 
     # Feasibility stage. The loop tolerance is theta times the schedule's

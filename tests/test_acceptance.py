@@ -22,13 +22,13 @@ from visplit import (
     build,
     outer_step,
     project_halfspace_pair,
-    projection_growth,
     run,
     run_inner,
     with_reference,
 )
 from visplit.checks import _ball_gauge
 from visplit.cli import main
+from visplit.innerloop import projection_growth
 from visplit.oracle import qp_project
 
 # Schedule used by the ergodic-convergence criteria (8 and 9). The exponent

@@ -104,8 +104,24 @@ def _point_methods():
          [2.0, 1.0]),
         ("run_inner", lambda p: run_inner(slater, p, 1.0, 0.05), [1.5, -0.5]),
         ("feasible_shortcut", lambda p: feasible_shortcut(slater, p), [0.5, -0.5]),
+        ("run[x0]", lambda p: run(problem, schedule, x0=p, max_outer=2).x, [1.5, -0.5]),
+        ("outer_step[SolverState]", _step_from_state, [1.5, -0.5]),
     ]
     return out
+
+
+problem = Problem(operators=(AffineOperator([[1.0, 0.5], [-0.5, 1.0]]),),
+                  constraint=_ball(slater_point=[0.0, 0.0]))
+schedule = PowerStepsize(0.6, 0.55)
+
+
+def _step_from_state(p):
+    """One step from a state built on p: the state checks p, the step its length."""
+    state = SolverState(z=p, x=p)
+    outer_step(problem, schedule, state)
+    return state.z, state.x
+
+
 
 
 POINT_METHODS = _point_methods()
@@ -131,6 +147,16 @@ def test_public_methods_check_their_point(method, point):
         method(bad)
     with pytest.raises(DimensionMismatch):
         method(list(point) + [0.0])
+
+
+def test_a_length_one_state_is_not_broadcast():
+    # Without the checks, z = [0.5] would broadcast through the norm gauge and
+    # the diagonal kernels and the step would return numbers for dim 2.
+    problem = build("quadratic_over_ball", {"target": [2.0, 0.0], "squared": False})
+    with pytest.raises(DimensionMismatch):
+        outer_step(problem, PowerStepsize(0.6, 0.55), SolverState(z=[0.5], x=[0.5]))
+    with pytest.raises(DimensionMismatch):
+        SolverState(z=np.zeros(2), x=np.zeros(1))
 
 
 @pytest.mark.parametrize("x0", [[10.0, 0.0], [0.5, 0.0]], ids=["outside", "inside"])

@@ -129,6 +129,8 @@ def test_exact_set_projectors_frozen():
     graph = GraphSet([[1.0]])
     assert graph.dim == 2
     assert np.allclose(graph.project([2.0, 0.0]), [1.0, 1.0], atol=1e-12, rtol=0)
+    x, y = graph.split([2.0, 0.0])
+    assert np.array_equal(x, [2.0]) and np.array_equal(y, [0.0])
     ws = WholeSpace(2)
     assert np.array_equal(ws.project([3.0, 4.0]), [3.0, 4.0])
     assert ws.distance([3.0, 4.0]) == 0.0

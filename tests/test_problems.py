@@ -215,6 +215,6 @@ def test_unknown_fields_are_rejected_by_path():
 @pytest.mark.parametrize("family", ["quadratic_over_ball", "affine_vi_over_polyhedron"])
 def test_operator_parts_are_capped(family):
     assert build(family, {"m": MAX_PARTS}).m == MAX_PARTS
-    for m in (0, MAX_PARTS + 1, 1e8, float("inf"), "many"):
+    for m in (0, MAX_PARTS + 1, 1e8, float("inf"), "many", 2.5, True, "4"):
         with pytest.raises(ConfigError, match="m must"):
             build(family, {"m": m})
