@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -45,25 +44,14 @@ from .solver import (
     StepsizeSchedule,
     TRACE_COLUMNS,
     run,
+    run_options,
 )
-from .space import as_point
+from .space import as_number, as_point
 
+# The keyword options of ``run``, which ``run_options`` checks and defaults.
+RUN_OPTIONS = ("theta", "max_outer", "target_err", "target_dist", "cadence", "max_inner")
 RUN_KEYS = frozenset(
-    {
-        "family",
-        "params",
-        "schedule",
-        "theta",
-        "x0",
-        "max_outer",
-        "target_err",
-        "target_dist",
-        "cadence",
-        "max_inner",
-        "label",
-        "output",
-        "seed",
-    }
+    {"family", "params", "schedule", "x0", "label", "output", "seed", *RUN_OPTIONS}
 )
 SCHEDULE_KEYS = frozenset({"kind", "a", "p"})
 # The names of checks.SUITES, written out so that parsing a command line
@@ -72,13 +60,18 @@ CHECK_SUITES = ("constraints", "fejer", "innerloop", "operators", "projections")
 
 
 class RunJob(NamedTuple):
-    """A validated run config and the objects its run is built from."""
+    """A validated run config and the objects its run is built from.
+
+    options are the checked keyword options of ``run``, ``--cadence``
+    folded in.
+    """
 
     cfg: dict
     problem: Problem
     schedule: StepsizeSchedule
     x0: np.ndarray | None
     seed: int
+    options: dict
 
 
 def _load_configs(path: str) -> list[dict]:
@@ -115,16 +108,6 @@ def _prepare_run(cfg: dict, where: str, args) -> RunJob:
             raise ConfigError(f"unknown field {where}.schedule.{key}")
     schedule = _build_schedule(sched, f"{where}.schedule")
 
-    if "theta" in cfg:
-        theta = _number(cfg["theta"], float, f"{where}.theta")
-        if not (theta > 0 and math.isfinite(theta)):
-            raise ConfigError(f"{where}.theta must be positive and finite")
-    for key, low in (("max_outer", 1), ("cadence", 1), ("max_inner", 1)):
-        if key in cfg and _number(cfg[key], int, f"{where}.{key}") < low:
-            raise ConfigError(f"{where}.{key} must be at least {low}")
-    for key in ("target_err", "target_dist"):
-        if cfg.get(key) is not None and not _number(cfg[key], float, f"{where}.{key}") >= 0:
-            raise ConfigError(f"{where}.{key} must be nonnegative")
     for key in ("label", "output"):
         if key in cfg and not isinstance(cfg[key], str):
             raise ConfigError(f"{where}.{key} must be a string")
@@ -139,14 +122,20 @@ def _prepare_run(cfg: dict, where: str, args) -> RunJob:
         raise ConfigError(f'{where}.x0 must be a list of numbers or "random"')
     seed = args.seed
     if seed is None:
-        seed = _number(cfg.get("seed", 0), int, f"{where}.seed")
+        seed = as_number(cfg.get("seed", 0), f"{where}.seed", integer=True)
 
     try:
         problem = problems.build(cfg["family"], cfg.get("params", {}))
     except (LookupError, TypeError, ValueError, VisplitError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    if cfg.get("target_err") is not None and problem.known_solution is None:
-        raise ConfigError(f"{where}.target_err needs a problem with a known solution")
+    options = {key: cfg[key] for key in RUN_OPTIONS if key in cfg}
+    if args.cadence is not None:
+        options["cadence"] = args.cadence
+    try:
+        # Each message of run_options starts with the option's name.
+        options = run_options(problem, **options)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}.{exc}") from exc
     try:
         if x0 == "random":
             x0 = np.random.default_rng(seed).standard_normal(problem.dim)
@@ -154,21 +143,13 @@ def _prepare_run(cfg: dict, where: str, args) -> RunJob:
             x0 = as_point(x0, problem.dim)
     except (TypeError, ValueError, VisplitError) as exc:
         raise ConfigError(f"{where}.x0: {exc}") from exc
-    return RunJob(cfg, problem, schedule, x0, seed)
-
-
-def _number(value, convert, path: str):
-    """``convert(value)``, with a failed conversion reported as a config error."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path} must be a number, got {value!r}") from exc
+    return RunJob(cfg, problem, schedule, x0, seed, options)
 
 
 def _build_schedule(spec: dict, where: str):
     kind = spec.get("kind", "power")
-    a = _number(spec.get("a", 1.0), float, f"{where}.a")
-    p = _number(spec.get("p", 1.0), float, f"{where}.p")
+    a = as_number(spec.get("a", 1.0), f"{where}.a")
+    p = as_number(spec.get("p", 1.0), f"{where}.p")
     if kind == "power":
         return PowerStepsize(a, p)
     if kind == "adaptive_power":
@@ -205,22 +186,11 @@ def _write_trace(path: str, trace) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _execute_run(job: RunJob, label: str, outdir: str, args) -> dict:
+def _execute_run(job: RunJob, label: str, outdir: str) -> dict:
     cfg, problem, schedule = job.cfg, job.problem, job.schedule
-    cadence = args.cadence if args.cadence is not None else cfg.get("cadence", 1)
 
     t0 = time.perf_counter()
-    state = run(
-        problem,
-        schedule,
-        theta=float(cfg.get("theta", 1.0)),
-        x0=job.x0,
-        max_outer=int(cfg.get("max_outer", 1000)),
-        target_err=cfg.get("target_err"),
-        target_dist=cfg.get("target_dist"),
-        cadence=int(cadence),
-        max_inner=int(cfg.get("max_inner", 10_000)),
-    )
+    state = run(problem, schedule, x0=job.x0, **job.options)
     elapsed = time.perf_counter() - t0
 
     rundir = os.path.join(outdir, label)
@@ -232,7 +202,7 @@ def _execute_run(job: RunJob, label: str, outdir: str, args) -> dict:
         "label": label,
         "family": cfg["family"],
         "schedule": schedule.spec(),
-        "theta": float(cfg.get("theta", 1.0)),
+        "theta": job.options["theta"],
         "dim": problem.dim,
         "m": problem.m,
         "iterations": state.k,
@@ -276,7 +246,7 @@ def _cmd_run(args) -> int:
         return cfg.get("output", "runs")
 
     summaries = [
-        _execute_run(job, label, outdir_for(job.cfg), args) for job, label in zip(jobs, labels)
+        _execute_run(job, label, outdir_for(job.cfg)) for job, label in zip(jobs, labels)
     ]
     for s in summaries:
         final = s["final"]
@@ -334,18 +304,18 @@ def _bench_config(args) -> dict:
     grid = cfg.get("grid", [0.2, 0.1, 0.05, 0.025])
     if not isinstance(grid, list) or not grid:
         raise ConfigError(f"{where}.grid must be a non-empty list of tolerances")
-    grid = [_number(t, float, f"{where}.grid[{i}]") for i, t in enumerate(grid)]
+    grid = [as_number(t, f"{where}.grid[{i}]") for i, t in enumerate(grid)]
     if any(not t > 0 for t in grid):
         raise ConfigError("grid must hold positive tolerances")
     reps = args.reps if args.reps is not None else cfg.get("reps", 50)
-    reps = _number(reps, int, f"{where}.reps")
+    reps = as_number(reps, f"{where}.reps", integer=True)
     if reps < 1:
         raise ConfigError("reps must be at least 1")
-    dim = _number(cfg.get("dim", 3), int, f"{where}.dim")
+    dim = as_number(cfg.get("dim", 3), f"{where}.dim", integer=True)
     if dim < 2:
         raise ConfigError("dim must be at least 2")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    seed = _number(seed, int, f"{where}.seed")
+    seed = as_number(seed, f"{where}.seed", integer=True)
     if seed < 0:
         raise ConfigError(f"{where}.seed must be nonnegative")
     return {"grid": grid, "reps": reps, "dim": dim, "seed": seed}

@@ -28,6 +28,7 @@ take from subgradient oracles are still checked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -358,7 +359,10 @@ class Constraint:
         if self.surrogate is not None:
             return float(self.surrogate(y))
         w = self.slater_point
-        return float(np.linalg.norm(y - w)) * cy / (cy - self._slater_value)
+        bound = float(np.linalg.norm(y - w)) * cy / (cy - self._slater_value)
+        if not math.isfinite(bound):
+            raise NonFiniteValue(f"Slater distance bound is {bound!r} at c(y) = {cy!r}")
+        return bound
 
     def separator_at(self, y) -> Halfspace:
         """Halfspace {x : c(y) + <g, x - y> <= 0} containing the feasible set.

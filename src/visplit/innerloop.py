@@ -20,7 +20,7 @@ import numpy as np
 
 from .constraints import Constraint, Halfspace, _project_pair
 from .errors import ConfigError, IterationBudgetExceeded
-from .space import Vector, as_point
+from .space import Vector, as_number, as_point
 
 
 @dataclass
@@ -73,7 +73,7 @@ def run_inner(
     alpha = float(alpha)
     if not (theta > 0 and math.isfinite(theta)) or alpha <= 0:
         raise ConfigError("theta must be positive and finite, alpha positive")
-    max_iter = int(max_iter)
+    max_iter = as_number(max_iter, "max_iter", integer=True)
     if max_iter < 1:
         raise ConfigError("max_iter must be at least 1")
     y0 = as_point(z, constraint.dim)

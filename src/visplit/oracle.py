@@ -471,7 +471,7 @@ def fejer_audit(
         if fejer_checked:
             bound = m * (
                 (eta * alpha) ** 2 + (m - 1) * eta_bar * eta * alpha**2
-            ) + 2.0 * theta * u_bar * schedule.inner_tolerance(snap.k) * alpha
+            ) + 2.0 * theta * u_bar * schedule.alpha(snap.k) * alpha
             before = float(np.linalg.norm(snap.z - xs)) ** 2
             after = float(np.linalg.norm(cur - xs)) ** 2
             slack = before + bound - after

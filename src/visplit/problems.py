@@ -53,7 +53,7 @@ from .operators import (
     ShiftedFunction,
 )
 from .solver import Problem
-from .space import Vector, as_point
+from .space import Vector, as_number, as_point
 
 # Largest m a family's operator may be split into: each part costs an
 # operator, a certificate vector and O(m) drift-diagnostic work per step.
@@ -131,12 +131,7 @@ def _parts(m) -> int:
 
     An integral number such as 4.0 is accepted; 2.5, a bool or a string is not.
     """
-    try:
-        whole = int(m)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"m must be an integer, got {m!r}") from exc
-    if isinstance(m, bool) or whole != m:
-        raise ConfigError(f"m must be an integer, got {m!r}")
+    whole = as_number(m, "m", integer=True)
     if not 1 <= whole <= MAX_PARTS:
         raise ConfigError(f"m must lie in [1, {MAX_PARTS}], got {whole}")
     return whole
@@ -430,6 +425,8 @@ FAMILY_PARAMS = {
     "a3": frozenset({"matrix", "phi1", "phi2"}),
 }
 
+FAMILIES = tuple(FAMILY_PARAMS)
+
 _PHI_PARAMS = frozenset({"weight", "center"})
 
 
@@ -527,13 +524,3 @@ def build(family: str, params: dict) -> Problem:
         phi1 = _quadratic_from_params(params.get("phi1", {}), L.shape[0], "phi1")
         phi2 = _quadratic_from_params(params.get("phi2", {}), L.shape[0], "phi2")
         return build_a3(L, phi1, phi2)
-    raise ConfigError(f"unknown problem family {family!r}")
-
-
-FAMILIES = (
-    "quadratic_over_ball",
-    "affine_vi_over_polyhedron",
-    "a1",
-    "a2",
-    "a3",
-)

@@ -43,7 +43,7 @@ from .constraints import Constraint, ExactSet, Halfspace
 from .errors import ConfigError, DimensionMismatch, NonFiniteIterate
 from .innerloop import _feasible_shortcut, _run_inner
 from .operators import Operator
-from .space import Vector, as_point
+from .space import Vector, as_number, as_point
 
 
 class StepsizeSchedule:
@@ -52,10 +52,6 @@ class StepsizeSchedule:
     adaptive = False
 
     def alpha(self, k: int, eta: float = 1.0) -> float:
-        raise NotImplementedError
-
-    def inner_tolerance(self, k: int) -> float:
-        """Scale handed to the feasibility loop at outer index k."""
         raise NotImplementedError
 
     def spec(self) -> dict:
@@ -82,9 +78,6 @@ class PowerStepsize(StepsizeSchedule):
     def alpha(self, k: int, eta: float = 1.0) -> float:
         return self.a / (k + 1) ** self.p
 
-    def inner_tolerance(self, k: int) -> float:
-        return self.alpha(k)
-
     def spec(self) -> dict:
         return {"kind": "power", "a": self.a, "p": self.p}
 
@@ -104,9 +97,6 @@ class ConstantStepsize(StepsizeSchedule):
     def alpha(self, k: int, eta: float = 1.0) -> float:
         return self.a
 
-    def inner_tolerance(self, k: int) -> float:
-        return self.a
-
     def spec(self) -> dict:
         return {"kind": "constant", "a": self.a}
 
@@ -116,8 +106,7 @@ class AdaptivePowerStepsize(PowerStepsize):
 
     Dividing by the realized operator-norm proxy keeps eta_k * alpha_k equal
     to the square-summable numerator regardless of how large the selections
-    get, at the price of a smaller effective step. The inherited
-    inner_tolerance is alpha at eta = 1, which is beta_k itself.
+    get, at the price of a smaller effective step.
     """
 
     adaptive = True
@@ -268,7 +257,9 @@ class SolverState:
     """Mutable run state: base point, average, accumulators, and records.
 
     The constructor checks z and x (same length, finite); ``outer_step``
-    trusts them and writes only finite points back.
+    trusts them and writes only finite points back. ``snapshots`` is None,
+    or a list ``outer_step`` appends to; ``trace`` holds the rows the caller
+    keeps.
     """
 
     z: Vector
@@ -291,10 +282,13 @@ def outer_step(
     state: SolverState,
     theta: float = 1.0,
     max_inner: int = 10_000,
-    keep_snapshot: bool = False,
-    record: bool = True,
 ) -> TraceRecord:
-    """Advance the state by one outer iteration and return its record."""
+    """Advance the state by one outer iteration and return its record.
+
+    The record is not appended to ``state.trace``: which rows to keep is the
+    caller's choice (``run`` keeps every cadence-th and the last). A snapshot
+    is appended when ``state.snapshots`` is a list.
+    """
     t0 = time.perf_counter()
     k = state.k
     z = state.z
@@ -302,8 +296,8 @@ def outer_step(
         raise DimensionMismatch(f"state has dimension {z.size}, problem has {problem.dim}")
     constraint = problem.constraint
 
-    # Feasibility stage. The loop tolerance is theta times the schedule's
-    # raw scale at k (the stepsize itself for explicit rules).
+    # Feasibility stage. The loop tolerance is theta times the stepsize at
+    # eta = 1: alpha_k for explicit rules, the raw beta_k for the adaptive one.
     cz = constraint.fn._value(z)
     if problem.use_exact_projection:
         region = constraint.exact_set
@@ -314,7 +308,7 @@ def outer_step(
         z0, region, inner_iters, dist_z0 = res.z0, res.sep, 0, 0.0
     else:
         res = _run_inner(
-            constraint, z, cz, theta * schedule.inner_tolerance(k), max_inner
+            constraint, z, cz, theta * schedule.alpha(k), max_inner
         )
         z0, region, inner_iters, dist_z0 = (
             res.z0,
@@ -372,16 +366,14 @@ def outer_step(
             m = problem.m
             bound = m * (
                 (eta * alpha) ** 2 + (m - 1) * problem._eta_bar * eta * alpha**2
-            ) + 2.0 * theta * problem._u_bar * schedule.inner_tolerance(k) * alpha
+            ) + 2.0 * theta * problem._u_bar * schedule.alpha(k) * alpha
             before = float(np.linalg.norm(z - xs)) ** 2
             after = float(np.linalg.norm(z_next - xs)) ** 2
             fejer_slack = before + bound - after
 
     dist_x = constraint._dist_upper(x_next, constraint.fn._value(x_next))
 
-    if keep_snapshot:
-        if state.snapshots is None:
-            state.snapshots = []
+    if state.snapshots is not None:
         state.snapshots.append(
             StepSnapshot(k, z.copy(), z0.copy(), z_next.copy(), region, inner_iters)
         )
@@ -391,7 +383,7 @@ def outer_step(
     state.x = x_next
     state.sigma = sigma
 
-    rec = TraceRecord(
+    return TraceRecord(
         k=k,
         alpha_k=alpha,
         eta_k=eta,
@@ -403,22 +395,66 @@ def outer_step(
         fejer_slack=fejer_slack,
         wall_time=time.perf_counter() - t0,
     )
-    if record:
-        state.trace.append(rec)
-    return rec
+
+
+def run_options(
+    problem: Problem,
+    *,
+    theta: float = 1.0,
+    max_outer: int = 1000,
+    target_err: float | None = None,
+    target_dist: float | None = None,
+    cadence: int = 1,
+    max_inner: int = 10_000,
+) -> dict:
+    """The options of ``run`` on ``problem``, checked and with defaults filled in.
+
+    ``run`` and ``visplit run`` both pass their options through here. Each
+    value goes through ``as_number``, so a bool, a string or a non-integral
+    count is a ``ConfigError`` that names the option, as is a value out of
+    bounds or a ``target_err`` for a problem without a known solution.
+
+    Parameters
+    ----------
+    theta : float
+        Relaxation factor of the feasibility stage, positive and finite.
+    max_outer : int
+        Outer iteration cap, at least 1.
+    target_err : float, optional
+        Stop once ||x_k - x*|| falls below this; needs a known solution.
+    target_dist : float, optional
+        Stop once the distance bound at x_k falls below this.
+    cadence : int
+        Keep every cadence-th trace record (the final record is always kept).
+    max_inner : int
+        Projection budget per feasibility stage, at least 1.
+    """
+    theta = as_number(theta, "theta")
+    if not (theta > 0 and math.isfinite(theta)):
+        raise ConfigError(f"theta must be positive and finite, got {theta!r}")
+    options = {"theta": theta}
+    for name, value in (("max_outer", max_outer), ("cadence", cadence), ("max_inner", max_inner)):
+        options[name] = as_number(value, name, integer=True)
+        if options[name] < 1:
+            raise ConfigError(f"{name} must be at least 1, got {options[name]!r}")
+    for name, value in (("target_err", target_err), ("target_dist", target_dist)):
+        if value is not None:
+            value = as_number(value, name)
+            if not value >= 0:
+                raise ConfigError(f"{name} must be nonnegative, got {value!r}")
+        options[name] = value
+    if target_err is not None and problem.known_solution is None:
+        raise ConfigError("target_err needs a problem with a known solution")
+    return options
 
 
 def run(
     problem: Problem,
     schedule: StepsizeSchedule,
-    theta: float = 1.0,
+    *,
     x0=None,
-    max_outer: int = 1000,
-    target_err: float | None = None,
-    target_dist: float | None = None,
-    cadence: int = 1,
     snapshots: bool = False,
-    max_inner: int = 10_000,
+    **options,
 ) -> SolverState:
     """Run the outer iteration until a target or the iteration cap.
 
@@ -426,68 +462,38 @@ def run(
     ----------
     problem : Problem
     schedule : StepsizeSchedule
-    theta : float
-        Relaxation factor of the feasibility stage, positive and finite.
     x0 : array_like, optional
         Starting point, defaults to the origin.
-    max_outer : int
-        Outer iteration cap.
-    target_err : float, optional
-        Stop once ||x_k - x*|| falls below this; needs a known solution.
-    target_dist : float, optional
-        Stop once the distance bound at x_k falls below this.
-    cadence : int
-        Keep every cadence-th trace record (the final record is always kept).
     snapshots : bool
         Keep raw per-step snapshots for replay audits.
-    max_inner : int
-        Projection budget per feasibility stage.
+    **options
+        theta, max_outer, target_err, target_dist, cadence and max_inner,
+        checked and defaulted by :func:`run_options`.
 
     Returns
     -------
     SolverState
         Final state with trace, diagnostics, and stop_reason set.
     """
-    theta = float(theta)
-    if not (theta > 0 and math.isfinite(theta)):
-        raise ConfigError("theta must be positive and finite")
-    cadence = int(cadence)
-    if cadence < 1:
-        raise ConfigError("cadence must be at least 1")
-    if max_outer < 1:
-        raise ConfigError("max_outer must be at least 1")
-    max_inner = int(max_inner)
-    if max_inner < 1:
-        raise ConfigError("max_inner must be at least 1")
-    if target_err is not None and problem.known_solution is None:
-        raise ConfigError("target_err needs a problem with a known solution")
+    options = run_options(problem, **options)
+    max_outer, cadence = options["max_outer"], options["cadence"]
+    target_err, target_dist = options["target_err"], options["target_dist"]
+    x0 = as_point(np.zeros(problem.dim) if x0 is None else x0, problem.dim)
+    state = SolverState(z=x0.copy(), x=x0.copy(), snapshots=[] if snapshots else None)
 
-    if x0 is None:
-        x0 = np.zeros(problem.dim)
-    x0 = as_point(x0, problem.dim)
-    state = SolverState(z=x0.copy(), x=x0.copy())
-    if snapshots:
-        state.snapshots = []
-
-    for _ in range(max_outer):
+    for k in range(max_outer):
         rec = outer_step(
-            problem,
-            schedule,
-            state,
-            theta=theta,
-            max_inner=max_inner,
-            keep_snapshot=snapshots,
-            record=(state.k % cadence == 0) or (state.k == max_outer - 1),
+            problem, schedule, state, theta=options["theta"], max_inner=options["max_inner"]
         )
         if target_err is not None and rec.err_x <= target_err:
             state.stop_reason = "target_err"
-            break
-        if target_dist is not None and rec.dist_x <= target_dist:
+        elif target_dist is not None and rec.dist_x <= target_dist:
             state.stop_reason = "target_dist"
+        elif k == max_outer - 1:
+            state.stop_reason = "max_outer"
+        # Cadence decimation never drops the final record.
+        if k % cadence == 0 or state.stop_reason is not None:
+            state.trace.append(rec)
+        if state.stop_reason is not None:
             break
-    if state.stop_reason is None:
-        state.stop_reason = "max_outer"
-    if not state.trace or state.trace[-1].k != state.k - 1:
-        # Cadence decimation must not drop the final record.
-        state.trace.append(rec)
     return state

@@ -1,15 +1,18 @@
-"""Point validation for the ambient coordinate space.
+"""Point and scalar validation for the ambient coordinate space.
 
 Points are plain 1-D float64 numpy arrays. ``as_point`` validates shape and
 finiteness so that bad values fail fast instead of propagating through an
-iterative run.
+iterative run. ``as_number`` is the one rule for scalar settings (run
+options, counts, seeds, schedule constants) wherever they enter.
 """
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue
+from .errors import ConfigError, DimensionMismatch, NonFiniteValue
 
 Vector = np.ndarray
 
@@ -27,3 +30,20 @@ def as_point(x, dim: int | None = None) -> Vector:
         raise DimensionMismatch(f"expected dimension {dim}, got {p.size}")
     return p
 
+
+def as_number(value, name: str, integer: bool = False) -> float | int:
+    """``value`` as a float, or as an int when ``integer``; a ``ConfigError`` otherwise.
+
+    Bools, strings and other non-numbers fail with "``name`` must be a
+    number". With ``integer``, a value that is not integral (2.5, inf, NaN)
+    fails with "``name`` must be an integer"; an integral float such as 4.0
+    is accepted. Bounds are the caller's to check.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if integer and not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    try:
+        return int(value) if integer else float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{name} is out of range, got {value!r}") from exc

@@ -241,7 +241,7 @@ def test_criterion_06_recursive_average_matches_direct_sum():
     worst = 0.0
     checks = 0
     for k in range(100_000):
-        rec = outer_step(prob, sched, state, record=False)
+        rec = outer_step(prob, sched, state)
         acc += rec.alpha_k * state.z
         sigma += rec.alpha_k
         if (k + 1) % 100 == 0:
@@ -316,7 +316,7 @@ def test_criterion_09_skew_instance_averages_out_oscillation():
     state = SolverState(z=x0.copy(), x=x0.copy())
     tail = []
     for k in range(100_000):
-        outer_step(prob, sched, state, record=False)
+        outer_step(prob, sched, state)
         if k >= 95_000:
             tail.append(state.z.copy())
     tail = np.stack(tail)

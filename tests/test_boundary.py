@@ -177,6 +177,18 @@ def test_overflow_mid_cycle_is_a_typed_error(constraint, x0):
         run(problem, PowerStepsize(1.0, 1.0), x0=x0, max_outer=50)
 
 
+def test_overflow_on_the_final_step_is_a_typed_error():
+    # One step from inside the ball lands at about 1e308 * x0: the average's
+    # gauge value overflows, and the run must raise instead of returning
+    # dist_x = nan with stop_reason "max_outer".
+    problem = Problem(
+        operators=(AffineOperator.from_diagonal([1e308, 1e308]),),
+        constraint=_ball(slater_point=[0.0, 0.0]),
+    )
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteValue):
+        run(problem, PowerStepsize(1.0, 1.0), x0=[0.5, 0.0], max_outer=1)
+
+
 def _skew_over_slater_ball():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((10, 10))

@@ -1,11 +1,13 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from visplit import TRACE_COLUMNS, checks
+from visplit import ConfigError, PowerStepsize, TRACE_COLUMNS, build, checks, run
 from visplit.cli import CHECK_SUITES, RUN_KEYS, main
+from visplit.solver import run_options
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -221,6 +223,45 @@ def test_bad_second_config_stops_the_batch_before_any_run(tmp_path, capsys, bad)
     assert not out.exists()
 
 
+BAD_RUN_OPTIONS = [
+    ("max_outer", 2.5),
+    ("max_outer", True),
+    ("max_outer", "5"),
+    ("cadence", 2.5),
+    ("cadence", "x"),
+    ("max_inner", 2.5),
+    ("theta", "abc"),
+    ("theta", "0.5"),
+    ("theta", float("inf")),
+    ("target_err", float("nan")),
+    ("target_dist", "x"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, value", BAD_RUN_OPTIONS, ids=[f"{f}={v!r}" for f, v in BAD_RUN_OPTIONS]
+)
+def test_bad_run_option_fails_alike_in_run_and_visplit_run(tmp_path, capsys, field, value):
+    # run(...) and visplit run share one option check, so both reject the
+    # value: a ConfigError naming the option, and exit 2 with nothing written.
+    problem = build("quadratic_over_ball", {})
+    with pytest.raises(ConfigError, match=f"^{field} must"):
+        run(problem, PowerStepsize(1.0, 1.0), **{field: value})
+    path = _write_cfg(tmp_path / "cfg.json", {"family": "quadratic_over_ball", field: value})
+    out = tmp_path / "out"
+    assert main(["run", path, "--output", str(out)]) == 2
+    assert f"{path}.{field} must" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cadence_flag_is_checked_before_any_run(tmp_path, capsys):
+    path = _write_cfg(tmp_path / "cfg.json", {"family": "a3", "max_outer": 3})
+    out = tmp_path / "out"
+    assert main(["run", path, "--output", str(out), "--cadence", "0"]) == 2
+    assert f"{path}.cadence must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("label", ["../escaped", "a/b", "..", ".", ""])
 def test_label_must_be_a_plain_file_name(tmp_path, capsys, label):
     path = _write_cfg(tmp_path / "cfg.json", {"family": "a3", "max_outer": 3, "label": label})
@@ -238,6 +279,21 @@ def test_readme_documents_the_run_fields():
     block = section.split("Fields:\n\n```\n", 1)[1].split("```", 1)[0]
     names = {line.split()[0] for line in block.splitlines() if line[:1].strip()}
     assert names == RUN_KEYS
+    # Every default the block states is the one run_options fills in, and
+    # every option with a default states it.
+    stated = {
+        line.split()[0]: float(match.group(1))
+        for line in block.splitlines()
+        if (match := re.search(r"\(default ([^)]+)\)", line))
+    }
+    defaults = run_options(build("a3", {}))
+    assert stated == {name: value for name, value in defaults.items() if value is not None}
+
+
+def test_bench_reps_must_be_an_integer(tmp_path, capsys):
+    path = _write_cfg(tmp_path / "bench.json", {"grid": [0.1], "reps": 2.5})
+    assert main(["bench", path]) == 2
+    assert f"{path}.reps must be an integer" in capsys.readouterr().err
 
 
 def test_budget_exhaustion_exits_3(tmp_path, capsys):

@@ -191,6 +191,13 @@ def test_slater_distance_bound_frozen():
     assert c.dist_upper([0.5, 0.0]) == 0.0
 
 
+def test_slater_distance_bound_overflow_is_a_typed_error():
+    # c(y) overflows to inf, so the ratio c(y) / (c(y) - c(w)) is inf/inf.
+    c = Constraint(Quadratic.from_diagonal([2.0, 2.0], [0.0, 0.0], -1.0), slater_point=[0.0, 0.0])
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteValue):
+        c.dist_upper([1e200, 0.0])
+
+
 def test_dist_upper_majorizes_true_distance():
     rng = np.random.default_rng(24)
     exact = _unit_ball_constraint(exact_set=BallSet([0.0, 0.0], 1.0))

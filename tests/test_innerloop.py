@@ -60,6 +60,11 @@ def test_run_inner_validation():
         run_inner(_unit_ball(), [3.0, 0.0], theta=1.0, alpha=0.1, max_iter=0)
 
 
+def test_run_inner_budget_must_be_an_integer():
+    with pytest.raises(ConfigError, match="max_iter must be an integer"):
+        run_inner(_unit_ball(), [3.0, 0.0], theta=1.0, alpha=0.1, max_iter=2.5)
+
+
 def test_budget_exhaustion_raises():
     # One projection reaches distance 2/3, still above 0.2.
     with pytest.raises(IterationBudgetExceeded):

@@ -52,7 +52,6 @@ def test_trace_columns_are_stable():
 def test_power_stepsize_values_and_validation():
     sched = PowerStepsize(1.0, 1.0)
     assert sched.alpha(5) == 1.0 / 6.0
-    assert sched.inner_tolerance(5) == sched.alpha(5)
     assert sched.spec() == {"kind": "power", "a": 1.0, "p": 1.0}
     assert PowerStepsize(2.0, 0.6).alpha(0) == 2.0
     for a, p in [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.5), (1.0, 1.1), (np.inf, 1.0)]:
@@ -64,7 +63,7 @@ def test_constant_stepsize():
     sched = ConstantStepsize(0.3)
     assert sched.alpha(0) == 0.3
     assert sched.alpha(999) == 0.3
-    assert sched.inner_tolerance(7) == 0.3
+    assert sched.alpha(7) == 0.3
     assert sched.spec() == {"kind": "constant", "a": 0.3}
     with pytest.raises(ConfigError):
         ConstantStepsize(0.0)
@@ -75,8 +74,9 @@ def test_adaptive_stepsize_divides_by_eta():
     assert sched.adaptive
     assert sched.beta(0) == 0.5
     assert sched.alpha(0, 4.0) == 0.125
-    # The inner tolerance is the raw numerator, not the divided step.
-    assert sched.inner_tolerance(0) == 0.5
+    # At eta = 1 the step is the raw numerator, which also scales the
+    # feasibility tolerance.
+    assert sched.alpha(0) == 0.5
     assert sched.spec() == {"kind": "adaptive_power", "a": 0.5, "p": 0.55}
     with pytest.raises(ConfigError):
         sched.alpha(0, 0.5)  # eta below 1
@@ -261,14 +261,14 @@ def test_outer_step_feasibility_stage_meets_tolerance():
         state = SolverState(z=np.array([3.0, -2.0]), x=np.array([3.0, -2.0]))
         for k in range(40):
             rec = outer_step(prob, sched, state, theta=theta)
-            assert rec.dist_z0 <= theta * sched.inner_tolerance(k)
+            assert rec.dist_z0 <= theta * sched.alpha(k)
             assert np.isfinite(rec.fejer_slack)
     # Random starts, same invariant.
     for _ in range(20):
         x0 = 4.0 * rng.standard_normal(2)
         state = SolverState(z=x0.copy(), x=x0.copy())
         rec = outer_step(prob, sched, state)
-        assert rec.dist_z0 <= sched.inner_tolerance(0)
+        assert rec.dist_z0 <= sched.alpha(0)
 
 
 def test_recursive_average_matches_direct_weights():

@@ -10,7 +10,7 @@ from visplit import (
     NonFiniteValue,
     VisplitError,
 )
-from visplit.space import as_point
+from visplit.space import as_number, as_point
 
 
 def test_as_point_coerces_lists_and_scalars():
@@ -33,6 +33,28 @@ def test_as_point_rejects_bad_inputs():
         as_point([1.0, np.nan])
     with pytest.raises(NonFiniteValue):
         as_point([np.inf, 0.0])
+
+
+def test_as_number_accepts_numbers_and_integral_counts():
+    assert as_number(3, "x") == 3.0 and type(as_number(3, "x")) is float
+    assert as_number(np.float32(0.5), "x") == 0.5
+    assert as_number(4.0, "n", integer=True) == 4
+    assert type(as_number(np.int64(4), "n", integer=True)) is int
+    # Non-finite floats pass; bounds are the caller's to check.
+    assert np.isnan(as_number(float("nan"), "x"))
+
+
+@pytest.mark.parametrize(
+    "value, integer, message",
+    [
+        ("0.5", False, "must be a number"),
+        (float("nan"), True, "must be an integer"),
+        (10**400, False, "is out of range"),
+    ],
+)
+def test_as_number_rejects_non_numbers_by_name(value, integer, message):
+    with pytest.raises(ConfigError, match=f"^field {message}"):
+        as_number(value, "field", integer=integer)
 
 
 def test_error_hierarchy():
