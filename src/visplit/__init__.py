@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "constraints": (
         "BallSet", "BoxSet", "Constraint", "ExactSet", "GraphSet", "Halfspace",
-        "WholeSpace", "project_halfspace_pair",
+        "project_halfspace_pair",
     ),
     "errors": (
         "ConfigError", "DimensionMismatch", "InfeasibleConstraint",

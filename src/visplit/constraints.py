@@ -17,19 +17,21 @@ the two-active case solves a 2x2 Gram system for the multipliers and keeps
 the candidate only when it is feasible, so no multiplier clamping heuristics
 are needed.
 
+Every region the cycle projects onto is an ``ExactSet``: a separating
+``Halfspace``, the whole space ``Halfspace.whole_space(dim)``, or a set with
+a closed-form projector (ball, box, graph of a linear map).
+
 Each public per-point method checks its points with ``as_point`` and calls
 a kernel that trusts them: ``_project``, ``_distance``, ``_residual``,
 ``_separator`` (for ``separator_at``), ``_dist_upper`` and ``_project_pair``
-(for ``project_halfspace_pair``). ``Halfspace`` and ``ExactSet`` share the
-kernel names, and an ``ExactSet`` subclass implements only the kernels. The
-separator and distance kernels take a precomputed ``c(y)``; the normals they
-take from subgradient oracles are still checked.
+(for ``project_halfspace_pair``). An ``ExactSet`` subclass implements only
+the kernels. The separator and distance kernels take a precomputed
+``c(y)``; the normals they take from subgradient oracles are still checked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,22 +42,49 @@ from .errors import (
     NonFiniteValue,
 )
 from .operators import ConvexFunction
-from .space import Vector, as_point
+from .space import Vector, as_number, as_point
 
 
-@dataclass(frozen=True, eq=False)
-class Halfspace:
+class ExactSet:
+    """Closed convex set with an exact projector and distance."""
+
+    def __init__(self, dim: int):
+        dim = int(dim)
+        if dim < 1:
+            raise DimensionMismatch("set dimension must be at least 1")
+        self.dim = dim
+
+    def project(self, y) -> Vector:
+        """The nearest point of the set to a point ``y`` of length ``dim``."""
+        return self._project(as_point(y, self.dim))
+
+    def distance(self, y) -> float:
+        """The distance from a point ``y`` of length ``dim`` to the set."""
+        return self._distance(as_point(y, self.dim))
+
+    def _project(self, y: Vector) -> Vector:
+        """``project`` on a finite 1-D float array of length ``dim``."""
+        raise NotImplementedError
+
+    def _distance(self, y: Vector) -> float:
+        """``distance`` on a finite 1-D float array of length ``dim``."""
+        return float(np.linalg.norm(y - self._project(y)))
+
+    def contains(self, y, tol: float = 0.0) -> bool:
+        """Whether ``y`` lies within distance ``tol`` of the set."""
+        return self.distance(y) <= tol
+
+
+class Halfspace(ExactSet):
     """Closed halfspace {x : <normal, x> <= offset}.
 
-    A zero normal with nonnegative offset denotes the whole space. A zero
-    normal with negative offset would be empty and is rejected.
+    A zero normal with nonnegative offset denotes the whole space, which
+    ``Halfspace.whole_space(dim)`` builds. A zero normal with negative
+    offset would be empty and is rejected.
     """
 
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        self._init(as_point(self.normal), self.offset)
+    def __init__(self, normal, offset: float):
+        self._init(as_point(normal), as_number(offset, "halfspace offset"))
 
     @classmethod
     def _of(cls, normal: Vector, offset: float) -> "Halfspace":
@@ -68,12 +97,12 @@ class Halfspace:
         offset = float(offset)
         if not np.isfinite(offset):
             raise NonFiniteValue("halfspace offset must be finite")
-        sq = float(normal @ normal)
-        if sq == 0.0 and offset < 0.0:
+        self._sq = float(normal @ normal)
+        if self._sq == 0.0 and offset < 0.0:
             raise InfeasibleConstraint("zero normal with negative offset is empty")
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "_sq", sq)
+        self.normal = normal
+        self.offset = offset
+        self.dim = normal.size
 
     @classmethod
     def whole_space(cls, dim: int) -> "Halfspace":
@@ -83,25 +112,12 @@ class Halfspace:
         return cls._of(np.zeros(dim), 0.0)
 
     @property
-    def dim(self) -> int:
-        return self.normal.size
-
-    @property
     def is_whole_space(self) -> bool:
         return self._sq == 0.0
 
     def residual(self, y) -> float:
         """<normal, y> - offset; positive outside, nonpositive inside."""
         return self._residual(as_point(y, self.dim))
-
-    def contains(self, y, tol: float = 0.0) -> bool:
-        return self.residual(y) <= tol
-
-    def project(self, y) -> Vector:
-        return self._project(as_point(y, self.dim))
-
-    def distance(self, y) -> float:
-        return self._distance(as_point(y, self.dim))
 
     def _residual(self, y: Vector) -> float:
         return float(self.normal @ y) - self.offset
@@ -178,52 +194,13 @@ def _project_pair(sep: Halfspace, z: Vector, w: Vector) -> Vector:
     return best
 
 
-class ExactSet:
-    """Closed convex set with an exact projector and distance."""
-
-    def __init__(self, dim: int):
-        dim = int(dim)
-        if dim < 1:
-            raise DimensionMismatch("set dimension must be at least 1")
-        self.dim = dim
-
-    def project(self, y) -> Vector:
-        """The nearest point of the set to a point ``y`` of length ``dim``."""
-        return self._project(as_point(y, self.dim))
-
-    def distance(self, y) -> float:
-        """The distance from a point ``y`` of length ``dim`` to the set."""
-        return self._distance(as_point(y, self.dim))
-
-    def _project(self, y: Vector) -> Vector:
-        """``project`` on a finite 1-D float array of length ``dim``."""
-        raise NotImplementedError
-
-    def _distance(self, y: Vector) -> float:
-        """``distance`` on a finite 1-D float array of length ``dim``."""
-        return float(np.linalg.norm(y - self._project(y)))
-
-    def contains(self, y, tol: float = 0.0) -> bool:
-        return self.distance(y) <= tol
-
-
-class WholeSpace(ExactSet):
-    """The ambient space; projection is the identity."""
-
-    def _project(self, y: Vector) -> Vector:
-        return y.copy()
-
-    def _distance(self, y: Vector) -> float:
-        return 0.0
-
-
 class BallSet(ExactSet):
     """Euclidean ball; radius zero gives a singleton."""
 
     def __init__(self, center, radius: float):
         center = as_point(center)
         radius = float(radius)
-        if radius < 0:
+        if not radius >= 0:
             raise ConfigError("radius must be nonnegative")
         super().__init__(center.size)
         self.center = center
@@ -306,7 +283,7 @@ class Constraint:
     def __init__(
         self,
         fn: ConvexFunction,
-        exact_set: ExactSet | Halfspace | None = None,
+        exact_set: ExactSet | None = None,
         surrogate=None,
         slater_point=None,
         label: str = "",

@@ -69,9 +69,9 @@ def run_inner(
         With dist_bound_at_exit <= theta * alpha and z0 inside the returned
         separator.
     """
-    theta = float(theta)
-    alpha = float(alpha)
-    if not (theta > 0 and math.isfinite(theta)) or alpha <= 0:
+    theta = as_number(theta, "theta")
+    alpha = as_number(alpha, "alpha")
+    if not (theta > 0 and math.isfinite(theta) and alpha > 0):
         raise ConfigError("theta must be positive and finite, alpha positive")
     max_iter = as_number(max_iter, "max_iter", integer=True)
     if max_iter < 1:

@@ -321,7 +321,7 @@ class NormFunction(ConvexFunction):
     def __init__(self, center, scale: float = 1.0, offset: float = 0.0, label: str = "norm"):
         center = as_point(center)
         scale = float(scale)
-        if scale < 0:
+        if not scale >= 0:
             raise ConfigError("scale must be nonnegative")
         super().__init__(center.size, label)
         self.center = center

@@ -36,7 +36,7 @@ from .constraints import (
     BoxSet,
     Constraint,
     GraphSet,
-    WholeSpace,
+    Halfspace,
 )
 from .errors import ConfigError, DimensionMismatch, NonFiniteValue
 from .operators import (
@@ -161,9 +161,11 @@ def build_quadratic_over_ball(
     target = as_point(target)
     n = target.size
     center = np.zeros(n) if center is None else as_point(center, n)
-    radius = float(radius)
-    if radius <= 0:
+    radius = as_number(radius, "radius")
+    if not radius > 0:
         raise ConfigError("radius must be positive")
+    if not isinstance(squared, bool):
+        raise ConfigError(f"squared must be true or false, got {squared!r}")
 
     ball = BallSet(center, radius)
     if squared:
@@ -192,7 +194,7 @@ def build_quadratic_over_ball(
             "m": m,
             "center": center.tolist(),
             "radius": radius,
-            "squared": bool(squared),
+            "squared": squared,
         },
     )
 
@@ -372,7 +374,7 @@ def build_a3(matrix, phi1: ConvexFunction, phi2: ConvexFunction) -> Problem:
     t2 = _SaddleCoupling(L, phi2)
     constraint = Constraint(
         ConstantFunction(dim, -1.0, label="everywhere"),
-        exact_set=WholeSpace(dim),
+        exact_set=Halfspace.whole_space(dim),
         label="whole_space",
     )
 
@@ -400,7 +402,7 @@ def build_a3(matrix, phi1: ConvexFunction, phi2: ConvexFunction) -> Problem:
 
 
 def _quadratic_from_params(params: dict, dim: int, what: str) -> Quadratic:
-    weight = float(params.get("weight", 1.0))
+    weight = as_number(params.get("weight", 1.0), f"{what}.weight")
     center = params.get("center", [0.0] * dim)
     q = Quadratic.half_sq_distance(as_point(center, dim), weight, label=what)
     return q

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .constraints import Constraint, ExactSet, Halfspace
+from .constraints import Constraint, ExactSet
 from .errors import ConfigError, DimensionMismatch, NonFiniteIterate
 from .innerloop import _feasible_shortcut, _run_inner
 from .operators import Operator
@@ -66,8 +66,8 @@ class PowerStepsize(StepsizeSchedule):
     """
 
     def __init__(self, a: float = 1.0, p: float = 1.0):
-        a = float(a)
-        p = float(p)
+        a = as_number(a, "a")
+        p = as_number(p, "p")
         if not (a > 0 and np.isfinite(a)):
             raise ConfigError("stepsize scale a must be positive and finite")
         if not (0.5 < p <= 1.0):
@@ -89,7 +89,7 @@ class ConstantStepsize(StepsizeSchedule):
     """
 
     def __init__(self, a: float):
-        a = float(a)
+        a = as_number(a, "a")
         if not (a > 0 and np.isfinite(a)):
             raise ConfigError("stepsize must be positive and finite")
         self.a = a
@@ -231,7 +231,7 @@ class StepSnapshot:
     z: Vector
     z0: Vector
     z_next: Vector
-    region: Halfspace | ExactSet
+    region: ExactSet
     inner_iterations: int
 
 
@@ -317,12 +317,14 @@ def outer_step(
             res.dist_bound_at_exit,
         )
 
-    # Stepsize. The adaptive rule probes all selections at z0 first.
+    # Stepsize. The adaptive rule probes all selections at z0 first; a probe
+    # that overflows is a diverged iterate, not a bad eta.
     probe = None
     if schedule.adaptive:
-        probe = 1.0
-        for op in problem.operators:
-            probe = max(probe, float(np.linalg.norm(op._select(z0))))
+        norms = [float(np.linalg.norm(op._select(z0))) for op in problem.operators]
+        if not all(map(math.isfinite, norms)):
+            raise NonFiniteIterate(f"operator selection at z0 is not finite at k={k}")
+        probe = max(1.0, *norms)
         alpha = stepsize(schedule, k, probe)
     else:
         alpha = stepsize(schedule, k)

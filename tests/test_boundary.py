@@ -32,7 +32,6 @@ from visplit import (
     ScaledOperator,
     ShiftedFunction,
     SolverState,
-    WholeSpace,
     ZeroOperator,
     build,
     feasible_shortcut,
@@ -75,7 +74,7 @@ def _point_methods():
     }
     sets = {
         "Halfspace": Halfspace([1.0, 2.0], 0.5),
-        "WholeSpace": WholeSpace(2),
+        "Halfspace.whole_space": Halfspace.whole_space(2),
         "BallSet": BallSet([0.5, 0.0], 1.0),
         "BoxSet": BoxSet([0.0, 0.0], [1.0, 1.0]),
         "GraphSet": GraphSet([[2.0]]),
@@ -128,9 +127,11 @@ POINT_METHODS = _point_methods()
 
 
 def _same(a, b) -> bool:
-    """Equal types and bitwise-equal numbers, through dataclass fields."""
+    """Equal types and bitwise-equal numbers, through dataclass fields and halfspaces."""
     if type(a) is not type(b):
         return False
+    if isinstance(a, Halfspace):
+        return _same(a.normal, b.normal) and _same(a.offset, b.offset)
     if dataclasses.is_dataclass(a):
         return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
@@ -163,7 +164,7 @@ def test_a_length_one_state_is_not_broadcast():
 @pytest.mark.parametrize(
     "constraint",
     [
-        Constraint(ConstantFunction(2, -1.0), exact_set=WholeSpace(2)),
+        Constraint(ConstantFunction(2, -1.0), exact_set=Halfspace.whole_space(2)),
         _ball(slater_point=[0.0, 0.0]),
     ],
     ids=["whole_space", "slater_ball"],

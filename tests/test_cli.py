@@ -207,10 +207,14 @@ def test_non_numeric_values_exit_2(tmp_path, capsys, cfg, field):
         {"family": "quadratic_over_ball", "params": {"m": 1e8}},
         {"family": "affine_vi_over_polyhedron", "params": {"m": 1e8}},
         {"family": "quadratic_over_ball", "params": {"m": float("inf")}},
+        {"family": "quadratic_over_ball", "params": {"radius": "2"}},
+        {"family": "quadratic_over_ball", "params": {"squared": "false"}},
+        {"family": "a2", "params": {"phi2": {"weight": True}}},
     ],
     ids=[
         "params", "x0-text", "x0-dim", "x0-word", "theta-inf", "label",
         "a3-nan", "a2-inf", "target_err", "ball-m-huge", "polyhedron-m-huge", "m-inf",
+        "radius-text", "squared-text", "weight-bool",
     ],
 )
 def test_bad_second_config_stops_the_batch_before_any_run(tmp_path, capsys, bad):
@@ -294,6 +298,20 @@ def test_bench_reps_must_be_an_integer(tmp_path, capsys):
     path = _write_cfg(tmp_path / "bench.json", {"grid": [0.1], "reps": 2.5})
     assert main(["bench", path]) == 2
     assert f"{path}.reps must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["power", "adaptive_power"])
+def test_overflowing_iterate_exits_3_under_every_schedule(tmp_path, capsys, kind):
+    # The selection at the origin is -target, whose norm overflows: the
+    # adaptive probe must report a diverged iterate, as the power rule does.
+    path = _write_cfg(tmp_path / "cfg.json", [
+        {"family": "quadratic_over_ball", "max_outer": 5},
+        {"family": "quadratic_over_ball", "schedule": {"kind": kind},
+         "params": {"target": [1e308, 1e308]}},
+    ])
+    with np.errstate(all="ignore"):
+        assert main(["run", path, "--output", str(tmp_path / "out")]) == 3
+    assert "solver error" in capsys.readouterr().err
 
 
 def test_budget_exhaustion_exits_3(tmp_path, capsys):

@@ -8,13 +8,13 @@ from visplit import (
     ConstantFunction,
     Constraint,
     DimensionMismatch,
+    ExactSet,
     GraphSet,
     Halfspace,
     InfeasibleConstraint,
     MaxOfAffine,
     NonFiniteValue,
     Quadratic,
-    WholeSpace,
     project_halfspace_pair,
 )
 from visplit.oracle import qp_project
@@ -131,11 +131,34 @@ def test_exact_set_projectors_frozen():
     assert np.allclose(graph.project([2.0, 0.0]), [1.0, 1.0], atol=1e-12, rtol=0)
     x, y = graph.split([2.0, 0.0])
     assert np.array_equal(x, [2.0]) and np.array_equal(y, [0.0])
-    ws = WholeSpace(2)
+    ws = Halfspace.whole_space(2)
     assert np.array_equal(ws.project([3.0, 4.0]), [3.0, 4.0])
     assert ws.distance([3.0, 4.0]) == 0.0
     assert np.array_equal(ball.project([2.0, 0.0]), [1.0, 0.0])
     assert np.array_equal(Halfspace([1.0, 0.0], 0.0).project([2.0, 3.0]), [0.0, 3.0])
+
+
+@pytest.mark.parametrize(
+    "region",
+    [
+        Halfspace([3.0, -1.0, 0.5], 0.7),
+        Halfspace.whole_space(3),
+        BallSet([0.5, 0.0, -1.0], 1.5),
+        BoxSet([-1.0, 0.0, -2.0], [1.0, 2.0, -0.5]),
+        GraphSet([[2.0], [-1.0]]),
+    ],
+    ids=["Halfspace", "Halfspace.whole_space", "BallSet", "BoxSet", "GraphSet"],
+)
+def test_every_region_keeps_the_exact_set_contract(region):
+    # The cycle projects onto any of these through the same interface.
+    # Idempotence holds to rounding: a projected point may sit an ulp outside.
+    assert isinstance(region, ExactSet)
+    rng = np.random.default_rng(29)
+    for _ in range(100):
+        p = region.project(4.0 * rng.standard_normal(region.dim))
+        assert np.allclose(region.project(p), p, rtol=0.0, atol=1e-12)
+        assert region.distance(p) <= 1e-12
+        assert region.contains(p, 1e-9)
 
 
 def test_exact_set_projections_are_optimal():
@@ -238,5 +261,5 @@ def test_separator_zero_subgradient_cases():
     empty = Constraint(ConstantFunction(2, 1.0), surrogate=lambda y: np.inf)
     with pytest.raises(InfeasibleConstraint):
         empty.separator_at([0.0, 0.0])
-    trivial = Constraint(ConstantFunction(2, -1.0), exact_set=WholeSpace(2))
+    trivial = Constraint(ConstantFunction(2, -1.0), exact_set=Halfspace.whole_space(2))
     assert trivial.separator_at([5.0, 5.0]).is_whole_space

@@ -57,7 +57,12 @@ def test_run_inner_validation():
     with pytest.raises(ConfigError):
         run_inner(_unit_ball(), [3.0, 0.0], theta=1.0, alpha=-1.0)
     with pytest.raises(ConfigError):
+        run_inner(_unit_ball(), [3.0, 0.0], theta=1.0, alpha=float("nan"))
+    with pytest.raises(ConfigError):
         run_inner(_unit_ball(), [3.0, 0.0], theta=1.0, alpha=0.1, max_iter=0)
+    for theta, alpha in (("1", 0.5), (1.0, True), (1.0, "abc")):
+        with pytest.raises(ConfigError, match="must be a number"):
+            run_inner(_unit_ball(), [3.0, 0.0], theta=theta, alpha=alpha)
 
 
 def test_run_inner_budget_must_be_an_integer():

@@ -69,14 +69,16 @@ def test_affine_operator_rejects_nonmonotone_matrix():
         lambda: Quadratic([[-1.0]]),
         lambda: ScaledOperator(ZeroOperator(1), -1.0),
         lambda: NormFunction([0.0], -1.0),
+        lambda: NormFunction([0.0], float("nan")),
         lambda: Quadratic.half_sq_distance([0.0], -1.0),
         lambda: sum_select([], [0.0]),
         lambda: BallSet([0.0], -1.0),
+        lambda: BallSet([0.0, 0.0], float("nan")),
         lambda: BoxSet([1.0], [0.0]),
     ],
     ids=[
-        "affine", "affine-diagonal", "quadratic", "scaled", "norm",
-        "half-sq-distance", "empty-sum", "ball", "box",
+        "affine", "affine-diagonal", "quadratic", "scaled", "norm", "norm-nan",
+        "half-sq-distance", "empty-sum", "ball", "ball-nan", "box",
     ],
 )
 def test_invalid_construction_is_a_config_error(make):

@@ -16,7 +16,6 @@ from visplit import (
     NormFunction,
     PowerStepsize,
     Problem,
-    WholeSpace,
     build,
     fejer_audit,
     grid_vi_solution,
@@ -30,7 +29,7 @@ from visplit.oracle import probe_affine, reference_solution, vi_gap
 def _line_problem():
     # One-dimensional unconstrained pull toward 3; every step is closed form.
     op = AffineOperator([[1.0]], [-3.0])
-    c = Constraint(ConstantFunction(1, -1.0), exact_set=WholeSpace(1))
+    c = Constraint(ConstantFunction(1, -1.0), exact_set=Halfspace.whole_space(1))
     return Problem(
         operators=(op,),
         constraint=c,

@@ -12,13 +12,13 @@ from visplit import (
     ConstantFunction,
     ConstantStepsize,
     Constraint,
+    Halfspace,
     NonFiniteValue,
     PowerStepsize,
     Problem,
     ScaledOperator,
     SolverState,
     TRACE_COLUMNS,
-    WholeSpace,
     ZeroOperator,
     build,
     outer_step,
@@ -30,7 +30,7 @@ from visplit.solver import stepsize
 
 def _free_problem(*ops, label="free"):
     dim = ops[0].dim
-    c = Constraint(ConstantFunction(dim, -1.0), exact_set=WholeSpace(dim))
+    c = Constraint(ConstantFunction(dim, -1.0), exact_set=Halfspace.whole_space(dim))
     return Problem(operators=tuple(ops), constraint=c, label=label)
 
 
@@ -57,6 +57,10 @@ def test_power_stepsize_values_and_validation():
     for a, p in [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.5), (1.0, 1.1), (np.inf, 1.0)]:
         with pytest.raises(ConfigError):
             PowerStepsize(a, p)
+    for a, p in [("0.5", 1.0), (1.0, "1"), (True, 1.0), (1.0, None)]:
+        for schedule in (PowerStepsize, AdaptivePowerStepsize):
+            with pytest.raises(ConfigError, match="must be a number"):
+                schedule(a, p)
 
 
 def test_constant_stepsize():
@@ -67,6 +71,9 @@ def test_constant_stepsize():
     assert sched.spec() == {"kind": "constant", "a": 0.3}
     with pytest.raises(ConfigError):
         ConstantStepsize(0.0)
+    for a in ("0.3", True, None):
+        with pytest.raises(ConfigError, match="must be a number"):
+            ConstantStepsize(a)
 
 
 def test_adaptive_stepsize_divides_by_eta():
@@ -96,7 +103,7 @@ def test_stepsize_helper_validation():
 
 def test_problem_validation():
     op = AffineOperator(np.eye(2))
-    c = Constraint(ConstantFunction(2, -1.0), exact_set=WholeSpace(2))
+    c = Constraint(ConstantFunction(2, -1.0), exact_set=Halfspace.whole_space(2))
     with pytest.raises(ConfigError):
         Problem(operators=(), constraint=c)
     with pytest.raises(ConfigError):
