@@ -42,17 +42,14 @@ from .errors import (
     NonFiniteValue,
 )
 from .operators import ConvexFunction
-from .space import Vector, as_number, as_point
+from .space import Vector, as_dim, as_number, as_point
 
 
 class ExactSet:
     """Closed convex set with an exact projector and distance."""
 
     def __init__(self, dim: int):
-        dim = int(dim)
-        if dim < 1:
-            raise DimensionMismatch("set dimension must be at least 1")
-        self.dim = dim
+        self.dim = as_dim(dim, "set")
 
     def project(self, y) -> Vector:
         """The nearest point of the set to a point ``y`` of length ``dim``."""
@@ -106,10 +103,7 @@ class Halfspace(ExactSet):
 
     @classmethod
     def whole_space(cls, dim: int) -> "Halfspace":
-        dim = int(dim)
-        if dim < 1:
-            raise DimensionMismatch("halfspace dimension must be at least 1")
-        return cls._of(np.zeros(dim), 0.0)
+        return cls._of(np.zeros(as_dim(dim, "halfspace")), 0.0)
 
     @property
     def is_whole_space(self) -> bool:
@@ -362,5 +356,5 @@ class Constraint:
                 raise InfeasibleConstraint(
                     "zero subgradient at an infeasible point: feasible set is empty"
                 )
-            return Halfspace.whole_space(self.dim)
+            return Halfspace._of(np.zeros(self.dim), 0.0)
         return Halfspace._of(g, float(g @ y) - cy)

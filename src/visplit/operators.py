@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, NonFiniteValue
-from .space import Vector, as_point
+from .space import Vector, as_dim, as_number, as_point
 
 _PSD_TOL = -1e-10
 
@@ -62,23 +62,28 @@ def _dense_of(diag: np.ndarray) -> np.ndarray:
     return D
 
 
-def _min_sym_eigenvalue(A: np.ndarray) -> tuple[np.ndarray, float]:
-    """The symmetric part of ``A`` and its smallest eigenvalue."""
+def _symmetric_part(A: np.ndarray) -> np.ndarray:
+    """0.5 (A + A'), rejected with ``NonFiniteValue`` if it overflows."""
     with np.errstate(over="ignore"):
         sym = 0.5 * (A + A.T)
     if not np.all(np.isfinite(sym)):
         raise NonFiniteValue("symmetric part of the matrix overflows")
-    return sym, float(np.linalg.eigvalsh(sym).min())
+    return sym
+
+
+def _finite(value, name: str) -> float:
+    """``value`` as a float (``as_number``) that is neither NaN nor infinite."""
+    value = as_number(value, name)
+    if not np.isfinite(value):
+        raise NonFiniteValue(f"{name} must be finite, got {value!r}")
+    return value
 
 
 class Operator:
     """Deterministic selection oracle for a monotone operator on R^dim."""
 
     def __init__(self, dim: int, label: str = ""):
-        dim = int(dim)
-        if dim < 1:
-            raise DimensionMismatch("operator dimension must be at least 1")
-        self.dim = dim
+        self.dim = as_dim(dim, "operator")
         self.label = label or type(self).__name__
 
     def select(self, x) -> Vector:
@@ -113,11 +118,13 @@ class AffineOperator(Operator):
         if dense is None:
             lo, n = float(diag.min()), diag.size
         else:
-            lo, n = _min_sym_eigenvalue(dense)[1], dense.shape[0]
+            lo = float(np.linalg.eigvalsh(_symmetric_part(dense)).min())
+            n = dense.shape[0]
             dense.flags.writeable = False
         if not lo >= _PSD_TOL:
             raise ConfigError(
-                f"affine map is not monotone: symmetric part has eigenvalue {lo:.3e}"
+                f"affine map {label!r} is not monotone: "
+                f"symmetric part has eigenvalue {lo:.3e}"
             )
         super().__init__(n, label)
         self._diag = diag
@@ -181,7 +188,7 @@ class EmbeddedOperator(Operator):
 
     def __init__(self, dim: int, base: Operator, start: int, label: str = ""):
         super().__init__(dim, label or f"embed[{base.label}]")
-        start = int(start)
+        start = as_number(start, "start", integer=True)
         if start < 0 or start + base.dim > dim:
             raise DimensionMismatch("embedded block does not fit the ambient space")
         self.base = base
@@ -218,10 +225,7 @@ class ConvexFunction:
     differentiable = False
 
     def __init__(self, dim: int, label: str = ""):
-        dim = int(dim)
-        if dim < 1:
-            raise DimensionMismatch("function dimension must be at least 1")
-        self.dim = dim
+        self.dim = as_dim(dim, "function")
         self.label = label or type(self).__name__
 
     def value(self, x) -> float:
@@ -245,14 +249,18 @@ class ConvexFunction:
 
 
 class Quadratic(ConvexFunction):
-    """0.5 x'Qx + b'x + c with Q symmetric PSD (checked at construction)."""
+    """0.5 x'Qx + b'x + c with Q symmetric PSD (checked at construction).
+
+    The gradient x -> Qx + b is kept as an ``AffineOperator`` on the
+    symmetric part of Q, which stores Q (as its diagonal when Q is diagonal)
+    and checks it; the value reads the same storage.
+    """
 
     differentiable = True
 
     def __init__(self, Q, b=None, constant: float = 0.0, label: str = "quadratic"):
-        Q = _square(Q, "Q")
-        diag = _diagonal(Q)
-        self._setup(diag, Q if diag is None else None, b, constant, label)
+        sym = _symmetric_part(_square(Q, "Q"))
+        self._setup(AffineOperator(sym, b, label=f"grad[{label}]"), constant, label)
 
     @classmethod
     def from_diagonal(
@@ -260,31 +268,20 @@ class Quadratic(ConvexFunction):
     ) -> "Quadratic":
         """0.5 x'Dx + b'x + constant with D = diag(diag), without forming D."""
         q = cls.__new__(cls)
-        q._setup(as_point(diag).copy(), None, b, constant, label)
+        gradient = AffineOperator.from_diagonal(diag, b, label=f"grad[{label}]")
+        q._setup(gradient, constant, label)
         return q
 
-    def _setup(self, diag, dense, b, constant: float, label: str) -> None:
-        """Check convexity and keep Q: ``diag``, or the symmetric part of ``dense``."""
-        if dense is None:
-            lo, n = float(diag.min()), diag.size
-        else:
-            dense, lo = _min_sym_eigenvalue(dense)
-            n = dense.shape[0]
-            dense.flags.writeable = False
-        if not lo >= _PSD_TOL:
-            raise ConfigError(f"quadratic is not convex: Q has eigenvalue {lo:.3e}")
-        super().__init__(n, label)
-        self._diag = diag
-        self._Q = dense
-        self.b = np.zeros(self.dim) if b is None else as_point(b, self.dim).copy()
-        self.constant = float(constant)
+    def _setup(self, gradient: AffineOperator, constant: float, label: str) -> None:
+        super().__init__(gradient.dim, label)
+        self.gradient = gradient
+        self.b = gradient.offset
+        self.constant = _finite(constant, "constant")
 
     @property
     def Q(self) -> np.ndarray:
         """The symmetric matrix Q (read-only; built on first read for a diagonal map)."""
-        if self._Q is None:
-            self._Q = _dense_of(self._diag)
-        return self._Q
+        return self.gradient.matrix
 
     @classmethod
     def half_sq_distance(cls, center, weight: float = 1.0, label: str = "") -> "Quadratic":
@@ -301,14 +298,13 @@ class Quadratic(ConvexFunction):
         )
 
     def _value(self, x: Vector) -> float:
-        if self._diag is not None:
-            return float(0.5 * x * self._diag @ x + self.b @ x + self.constant)
-        return float(0.5 * x @ self._Q @ x + self.b @ x + self.constant)
+        g = self.gradient
+        if g._diag is not None:
+            return float(0.5 * x * g._diag @ x + self.b @ x + self.constant)
+        return float(0.5 * x @ g._matrix @ x + self.b @ x + self.constant)
 
     def _subgradient(self, x: Vector) -> Vector:
-        if self._diag is not None:
-            return (self._diag * x + 0.0) + self.b
-        return self._Q @ x + self.b
+        return self.gradient._select(x)
 
 
 class NormFunction(ConvexFunction):
@@ -326,7 +322,7 @@ class NormFunction(ConvexFunction):
         super().__init__(center.size, label)
         self.center = center
         self.scale = scale
-        self.offset = float(offset)
+        self.offset = _finite(offset, "offset")
 
     def _value(self, x: Vector) -> float:
         return self.scale * float(np.linalg.norm(x - self.center)) + self.offset
@@ -378,7 +374,7 @@ class AffineFunction(ConvexFunction):
         slope = as_point(slope)
         super().__init__(slope.size, label)
         self.slope = slope
-        self.constant = float(constant)
+        self.constant = _finite(constant, "constant")
 
     def _value(self, x: Vector) -> float:
         return float(self.slope @ x) + self.constant
@@ -394,7 +390,7 @@ class ConstantFunction(ConvexFunction):
 
     def __init__(self, dim: int, constant: float, label: str = "constant"):
         super().__init__(dim, label)
-        self.constant = float(constant)
+        self.constant = _finite(constant, "constant")
 
     def _value(self, x: Vector) -> float:
         return self.constant
@@ -407,9 +403,10 @@ class ShiftedFunction(ConvexFunction):
     """base - delta, used to turn an objective into a sublevel description."""
 
     def __init__(self, base: ConvexFunction, delta: float, label: str = ""):
+        delta = _finite(delta, "delta")
         super().__init__(base.dim, label or f"{base.label}-{delta}")
         self.base = base
-        self.delta = float(delta)
+        self.delta = delta
         self.differentiable = base.differentiable
 
     def _value(self, x: Vector) -> float:

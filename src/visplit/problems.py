@@ -7,6 +7,10 @@ solution and a matching certificate only where the derivation is a genuine
 closed form (ball projection, small linear solves); everything else is left
 to the reference oracle.
 
+``build(family, params)`` calls one function per family; its keyword
+parameters, with their defaults, are the family's config fields, and
+``FAMILY_PARAMS`` is read from those signatures.
+
 Families
 --------
 quadratic_over_ball
@@ -28,6 +32,8 @@ a3 (saddle stationarity)
 """
 
 from __future__ import annotations
+
+import inspect
 
 import numpy as np
 
@@ -145,7 +151,7 @@ def _split_affine(base: AffineOperator, m: int) -> tuple[Operator, ...]:
 
 
 def build_quadratic_over_ball(
-    target,
+    target=(1.05, 0.0),
     m: int = 1,
     center=None,
     radius: float = 1.0,
@@ -200,30 +206,34 @@ def build_quadratic_over_ball(
 
 
 def build_affine_vi_over_polyhedron(
-    matrix,
-    offset,
-    box: tuple | None = None,
+    matrix=((0.0, 0.2), (-0.2, 0.0)),
+    offset=(-0.1, -0.05),
+    box=None,
     rows=None,
     rhs=None,
     interior_point=None,
     m: int = 1,
 ) -> Problem:
-    """Affine VI over a box or a general row polyhedron {Ax <= b}.
+    """Affine VI over a box or a general row polyhedron {x : rows x <= rhs}.
 
-    The box form carries an exact projector. The row form describes the set
-    through the max of the row residuals and needs a strictly feasible
-    ``interior_point`` for the distance rule. No solution is attached here;
-    the reference oracle recovers one by face enumeration.
+    The box form carries an exact projector; ``box`` is a pair [lo, hi] and
+    is the unit square when neither a box nor rows are given. The row form
+    describes the set through the max of the row residuals and needs
+    ``rhs`` and a strictly feasible ``interior_point`` for the distance
+    rule; it takes no box. No solution is attached here; the reference
+    oracle recovers one by face enumeration.
     """
     m = _parts(m)
-    A = np.asarray(matrix, dtype=float)
+    A = _as_matrix(matrix, "matrix")
     n = A.shape[0]
     offset = as_point(offset, n)
 
-    if (box is None) == (rows is None):
-        raise ConfigError("give exactly one of box or rows")
-    if box is not None:
-        lo, hi = box
+    if (rows is None) != (rhs is None):
+        raise ConfigError("rows and rhs must be given together")
+    if rows is None:
+        if interior_point is not None:
+            raise ConfigError("interior_point belongs to rows and rhs, not to a box")
+        lo, hi = ((0.0, 0.0), (1.0, 1.0)) if box is None else box
         lo = as_point(lo, n)
         hi = as_point(hi, n)
         gauge = MaxOfAffine(
@@ -234,16 +244,16 @@ def build_affine_vi_over_polyhedron(
         constraint = Constraint(gauge, exact_set=BoxSet(lo, hi), label="box")
         meta_set = {"box": [lo.tolist(), hi.tolist()]}
     else:
-        rows = np.asarray(rows, dtype=float)
-        rhs = np.asarray(rhs, dtype=float).reshape(-1)
+        if box is not None:
+            raise ConfigError("give either a box or rows and rhs, not both")
         if interior_point is None:
             raise ConfigError("a row polyhedron needs a strictly feasible point")
         gauge = MaxOfAffine(rows, rhs, label="polyhedron_gauge")
         constraint = Constraint(gauge, slater_point=interior_point, label="polyhedron")
         meta_set = {
-            "rows": rows.tolist(),
-            "rhs": rhs.tolist(),
-            "interior_point": as_point(interior_point, n).tolist(),
+            "rows": gauge.rows.tolist(),
+            "rhs": gauge.rhs.tolist(),
+            "interior_point": constraint.slater_point.tolist(),
         }
 
     ops = _split_affine(AffineOperator(A, offset), m)
@@ -277,7 +287,7 @@ def build_a1(
     distance rule the instance admits (an exact projector for recognizable
     minimizer sets, a surrogate bound otherwise).
     """
-    fn = ShiftedFunction(objective, float(f_min), label=f"{objective.label}-min")
+    fn = ShiftedFunction(objective, f_min, label=f"{objective.label}-min")
     constraint = Constraint(
         fn,
         exact_set=exact_set,
@@ -295,7 +305,7 @@ def build_a1(
         label="argmin_refinement",
         known_solution=known_solution,
         certificate=cert,
-        meta={"family": "a1", "f_min": float(f_min)},
+        meta={"family": "a1", "f_min": fn.delta},
     )
 
 
@@ -401,13 +411,6 @@ def build_a3(matrix, phi1: ConvexFunction, phi2: ConvexFunction) -> Problem:
     )
 
 
-def _quadratic_from_params(params: dict, dim: int, what: str) -> Quadratic:
-    weight = as_number(params.get("weight", 1.0), f"{what}.weight")
-    center = params.get("center", [0.0] * dim)
-    q = Quadratic.half_sq_distance(as_point(center, dim), weight, label=what)
-    return q
-
-
 def _as_matrix(value, what: str) -> np.ndarray:
     M = np.asarray(value, dtype=float)
     if M.ndim == 0:
@@ -417,112 +420,102 @@ def _as_matrix(value, what: str) -> np.ndarray:
     return M
 
 
+def _phi(what: str, dim: int, weight: float = 1.0, center=None) -> Quadratic:
+    """phi = 0.5 * weight * ||x - center||^2 on R^dim; the center defaults to the origin."""
+    weight = as_number(weight, f"{what}.weight")
+    center = np.zeros(dim) if center is None else as_point(center, dim)
+    return Quadratic.half_sq_distance(center, weight, label=what)
+
+
+def _a1_config(target=(0.05, 0.0), objective: str = "relu") -> Problem:
+    """a1: pull toward ``target`` over the minimizers of "relu", "norm" or "sqnorm"."""
+    target = as_point(target)
+    n = target.size
+    op = AffineOperator.from_diagonal(np.ones(n), -target, label="pull_to_target")
+    if objective == "relu":
+        # f = max(x_1, 0); the minimizer set is the halfspace {x_1 <= 0}
+        # and the gauge itself is the exact distance to it.
+        rows = np.zeros((2, n))
+        rows[0, 0] = 1.0
+        solution = target.copy()
+        solution[0] = min(solution[0], 0.0)
+        prob = build_a1(
+            op,
+            MaxOfAffine(rows, np.zeros(2), label="relu"),
+            f_min=0.0,
+            surrogate=lambda y: max(float(y[0]), 0.0),
+            known_solution=solution,
+        )
+    elif objective in ("norm", "sqnorm"):
+        if objective == "norm":
+            fn = NormFunction(np.zeros(n), label="norm_objective")
+        else:
+            fn = Quadratic.half_sq_distance(np.zeros(n), label="sq_objective")
+        # Both objectives have the origin as unique minimizer.
+        prob = build_a1(
+            op,
+            fn,
+            f_min=0.0,
+            exact_set=BallSet(np.zeros(n), 0.0),
+            known_solution=np.zeros(n),
+        )
+    else:
+        raise ConfigError(f"unknown a1 objective {objective!r}")
+    prob.meta.update({"target": target.tolist(), "objective": objective})
+    return prob
+
+
+# The phi defaults are never mutated: _phi receives their entries as arguments.
+def _a2_config(matrix=2.0, phi1: dict = {}, phi2: dict = {"center": [4.0]}) -> Problem:
+    """a2 with phi1 on the output and phi2 on the input space of ``matrix``."""
+    L = _as_matrix(matrix, "matrix")
+    return build_a2(L, _phi("phi1", L.shape[0], **phi1), _phi("phi2", L.shape[1], **phi2))
+
+
+def _a3_config(matrix=1.0, phi1: dict = {}, phi2: dict = {}) -> Problem:
+    """a3 with phi1 and phi2 on the two blocks of the square ``matrix``."""
+    L = _as_matrix(matrix, "matrix")
+    n = L.shape[0]
+    return build_a3(L, _phi("phi1", n, **phi1), _phi("phi2", n, **phi2))
+
+
+_BUILDERS = {
+    "quadratic_over_ball": build_quadratic_over_ball,
+    "affine_vi_over_polyhedron": build_affine_vi_over_polyhedron,
+    "a1": _a1_config,
+    "a2": _a2_config,
+    "a3": _a3_config,
+}
+
 FAMILY_PARAMS = {
-    "quadratic_over_ball": frozenset({"target", "m", "center", "radius", "squared"}),
-    "affine_vi_over_polyhedron": frozenset(
-        {"matrix", "offset", "m", "box", "rows", "rhs", "interior_point"}
-    ),
-    "a1": frozenset({"target", "objective"}),
-    "a2": frozenset({"matrix", "phi1", "phi2"}),
-    "a3": frozenset({"matrix", "phi1", "phi2"}),
+    family: frozenset(inspect.signature(fn).parameters) for family, fn in _BUILDERS.items()
 }
 
 FAMILIES = tuple(FAMILY_PARAMS)
 
-_PHI_PARAMS = frozenset({"weight", "center"})
+_PHI_PARAMS = frozenset(inspect.signature(_phi).parameters) - {"what", "dim"}
 
 
 def validate_params(family: str, params: dict, where: str = "params") -> None:
-    """Reject unknown configuration fields, naming the offending path."""
+    """Reject unknown configuration fields and malformed phi objects, naming the path."""
     if family not in FAMILY_PARAMS:
         raise ConfigError(f"unknown problem family {family!r}")
-    allowed = FAMILY_PARAMS[family]
-    for key in params or {}:
-        if key not in allowed:
+    if not isinstance(params, dict):
+        raise ConfigError(f"{where} must be an object, got {params!r}")
+    for key in params:
+        if key not in FAMILY_PARAMS[family]:
             raise ConfigError(f"unknown field {where}.{key}")
     for sub in ("phi1", "phi2"):
-        if sub in allowed and sub in (params or {}):
-            for key in params[sub] or {}:
-                if key not in _PHI_PARAMS:
-                    raise ConfigError(f"unknown field {where}.{sub}.{key}")
+        spec = params.get(sub, {})
+        if not isinstance(spec, dict):
+            raise ConfigError(f"{where}.{sub} must be an object, got {spec!r}")
+        for key in spec:
+            if key not in _PHI_PARAMS:
+                raise ConfigError(f"unknown field {where}.{sub}.{key}")
 
 
 def build(family: str, params: dict) -> Problem:
     """Build a shipped family from plain configuration parameters."""
-    params = dict(params or {})
+    params = params or {}
     validate_params(family, params)
-    if family == "quadratic_over_ball":
-        return build_quadratic_over_ball(
-            params.get("target", [1.05, 0.0]),
-            m=params.get("m", 1),
-            center=params.get("center"),
-            radius=params.get("radius", 1.0),
-            squared=params.get("squared", True),
-        )
-    if family == "affine_vi_over_polyhedron":
-        matrix = _as_matrix(params.get("matrix", [[0.0, 0.2], [-0.2, 0.0]]), "matrix")
-        offset = params.get("offset", [-0.1, -0.05])
-        if "rows" in params or "rhs" in params:
-            if "rows" not in params or "rhs" not in params:
-                raise ConfigError("rows and rhs must be given together")
-            return build_affine_vi_over_polyhedron(
-                matrix,
-                offset,
-                rows=params["rows"],
-                rhs=params["rhs"],
-                interior_point=params.get("interior_point"),
-                m=params.get("m", 1),
-            )
-        box = params.get("box", [[0.0, 0.0], [1.0, 1.0]])
-        return build_affine_vi_over_polyhedron(
-            matrix, offset, box=(box[0], box[1]), m=params.get("m", 1)
-        )
-    if family == "a1":
-        target = as_point(params.get("target", [0.05, 0.0]))
-        n = target.size
-        kind = params.get("objective", "relu")
-        op = AffineOperator.from_diagonal(np.ones(n), -target, label="pull_to_target")
-        if kind == "relu":
-            # f = max(x_1, 0); the minimizer set is the halfspace {x_1 <= 0}
-            # and the gauge itself is the exact distance to it.
-            rows = np.zeros((2, n))
-            rows[0, 0] = 1.0
-            objective = MaxOfAffine(rows, np.zeros(2), label="relu")
-            solution = target.copy()
-            solution[0] = min(solution[0], 0.0)
-            prob = build_a1(
-                op,
-                objective,
-                f_min=0.0,
-                surrogate=lambda y: max(float(y[0]), 0.0),
-                known_solution=solution,
-            )
-        elif kind in ("norm", "sqnorm"):
-            if kind == "norm":
-                objective = NormFunction(np.zeros(n), label="norm_objective")
-            else:
-                objective = Quadratic.half_sq_distance(np.zeros(n), label="sq_objective")
-            # Both objectives have the origin as unique minimizer.
-            prob = build_a1(
-                op,
-                objective,
-                f_min=0.0,
-                exact_set=BallSet(np.zeros(n), 0.0),
-                known_solution=np.zeros(n),
-            )
-        else:
-            raise ConfigError(f"unknown a1 objective {kind!r}")
-        prob.meta.update({"target": target.tolist(), "objective": kind})
-        return prob
-    if family == "a2":
-        L = _as_matrix(params.get("matrix", 2.0), "matrix")
-        phi1 = _quadratic_from_params(params.get("phi1", {}), L.shape[0], "phi1")
-        phi2 = _quadratic_from_params(
-            params.get("phi2", {"center": [4.0]}), L.shape[1], "phi2"
-        )
-        return build_a2(L, phi1, phi2)
-    if family == "a3":
-        L = _as_matrix(params.get("matrix", 1.0), "matrix")
-        phi1 = _quadratic_from_params(params.get("phi1", {}), L.shape[0], "phi1")
-        phi2 = _quadratic_from_params(params.get("phi2", {}), L.shape[0], "phi2")
-        return build_a3(L, phi1, phi2)
+    return _BUILDERS[family](**params)

@@ -3,7 +3,8 @@
 Points are plain 1-D float64 numpy arrays. ``as_point`` validates shape and
 finiteness so that bad values fail fast instead of propagating through an
 iterative run. ``as_number`` is the one rule for scalar settings (run
-options, counts, seeds, schedule constants) wherever they enter.
+options, counts, seeds, schedule constants) wherever they enter, and
+``as_dim`` applies it to the dimension of an operator, function or set.
 """
 
 from __future__ import annotations
@@ -47,3 +48,15 @@ def as_number(value, name: str, integer: bool = False) -> float | int:
         return int(value) if integer else float(value)
     except OverflowError as exc:
         raise ConfigError(f"{name} is out of range, got {value!r}") from exc
+
+
+def as_dim(value, what: str) -> int:
+    """``value`` as the dimension of a ``what``: an integer (``as_number``) of at least 1.
+
+    A non-integer (2.5, "x") is a ``ConfigError``; an integer below 1 is a
+    ``DimensionMismatch``.
+    """
+    dim = as_number(value, f"{what} dimension", integer=True)
+    if dim < 1:
+        raise DimensionMismatch(f"{what} dimension must be at least 1")
+    return dim

@@ -7,6 +7,7 @@ import pytest
 
 from visplit import ConfigError, PowerStepsize, TRACE_COLUMNS, build, checks, run
 from visplit.cli import CHECK_SUITES, RUN_KEYS, main
+from visplit.problems import FAMILY_PARAMS
 from visplit.solver import run_options
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -210,11 +211,18 @@ def test_non_numeric_values_exit_2(tmp_path, capsys, cfg, field):
         {"family": "quadratic_over_ball", "params": {"radius": "2"}},
         {"family": "quadratic_over_ball", "params": {"squared": "false"}},
         {"family": "a2", "params": {"phi2": {"weight": True}}},
+        {"family": "a2", "params": {"phi1": None}},
+        {"family": "affine_vi_over_polyhedron", "params": {
+            "box": [[0.0, 0.0], [1.0, 1.0]], "rows": [[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+            "rhs": [1.0, 0.0, 0.0], "interior_point": [0.25, 0.25]}},
+        {"family": "affine_vi_over_polyhedron", "params": {
+            "box": [[0.0, 0.0], [1.0, 1.0]], "interior_point": [0.25, 0.25]}},
     ],
     ids=[
         "params", "x0-text", "x0-dim", "x0-word", "theta-inf", "label",
         "a3-nan", "a2-inf", "target_err", "ball-m-huge", "polyhedron-m-huge", "m-inf",
-        "radius-text", "squared-text", "weight-bool",
+        "radius-text", "squared-text", "weight-bool", "phi-null", "box-and-rows",
+        "box-and-interior-point",
     ],
 )
 def test_bad_second_config_stops_the_batch_before_any_run(tmp_path, capsys, bad):
@@ -292,6 +300,20 @@ def test_readme_documents_the_run_fields():
     }
     defaults = run_options(build("a3", {}))
     assert stated == {name: value for name, value in defaults.items() if value is not None}
+
+
+def test_readme_documents_the_family_fields():
+    # The key params column of the README's family table lists exactly the
+    # fields each family's function takes.
+    with open(README, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Problem families", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            family, _, params = line.strip("|").split("|")[:3]
+            table[family.strip("` ")] = set(re.findall(r"`(\w+)`", params))
+    assert table == {family: set(params) for family, params in FAMILY_PARAMS.items()}
 
 
 def test_bench_reps_must_be_an_integer(tmp_path, capsys):

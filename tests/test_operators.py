@@ -13,7 +13,9 @@ from visplit import (
     ConstantFunction,
     DimensionMismatch,
     EmbeddedOperator,
+    ExactSet,
     GradientOperator,
+    Halfspace,
     MaxOfAffine,
     NonFiniteValue,
     NormFunction,
@@ -75,15 +77,64 @@ def test_affine_operator_rejects_nonmonotone_matrix():
         lambda: BallSet([0.0], -1.0),
         lambda: BallSet([0.0, 0.0], float("nan")),
         lambda: BoxSet([1.0], [0.0]),
+        lambda: Halfspace.whole_space(2.5),
+        lambda: Halfspace.whole_space("x"),
+        lambda: ZeroOperator(2.5),
+        lambda: ConstantFunction(2.5, 0.0),
+        lambda: ExactSet(2.5),
+        lambda: EmbeddedOperator(2, ZeroOperator(1), 0.5),
+        lambda: ConstantFunction(2, "1"),
     ],
     ids=[
         "affine", "affine-diagonal", "quadratic", "scaled", "norm", "norm-nan",
         "half-sq-distance", "empty-sum", "ball", "ball-nan", "box",
+        "whole-space-fraction", "whole-space-text", "operator-fraction",
+        "function-fraction", "set-fraction", "embedded-start-fraction", "constant-text",
     ],
 )
 def test_invalid_construction_is_a_config_error(make):
     # ConfigError is a VisplitError and a ValueError.
     with pytest.raises(ConfigError):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Halfspace.whole_space(0),
+        lambda: ZeroOperator(0),
+        lambda: ConstantFunction(0, 0.0),
+        lambda: ExactSet(0),
+    ],
+    ids=["whole-space", "operator", "function", "set"],
+)
+def test_a_dimension_below_one_is_a_dimension_mismatch(make):
+    with pytest.raises(DimensionMismatch):
+        make()
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ConstantFunction(2, NAN),
+        lambda: AffineFunction([1.0], NAN),
+        lambda: NormFunction([0.0], 1.0, NAN),
+        lambda: Quadratic([[1.0]], None, NAN),
+        lambda: Quadratic.from_diagonal([1.0], None, float("inf")),
+        lambda: ShiftedFunction(NormFunction([0.0]), NAN),
+        lambda: problems.build_a1(
+            ZeroOperator(1), NormFunction([0.0]), NAN, exact_set=BallSet([0.0], 0.0)
+        ),
+    ],
+    ids=["constant", "affine", "norm", "quadratic", "quadratic-diagonal", "shifted", "a1"],
+)
+def test_a_non_finite_constant_is_rejected(make):
+    # A NaN constant would make the gauge NaN everywhere, and c(x) > 0 is
+    # False for NaN, so every point would pass as feasible.
+    with pytest.raises(NonFiniteValue):
         make()
 
 
@@ -224,7 +275,7 @@ def test_diagonal_maps_match_the_dense_reference_bitwise():
                 assert _bits(fast.select(x)) == _bits(ref.select(x))
             ref = _DenseQuadratic(A, b, c)
             for fast in (Quadratic(A, b, c), Quadratic.from_diagonal(d, b, c)):
-                assert fast._diag is not None
+                assert fast.gradient._diag is not None
                 assert _bits(fast.value(x)) == _bits(ref.value(x))
                 assert _bits(fast.subgradient(x)) == _bits(ref.subgradient(x))
 
