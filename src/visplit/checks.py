@@ -9,7 +9,7 @@ runs step by step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ from .problems import FAMILIES, build
 from .solver import AdaptivePowerStepsize, PowerStepsize, run
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -198,6 +198,7 @@ def _execute_run(job: RunJob, label: str, outdir: str) -> dict:
     _write_trace(os.path.join(rundir, "trace.csv"), state.trace)
 
     final = state.trace[-1]
+    checks = state.cycle_checks
     summary = {
         "label": label,
         "family": cfg["family"],
@@ -210,6 +211,9 @@ def _execute_run(job: RunJob, label: str, outdir: str) -> dict:
         "stop_reason": state.stop_reason,
         "seed": job.seed,
         "final": {c: _jsonable(v) for c, v in zip(TRACE_COLUMNS, final.row())},
+        "worst_containment": _jsonable(max(c.containment for c in checks)),
+        "worst_drift_excess": _jsonable(max(c.drift_excess for c in checks)),
+        "eta_stress_steps": sum(c.eta_stress for c in checks),
         "known_solution": _jsonable(problem.known_solution),
         "solution_estimate": _jsonable(state.x),
         "wall_time_total": elapsed,

@@ -193,7 +193,7 @@ class BallSet(ExactSet):
 
     def __init__(self, center, radius: float):
         center = as_point(center)
-        radius = float(radius)
+        radius = as_number(radius, "radius")
         if not radius >= 0:
             raise ConfigError("radius must be nonnegative")
         super().__init__(center.size)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ from .errors import ConfigError, IterationBudgetExceeded
 from .space import Vector, as_number, as_point
 
 
-@dataclass
-class InnerResult:
+class InnerResult(NamedTuple):
     """Relaxed-feasibility output handed back to the outer step.
 
     z0 is the new near-feasible point, sep the last separator built (it

@@ -168,7 +168,7 @@ class ScaledOperator(Operator):
     """t * T for t >= 0; nonnegative scaling preserves monotonicity."""
 
     def __init__(self, base: Operator, factor: float, label: str = ""):
-        factor = float(factor)
+        factor = as_number(factor, "factor")
         if not np.isfinite(factor) or factor < 0:
             raise ConfigError("scale factor must be finite and nonnegative")
         super().__init__(base.dim, label or f"{factor}*{base.label}")
@@ -287,8 +287,8 @@ class Quadratic(ConvexFunction):
     def half_sq_distance(cls, center, weight: float = 1.0, label: str = "") -> "Quadratic":
         """0.5 * weight * ||x - center||^2."""
         center = as_point(center)
-        w = float(weight)
-        if w < 0:
+        w = as_number(weight, "weight")
+        if not w >= 0:
             raise ConfigError("weight must be nonnegative")
         return cls.from_diagonal(
             np.full(center.size, w),
@@ -316,7 +316,7 @@ class NormFunction(ConvexFunction):
 
     def __init__(self, center, scale: float = 1.0, offset: float = 0.0, label: str = "norm"):
         center = as_point(center)
-        scale = float(scale)
+        scale = as_number(scale, "scale")
         if not scale >= 0:
             raise ConfigError("scale must be nonnegative")
         super().__init__(center.size, label)

@@ -15,7 +15,7 @@ is caught, not reproduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -341,11 +341,18 @@ def with_reference(problem: Problem, rng=None) -> Problem:
             return problem
         x = problem.known_solution
     cert = tuple(op.select(x) for op in problem.operators)
-    return replace(problem, known_solution=x, certificate=cert)
+    return Problem(
+        operators=problem.operators,
+        constraint=problem.constraint,
+        label=problem.label,
+        known_solution=x,
+        certificate=cert,
+        use_exact_projection=problem.use_exact_projection,
+        meta=dict(problem.meta),
+    )
 
 
-@dataclass
-class AuditReport:
+class AuditReport(NamedTuple):
     """Outcome of replaying a recorded run against recomputed bounds.
 
     Gap fields are worst cases over all replayed steps; the fejer fields are

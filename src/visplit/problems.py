@@ -164,9 +164,9 @@ def build_quadratic_over_ball(
     ||x - center|| - radius with squared=False.
     """
     m = _parts(m)
-    target = as_point(target)
+    target = as_point(target, name="target")
     n = target.size
-    center = np.zeros(n) if center is None else as_point(center, n)
+    center = np.zeros(n) if center is None else as_point(center, n, "center")
     radius = as_number(radius, "radius")
     if not radius > 0:
         raise ConfigError("radius must be positive")
@@ -226,16 +226,19 @@ def build_affine_vi_over_polyhedron(
     m = _parts(m)
     A = _as_matrix(matrix, "matrix")
     n = A.shape[0]
-    offset = as_point(offset, n)
+    offset = as_point(offset, n, "offset")
 
     if (rows is None) != (rhs is None):
         raise ConfigError("rows and rhs must be given together")
     if rows is None:
         if interior_point is not None:
             raise ConfigError("interior_point belongs to rows and rhs, not to a box")
-        lo, hi = ((0.0, 0.0), (1.0, 1.0)) if box is None else box
-        lo = as_point(lo, n)
-        hi = as_point(hi, n)
+        try:
+            lo, hi = ((0.0, 0.0), (1.0, 1.0)) if box is None else box
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"box must be a pair [lo, hi], got {box!r}") from exc
+        lo = as_point(lo, n, "box[0]")
+        hi = as_point(hi, n, "box[1]")
         gauge = MaxOfAffine(
             np.vstack([np.eye(n), -np.eye(n)]),
             np.concatenate([hi, -lo]),
@@ -248,7 +251,7 @@ def build_affine_vi_over_polyhedron(
             raise ConfigError("give either a box or rows and rhs, not both")
         if interior_point is None:
             raise ConfigError("a row polyhedron needs a strictly feasible point")
-        gauge = MaxOfAffine(rows, rhs, label="polyhedron_gauge")
+        gauge = MaxOfAffine(_as_matrix(rows, "rows"), rhs, label="polyhedron_gauge")
         constraint = Constraint(gauge, slater_point=interior_point, label="polyhedron")
         meta_set = {
             "rows": gauge.rows.tolist(),
@@ -412,7 +415,11 @@ def build_a3(matrix, phi1: ConvexFunction, phi2: ConvexFunction) -> Problem:
 
 
 def _as_matrix(value, what: str) -> np.ndarray:
-    M = np.asarray(value, dtype=float)
+    """``value`` as a float matrix (a number is 1x1); a ``ConfigError`` naming ``what`` otherwise."""
+    try:
+        M = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be a matrix of numbers: {exc}") from exc
     if M.ndim == 0:
         M = M.reshape(1, 1)
     if M.ndim != 2:
@@ -423,13 +430,13 @@ def _as_matrix(value, what: str) -> np.ndarray:
 def _phi(what: str, dim: int, weight: float = 1.0, center=None) -> Quadratic:
     """phi = 0.5 * weight * ||x - center||^2 on R^dim; the center defaults to the origin."""
     weight = as_number(weight, f"{what}.weight")
-    center = np.zeros(dim) if center is None else as_point(center, dim)
+    center = np.zeros(dim) if center is None else as_point(center, dim, f"{what}.center")
     return Quadratic.half_sq_distance(center, weight, label=what)
 
 
 def _a1_config(target=(0.05, 0.0), objective: str = "relu") -> Problem:
     """a1: pull toward ``target`` over the minimizers of "relu", "norm" or "sqnorm"."""
-    target = as_point(target)
+    target = as_point(target, name="target")
     n = target.size
     op = AffineOperator.from_diagonal(np.ones(n), -target, label="pull_to_target")
     if objective == "relu":

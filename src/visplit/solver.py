@@ -26,7 +26,14 @@ numerator beta_k by a probe of that bound taken at z_0 before the cycle
 runs, and the feasibility stage is driven by beta_k itself, since the
 stepsize does not exist until the probe point does.
 
-``outer_step`` calls only kernels, which trust their points: ``SolverState``,
+A step has two phases. ``_advance`` is the math above and writes the new
+state; ``_diagnose`` computes the audit quantities of that step (cycle
+containment and drift, err_x, fejer_slack, dist_x) and its record.
+``outer_step`` runs both. ``run`` advances on every step, evaluates only
+what its stop test reads, and diagnoses only the rows it keeps, so its
+``cycle_checks`` hold the kept rows.
+
+Both phases call only kernels, which trust their points: ``SolverState``,
 ``run`` and ``Problem`` check what enters, the step checks that the state's
 dimension is the problem's, and that z_{k+1} is finite.
 """
@@ -35,7 +42,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,7 +145,6 @@ def stepsize(schedule: StepsizeSchedule, k: int, eta_k: float = 1.0) -> float:
     return a
 
 
-@dataclass(frozen=True, eq=False)
 class Problem:
     """A variational inequality VI(T1+...+Tm, C) handed to the solver.
 
@@ -150,44 +156,72 @@ class Problem:
     constraint's exact projector, for feasible sets that are cheap to
     project onto directly. The descent-bound constants of a certificate,
     max_i ||u_i|| and ||sum_i u_i||, are computed once here.
+
+    A problem is checked when built and rejects attribute assignment; a
+    variant is built through the constructor, which checks it again.
     """
 
-    operators: tuple[Operator, ...]
-    constraint: Constraint
-    label: str = ""
-    known_solution: np.ndarray | None = None
-    certificate: tuple[np.ndarray, ...] | None = None
-    use_exact_projection: bool = False
-    meta: dict = field(default_factory=dict)
+    __slots__ = (
+        "operators", "constraint", "label", "known_solution", "certificate",
+        "use_exact_projection", "meta", "_eta_bar", "_u_bar",
+    )
 
-    def __post_init__(self):
-        ops = tuple(self.operators)
+    def __init__(
+        self,
+        operators: tuple[Operator, ...],
+        constraint: Constraint,
+        label: str = "",
+        known_solution: np.ndarray | None = None,
+        certificate: tuple[np.ndarray, ...] | None = None,
+        use_exact_projection: bool = False,
+        meta: dict | None = None,
+    ):
+        ops = tuple(operators)
         if len(ops) < 1:
             raise ConfigError("a problem needs at least one operator")
-        dim = self.constraint.dim
+        dim = constraint.dim
         for op in ops:
             if op.dim != dim:
                 raise ConfigError(
                     f"operator {op.label!r} has dim {op.dim}, constraint has {dim}"
                 )
-        object.__setattr__(self, "operators", ops)
-        if self.known_solution is not None:
-            xs = as_point(self.known_solution, dim)
-            cx = self.constraint.value(xs)
+        if known_solution is not None:
+            known_solution = as_point(known_solution, dim)
+            cx = constraint.value(known_solution)
             if cx > 1e-9:
                 raise ConfigError(f"known solution is infeasible: c(x*) = {cx!r}")
-            object.__setattr__(self, "known_solution", xs)
-        if self.certificate is not None:
-            if self.known_solution is None:
+        if certificate is not None:
+            if known_solution is None:
                 raise ConfigError("a certificate requires a known solution")
-            cert = tuple(as_point(u, dim) for u in self.certificate)
-            if len(cert) != len(ops):
+            certificate = tuple(as_point(u, dim) for u in certificate)
+            if len(certificate) != len(ops):
                 raise ConfigError("certificate needs one selection per operator")
-            object.__setattr__(self, "certificate", cert)
-            object.__setattr__(self, "_eta_bar", max(float(np.linalg.norm(u)) for u in cert))
-            object.__setattr__(self, "_u_bar", float(np.linalg.norm(self.certificate_sum())))
-        if self.use_exact_projection and self.constraint.exact_set is None:
+        if use_exact_projection and constraint.exact_set is None:
             raise ConfigError("exact projection requested but constraint has no exact set")
+        for name, value in (
+            ("operators", ops),
+            ("constraint", constraint),
+            ("label", label),
+            ("known_solution", known_solution),
+            ("certificate", certificate),
+            ("use_exact_projection", use_exact_projection),
+            ("meta", {} if meta is None else meta),
+            ("_eta_bar", None),
+            ("_u_bar", None),
+        ):
+            object.__setattr__(self, name, value)
+        if certificate is not None:
+            object.__setattr__(self, "_eta_bar", max(float(np.linalg.norm(u)) for u in certificate))
+            object.__setattr__(self, "_u_bar", float(np.linalg.norm(self.certificate_sum())))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a Problem is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a Problem is immutable")
+
+    def __repr__(self) -> str:
+        return f"Problem({self.label!r}, m={self.m}, dim={self.dim})"
 
     @property
     def m(self) -> int:
@@ -201,8 +235,7 @@ class Problem:
         return np.sum(np.stack(self.certificate), axis=0)
 
 
-@dataclass
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One outer iteration, in the stable column order of trace files."""
 
     k: int
@@ -217,14 +250,13 @@ class TraceRecord:
     wall_time: float
 
     def row(self) -> list:
-        return [getattr(self, c) for c in TRACE_COLUMNS]
+        return list(self)
 
 
-TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
+TRACE_COLUMNS = TraceRecord._fields
 
 
-@dataclass
-class StepSnapshot:
+class StepSnapshot(NamedTuple):
     """Raw per-step data for replay audits; stored only on request."""
 
     k: int
@@ -235,8 +267,7 @@ class StepSnapshot:
     inner_iterations: int
 
 
-@dataclass
-class CycleCheck:
+class CycleCheck(NamedTuple):
     """Worst-case cycle diagnostics of one outer step.
 
     containment is the largest distance of a cycle point from the region it
@@ -252,28 +283,35 @@ class CycleCheck:
     eta_stress: bool = False
 
 
-@dataclass
 class SolverState:
     """Mutable run state: base point, average, accumulators, and records.
 
     The constructor checks z and x (same length, finite); ``outer_step``
     trusts them and writes only finite points back. ``snapshots`` is None,
-    or a list ``outer_step`` appends to; ``trace`` holds the rows the caller
-    keeps.
+    or a list the step appends to; ``trace`` holds the rows the caller
+    keeps and ``cycle_checks`` the diagnostics of those rows (``run``) or
+    of every step (``outer_step``). Each state gets its own lists.
     """
 
-    z: Vector
-    x: Vector
-    k: int = 0
-    sigma: float = 0.0
-    trace: list = field(default_factory=list)
-    snapshots: list | None = None
-    cycle_checks: list = field(default_factory=list)
-    stop_reason: str | None = None
-
-    def __post_init__(self):
-        self.z = as_point(self.z)
-        self.x = as_point(self.x, self.z.size)
+    def __init__(
+        self,
+        z,
+        x,
+        k: int = 0,
+        sigma: float = 0.0,
+        trace: list | None = None,
+        snapshots: list | None = None,
+        cycle_checks: list | None = None,
+        stop_reason: str | None = None,
+    ):
+        self.z = as_point(z)
+        self.x = as_point(x, self.z.size)
+        self.k = k
+        self.sigma = sigma
+        self.trace = [] if trace is None else trace
+        self.snapshots = snapshots
+        self.cycle_checks = [] if cycle_checks is None else cycle_checks
+        self.stop_reason = stop_reason
 
 
 def outer_step(
@@ -286,8 +324,28 @@ def outer_step(
     """Advance the state by one outer iteration and return its record.
 
     The record is not appended to ``state.trace``: which rows to keep is the
-    caller's choice (``run`` keeps every cadence-th and the last). A snapshot
-    is appended when ``state.snapshots`` is a list.
+    caller's choice (``run`` keeps every cadence-th and the last). The
+    step's ``CycleCheck`` is appended to ``state.cycle_checks``, and a
+    snapshot to ``state.snapshots`` when that is a list.
+    """
+    step = _advance(problem, schedule, state, theta, max_inner)
+    return _diagnose(problem, schedule, state, step, theta)
+
+
+def _advance(
+    problem: Problem,
+    schedule: StepsizeSchedule,
+    state: SolverState,
+    theta: float,
+    max_inner: int,
+) -> tuple:
+    """The step's math: feasibility stage, stepsize, cycle and average.
+
+    Writes z_{k+1}, x_{k+1}, sigma_{k+1} and k + 1 to the state, and the
+    snapshot when requested. Returns what ``_diagnose`` reads, in this
+    order: the clock at the start, k, z_k, the cycle points z0 ... z_{k+1},
+    the region, the adaptive probe (None for explicit rules), alpha_k,
+    eta_k, the feasibility projections and the distance bound at z0.
     """
     t0 = time.perf_counter()
     k = state.k
@@ -304,17 +362,10 @@ def outer_step(
         z0 = z if cz <= 0 else region._project(z)
         inner_iters, dist_z0 = 0, 0.0
     elif cz <= 0:
-        res = _feasible_shortcut(constraint, z, cz)
-        z0, region, inner_iters, dist_z0 = res.z0, res.sep, 0, 0.0
+        z0, region, inner_iters, dist_z0 = _feasible_shortcut(constraint, z, cz)
     else:
-        res = _run_inner(
+        z0, region, inner_iters, dist_z0 = _run_inner(
             constraint, z, cz, theta * schedule.alpha(k), max_inner
-        )
-        z0, region, inner_iters, dist_z0 = (
-            res.z0,
-            res.sep,
-            res.iterations,
-            res.dist_bound_at_exit,
         )
 
     # Stepsize. The adaptive rule probes all selections at z0 first; a probe
@@ -347,6 +398,48 @@ def outer_step(
     weight = alpha / sigma
     x_next = (1.0 - weight) * state.x + weight * z_next
 
+    if state.snapshots is not None:
+        state.snapshots.append(
+            StepSnapshot(k, z.copy(), z0.copy(), z_next.copy(), region, inner_iters)
+        )
+
+    state.k = k + 1
+    state.z = z_next
+    state.x = x_next
+    state.sigma = sigma
+    return t0, k, z, points, region, probe, alpha, eta, inner_iters, dist_z0
+
+
+def _err_x(problem: Problem, x: Vector) -> float:
+    """||x - x*||, or NaN without a known solution."""
+    if problem.known_solution is None:
+        return float("nan")
+    return float(np.linalg.norm(x - problem.known_solution))
+
+
+def _dist_x(problem: Problem, x: Vector) -> float:
+    """The constraint's distance bound at x, from one gauge evaluation."""
+    constraint = problem.constraint
+    return constraint._dist_upper(x, constraint.fn._value(x))
+
+
+def _diagnose(
+    problem: Problem,
+    schedule: StepsizeSchedule,
+    state: SolverState,
+    step: tuple,
+    theta: float,
+    err_x: float | None = None,
+    dist_x: float | None = None,
+) -> TraceRecord:
+    """Diagnostics and the record of the step ``_advance`` has just taken.
+
+    Appends the step's ``CycleCheck`` and returns its ``TraceRecord``;
+    ``err_x`` and ``dist_x`` are computed here unless the caller already
+    has them for ``state.x``.
+    """
+    t0, k, z, points, region, probe, alpha, eta, inner_iters, dist_z0 = step
+
     # Cycle diagnostics: containment in the region and the drift bound.
     containment = max(float(region._distance(p)) for p in points)
     drift = 0.0
@@ -359,37 +452,27 @@ def outer_step(
     state.cycle_checks.append(CycleCheck(k, containment, drift, stress))
 
     # Optional audit quantities against a known solution.
-    err_x = float("nan")
+    if err_x is None:
+        err_x = _err_x(problem, state.x)
     fejer_slack = float("nan")
-    if problem.known_solution is not None:
+    if problem.certificate is not None:
         xs = problem.known_solution
-        err_x = float(np.linalg.norm(x_next - xs))
-        if problem.certificate is not None:
-            m = problem.m
-            bound = m * (
-                (eta * alpha) ** 2 + (m - 1) * problem._eta_bar * eta * alpha**2
-            ) + 2.0 * theta * problem._u_bar * schedule.alpha(k) * alpha
-            before = float(np.linalg.norm(z - xs)) ** 2
-            after = float(np.linalg.norm(z_next - xs)) ** 2
-            fejer_slack = before + bound - after
+        m = problem.m
+        bound = m * (
+            (eta * alpha) ** 2 + (m - 1) * problem._eta_bar * eta * alpha**2
+        ) + 2.0 * theta * problem._u_bar * schedule.alpha(k) * alpha
+        before = float(np.linalg.norm(z - xs)) ** 2
+        after = float(np.linalg.norm(points[-1] - xs)) ** 2
+        fejer_slack = before + bound - after
 
-    dist_x = constraint._dist_upper(x_next, constraint.fn._value(x_next))
-
-    if state.snapshots is not None:
-        state.snapshots.append(
-            StepSnapshot(k, z.copy(), z0.copy(), z_next.copy(), region, inner_iters)
-        )
-
-    state.k = k + 1
-    state.z = z_next
-    state.x = x_next
-    state.sigma = sigma
+    if dist_x is None:
+        dist_x = _dist_x(problem, state.x)
 
     return TraceRecord(
         k=k,
         alpha_k=alpha,
         eta_k=eta,
-        sigma_k=sigma,
+        sigma_k=state.sigma,
         inner_iterations=inner_iters,
         dist_x=dist_x,
         dist_z0=dist_z0,
@@ -475,27 +558,35 @@ def run(
     Returns
     -------
     SolverState
-        Final state with trace, diagnostics, and stop_reason set.
+        Final state with stop_reason set. ``trace`` holds every cadence-th
+        record and the final one; ``cycle_checks`` holds the diagnostics of
+        exactly those rows.
     """
     options = run_options(problem, **options)
+    theta, max_inner = options["theta"], options["max_inner"]
     max_outer, cadence = options["max_outer"], options["cadence"]
     target_err, target_dist = options["target_err"], options["target_dist"]
     x0 = as_point(np.zeros(problem.dim) if x0 is None else x0, problem.dim)
     state = SolverState(z=x0.copy(), x=x0.copy(), snapshots=[] if snapshots else None)
 
+    # Every step advances; only the stop test's quantities are evaluated on
+    # every step, and the diagnostics only for the rows that are kept.
     for k in range(max_outer):
-        rec = outer_step(
-            problem, schedule, state, theta=options["theta"], max_inner=options["max_inner"]
-        )
-        if target_err is not None and rec.err_x <= target_err:
-            state.stop_reason = "target_err"
-        elif target_dist is not None and rec.dist_x <= target_dist:
-            state.stop_reason = "target_dist"
-        elif k == max_outer - 1:
+        step = _advance(problem, schedule, state, theta, max_inner)
+        err_x = dist_x = None
+        if target_err is not None:
+            err_x = _err_x(problem, state.x)
+            if err_x <= target_err:
+                state.stop_reason = "target_err"
+        if state.stop_reason is None and target_dist is not None:
+            dist_x = _dist_x(problem, state.x)
+            if dist_x <= target_dist:
+                state.stop_reason = "target_dist"
+        if state.stop_reason is None and k == max_outer - 1:
             state.stop_reason = "max_outer"
         # Cadence decimation never drops the final record.
         if k % cadence == 0 or state.stop_reason is not None:
-            state.trace.append(rec)
+            state.trace.append(_diagnose(problem, schedule, state, step, theta, err_x, dist_x))
         if state.stop_reason is not None:
             break
     return state

@@ -18,15 +18,22 @@ from .errors import ConfigError, DimensionMismatch, NonFiniteValue
 Vector = np.ndarray
 
 
-def as_point(x, dim: int | None = None) -> Vector:
-    """Coerce ``x`` to a finite 1-D float64 array, optionally of length ``dim``."""
-    p = np.asarray(x, dtype=float)
+def as_point(x, dim: int | None = None, name: str = "vector") -> Vector:
+    """Coerce ``x`` to a finite 1-D float64 array, optionally of length ``dim``.
+
+    A value that does not convert to numbers (a word, a ragged list) is a
+    ``ConfigError`` that names it as ``name``.
+    """
+    try:
+        p = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a vector of numbers: {exc}") from exc
     if p.ndim == 0:
         p = p.reshape(1)
     if p.ndim != 1 or p.size < 1:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
-        raise NonFiniteValue("vector has NaN or infinite entries")
+        raise NonFiniteValue(f"{name} has NaN or infinite entries")
     if dim is not None and p.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {p.size}")
     return p

@@ -6,8 +6,6 @@ solver calls kernels only: a step checks at most the normals its separators
 take from the subgradient oracle, and evaluates the gauge once per point.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -127,13 +125,13 @@ POINT_METHODS = _point_methods()
 
 
 def _same(a, b) -> bool:
-    """Equal types and bitwise-equal numbers, through dataclass fields and halfspaces."""
+    """Equal types and bitwise-equal numbers, through tuple fields and halfspaces."""
     if type(a) is not type(b):
         return False
     if isinstance(a, Halfspace):
         return _same(a.normal, b.normal) and _same(a.offset, b.offset)
-    if dataclasses.is_dataclass(a):
-        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 

@@ -5,7 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from visplit import ConfigError, PowerStepsize, TRACE_COLUMNS, build, checks, run
+from visplit import (
+    AdaptivePowerStepsize, ConfigError, PowerStepsize, TRACE_COLUMNS, build, checks, run,
+)
 from visplit.cli import CHECK_SUITES, RUN_KEYS, main
 from visplit.problems import FAMILY_PARAMS
 from visplit.solver import run_options
@@ -233,6 +235,50 @@ def test_bad_second_config_stops_the_batch_before_any_run(tmp_path, capsys, bad)
     assert main(["run", path, "--output", str(out)]) == 2
     assert f"{path}[1]" in capsys.readouterr().err
     assert not out.exists()
+
+
+MALFORMED_ARRAYS = [
+    ("affine_vi_over_polyhedron", {"box": [[0, 0], [1, 1], [2, 2]]}, "box"),
+    ("affine_vi_over_polyhedron", {"box": 5}, "box"),
+    ("affine_vi_over_polyhedron", {"offset": "ab"}, "offset"),
+    ("quadratic_over_ball", {"target": "xyz"}, "target"),
+    ("a3", {"matrix": [[1, 2], [3]]}, "matrix"),
+]
+
+
+@pytest.mark.parametrize(
+    "family, params, field", MALFORMED_ARRAYS, ids=["box-3-rows", "box-number", "offset-text",
+                                                     "target-text", "matrix-ragged"]
+)
+def test_a_malformed_array_field_is_a_config_error_naming_it(tmp_path, capsys, family, params,
+                                                              field):
+    with pytest.raises(ConfigError, match=f"^{field}"):
+        build(family, params)
+    path = _write_cfg(tmp_path / "cfg.json", {"family": family, "params": params})
+    out = tmp_path / "out"
+    assert main(["run", path, "--output", str(out)]) == 2
+    assert f"{path}: {field}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_summary_reports_the_kept_rows_cycle_diagnostics(tmp_path):
+    # summary.json carries the worst containment and drift excess and the
+    # eta-stress count over the rows the run kept, the same as state.cycle_checks.
+    params = {"target": [2.0, 0.0], "m": 2}
+    schedule = {"kind": "adaptive_power", "a": 0.6, "p": 0.55}
+    cfg = {"family": "quadratic_over_ball", "params": params, "schedule": schedule,
+           "x0": [2.0, 0.5], "max_outer": 60, "cadence": 7, "label": "ball"}
+    out = tmp_path / "out"
+    assert main(["run", _write_cfg(tmp_path / "cfg.json", cfg), "--output", str(out)]) == 0
+    summary = _read_summary(out / "ball")
+    state = run(build("quadratic_over_ball", params), AdaptivePowerStepsize(0.6, 0.55),
+                x0=[2.0, 0.5], max_outer=60, cadence=7)
+    kept = state.cycle_checks
+    assert [c.k for c in kept] == [0, 7, 14, 21, 28, 35, 42, 49, 56, 59]
+    assert summary["worst_containment"] == max(c.containment for c in kept)
+    assert summary["worst_drift_excess"] == max(c.drift_excess for c in kept)
+    assert summary["eta_stress_steps"] == sum(c.eta_stress for c in kept)
+    assert max(c.containment for c in kept) > 0.0
 
 
 BAD_RUN_OPTIONS = [

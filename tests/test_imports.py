@@ -35,10 +35,10 @@ def test_import_visplit_loads_no_oracle_problems_or_checks():
 def test_import_cli_loads_no_oracle_checks_or_thread_pool():
     loaded = _python(
         "import sys, visplit.cli\n"
-        "for m in ('visplit.oracle', 'visplit.checks', 'concurrent.futures'):\n"
+        "for m in ('visplit.oracle', 'visplit.checks', 'concurrent.futures', 'dataclasses'):\n"
         "    print(m in sys.modules)"
     )
-    assert loaded == ["False"] * 3
+    assert loaded == ["False"] * 4
 
 
 def test_lazy_exports_resolve():

@@ -84,12 +84,18 @@ def test_affine_operator_rejects_nonmonotone_matrix():
         lambda: ExactSet(2.5),
         lambda: EmbeddedOperator(2, ZeroOperator(1), 0.5),
         lambda: ConstantFunction(2, "1"),
+        lambda: NormFunction([0.0], "2"),
+        lambda: ScaledOperator(ZeroOperator(1), True),
+        lambda: Quadratic.half_sq_distance([0.0], "1"),
+        lambda: BallSet([0.0], "2"),
     ],
     ids=[
         "affine", "affine-diagonal", "quadratic", "scaled", "norm", "norm-nan",
         "half-sq-distance", "empty-sum", "ball", "ball-nan", "box",
         "whole-space-fraction", "whole-space-text", "operator-fraction",
         "function-fraction", "set-fraction", "embedded-start-fraction", "constant-text",
+        "norm-scale-text", "scaled-factor-bool", "half-sq-distance-weight-text",
+        "ball-radius-text",
     ],
 )
 def test_invalid_construction_is_a_config_error(make):

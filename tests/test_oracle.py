@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -109,8 +107,12 @@ def test_reference_solution_rejects_unknown_meta():
 
 def test_with_reference_rejects_a_wrong_declared_solution():
     prob = build("quadratic_over_ball", {"target": [2.0, 0.0]})
-    wrong = dataclasses.replace(
-        prob, known_solution=[0.6, 0.8], certificate=None
+    wrong = Problem(
+        operators=prob.operators,
+        constraint=prob.constraint,
+        label=prob.label,
+        known_solution=[0.6, 0.8],
+        meta=prob.meta,
     )
     with pytest.raises(ConfigError, match="disagrees"):
         with_reference(wrong)

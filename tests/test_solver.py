@@ -1,5 +1,5 @@
-import dataclasses
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +19,7 @@ from visplit import (
     ScaledOperator,
     SolverState,
     TRACE_COLUMNS,
+    TraceRecord,
     ZeroOperator,
     build,
     outer_step,
@@ -124,12 +125,23 @@ def test_problem_validation():
         Problem(operators=(op,), constraint=no_exact, use_exact_projection=True)
     ball = build("quadratic_over_ball", {})
     with pytest.raises(ConfigError):
-        dataclasses.replace(ball, known_solution=[5.0, 0.0])
+        Problem(
+            operators=ball.operators,
+            constraint=ball.constraint,
+            label=ball.label,
+            known_solution=[5.0, 0.0],
+            certificate=ball.certificate,
+            meta=ball.meta,
+        )
     p = _free_problem(op, ZeroOperator(2))
     assert p.m == 2
     assert p.dim == 2
-    cert_p = dataclasses.replace(
-        p, known_solution=[0.0, 0.0], certificate=([1.0, 0.0], [0.5, 0.5])
+    cert_p = Problem(
+        operators=p.operators,
+        constraint=p.constraint,
+        label=p.label,
+        known_solution=[0.0, 0.0],
+        certificate=([1.0, 0.0], [0.5, 0.5]),
     )
     assert np.array_equal(cert_p.certificate_sum(), [1.5, 0.5])
 
@@ -165,11 +177,12 @@ def test_zero_operator_padding_changes_nothing():
     # Appending a zero summand leaves every iterate bitwise identical: the
     # extra cycle leg moves by zero and the projection is idempotent there.
     prob = build("quadratic_over_ball", {"target": [2.0, 0.0]})
-    padded = dataclasses.replace(
-        prob,
+    padded = Problem(
         operators=prob.operators + (ZeroOperator(2),),
-        certificate=None,
+        constraint=prob.constraint,
         label="padded",
+        known_solution=prob.known_solution,
+        meta=prob.meta,
     )
     s1 = run(prob, PowerStepsize(1.0, 1.0), x0=[2.0, 0.0], max_outer=50)
     s2 = run(padded, PowerStepsize(1.0, 1.0), x0=[2.0, 0.0], max_outer=50)
@@ -299,3 +312,97 @@ def test_wall_time_is_the_seconds_of_its_own_step(monkeypatch):
     state = run(build("quadratic_over_ball", {}), PowerStepsize(1.0, 1.0), x0=[2.0, 0.0],
                 max_outer=20)
     assert [rec.wall_time for rec in state.trace] == [1.0] * 20
+
+
+def _bits(values) -> list:
+    """Each value's type and float64 bytes: bitwise equality, NaN included."""
+    return [(type(v), np.float64(v).tobytes()) for v in values]
+
+
+def _assert_kept_rows_are_hand_stepped(problem, schedule, x0, **options):
+    """Run, then step the same problem by hand: every kept row and its
+    cycle check equal the hand-stepped ones bit for bit, wall_time aside."""
+    state = run(problem, schedule, x0=x0, **options)
+    hand = SolverState(z=x0, x=x0)
+    records = [outer_step(problem, schedule, hand) for _ in range(state.k)]
+    assert [c.k for c in state.cycle_checks] == [r.k for r in state.trace]
+    for rec, check in zip(state.trace, state.cycle_checks):
+        assert _bits(rec[:-1]) == _bits(records[rec.k][:-1]), rec.k
+        assert _bits(check) == _bits(hand.cycle_checks[rec.k]), rec.k
+    assert np.array_equal(state.x, hand.x) and np.array_equal(state.z, hand.z)
+    return state
+
+
+def _ball_power():
+    return build("quadratic_over_ball", {"target": [2.0, 0.0], "m": 2}), PowerStepsize(0.6, 0.55), [2.0, 0.5]
+
+
+def _box_adaptive():
+    return build("affine_vi_over_polyhedron", {}), AdaptivePowerStepsize(0.6, 0.55), [2.0, 2.0]
+
+
+def _graph_adaptive():
+    return build("a2", {}), AdaptivePowerStepsize(0.6, 0.55), [2.0, 0.0]
+
+
+@pytest.mark.parametrize("cadence", [1, 7, 100])
+@pytest.mark.parametrize(
+    "make", [_ball_power, _box_adaptive, _graph_adaptive], ids=["ball", "box", "graph"]
+)
+def test_kept_rows_are_the_hand_stepped_records(make, cadence):
+    # run diagnoses only the rows it keeps; those rows must be the records
+    # outer_step returns on every step, bit for bit.
+    problem, schedule, x0 = make()
+    state = _assert_kept_rows_are_hand_stepped(problem, schedule, x0, max_outer=250, cadence=cadence)
+    assert [r.k for r in state.trace] == sorted(set(range(0, 250, cadence)) | {249})
+
+
+@pytest.mark.parametrize("cadence", [7, 100])
+@pytest.mark.parametrize("target, value", [("target_err", 1e-2), ("target_dist", 3e-3)])
+def test_a_target_hit_between_cadence_multiples_is_kept(target, value, cadence):
+    problem = build("quadratic_over_ball", {})
+    state = _assert_kept_rows_are_hand_stepped(
+        problem, PowerStepsize(0.6, 0.55), [2.0, 0.5], max_outer=5000, cadence=cadence,
+        **{target: value},
+    )
+    assert state.stop_reason == target
+    last = state.trace[-1]
+    assert last.k == state.k - 1 and last.k % cadence != 0
+    assert getattr(last, target[len("target_"):] + "_x") <= value
+
+
+def test_records_and_problems_reject_assignment_and_share_no_state():
+    assert TraceRecord._fields == TRACE_COLUMNS
+    rec = run(build("a3", {}), PowerStepsize(1.0, 1.0), max_outer=1).trace[0]
+    with pytest.raises(AttributeError):
+        rec.k = 5
+    problem = build("quadratic_over_ball", {})
+    with pytest.raises(AttributeError):
+        problem.label = "renamed"
+    with pytest.raises(AttributeError):
+        problem.known_solution = None
+    with pytest.raises(AttributeError):
+        del problem.meta
+    one, two = SolverState(z=[0.0], x=[0.0]), SolverState(z=[0.0], x=[0.0])
+    assert one.trace is not two.trace
+    assert one.cycle_checks is not two.cycle_checks
+    op = AffineOperator(np.eye(2))
+    first, second = _free_problem(op), _free_problem(op)
+    first.meta["note"] = 1
+    assert second.meta == {}
+
+
+def test_a_decimated_run_retains_only_its_kept_rows():
+    # 2 x 10^4 steps at cadence 1000 keep 21 rows; diagnostics of the other
+    # steps are never built, so the state holds well under 0.5 MB.
+    problem = build("quadratic_over_ball", {})
+    schedule = PowerStepsize(0.6, 0.55)
+    run(problem, schedule, x0=[2.0, 0.0], max_outer=10)
+    tracemalloc.start()
+    try:
+        state = run(problem, schedule, x0=[2.0, 0.0], max_outer=20_000, cadence=1000)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(state.trace) == len(state.cycle_checks) == 21
+    assert retained < 0.5e6, retained
