@@ -40,10 +40,9 @@ _EXPORTS = {
     ),
     "innerloop": ("InnerResult", "feasible_shortcut", "run_inner"),
     "operators": (
-        "AffineFunction", "AffineOperator", "ConstantFunction", "ConvexFunction",
-        "EmbeddedOperator", "GradientOperator", "MaxOfAffine", "NormFunction",
-        "Operator", "Quadratic", "ScaledOperator", "ShiftedFunction", "ZeroOperator",
-        "sum_select",
+        "AffineOperator", "ConstantFunction", "ConvexFunction", "EmbeddedOperator",
+        "GradientOperator", "MaxOfAffine", "NormFunction", "Operator", "Quadratic",
+        "ScaledOperator", "ShiftedFunction", "sum_select",
     ),
     "oracle": (
         "AuditReport", "fejer_audit", "grid_vi_solution", "qp_project",
@@ -56,7 +55,7 @@ _EXPORTS = {
     "solver": (
         "AdaptivePowerStepsize", "ConstantStepsize", "CycleCheck", "PowerStepsize",
         "Problem", "SolverState", "StepSnapshot", "StepsizeSchedule", "TraceRecord",
-        "TRACE_COLUMNS", "outer_step", "run",
+        "TRACE_COLUMNS", "kept_rows", "outer_step", "run",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

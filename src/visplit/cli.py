@@ -41,9 +41,10 @@ from .solver import (
     ConstantStepsize,
     PowerStepsize,
     Problem,
+    SolverState,
     StepsizeSchedule,
     TRACE_COLUMNS,
-    run,
+    kept_rows,
     run_options,
 )
 from .space import as_number, as_point
@@ -69,7 +70,7 @@ class RunJob(NamedTuple):
     cfg: dict
     problem: Problem
     schedule: StepsizeSchedule
-    x0: np.ndarray | None
+    x0: np.ndarray
     seed: int
     options: dict
 
@@ -90,7 +91,7 @@ def _load_configs(path: str) -> list[dict]:
 
 
 def _prepare_run(cfg: dict, where: str, args) -> RunJob:
-    """Validate ``cfg`` and build its problem, schedule and start point.
+    """Validate ``cfg`` and build its problem, schedule and start point (default the origin).
 
     Every config of a batch passes through here before any run starts, so
     a bad value stops the batch before it writes anything.
@@ -139,8 +140,8 @@ def _prepare_run(cfg: dict, where: str, args) -> RunJob:
     try:
         if x0 == "random":
             x0 = np.random.default_rng(seed).standard_normal(problem.dim)
-        elif x0 is not None:
-            x0 = as_point(x0, problem.dim)
+        else:
+            x0 = as_point(np.zeros(problem.dim) if x0 is None else x0, problem.dim)
     except (TypeError, ValueError, VisplitError) as exc:
         raise ConfigError(f"{where}.x0: {exc}") from exc
     return RunJob(cfg, problem, schedule, x0, seed, options)
@@ -178,27 +179,40 @@ def _jsonable(value):
     return value
 
 
-def _write_trace(path: str, trace) -> None:
-    lines = [",".join(TRACE_COLUMNS)]
-    for rec in trace:
-        lines.append(",".join(_fmt(v) for v in rec.row()))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _execute_run(job: RunJob, label: str, outdir: str) -> dict:
+    """Run ``job``, writing each kept row as it comes to ``trace.csv.part``, renamed at the end.
+
+    A failed run removes that file and the directories it made, and changes nothing else.
+    """
     cfg, problem, schedule = job.cfg, job.problem, job.schedule
+    rundir = os.path.abspath(os.path.join(outdir, label))
+    made, missing = [], rundir
+    while not os.path.isdir(missing):
+        made.append(missing)
+        missing = os.path.dirname(missing)
+    os.makedirs(rundir, exist_ok=True)
+    part = os.path.join(rundir, "trace.csv.part")
 
     t0 = time.perf_counter()
-    state = run(problem, schedule, x0=job.x0, **job.options)
+    state = SolverState(z=job.x0.copy(), x=job.x0.copy())
+    containment, drift, stress = -np.inf, -np.inf, 0  # max(worst, nan) skips a NaN row
+    try:
+        with open(part, "w", encoding="utf-8") as fh:
+            fh.write(",".join(TRACE_COLUMNS) + "\n")
+            for record, check in kept_rows(problem, schedule, state, **job.options):
+                fh.write(",".join(map(_fmt, record)) + "\n")
+                containment = max(containment, check.containment)
+                drift = max(drift, check.drift_excess)
+                stress += check.eta_stress
+    except BaseException:
+        if os.path.exists(part):
+            os.remove(part)
+        for path in made:
+            os.rmdir(path)
+        raise
+    os.replace(part, os.path.join(rundir, "trace.csv"))
     elapsed = time.perf_counter() - t0
 
-    rundir = os.path.join(outdir, label)
-    os.makedirs(rundir, exist_ok=True)
-    _write_trace(os.path.join(rundir, "trace.csv"), state.trace)
-
-    final = state.trace[-1]
-    checks = state.cycle_checks
     summary = {
         "label": label,
         "family": cfg["family"],
@@ -210,10 +224,10 @@ def _execute_run(job: RunJob, label: str, outdir: str) -> dict:
         "sigma": _jsonable(state.sigma),
         "stop_reason": state.stop_reason,
         "seed": job.seed,
-        "final": {c: _jsonable(v) for c, v in zip(TRACE_COLUMNS, final.row())},
-        "worst_containment": _jsonable(max(c.containment for c in checks)),
-        "worst_drift_excess": _jsonable(max(c.drift_excess for c in checks)),
-        "eta_stress_steps": sum(c.eta_stress for c in checks),
+        "final": {c: _jsonable(v) for c, v in zip(TRACE_COLUMNS, record)},
+        "worst_containment": _jsonable(containment),
+        "worst_drift_excess": _jsonable(drift),
+        "eta_stress_steps": stress,
         "known_solution": _jsonable(problem.known_solution),
         "solution_estimate": _jsonable(state.x),
         "wall_time_total": elapsed,

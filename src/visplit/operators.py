@@ -157,13 +157,6 @@ class GradientOperator(Operator):
         return self.fn._subgradient(x)
 
 
-class ZeroOperator(Operator):
-    """The zero map; monotone and a neutral element for operator sums."""
-
-    def _select(self, x: Vector) -> Vector:
-        return np.zeros(self.dim)
-
-
 class ScaledOperator(Operator):
     """t * T for t >= 0; nonnegative scaling preserves monotonicity."""
 
@@ -363,24 +356,6 @@ class MaxOfAffine(ConvexFunction):
     def _subgradient(self, x: Vector) -> Vector:
         i = int(np.argmax(self.rows @ x - self.rhs))
         return self.rows[i].copy()
-
-
-class AffineFunction(ConvexFunction):
-    """<a, x> + c; its subgradient is constant."""
-
-    differentiable = True
-
-    def __init__(self, slope, constant: float = 0.0, label: str = "affine"):
-        slope = as_point(slope)
-        super().__init__(slope.size, label)
-        self.slope = slope
-        self.constant = _finite(constant, "constant")
-
-    def _value(self, x: Vector) -> float:
-        return float(self.slope @ x) + self.constant
-
-    def _subgradient(self, x: Vector) -> Vector:
-        return self.slope.copy()
 
 
 class ConstantFunction(ConvexFunction):

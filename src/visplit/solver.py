@@ -28,10 +28,11 @@ stepsize does not exist until the probe point does.
 
 A step has two phases. ``_advance`` is the math above and writes the new
 state; ``_diagnose`` computes the audit quantities of that step (cycle
-containment and drift, err_x, fejer_slack, dist_x) and its record.
-``outer_step`` runs both. ``run`` advances on every step, evaluates only
-what its stop test reads, and diagnoses only the rows it keeps, so its
-``cycle_checks`` hold the kept rows.
+containment and drift, err_x, fejer_slack, dist_x), its record and its
+``CycleCheck``. ``outer_step`` runs both. The generator ``kept_rows``
+advances on every step, evaluates only what its stop test reads, and
+diagnoses and yields only the rows it keeps, holding none; ``run`` collects
+them, and ``visplit run`` writes each to disk as it comes.
 
 Both phases call only kernels, which trust their points: ``SolverState``,
 ``run`` and ``Problem`` check what enters, the step checks that the state's
@@ -329,7 +330,9 @@ def outer_step(
     snapshot to ``state.snapshots`` when that is a list.
     """
     step = _advance(problem, schedule, state, theta, max_inner)
-    return _diagnose(problem, schedule, state, step, theta)
+    record, check = _diagnose(problem, schedule, state, step, theta)
+    state.cycle_checks.append(check)
+    return record
 
 
 def _advance(
@@ -431,10 +434,9 @@ def _diagnose(
     theta: float,
     err_x: float | None = None,
     dist_x: float | None = None,
-) -> TraceRecord:
-    """Diagnostics and the record of the step ``_advance`` has just taken.
+) -> tuple[TraceRecord, CycleCheck]:
+    """The record and the ``CycleCheck`` of the step ``_advance`` has just taken.
 
-    Appends the step's ``CycleCheck`` and returns its ``TraceRecord``;
     ``err_x`` and ``dist_x`` are computed here unless the caller already
     has them for ``state.x``.
     """
@@ -448,8 +450,7 @@ def _diagnose(
         for j in range(i + 1, len(points)):
             gap = float(np.linalg.norm(points[j] - points[i]))
             drift = max(drift, gap - (j - i) * step_bound)
-    stress = probe is not None and eta > 10.0 * probe
-    state.cycle_checks.append(CycleCheck(k, containment, drift, stress))
+    check = CycleCheck(k, containment, drift, probe is not None and eta > 10.0 * probe)
 
     # Optional audit quantities against a known solution.
     if err_x is None:
@@ -479,7 +480,7 @@ def _diagnose(
         err_x=err_x,
         fejer_slack=fejer_slack,
         wall_time=time.perf_counter() - t0,
-    )
+    ), check
 
 
 def run_options(
@@ -533,6 +534,37 @@ def run_options(
     return options
 
 
+def kept_rows(
+    problem: Problem, schedule: StepsizeSchedule, state: SolverState, *,
+    theta, max_outer, target_err, target_dist, cadence, max_inner,
+):
+    """Advance ``state`` step by step and yield each kept ``(TraceRecord, CycleCheck)``.
+
+    The options are the checked ones ``run_options`` returns. Every
+    cadence-th step and the last, which sets ``state.stop_reason``, are kept.
+    """
+    # Every step advances; only the stop test's quantities are evaluated on
+    # every step, and the diagnostics only for the rows that are kept.
+    for k in range(max_outer):
+        step = _advance(problem, schedule, state, theta, max_inner)
+        err_x = dist_x = None
+        if target_err is not None:
+            err_x = _err_x(problem, state.x)
+            if err_x <= target_err:
+                state.stop_reason = "target_err"
+        if state.stop_reason is None and target_dist is not None:
+            dist_x = _dist_x(problem, state.x)
+            if dist_x <= target_dist:
+                state.stop_reason = "target_dist"
+        if state.stop_reason is None and k == max_outer - 1:
+            state.stop_reason = "max_outer"
+        # Cadence decimation never drops the final record.
+        if k % cadence == 0 or state.stop_reason is not None:
+            yield _diagnose(problem, schedule, state, step, theta, err_x, dist_x)
+        if state.stop_reason is not None:
+            return
+
+
 def run(
     problem: Problem,
     schedule: StepsizeSchedule,
@@ -560,33 +592,12 @@ def run(
     SolverState
         Final state with stop_reason set. ``trace`` holds every cadence-th
         record and the final one; ``cycle_checks`` holds the diagnostics of
-        exactly those rows.
+        exactly those rows. Both are :func:`kept_rows` collected.
     """
     options = run_options(problem, **options)
-    theta, max_inner = options["theta"], options["max_inner"]
-    max_outer, cadence = options["max_outer"], options["cadence"]
-    target_err, target_dist = options["target_err"], options["target_dist"]
     x0 = as_point(np.zeros(problem.dim) if x0 is None else x0, problem.dim)
     state = SolverState(z=x0.copy(), x=x0.copy(), snapshots=[] if snapshots else None)
-
-    # Every step advances; only the stop test's quantities are evaluated on
-    # every step, and the diagnostics only for the rows that are kept.
-    for k in range(max_outer):
-        step = _advance(problem, schedule, state, theta, max_inner)
-        err_x = dist_x = None
-        if target_err is not None:
-            err_x = _err_x(problem, state.x)
-            if err_x <= target_err:
-                state.stop_reason = "target_err"
-        if state.stop_reason is None and target_dist is not None:
-            dist_x = _dist_x(problem, state.x)
-            if dist_x <= target_dist:
-                state.stop_reason = "target_dist"
-        if state.stop_reason is None and k == max_outer - 1:
-            state.stop_reason = "max_outer"
-        # Cadence decimation never drops the final record.
-        if k % cadence == 0 or state.stop_reason is not None:
-            state.trace.append(_diagnose(problem, schedule, state, step, theta, err_x, dist_x))
-        if state.stop_reason is not None:
-            break
+    for record, check in kept_rows(problem, schedule, state, **options):
+        state.trace.append(record)
+        state.cycle_checks.append(check)
     return state

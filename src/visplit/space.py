@@ -21,13 +21,21 @@ Vector = np.ndarray
 def as_point(x, dim: int | None = None, name: str = "vector") -> Vector:
     """Coerce ``x`` to a finite 1-D float64 array, optionally of length ``dim``.
 
-    A value that does not convert to numbers (a word, a ragged list) is a
-    ``ConfigError`` that names it as ``name``.
+    An entry that is not a real number (a word, a bool, a ragged row), or
+    one too large for a float, is a ``ConfigError`` that names ``x`` as
+    ``name``, as ``as_number`` does for scalars. A numeric array skips the
+    entry check.
     """
+    if not (isinstance(x, np.ndarray) and x.dtype.kind in "fiu"):
+        if not all(
+            isinstance(c, numbers.Real) and not isinstance(c, bool)
+            for c in np.asarray(x, dtype=object).flat
+        ):
+            raise ConfigError(f"{name} must be a vector of numbers, got {x!r:.60}")
     try:
         p = np.asarray(x, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a vector of numbers: {exc}") from exc
+    except OverflowError as exc:
+        raise ConfigError(f"{name} is out of range: {exc}") from exc
     if p.ndim == 0:
         p = p.reshape(1)
     if p.ndim != 1 or p.size < 1:

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from visplit import (
-    AffineFunction,
     AffineOperator,
     BallSet,
     BoxSet,
@@ -30,7 +29,6 @@ from visplit import (
     ScaledOperator,
     ShiftedFunction,
     SolverState,
-    ZeroOperator,
     build,
     feasible_shortcut,
     outer_step,
@@ -56,7 +54,6 @@ def _point_methods():
         "Quadratic.from_diagonal": Quadratic.from_diagonal([2.0, 1.0], [0.1, 0.2], 0.3),
         "NormFunction": norm,
         "MaxOfAffine": MaxOfAffine([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5]),
-        "AffineFunction": AffineFunction([1.0, -2.0], 0.5),
         "ConstantFunction": ConstantFunction(2, -1.0),
         "ShiftedFunction": ShiftedFunction(norm, 0.25),
         "_GraphResidual": build("a2", {}).constraint.fn,
@@ -65,7 +62,6 @@ def _point_methods():
         "AffineOperator": affine,
         "AffineOperator.from_diagonal": AffineOperator.from_diagonal([1.0, 2.0], [0.1, 0.2]),
         "GradientOperator": GradientOperator(norm),
-        "ZeroOperator": ZeroOperator(2),
         "ScaledOperator": ScaledOperator(affine, 0.5),
         "EmbeddedOperator": EmbeddedOperator(2, AffineOperator([[3.0]], [1.0]), 1),
         "_SaddleCoupling": build("a3", {}).operators[1],

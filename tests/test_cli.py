@@ -1,15 +1,17 @@
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from visplit import (
-    AdaptivePowerStepsize, ConfigError, PowerStepsize, TRACE_COLUMNS, build, checks, run,
+    AdaptivePowerStepsize, ConfigError, NonFiniteIterate, PowerStepsize, TRACE_COLUMNS, build,
+    checks, run, solver,
 )
 from visplit.cli import CHECK_SUITES, RUN_KEYS, main
-from visplit.problems import FAMILY_PARAMS
+from visplit.problems import FAMILIES, FAMILY_PARAMS
 from visplit.solver import run_options
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -86,6 +88,50 @@ def test_run_is_deterministic_modulo_wall_time(tmp_path):
         s.pop("wall_time_total")
         s["final"].pop("wall_time")
     assert s1 == s2
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_streamed_trace_is_the_library_run(tmp_path, family):
+    # visplit run writes its rows as they come; they are the rows run()
+    # keeps for the same config, bit for bit in every column but wall_time.
+    cfg = {"family": family, "x0": "random", "seed": 3, "max_outer": 300,
+           "schedule": {"a": 0.6, "p": 0.55}}
+    out = tmp_path / "out"
+    assert main(["run", _write_cfg(tmp_path / "cfg.json", cfg), "--output", str(out)]) == 0
+    header, rows = _read_trace(out / family)
+    problem = build(family, {})
+    x0 = np.random.default_rng(3).standard_normal(problem.dim)
+    state = run(problem, PowerStepsize(0.6, 0.55), x0=x0, max_outer=300)
+    expected = [[str(v) if isinstance(v, int) else repr(float(v)) for v in rec]
+                for rec in state.trace]
+    assert header == ",".join(TRACE_COLUMNS)
+    assert len(rows) == len(expected) == 300
+    for row, want in zip(rows, expected):
+        assert row[:WALL] == want[:WALL]
+    assert _read_summary(out / family)["solution_estimate"] == state.x.tolist()
+
+
+def _cli_heap_peak(tmp_path, steps):
+    """Heap peak, in bytes, of one cadence-1 visplit run of ``steps`` steps."""
+    cfg = _write_cfg(tmp_path / f"cfg{steps}.json", {
+        "family": "affine_vi_over_polyhedron", "x0": [2.0, -1.0], "max_outer": steps,
+        "label": f"run{steps}"})
+    tracemalloc.start()
+    try:
+        assert main(["run", cfg, "--output", str(tmp_path / "out")]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_memory_does_not_grow_with_the_run_length(tmp_path, capsys):
+    # Rows stream to disk and the summary folds them, so ten times the steps
+    # needs no more heap. A short run first keeps one-time allocations out.
+    _cli_heap_peak(tmp_path, 10)
+    short, long = _cli_heap_peak(tmp_path, 1000), _cli_heap_peak(tmp_path, 10_000)
+    assert long <= 1.5 * short, (short, long)
+    _, rows = _read_trace(tmp_path / "out" / "run10000")
+    assert len(rows) == 10_000
 
 
 def test_run_err_column_is_zero_at_a_fixed_point(tmp_path):
@@ -242,13 +288,18 @@ MALFORMED_ARRAYS = [
     ("affine_vi_over_polyhedron", {"box": 5}, "box"),
     ("affine_vi_over_polyhedron", {"offset": "ab"}, "offset"),
     ("quadratic_over_ball", {"target": "xyz"}, "target"),
+    ("quadratic_over_ball", {"target": ["2", "0"]}, "target"),
+    ("quadratic_over_ball", {"target": "1.5"}, "target"),
+    ("quadratic_over_ball", {"target": [True, False]}, "target"),
     ("a3", {"matrix": [[1, 2], [3]]}, "matrix"),
 ]
 
 
 @pytest.mark.parametrize(
     "family, params, field", MALFORMED_ARRAYS, ids=["box-3-rows", "box-number", "offset-text",
-                                                     "target-text", "matrix-ragged"]
+                                                     "target-text", "target-digit-strings",
+                                                     "target-number-string", "target-bools",
+                                                     "matrix-ragged"]
 )
 def test_a_malformed_array_field_is_a_config_error_naming_it(tmp_path, capsys, family, params,
                                                               field):
@@ -377,9 +428,13 @@ def test_overflowing_iterate_exits_3_under_every_schedule(tmp_path, capsys, kind
         {"family": "quadratic_over_ball", "schedule": {"kind": kind},
          "params": {"target": [1e308, 1e308]}},
     ])
+    out = tmp_path / "out"
     with np.errstate(all="ignore"):
-        assert main(["run", path, "--output", str(tmp_path / "out")]) == 3
+        assert main(["run", path, "--output", str(out)]) == 3
     assert "solver error" in capsys.readouterr().err
+    # The earlier run is written; the failed one leaves nothing behind.
+    assert sorted(os.listdir(out / "quadratic_over_ball")) == ["summary.json", "trace.csv"]
+    assert not (out / "quadratic_over_ball-1").exists()
 
 
 def test_budget_exhaustion_exits_3(tmp_path, capsys):
@@ -395,6 +450,30 @@ def test_budget_exhaustion_exits_3(tmp_path, capsys):
     )
     assert main(["run", cfg, "--output", str(tmp_path / "out")]) == 3
     assert "solver error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_run_failing_after_some_rows_leaves_earlier_files_as_they_were(
+    tmp_path, capsys, monkeypatch
+):
+    # A run that fails after writing rows removes its partial trace and keeps
+    # the files an earlier run wrote to the same directory.
+    cfg = _write_cfg(tmp_path / "cfg.json",
+                     {"family": "quadratic_over_ball", "max_outer": 20, "label": "ball"})
+    rundir = tmp_path / "out" / "ball"
+    assert main(["run", cfg, "--output", str(tmp_path / "out")]) == 0
+    before = {name: (rundir / name).read_bytes() for name in os.listdir(rundir)}
+    advance = solver._advance
+
+    def failing_advance(problem, schedule, state, *args):
+        if state.k == 5:
+            raise NonFiniteIterate(f"outer iterate diverged at k={state.k}")
+        return advance(problem, schedule, state, *args)
+
+    monkeypatch.setattr(solver, "_advance", failing_advance)
+    assert main(["run", cfg, "--output", str(tmp_path / "out")]) == 3
+    assert "diverged at k=5" in capsys.readouterr().err
+    assert {name: (rundir / name).read_bytes() for name in os.listdir(rundir)} == before
 
 
 def test_check_command(capsys):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from visplit import (
-    AffineFunction,
     BallSet,
     ConfigError,
     Constraint,
@@ -36,7 +35,7 @@ def test_two_iteration_ball_case_frozen():
 
 
 def test_affine_constraint_finishes_in_one_projection():
-    c = Constraint(AffineFunction([1.0, 0.0], 0.0), exact_set=Halfspace([1.0, 0.0], 0.0))
+    c = Constraint(MaxOfAffine([[1.0, 0.0]], [0.0]), exact_set=Halfspace([1.0, 0.0], 0.0))
     res = run_inner(c, [2.0, 3.0], theta=1.0, alpha=0.1)
     assert res.iterations == 1
     assert np.array_equal(res.z0, [0.0, 3.0])

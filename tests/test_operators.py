@@ -5,7 +5,6 @@ import pytest
 
 from visplit import (
     TRACE_COLUMNS,
-    AffineFunction,
     AffineOperator,
     BallSet,
     BoxSet,
@@ -19,11 +18,11 @@ from visplit import (
     MaxOfAffine,
     NonFiniteValue,
     NormFunction,
+    Operator,
     PowerStepsize,
     Quadratic,
     ScaledOperator,
     ShiftedFunction,
-    ZeroOperator,
     build,
     run,
     sum_select,
@@ -34,6 +33,11 @@ from visplit.oracle import fd_gradient_gap, subgradient_gap
 PAIRS = 1000
 
 
+def _zero(n):
+    """The zero map on R^n."""
+    return AffineOperator.from_diagonal(np.zeros(n))
+
+
 def _shipped_functions(rng):
     n = 3
     B = rng.standard_normal((n, n))
@@ -42,7 +46,7 @@ def _shipped_functions(rng):
         Quadratic.half_sq_distance(rng.standard_normal(n), 0.7),
         NormFunction(rng.standard_normal(n), 1.3, -0.2),
         MaxOfAffine(rng.standard_normal((4, n)), rng.standard_normal(4)),
-        AffineFunction(rng.standard_normal(n), 0.4),
+        Quadratic(np.zeros((n, n)), rng.standard_normal(n), 0.4),  # affine
         ConstantFunction(n, -2.0),
         ShiftedFunction(NormFunction(np.zeros(n)), 1.5),
     ]
@@ -69,7 +73,7 @@ def test_affine_operator_rejects_nonmonotone_matrix():
         lambda: AffineOperator([[-1.0, 0.0], [0.0, 1.0]]),
         lambda: AffineOperator.from_diagonal([-1.0, 1.0]),
         lambda: Quadratic([[-1.0]]),
-        lambda: ScaledOperator(ZeroOperator(1), -1.0),
+        lambda: ScaledOperator(_zero(1), -1.0),
         lambda: NormFunction([0.0], -1.0),
         lambda: NormFunction([0.0], float("nan")),
         lambda: Quadratic.half_sq_distance([0.0], -1.0),
@@ -79,13 +83,13 @@ def test_affine_operator_rejects_nonmonotone_matrix():
         lambda: BoxSet([1.0], [0.0]),
         lambda: Halfspace.whole_space(2.5),
         lambda: Halfspace.whole_space("x"),
-        lambda: ZeroOperator(2.5),
+        lambda: Operator(2.5),
         lambda: ConstantFunction(2.5, 0.0),
         lambda: ExactSet(2.5),
-        lambda: EmbeddedOperator(2, ZeroOperator(1), 0.5),
+        lambda: EmbeddedOperator(2, _zero(1), 0.5),
         lambda: ConstantFunction(2, "1"),
         lambda: NormFunction([0.0], "2"),
-        lambda: ScaledOperator(ZeroOperator(1), True),
+        lambda: ScaledOperator(_zero(1), True),
         lambda: Quadratic.half_sq_distance([0.0], "1"),
         lambda: BallSet([0.0], "2"),
     ],
@@ -108,7 +112,7 @@ def test_invalid_construction_is_a_config_error(make):
     "make",
     [
         lambda: Halfspace.whole_space(0),
-        lambda: ZeroOperator(0),
+        lambda: Operator(0),
         lambda: ConstantFunction(0, 0.0),
         lambda: ExactSet(0),
     ],
@@ -126,13 +130,13 @@ NAN = float("nan")
     "make",
     [
         lambda: ConstantFunction(2, NAN),
-        lambda: AffineFunction([1.0], NAN),
+        lambda: MaxOfAffine([[1.0]], [NAN]),
         lambda: NormFunction([0.0], 1.0, NAN),
         lambda: Quadratic([[1.0]], None, NAN),
         lambda: Quadratic.from_diagonal([1.0], None, float("inf")),
         lambda: ShiftedFunction(NormFunction([0.0]), NAN),
         lambda: problems.build_a1(
-            ZeroOperator(1), NormFunction([0.0]), NAN, exact_set=BallSet([0.0], 0.0)
+            _zero(1), NormFunction([0.0]), NAN, exact_set=BallSet([0.0], 0.0)
         ),
     ],
     ids=["constant", "affine", "norm", "quadratic", "quadratic-diagonal", "shifted", "a1"],
@@ -342,7 +346,7 @@ def test_wrapper_operators():
     base = AffineOperator(np.eye(2), [1.0, 0.0])
     x = np.array([2.0, 3.0])
     assert np.array_equal(ScaledOperator(base, 0.5).select(x), [1.5, 1.5])
-    assert np.array_equal(ZeroOperator(2).select(x), [0.0, 0.0])
+    assert np.array_equal(_zero(2).select(x), [0.0, 0.0])
     emb = EmbeddedOperator(3, AffineOperator([[2.0]]), 1)
     assert np.array_equal(emb.select([5.0, 4.0, 3.0]), [0.0, 8.0, 0.0])
     with pytest.raises(DimensionMismatch):
@@ -352,7 +356,7 @@ def test_wrapper_operators():
 
 
 def test_sum_select_adds_selections():
-    ops = [AffineOperator(np.eye(2), [1.0, 0.0]), ZeroOperator(2),
+    ops = [AffineOperator(np.eye(2), [1.0, 0.0]), _zero(2),
            GradientOperator(Quadratic.half_sq_distance([0.0, 0.0]))]
     x = np.array([2.0, 3.0])
     assert np.array_equal(sum_select(ops, x), [5.0, 6.0])
@@ -396,7 +400,7 @@ def test_finite_difference_gradients():
     B = rng.standard_normal((n, n))
     smooth = [
         Quadratic(B @ B.T, rng.standard_normal(n)),
-        AffineFunction(rng.standard_normal(n), 1.0),
+        Quadratic(np.zeros((n, n)), rng.standard_normal(n), 1.0),  # affine
         ConstantFunction(n, 4.0),
         NormFunction(10.0 * np.ones(n)),  # smooth away from its center
     ]

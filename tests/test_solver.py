@@ -20,7 +20,6 @@ from visplit import (
     SolverState,
     TRACE_COLUMNS,
     TraceRecord,
-    ZeroOperator,
     build,
     outer_step,
     run,
@@ -133,7 +132,7 @@ def test_problem_validation():
             certificate=ball.certificate,
             meta=ball.meta,
         )
-    p = _free_problem(op, ZeroOperator(2))
+    p = _free_problem(op, AffineOperator.from_diagonal(np.zeros(2)))
     assert p.m == 2
     assert p.dim == 2
     cert_p = Problem(
@@ -178,7 +177,7 @@ def test_zero_operator_padding_changes_nothing():
     # extra cycle leg moves by zero and the projection is idempotent there.
     prob = build("quadratic_over_ball", {"target": [2.0, 0.0]})
     padded = Problem(
-        operators=prob.operators + (ZeroOperator(2),),
+        operators=prob.operators + (AffineOperator.from_diagonal(np.zeros(2)),),
         constraint=prob.constraint,
         label="padded",
         known_solution=prob.known_solution,

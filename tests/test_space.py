@@ -35,6 +35,26 @@ def test_as_point_rejects_bad_inputs():
         as_point([np.inf, 0.0])
 
 
+@pytest.mark.parametrize(
+    "value",
+    [["2", "0"], "1.5", [True, False], [1.0, True], np.array([True]), [[1.0, 2.0], [3.0]],
+     [1j, 0.0], [10**400]],
+    ids=["digit-strings", "number-string", "bools", "number-and-bool", "bool-array",
+         "ragged", "complex", "int-too-large"],
+)
+def test_as_point_rejects_entries_that_are_not_real_numbers(value):
+    # A word or a bool is not coerced, as as_number does not coerce them.
+    with pytest.raises(ConfigError, match="^target "):
+        as_point(value, name="target")
+
+
+def test_as_point_keeps_numeric_arrays():
+    p = np.array([1.5, -2.0])
+    assert as_point(p) is p
+    assert np.array_equal(as_point(np.array([1, 2], dtype=np.int32)), [1.0, 2.0])
+    assert np.array_equal(as_point([np.float32(0.5), np.int64(2)]), [0.5, 2.0])
+
+
 def test_as_number_accepts_numbers_and_integral_counts():
     assert as_number(3, "x") == 3.0 and type(as_number(3, "x")) is float
     assert as_number(np.float32(0.5), "x") == 0.5
