@@ -59,23 +59,21 @@ def _ball_gauge(center, radius) -> Constraint:
     return Constraint(fn, exact_set=BallSet(center, radius))
 
 
-def check_projections(seed: int = 0, trials: int = 1000) -> list[CheckResult]:
-    """Projection paths against the active-set enumeration oracle."""
-    rng = np.random.default_rng(seed)
-    out = []
+def projection_samples(rng, trials: int):
+    """Halfspace projections to hold against the oracle, dimensions 2 to 5.
 
-    worst = 0.0
+    Yields ``(kind, got, w, halfspaces)``: the fast path's projection
+    ``got`` of ``w`` onto the intersection of ``halfspaces``. First come
+    ``trials`` single halfspaces (kind "single"), then ``trials`` pairs
+    (kind "pair") shaped like the feasibility loop's: the separator of a
+    ball at an exterior point z, and the localizer through z. The noise
+    makes some intersections razor-thin wedges, which is the hard regime.
+    """
     for _ in range(trials):
         n = int(rng.integers(2, 6))
         h = Halfspace(rng.standard_normal(n), float(rng.standard_normal()))
         w = 3.0 * rng.standard_normal(n)
-        worst = max(worst, float(np.linalg.norm(h.project(w) - oracle.qp_project(w, [h]))))
-    out.append(_row("halfspace projection vs oracle", worst, 1e-9))
-
-    # Pair geometry shaped like the feasibility loop's: separator of a ball
-    # at an exterior point, localizer through that point. The noise makes
-    # some intersections razor-thin wedges, which is the hard regime.
-    worst = 0.0
+        yield "single", h.project(w), w, [h]
     for _ in range(trials):
         n = int(rng.integers(2, 6))
         center = rng.standard_normal(n)
@@ -86,12 +84,21 @@ def check_projections(seed: int = 0, trials: int = 1000) -> list[CheckResult]:
         z = center + radius * float(rng.uniform(1.05, 3.0)) * d
         w = z + 0.7 * rng.standard_normal(n)
         sep = con.separator_at(z)
-        loc = Halfspace(w - z, float((w - z) @ z)) if np.any(w != z) else None
-        halfspaces = [sep] if loc is None else [sep, loc]
-        got = project_halfspace_pair(sep, z, w)
-        want = oracle.qp_project(w, halfspaces)
-        worst = max(worst, float(np.linalg.norm(got - want)))
-    out.append(_row("pair projection vs oracle", worst, 1e-8))
+        loc = Halfspace(w - z, float((w - z) @ z))
+        yield "pair", project_halfspace_pair(sep, z, w), w, [sep, loc]
+
+
+def check_projections(seed: int = 0, trials: int = 1000) -> list[CheckResult]:
+    """Projection paths against the active-set enumeration oracle."""
+    rng = np.random.default_rng(seed)
+    out = []
+
+    worst = {"single": 0.0, "pair": 0.0}
+    for kind, got, w, halfspaces in projection_samples(rng, trials):
+        gap = float(np.linalg.norm(got - oracle.qp_project(w, halfspaces)))
+        worst[kind] = max(worst[kind], gap)
+    out.append(_row("halfspace projection vs oracle", worst["single"], 1e-9))
+    out.append(_row("pair projection vs oracle", worst["pair"], 1e-8))
 
     # Exact sets: membership plus the variational characterization
     # <w - P(w), s - P(w)> <= 0 over sampled members s.

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import problems
-from .constraints import Constraint
+from .constraints import Constraint, Halfspace
 from .errors import ConfigError, VisplitError
 from .innerloop import projection_growth, run_inner
 from .operators import MaxOfAffine, Quadratic
@@ -246,14 +246,16 @@ def _cmd_run(args) -> int:
             where = f"{path}[{i}]" if len(loaded) > 1 else path
             jobs.append(_prepare_run(cfg, where, args))
 
-    # Resolve labels first so duplicates cannot overwrite each other.
+    # Resolve labels first so duplicates cannot overwrite each other: a
+    # taken label gets the first free "-n" suffix.
     labels = []
-    seen = {}
     for job in jobs:
-        base = job.cfg.get("label") or job.cfg["family"]
-        n = seen.get(base, 0)
-        seen[base] = n + 1
-        labels.append(base if n == 0 else f"{base}-{n}")
+        base = label = job.cfg.get("label") or job.cfg["family"]
+        n = 0
+        while label in labels:
+            n += 1
+            label = f"{base}-{n}"
+        labels.append(label)
 
     def outdir_for(cfg):
         if args.output:
@@ -280,7 +282,15 @@ def _cmd_run(args) -> int:
 def _cmd_check(args) -> int:
     from . import checks
 
-    rows = checks.run_suite(args.suite, seed=args.seed, trials=args.trials)
+    seed = as_number(args.seed, "check.seed", integer=True)
+    if seed < 0:
+        raise ConfigError("check.seed must be nonnegative")
+    trials = args.trials
+    if trials is not None:
+        trials = as_number(trials, "check.trials", integer=True)
+        if trials < 1:
+            raise ConfigError("check.trials must be at least 1")
+    rows = checks.run_suite(args.suite, seed=seed, trials=trials)
     failed = 0
     for row in rows:
         mark = "ok  " if row.passed else "FAIL"
@@ -300,7 +310,7 @@ def _bench_constraints(dim: int):
     rows[0, 0] = 1.0
     flat = Constraint(
         MaxOfAffine(rows, np.zeros(2), label="halfspace_gauge"),
-        surrogate=lambda y: max(float(y[0]), 0.0),
+        exact_set=Halfspace(rows[0], 0.0),
     )
     return curved, flat
 
@@ -324,14 +334,14 @@ def _bench_config(args) -> dict:
         raise ConfigError(f"{where}.grid must be a non-empty list of tolerances")
     grid = [as_number(t, f"{where}.grid[{i}]") for i, t in enumerate(grid)]
     if any(not t > 0 for t in grid):
-        raise ConfigError("grid must hold positive tolerances")
+        raise ConfigError(f"{where}.grid must hold positive tolerances")
     reps = args.reps if args.reps is not None else cfg.get("reps", 50)
     reps = as_number(reps, f"{where}.reps", integer=True)
     if reps < 1:
-        raise ConfigError("reps must be at least 1")
+        raise ConfigError(f"{where}.reps must be at least 1")
     dim = as_number(cfg.get("dim", 3), f"{where}.dim", integer=True)
     if dim < 2:
-        raise ConfigError("dim must be at least 2")
+        raise ConfigError(f"{where}.dim must be at least 2")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     seed = as_number(seed, f"{where}.seed", integer=True)
     if seed < 0:

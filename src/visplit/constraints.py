@@ -67,10 +67,6 @@ class ExactSet:
         """``distance`` on a finite 1-D float array of length ``dim``."""
         return float(np.linalg.norm(y - self._project(y)))
 
-    def contains(self, y, tol: float = 0.0) -> bool:
-        """Whether ``y`` lies within distance ``tol`` of the set."""
-        return self.distance(y) <= tol
-
 
 class Halfspace(ExactSet):
     """Closed halfspace {x : <normal, x> <= offset}.
@@ -265,11 +261,9 @@ class Constraint:
     Bundles the convex function with one distance rule used by the stopping
     test of the feasibility loop. ``dist_upper`` returns 0 at feasible points
     and otherwise an upper bound on the Euclidean distance to the set, from
-    the first available source in order of preference:
+    the first of these two rules that is given:
 
     - ``exact_set``: closed-form projector, distance is exact;
-    - ``surrogate``: caller-supplied bound, must vanish exactly on the set
-      boundary and majorize the true distance;
     - ``slater_point``: a strictly feasible w, giving the bound
       ||y - w|| * c(y) / (c(y) - c(w)) valid whenever c(y) > 0.
     """
@@ -278,7 +272,6 @@ class Constraint:
         self,
         fn: ConvexFunction,
         exact_set: ExactSet | None = None,
-        surrogate=None,
         slater_point=None,
         label: str = "",
     ):
@@ -288,7 +281,6 @@ class Constraint:
         if exact_set is not None and exact_set.dim != fn.dim:
             raise DimensionMismatch("exact set and constraint dimensions differ")
         self.exact_set = exact_set
-        self.surrogate = surrogate
         if slater_point is not None:
             slater_point = as_point(slater_point, fn.dim)
             cw = fn.value(slater_point)
@@ -298,18 +290,8 @@ class Constraint:
                 )
             self._slater_value = cw
         self.slater_point = slater_point
-        if exact_set is None and surrogate is None and slater_point is None:
-            raise ConfigError(
-                "constraint needs a distance rule: exact_set, surrogate, or slater_point"
-            )
-
-    @property
-    def dist_mode(self) -> str:
-        if self.exact_set is not None:
-            return "exact"
-        if self.surrogate is not None:
-            return "surrogate"
-        return "slater"
+        if exact_set is None and slater_point is None:
+            raise ConfigError("constraint needs a distance rule: exact_set or slater_point")
 
     def value(self, y) -> float:
         return self.fn.value(y)
@@ -327,8 +309,6 @@ class Constraint:
             return 0.0
         if self.exact_set is not None:
             return self.exact_set._distance(y)
-        if self.surrogate is not None:
-            return float(self.surrogate(y))
         w = self.slater_point
         bound = float(np.linalg.norm(y - w)) * cy / (cy - self._slater_value)
         if not math.isfinite(bound):

@@ -279,24 +279,19 @@ def build_a1(
     objective: ConvexFunction,
     f_min: float,
     exact_set=None,
-    surrogate=None,
     slater_point=None,
     known_solution=None,
 ) -> Problem:
     """VI over the minimizer set of ``objective``, via C = {f - f_min <= 0}.
 
     The minimizer set has empty interior whenever f_min is the true minimum,
-    so a strict interior point never exists; the caller supplies whichever
-    distance rule the instance admits (an exact projector for recognizable
-    minimizer sets, a surrogate bound otherwise).
+    so a strict interior point never exists; the caller supplies an exact
+    projector onto the minimizer set as the distance rule (a Slater point
+    serves only an f_min above the minimum).
     """
     fn = ShiftedFunction(objective, f_min, label=f"{objective.label}-min")
     constraint = Constraint(
-        fn,
-        exact_set=exact_set,
-        surrogate=surrogate,
-        slater_point=slater_point,
-        label="argmin_set",
+        fn, exact_set=exact_set, slater_point=slater_point, label="argmin_set"
     )
     cert = None
     if known_solution is not None:
@@ -440,8 +435,7 @@ def _a1_config(target=(0.05, 0.0), objective: str = "relu") -> Problem:
     n = target.size
     op = AffineOperator.from_diagonal(np.ones(n), -target, label="pull_to_target")
     if objective == "relu":
-        # f = max(x_1, 0); the minimizer set is the halfspace {x_1 <= 0}
-        # and the gauge itself is the exact distance to it.
+        # f = max(x_1, 0); the minimizer set is the halfspace {x_1 <= 0}.
         rows = np.zeros((2, n))
         rows[0, 0] = 1.0
         solution = target.copy()
@@ -450,7 +444,7 @@ def _a1_config(target=(0.05, 0.0), objective: str = "relu") -> Problem:
             op,
             MaxOfAffine(rows, np.zeros(2), label="relu"),
             f_min=0.0,
-            surrogate=lambda y: max(float(y[0]), 0.0),
+            exact_set=Halfspace(rows[0], 0.0),
             known_solution=solution,
         )
     elif objective in ("norm", "sqnorm"):

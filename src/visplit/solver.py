@@ -133,13 +133,11 @@ class AdaptivePowerStepsize(PowerStepsize):
 
 
 def stepsize(schedule: StepsizeSchedule, k: int, eta_k: float = 1.0) -> float:
-    """Stepsize at outer index k; validates the index and the output sign.
+    """Stepsize at outer index k, checked positive and finite.
 
-    eta_k is checked by the schedule that reads it.
+    The index is the loop's own (``state.k``). eta_k is checked by the
+    schedule that reads it.
     """
-    k = int(k)
-    if k < 0:
-        raise ConfigError("outer index must be nonnegative")
     a = schedule.alpha(k, eta_k)
     if not (a > 0 and np.isfinite(a)):
         raise ConfigError(f"schedule produced a nonpositive stepsize {a!r}")
@@ -287,32 +285,25 @@ class CycleCheck(NamedTuple):
 class SolverState:
     """Mutable run state: base point, average, accumulators, and records.
 
-    The constructor checks z and x (same length, finite); ``outer_step``
-    trusts them and writes only finite points back. ``snapshots`` is None,
-    or a list the step appends to; ``trace`` holds the rows the caller
-    keeps and ``cycle_checks`` the diagnostics of those rows (``run``) or
-    of every step (``outer_step``). Each state gets its own lists.
+    A state starts at base point z and average x, which the constructor
+    checks (same length, finite), with k = 0, sigma = 0, no stop reason,
+    empty ``trace`` and ``cycle_checks`` lists and ``snapshots`` None.
+    ``outer_step`` trusts z and x and writes only finite points back.
+    ``trace`` holds the rows the caller keeps and ``cycle_checks`` the
+    diagnostics of those rows (``run``) or of every step (``outer_step``).
+    Setting ``snapshots`` to a list makes each step append to it, as
+    ``run(snapshots=True)`` does.
     """
 
-    def __init__(
-        self,
-        z,
-        x,
-        k: int = 0,
-        sigma: float = 0.0,
-        trace: list | None = None,
-        snapshots: list | None = None,
-        cycle_checks: list | None = None,
-        stop_reason: str | None = None,
-    ):
+    def __init__(self, z, x):
         self.z = as_point(z)
         self.x = as_point(x, self.z.size)
-        self.k = k
-        self.sigma = sigma
-        self.trace = [] if trace is None else trace
-        self.snapshots = snapshots
-        self.cycle_checks = [] if cycle_checks is None else cycle_checks
-        self.stop_reason = stop_reason
+        self.k = 0
+        self.sigma = 0.0
+        self.trace = []
+        self.snapshots = None
+        self.cycle_checks = []
+        self.stop_reason = None
 
 
 def outer_step(
@@ -596,7 +587,9 @@ def run(
     """
     options = run_options(problem, **options)
     x0 = as_point(np.zeros(problem.dim) if x0 is None else x0, problem.dim)
-    state = SolverState(z=x0.copy(), x=x0.copy(), snapshots=[] if snapshots else None)
+    state = SolverState(z=x0.copy(), x=x0.copy())
+    if snapshots:
+        state.snapshots = []
     for record, check in kept_rows(problem, schedule, state, **options):
         state.trace.append(record)
         state.cycle_checks.append(check)

@@ -13,7 +13,6 @@ import pytest
 
 from visplit import (
     Constraint,
-    Halfspace,
     MaxOfAffine,
     PowerStepsize,
     Quadratic,
@@ -21,12 +20,11 @@ from visplit import (
     TRACE_COLUMNS,
     build,
     outer_step,
-    project_halfspace_pair,
     run,
     run_inner,
     with_reference,
 )
-from visplit.checks import _ball_gauge
+from visplit.checks import _ball_gauge, projection_samples
 from visplit.cli import main
 from visplit.innerloop import projection_growth
 from visplit.oracle import qp_project
@@ -78,33 +76,13 @@ def long_runs():
 def test_criterion_01_halfspace_projections_match_the_oracle():
     # 1000 random single halfspaces and 1000 loop-shaped halfspace pairs,
     # dimensions 2 to 5, each projection within 1e-8 of the active-set
-    # enumeration oracle, all inside a 10 second budget.
-    rng = np.random.default_rng(0)
+    # enumeration oracle, all inside a 10 second budget. The samples are
+    # those of `visplit check --suite projections` at seed 0.
     t0 = time.perf_counter()
-
-    worst_single = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(2, 6))
-        h = Halfspace(rng.standard_normal(n), float(rng.standard_normal()))
-        w = 3.0 * rng.standard_normal(n)
-        gap = float(np.linalg.norm(h.project(w) - qp_project(w, [h])))
-        worst_single = max(worst_single, gap)
-
-    worst_pair = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(2, 6))
-        center = rng.standard_normal(n)
-        radius = float(rng.uniform(0.3, 2.0))
-        con = _ball_gauge(center, radius)
-        d = rng.standard_normal(n)
-        d /= float(np.linalg.norm(d))
-        z = center + radius * float(rng.uniform(1.05, 3.0)) * d
-        w = z + 0.7 * rng.standard_normal(n)
-        sep = con.separator_at(z)
-        loc = Halfspace(w - z, float((w - z) @ z))
-        got = project_halfspace_pair(sep, z, w)
-        want = qp_project(w, [sep, loc])
-        worst_pair = max(worst_pair, float(np.linalg.norm(got - want)))
+    worst = {"single": 0.0, "pair": 0.0}
+    for kind, got, w, halfspaces in projection_samples(np.random.default_rng(0), 1000):
+        worst[kind] = max(worst[kind], float(np.linalg.norm(got - qp_project(w, halfspaces))))
+    worst_single, worst_pair = worst["single"], worst["pair"]
 
     elapsed = time.perf_counter() - t0
     ok = worst_single <= 1e-8 and worst_pair <= 1e-8 and elapsed < 10.0

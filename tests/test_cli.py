@@ -165,6 +165,23 @@ def test_run_label_deduplication(tmp_path):
     ]
 
 
+def test_a_label_that_is_taken_gets_the_next_free_suffix(tmp_path):
+    # The second "ball" becomes "ball-1", so the explicit "ball-1" after it
+    # must move on instead of overwriting that run's files.
+    cfg = _write_cfg(
+        tmp_path / "cfg.json",
+        [
+            {"family": "quadratic_over_ball", "label": label, "max_outer": steps}
+            for label, steps in (("ball", 5), ("ball", 6), ("ball-1", 7))
+        ],
+    )
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--output", str(out)]) == 0
+    runs = {name: _read_summary(out / name)["iterations"] for name in os.listdir(out)}
+    assert runs == {"ball": 5, "ball-1": 6, "ball-1-1": 7}
+    assert {name: len(_read_trace(out / name)[1]) for name in runs} == runs
+
+
 def test_output_directory_precedence(tmp_path, monkeypatch):
     base = {"family": "a3", "max_outer": 2, "output": str(tmp_path / "fromcfg")}
     cfg = _write_cfg(tmp_path / "cfg.json", base)
@@ -526,10 +543,30 @@ def test_bench_command(tmp_path, capsys):
         ({"reps": "many"}, "reps must be a number"),
         ({"seed": "s"}, "seed must be a number"),
         ({"seed": -1}, "seed must be nonnegative"),
+        ({"grid": [0.1, 0.0]}, "grid must hold positive tolerances"),
+        ({"reps": 0}, "reps must be at least 1"),
+        ({"dim": 1}, "dim must be at least 2"),
     ],
-    ids=["grid-text", "grid-scalar", "grid-empty", "dim", "reps", "seed", "seed-negative"],
+    ids=[
+        "grid-text", "grid-scalar", "grid-empty", "dim", "reps", "seed", "seed-negative",
+        "grid-nonpositive", "reps-zero", "dim-one",
+    ],
 )
 def test_bench_bad_values_exit_2(tmp_path, capsys, cfg, field):
     path = _write_cfg(tmp_path / "bench.json", cfg)
     assert main(["bench", path]) == 2
     assert f"{path}.{field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seed", "-1"], "check.seed must be nonnegative"),
+        (["--trials", "0"], "check.trials must be at least 1"),
+        (["--trials", "-5"], "check.trials must be at least 1"),
+    ],
+    ids=["seed-negative", "trials-zero", "trials-negative"],
+)
+def test_check_bad_values_exit_2(capsys, flags, message):
+    assert main(["check", "--suite", "projections", *flags]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err

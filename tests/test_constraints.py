@@ -29,10 +29,9 @@ def test_halfspace_frozen_values():
     h = Halfspace([3.0, 0.0], 5.0)  # {x1 <= 5/3}
     y = np.array([3.0, 2.0])
     assert h.residual(y) == 4.0
-    assert not h.contains(y)
     assert np.allclose(h.project(y), [5.0 / 3.0, 2.0], atol=1e-15, rtol=0)
     assert h.distance(y) == pytest.approx(4.0 / 3.0, abs=1e-15)
-    assert h.contains([1.0, -7.0])
+    assert h.distance([1.0, -7.0]) == 0.0
     assert np.array_equal(h.project([1.0, -7.0]), [1.0, -7.0])
     assert h.dim == 2
 
@@ -41,7 +40,6 @@ def test_whole_space_halfspace():
     h = Halfspace.whole_space(3)
     assert h.is_whole_space
     y = np.array([4.0, -1.0, 0.5])
-    assert h.contains(y)
     assert np.array_equal(h.project(y), y)
     assert h.distance(y) == 0.0
     assert not Halfspace([1.0, 0.0], 2.0).is_whole_space
@@ -122,7 +120,7 @@ def test_exact_set_projectors_frozen():
     ball = BallSet([0.0, 0.0], 1.0)
     assert np.array_equal(ball.project([2.0, 0.0]), [1.0, 0.0])
     assert ball.distance([2.0, 0.0]) == 1.0
-    assert ball.contains([0.5, 0.5])
+    assert ball.distance([0.5, 0.5]) == 0.0
     box = BoxSet([0.0, 0.0], [1.0, 1.0])
     assert np.array_equal(box.project([2.0, -1.0]), [1.0, 0.0])
     assert box.distance([2.0, -1.0]) == pytest.approx(np.sqrt(2.0), abs=1e-15)
@@ -158,7 +156,6 @@ def test_every_region_keeps_the_exact_set_contract(region):
         p = region.project(4.0 * rng.standard_normal(region.dim))
         assert np.allclose(region.project(p), p, rtol=0.0, atol=1e-12)
         assert region.distance(p) <= 1e-12
-        assert region.contains(p, 1e-9)
 
 
 def test_exact_set_projections_are_optimal():
@@ -172,7 +169,7 @@ def test_exact_set_projections_are_optimal():
         for _ in range(300):
             v = 4.0 * rng.standard_normal(region.dim)
             p = region.project(v)
-            assert region.contains(p, tol=1e-9)
+            assert region.distance(p) <= 1e-9
             # No feasible point is closer: compare against projections of
             # random probes, which cover the set.
             q = region.project(4.0 * rng.standard_normal(region.dim))
@@ -188,14 +185,15 @@ def test_ball_set_validation():
         GraphSet([[np.nan]])
 
 
-def test_dist_mode_precedence():
+def test_distance_rule_precedence():
+    # An exact set wins over a Slater point; with neither there is no rule.
     ball = BallSet([0.0, 0.0], 1.0)
+    y = [3.0, 0.0]
     c_exact = _unit_ball_constraint(exact_set=ball, slater_point=[0.0, 0.0])
-    assert c_exact.dist_mode == "exact"
-    c_surr = _unit_ball_constraint(surrogate=lambda y: 2.0, slater_point=[0.0, 0.0])
-    assert c_surr.dist_mode == "surrogate"
+    assert c_exact.dist_upper(y) == ball.distance(y) == 2.0
     c_slater = _unit_ball_constraint(slater_point=[0.0, 0.0])
-    assert c_slater.dist_mode == "slater"
+    # ||y - w|| * c(y) / (c(y) - c(w)) = 3 * 8 / 9.
+    assert c_slater.dist_upper(y) == 3.0 * 8.0 / 9.0
     with pytest.raises(ConfigError):
         _unit_ball_constraint()
 
@@ -254,11 +252,11 @@ def test_separator_frozen_and_contains_the_set():
         assert h.residual(y) > 0
         u = rng.standard_normal(2)
         inside = 0.999 * rng.random() * u / np.linalg.norm(u)
-        assert h.contains(inside, tol=1e-12)
+        assert h.distance(inside) <= 1e-12
 
 
 def test_separator_zero_subgradient_cases():
-    empty = Constraint(ConstantFunction(2, 1.0), surrogate=lambda y: np.inf)
+    empty = Constraint(ConstantFunction(2, 1.0), exact_set=BallSet([0.0, 0.0], 0.0))
     with pytest.raises(InfeasibleConstraint):
         empty.separator_at([0.0, 0.0])
     trivial = Constraint(ConstantFunction(2, -1.0), exact_set=Halfspace.whole_space(2))

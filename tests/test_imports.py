@@ -58,3 +58,26 @@ def test_lazy_exports_resolve():
         "print(set(visplit.__all__) <= set(ns))"
     )
     assert out == ["True", "AttributeError", "True", "True"]
+
+
+def test_benchmark_tracer_instruments_every_name_it_patches():
+    # perfbench/tracer.py patches solver, innerloop, constraints, problems
+    # and cli callables by attribute name, so a renamed or deleted name
+    # breaks the benchmark's traced pass (`--trace 1`) with an AttributeError.
+    perfbench = os.path.join(os.path.dirname(SRC), "perfbench")
+    out = _python(
+        "import sys\n"
+        "sys.dont_write_bytecode = True\n"
+        f"sys.path.insert(0, {perfbench!r})\n"
+        "import tracer\n"
+        "from visplit import problems, solver\n"
+        "tr = tracer.Tracer()\n"
+        "tracer.instrument(tr)\n"
+        "state = solver.run(problems.build('a1', {}), solver.PowerStepsize(1.0, 1.0),\n"
+        "                   x0=[2.0, 3.0], max_outer=50)\n"
+        "names = {span[0] for span in tr.spans}\n"
+        "print(state.k)\n"
+        "for name in ('problems.build', 'solver.run'):\n"
+        "    print(name in names)"
+    )
+    assert out == ["50", "True", "True"]

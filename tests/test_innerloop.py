@@ -86,7 +86,7 @@ def test_feasible_shortcut_cases():
     res = feasible_shortcut(c, [1.0, 0.0])
     assert np.array_equal(res.sep.normal, [2.0, 0.0])
     assert res.sep.offset == 2.0
-    assert res.sep.contains([1.0, 0.0])
+    assert res.sep.distance([1.0, 0.0]) == 0.0
     with pytest.raises(ConfigError):
         feasible_shortcut(c, [3.0, 0.0])
 
@@ -105,7 +105,7 @@ def test_exit_bound_and_fejer_sweep():
             continue
         res = run_inner(c, z, theta=theta, alpha=alpha)
         assert res.dist_bound_at_exit <= theta * alpha
-        assert res.sep.contains(res.z0, tol=1e-9)
+        assert res.sep.distance(res.z0) <= 1e-9
         assert res.iterations >= 1
         # Every projection is toward a superset of the feasible set, so no
         # feasible point gets farther away.

@@ -67,18 +67,18 @@ def test_qp_project_optimality_sweep():
             Halfspace(rng.standard_normal(n), float(rng.standard_normal()) + 1.0)
             for _ in range(rng.integers(1, 5))
         ]
-        if not all(h.contains(np.zeros(n), tol=0.0) for h in hs):
+        if not all(h.distance(np.zeros(n)) <= 0.0 for h in hs):
             continue  # keep instances that are surely nonempty
         w = 3.0 * rng.standard_normal(n)
         p = qp_project(w, hs)
-        assert all(h.contains(p, tol=1e-8) for h in hs)
+        assert all(h.distance(p) <= 1e-8 for h in hs)
         # No feasible candidate beats it: compare against projections of
         # random probes through each single halfspace chain.
         for _ in range(20):
             q = 3.0 * rng.standard_normal(n)
             for h in hs:
                 q = h.project(q)
-            if all(h.contains(q, tol=0.0) for h in hs):
+            if all(h.distance(q) <= 0.0 for h in hs):
                 assert np.linalg.norm(w - p) <= np.linalg.norm(w - q) + 1e-8
 
 

@@ -6,6 +6,7 @@ from visplit import (
     ConfigError,
     FAMILIES,
     GraphSet,
+    Halfspace,
     PowerStepsize,
     build,
     run,
@@ -104,7 +105,10 @@ def test_a1_relu_objective():
     prob = build("a1", {})
     # target (0.05, 0) clamped to the minimizer halfspace {x1 <= 0}.
     assert np.array_equal(prob.known_solution, [0.0, 0.0])
-    assert prob.constraint.dist_mode == "surrogate"
+    # The distance rule is the exact distance to that halfspace.
+    region = prob.constraint.exact_set
+    assert isinstance(region, Halfspace)
+    assert np.array_equal(region.normal, [1.0, 0.0]) and region.offset == 0.0
     assert prob.constraint.value([0.5, 3.0]) == 0.5
     assert prob.constraint.dist_upper([0.5, 3.0]) == 0.5
     moved = build("a1", {"target": [-1.0, 2.0]})

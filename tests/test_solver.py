@@ -92,8 +92,6 @@ def test_adaptive_stepsize_divides_by_eta():
 def test_stepsize_helper_validation():
     sched = PowerStepsize(1.0, 1.0)
     assert stepsize(sched, 5) == 1.0 / 6.0
-    with pytest.raises(ConfigError):
-        stepsize(sched, -1)
     adaptive = AdaptivePowerStepsize(1.0, 1.0)
     with pytest.raises(ConfigError):
         stepsize(adaptive, 0, eta_k=0.0)
@@ -117,9 +115,7 @@ def test_problem_validation():
             known_solution=[0.0, 0.0],
             certificate=(np.zeros(2), np.zeros(2)),
         )
-    no_exact = Constraint(
-        ConstantFunction(2, -1.0), surrogate=lambda y: 0.0
-    )
+    no_exact = Constraint(ConstantFunction(2, -1.0), slater_point=[0.0, 0.0])
     with pytest.raises(ConfigError):
         Problem(operators=(op,), constraint=no_exact, use_exact_projection=True)
     ball = build("quadratic_over_ball", {})
