@@ -42,7 +42,7 @@ _EXPORTS = {
     "operators": (
         "AffineOperator", "ConstantFunction", "ConvexFunction", "EmbeddedOperator",
         "GradientOperator", "MaxOfAffine", "NormFunction", "Operator", "Quadratic",
-        "ScaledOperator", "ShiftedFunction", "sum_select",
+        "ScaledOperator", "sum_select",
     ),
     "oracle": (
         "AuditReport", "fejer_audit", "grid_vi_solution", "qp_project",

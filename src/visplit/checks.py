@@ -103,7 +103,7 @@ def check_projections(seed: int = 0, trials: int = 1000) -> list[CheckResult]:
     # Exact sets: membership plus the variational characterization
     # <w - P(w), s - P(w)> <= 0 over sampled members s.
     worst = 0.0
-    for _ in range(trials // 3):
+    for _ in range(max(1, trials // 3)):
         n = int(rng.integers(2, 5))
         sets = [
             BallSet(rng.standard_normal(n), float(rng.uniform(0.2, 2.0))),
@@ -168,7 +168,7 @@ def check_operators(seed: int = 0, trials: int = 1000) -> list[CheckResult]:
     out.append(_row("subgradient inequality", worst, 1e-9))
 
     worst = 0.0
-    for _ in range(trials // 4):
+    for _ in range(max(1, trials // 4)):
         n = int(rng.integers(2, 6))
         A = rng.standard_normal((n, n))
         f = Quadratic(A @ A.T, rng.standard_normal(n))

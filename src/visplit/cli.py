@@ -121,9 +121,10 @@ def _prepare_run(cfg: dict, where: str, args) -> RunJob:
     x0 = cfg.get("x0")
     if not (x0 is None or x0 == "random" or isinstance(x0, list)):
         raise ConfigError(f'{where}.x0 must be a list of numbers or "random"')
-    seed = args.seed
-    if seed is None:
-        seed = as_number(cfg.get("seed", 0), f"{where}.seed", integer=True)
+    seed = cfg.get("seed", 0) if args.seed is None else args.seed
+    seed = as_number(seed, f"{where}.seed", integer=True)
+    if seed < 0:
+        raise ConfigError(f"{where}.seed must be nonnegative")
 
     try:
         problem = problems.build(cfg["family"], cfg.get("params", {}))

@@ -209,13 +209,7 @@ def sum_select(oracles, x) -> Vector:
 
 
 class ConvexFunction:
-    """Convex function with a one-element subgradient selection.
-
-    ``differentiable`` advertises smoothness; families that can hit a kink
-    leave it False so callers needing gradients can reject them early.
-    """
-
-    differentiable = False
+    """Convex function on R^dim with a one-element subgradient selection."""
 
     def __init__(self, dim: int, label: str = ""):
         self.dim = as_dim(dim, "function")
@@ -248,8 +242,6 @@ class Quadratic(ConvexFunction):
     symmetric part of Q, which stores Q (as its diagonal when Q is diagonal)
     and checks it; the value reads the same storage.
     """
-
-    differentiable = True
 
     def __init__(self, Q, b=None, constant: float = 0.0, label: str = "quadratic"):
         sym = _symmetric_part(_square(Q, "Q"))
@@ -361,8 +353,6 @@ class MaxOfAffine(ConvexFunction):
 class ConstantFunction(ConvexFunction):
     """Constant map; convex, with zero subgradient everywhere."""
 
-    differentiable = True
-
     def __init__(self, dim: int, constant: float, label: str = "constant"):
         super().__init__(dim, label)
         self.constant = _finite(constant, "constant")
@@ -373,19 +363,3 @@ class ConstantFunction(ConvexFunction):
     def _subgradient(self, x: Vector) -> Vector:
         return np.zeros(self.dim)
 
-
-class ShiftedFunction(ConvexFunction):
-    """base - delta, used to turn an objective into a sublevel description."""
-
-    def __init__(self, base: ConvexFunction, delta: float, label: str = ""):
-        delta = _finite(delta, "delta")
-        super().__init__(base.dim, label or f"{base.label}-{delta}")
-        self.base = base
-        self.delta = delta
-        self.differentiable = base.differentiable
-
-    def _value(self, x: Vector) -> float:
-        return self.base._value(x) - self.delta
-
-    def _subgradient(self, x: Vector) -> Vector:
-        return self.base._subgradient(x)

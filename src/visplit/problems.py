@@ -20,7 +20,7 @@ affine_vi_over_polyhedron
     Affine monotone operator over a box (exact projector) or a general
     row polyhedron (strictly feasible point supplies the distance rule).
 a1 (argmin refinement)
-    VI over C = argmin f, encoded as the sublevel set {f - f_min <= 0}.
+    VI over C = argmin f = {f <= 0}, for objectives f with minimum 0.
 a2 (composite minimization)
     min phi1(L x) + phi2(x), lifted to the graph {(x, y) : L x = y} with
     one operator differentiating each term; the graph has an exact
@@ -56,7 +56,6 @@ from .operators import (
     Operator,
     Quadratic,
     ScaledOperator,
-    ShiftedFunction,
 )
 from .solver import Problem
 from .space import Vector, as_number, as_point
@@ -68,8 +67,6 @@ MAX_PARTS = 1000
 
 class _GraphResidual(ConvexFunction):
     """c(x, y) = 0.5 ||L x - y||^2 on the stacked space; zero exactly on the graph."""
-
-    differentiable = True
 
     def __init__(self, matrix):
         M = np.asarray(matrix, dtype=float)
@@ -89,12 +86,13 @@ class _GraphResidual(ConvexFunction):
 class _SaddleCoupling(Operator):
     """(x1, x2) -> (L x2, grad phi2(x2) - L x1) with L self-adjoint.
 
-    The coupling part is skew, so the block is monotone whenever phi2 is
-    convex; phi2 must be differentiable for the second component to be a
-    genuine gradient.
+    The coupling part is skew, so the block is monotone because phi2 is
+    convex; ``build_a3`` passes phi2 as a ``Quadratic`` on the second block.
+    ``matrix`` comes from the config, so its shape, entries and symmetry are
+    checked here.
     """
 
-    def __init__(self, matrix, phi2: ConvexFunction):
+    def __init__(self, matrix, phi2: Quadratic):
         M = np.asarray(matrix, dtype=float)
         n = M.shape[0]
         if M.shape != (n, n):
@@ -103,10 +101,6 @@ class _SaddleCoupling(Operator):
             raise NonFiniteValue("saddle coupling matrix has non-finite entries")
         if np.max(np.abs(M - M.T)) > 1e-12:
             raise ConfigError("saddle coupling needs a self-adjoint matrix")
-        if phi2.dim != n:
-            raise DimensionMismatch("phi2 must act on the second block")
-        if not phi2.differentiable:
-            raise ConfigError("the smooth saddle term must be differentiable")
         super().__init__(2 * n, "saddle_coupling")
         self.matrix = M
         self.phi2 = phi2
@@ -274,60 +268,64 @@ def build_affine_vi_over_polyhedron(
     )
 
 
-def build_a1(
-    operator: Operator,
-    objective: ConvexFunction,
-    f_min: float,
-    exact_set=None,
-    slater_point=None,
-    known_solution=None,
-) -> Problem:
-    """VI over the minimizer set of ``objective``, via C = {f - f_min <= 0}.
+def build_a1(target=(0.05, 0.0), objective: str = "relu") -> Problem:
+    """VI pulling toward ``target`` over C = argmin f = {f <= 0}.
 
-    The minimizer set has empty interior whenever f_min is the true minimum,
-    so a strict interior point never exists; the caller supplies an exact
-    projector onto the minimizer set as the distance rule (a Slater point
-    serves only an f_min above the minimum).
+    The objective f is "relu" (max(x_1, 0), minimized on the halfspace
+    {x_1 <= 0}), "norm" (||x||) or "sqnorm" (0.5||x||^2), both minimized
+    only at the origin. Each has minimum 0, so f itself is the gauge of its
+    minimizer set. That set has empty interior, so no Slater point exists;
+    the exact projector onto it supplies the distance rule.
     """
-    fn = ShiftedFunction(objective, f_min, label=f"{objective.label}-min")
-    constraint = Constraint(
-        fn, exact_set=exact_set, slater_point=slater_point, label="argmin_set"
-    )
-    cert = None
-    if known_solution is not None:
-        known_solution = as_point(known_solution, operator.dim)
-        cert = (operator.select(known_solution),)
+    target = as_point(target, name="target")
+    n = target.size
+    op = AffineOperator.from_diagonal(np.ones(n), -target, label="pull_to_target")
+    if objective == "relu":
+        rows = np.zeros((2, n))
+        rows[0, 0] = 1.0
+        fn = MaxOfAffine(rows, np.zeros(2), label="relu")
+        argmin = Halfspace(rows[0], 0.0)
+        x_star = target.copy()
+        x_star[0] = min(x_star[0], 0.0)
+    elif objective in ("norm", "sqnorm"):
+        if objective == "norm":
+            fn = NormFunction(np.zeros(n), label="norm_objective")
+        else:
+            fn = Quadratic.half_sq_distance(np.zeros(n), label="sq_objective")
+        argmin = BallSet(np.zeros(n), 0.0)
+        x_star = np.zeros(n)
+    else:
+        raise ConfigError(f"unknown a1 objective {objective!r}")
     return Problem(
-        operators=(operator,),
-        constraint=constraint,
+        operators=(op,),
+        constraint=Constraint(fn, exact_set=argmin, label="argmin_set"),
         label="argmin_refinement",
-        known_solution=known_solution,
-        certificate=cert,
-        meta={"family": "a1", "f_min": fn.delta},
+        known_solution=x_star,
+        certificate=(op.select(x_star),),
+        meta={"family": "a1", "target": target.tolist(), "objective": objective},
     )
 
 
-def build_a2(matrix, phi1: ConvexFunction, phi2: ConvexFunction) -> Problem:
-    """Composite minimization min phi1(L x) + phi2(x) on the graph of L.
+# The phi defaults are never mutated: _phi receives their entries as arguments.
+def build_a2(matrix=2.0, phi1: dict = {}, phi2: dict = {"center": [4.0]}) -> Problem:
+    """Composite minimization min phi1(L x) + phi2(x) on the graph of L = ``matrix``.
 
-    Lifted to pairs (x, y) constrained to y = L x, with one operator
-    differentiating each term in its own block: the phi1 block acts on the
-    y coordinates, the phi2 block on the x coordinates, so the summed
-    operator is the gradient of phi1(y) + phi2(x) and the VI on the graph
-    reproduces the composite first-order condition
+    phi1 acts on the output and phi2 on the input space of L; each is
+    0.5 * weight * ||. - center||^2 with the fields given in its object.
+    The problem is lifted to pairs (x, y) constrained to y = L x, with one
+    operator differentiating each term in its own block: the phi1 block
+    acts on the y coordinates, the phi2 block on the x coordinates, so the
+    summed operator is the gradient of phi1(y) + phi2(x) and the VI on the
+    graph reproduces the composite first-order condition
     L' grad phi1(L x) + grad phi2(x) = 0.
 
     The graph is a subspace with a cheap exact projector, so the problem is
     built with use_exact_projection and the feasibility loop never runs.
     """
-    L = np.asarray(matrix, dtype=float)
-    if L.ndim != 2:
-        raise DimensionMismatch("the coupling map must be a matrix")
+    L = _as_matrix(matrix, "matrix")
     p, n = L.shape
-    if phi1.dim != p:
-        raise DimensionMismatch("phi1 must act on the output space of the map")
-    if phi2.dim != n:
-        raise DimensionMismatch("phi2 must act on the input space of the map")
+    phi1 = _phi("phi1", p, **phi1)
+    phi2 = _phi("phi2", n, **phi2)
     dim = n + p
 
     t_outer = EmbeddedOperator(dim, GradientOperator(phi1), n, label="outer_term")
@@ -338,16 +336,15 @@ def build_a2(matrix, phi1: ConvexFunction, phi2: ConvexFunction) -> Problem:
 
     known = None
     cert = None
-    if isinstance(phi1, Quadratic) and isinstance(phi2, Quadratic):
-        # First-order condition of the composite objective.
-        H = L.T @ phi1.Q @ L + phi2.Q
-        g = L.T @ phi1.b + phi2.b
-        x_star = _try_solve(H, -g)
-        if x_star is not None:
-            known = np.concatenate([x_star, L @ x_star])
-            u1 = np.concatenate([np.zeros(n), phi1.subgradient(L @ x_star)])
-            u2 = np.concatenate([phi2.subgradient(x_star), np.zeros(p)])
-            cert = (u1, u2)
+    # First-order condition of the composite objective.
+    H = L.T @ phi1.Q @ L + phi2.Q
+    g = L.T @ phi1.b + phi2.b
+    x_star = _try_solve(H, -g)
+    if x_star is not None:
+        known = np.concatenate([x_star, L @ x_star])
+        u1 = np.concatenate([np.zeros(n), phi1.subgradient(L @ x_star)])
+        u2 = np.concatenate([phi2.subgradient(x_star), np.zeros(p)])
+        cert = (u1, u2)
 
     return Problem(
         operators=(t_outer, t_inner),
@@ -360,22 +357,24 @@ def build_a2(matrix, phi1: ConvexFunction, phi2: ConvexFunction) -> Problem:
     )
 
 
-def build_a3(matrix, phi1: ConvexFunction, phi2: ConvexFunction) -> Problem:
+def build_a3(matrix=1.0, phi1: dict = {}, phi2: dict = {}) -> Problem:
     """Saddle stationarity VI on pairs (x1, x2), unconstrained.
 
-    The first operator carries the subgradient of phi1 in the first block;
-    the second couples the blocks through a self-adjoint map and the
-    gradient of a smooth convex phi2:
+    phi1 acts on the first and phi2 on the second block of the square,
+    self-adjoint L = ``matrix``; each is 0.5 * weight * ||. - center||^2
+    with the fields given in its object. The first operator carries the
+    gradient of phi1 in the first block; the second couples the blocks
+    through L and the gradient of phi2:
 
-        T1(x1, x2) = (subgrad phi1(x1), 0)
+        T1(x1, x2) = (grad phi1(x1), 0)
         T2(x1, x2) = (L x2, grad phi2(x2) - L x1)
 
     T2 is monotone because the coupling terms cancel in the pairing.
     """
-    L = np.asarray(matrix, dtype=float)
+    L = _as_matrix(matrix, "matrix")
     n = L.shape[0]
-    if phi1.dim != n:
-        raise DimensionMismatch("phi1 must act on the first block")
+    phi1 = _phi("phi1", n, **phi1)
+    phi2 = _phi("phi2", n, **phi2)
     dim = 2 * n
 
     t1 = EmbeddedOperator(dim, GradientOperator(phi1), 0, label="separable_term")
@@ -388,16 +387,15 @@ def build_a3(matrix, phi1: ConvexFunction, phi2: ConvexFunction) -> Problem:
 
     known = None
     cert = None
-    if isinstance(phi1, Quadratic) and isinstance(phi2, Quadratic):
-        # Stationarity: grad phi1(x1) + L x2 = 0, grad phi2(x2) - L x1 = 0.
-        K = np.block([[phi1.Q, L], [-L, phi2.Q]])
-        rhs = -np.concatenate([phi1.b, phi2.b])
-        sol = _try_solve(K, rhs)
-        if sol is not None:
-            known = sol
-            u1 = np.concatenate([phi1.subgradient(sol[:n]), np.zeros(n)])
-            u2 = t2.select(sol)
-            cert = (u1, u2)
+    # Stationarity: grad phi1(x1) + L x2 = 0, grad phi2(x2) - L x1 = 0.
+    K = np.block([[phi1.Q, L], [-L, phi2.Q]])
+    rhs = -np.concatenate([phi1.b, phi2.b])
+    sol = _try_solve(K, rhs)
+    if sol is not None:
+        known = sol
+        u1 = np.concatenate([phi1.subgradient(sol[:n]), np.zeros(n)])
+        u2 = t2.select(sol)
+        cert = (u1, u2)
 
     return Problem(
         operators=(t1, t2),
@@ -429,63 +427,12 @@ def _phi(what: str, dim: int, weight: float = 1.0, center=None) -> Quadratic:
     return Quadratic.half_sq_distance(center, weight, label=what)
 
 
-def _a1_config(target=(0.05, 0.0), objective: str = "relu") -> Problem:
-    """a1: pull toward ``target`` over the minimizers of "relu", "norm" or "sqnorm"."""
-    target = as_point(target, name="target")
-    n = target.size
-    op = AffineOperator.from_diagonal(np.ones(n), -target, label="pull_to_target")
-    if objective == "relu":
-        # f = max(x_1, 0); the minimizer set is the halfspace {x_1 <= 0}.
-        rows = np.zeros((2, n))
-        rows[0, 0] = 1.0
-        solution = target.copy()
-        solution[0] = min(solution[0], 0.0)
-        prob = build_a1(
-            op,
-            MaxOfAffine(rows, np.zeros(2), label="relu"),
-            f_min=0.0,
-            exact_set=Halfspace(rows[0], 0.0),
-            known_solution=solution,
-        )
-    elif objective in ("norm", "sqnorm"):
-        if objective == "norm":
-            fn = NormFunction(np.zeros(n), label="norm_objective")
-        else:
-            fn = Quadratic.half_sq_distance(np.zeros(n), label="sq_objective")
-        # Both objectives have the origin as unique minimizer.
-        prob = build_a1(
-            op,
-            fn,
-            f_min=0.0,
-            exact_set=BallSet(np.zeros(n), 0.0),
-            known_solution=np.zeros(n),
-        )
-    else:
-        raise ConfigError(f"unknown a1 objective {objective!r}")
-    prob.meta.update({"target": target.tolist(), "objective": objective})
-    return prob
-
-
-# The phi defaults are never mutated: _phi receives their entries as arguments.
-def _a2_config(matrix=2.0, phi1: dict = {}, phi2: dict = {"center": [4.0]}) -> Problem:
-    """a2 with phi1 on the output and phi2 on the input space of ``matrix``."""
-    L = _as_matrix(matrix, "matrix")
-    return build_a2(L, _phi("phi1", L.shape[0], **phi1), _phi("phi2", L.shape[1], **phi2))
-
-
-def _a3_config(matrix=1.0, phi1: dict = {}, phi2: dict = {}) -> Problem:
-    """a3 with phi1 and phi2 on the two blocks of the square ``matrix``."""
-    L = _as_matrix(matrix, "matrix")
-    n = L.shape[0]
-    return build_a3(L, _phi("phi1", n, **phi1), _phi("phi2", n, **phi2))
-
-
 _BUILDERS = {
     "quadratic_over_ball": build_quadratic_over_ball,
     "affine_vi_over_polyhedron": build_affine_vi_over_polyhedron,
-    "a1": _a1_config,
-    "a2": _a2_config,
-    "a3": _a3_config,
+    "a1": build_a1,
+    "a2": build_a2,
+    "a3": build_a3,
 }
 
 FAMILY_PARAMS = {

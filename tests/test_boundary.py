@@ -27,7 +27,6 @@ from visplit import (
     Problem,
     Quadratic,
     ScaledOperator,
-    ShiftedFunction,
     SolverState,
     build,
     feasible_shortcut,
@@ -55,7 +54,6 @@ def _point_methods():
         "NormFunction": norm,
         "MaxOfAffine": MaxOfAffine([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5]),
         "ConstantFunction": ConstantFunction(2, -1.0),
-        "ShiftedFunction": ShiftedFunction(norm, 0.25),
         "_GraphResidual": build("a2", {}).constraint.fn,
     }
     ops = {

@@ -8,7 +8,7 @@ import pytest
 
 from visplit import (
     AdaptivePowerStepsize, ConfigError, NonFiniteIterate, PowerStepsize, TRACE_COLUMNS, build,
-    checks, run, solver,
+    checks, oracle, run, solver,
 )
 from visplit.cli import CHECK_SUITES, RUN_KEYS, main
 from visplit.problems import FAMILIES, FAMILY_PARAMS
@@ -380,6 +380,23 @@ def test_bad_run_option_fails_alike_in_run_and_visplit_run(tmp_path, capsys, fie
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "cfg, flags",
+    [
+        ({"x0": "random", "seed": -1}, []),
+        ({"seed": -1}, []),
+        ({"x0": "random"}, ["--seed", "-5"]),
+    ],
+    ids=["field-random-x0", "field-origin-x0", "flag"],
+)
+def test_a_negative_seed_is_rejected_before_any_run(tmp_path, capsys, cfg, flags):
+    path = _write_cfg(tmp_path / "cfg.json", {"family": "a3", "max_outer": 3, **cfg})
+    out = tmp_path / "out"
+    assert main(["run", path, "--output", str(out), *flags]) == 2
+    assert f"{path}.seed must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cadence_flag_is_checked_before_any_run(tmp_path, capsys):
     path = _write_cfg(tmp_path / "cfg.json", {"family": "a3", "max_outer": 3})
     out = tmp_path / "out"
@@ -507,6 +524,19 @@ def test_check_command(capsys):
         main(["check", "--help"])
     usage = capsys.readouterr().out
     assert all(name in usage for name in CHECK_SUITES)
+
+
+def test_a_small_trials_count_still_draws_every_sweep(monkeypatch, capsys):
+    # The optimality and finite-difference sweeps take a share of --trials;
+    # with --trials 2 each must still draw a sample before it reports ok.
+    draws = []
+    graph, gap = checks.GraphSet, oracle.fd_gradient_gap
+    monkeypatch.setattr(checks, "GraphSet", lambda *a: draws.append("graph") or graph(*a))
+    monkeypatch.setattr(oracle, "fd_gradient_gap", lambda *a: draws.append("fd") or gap(*a))
+    for suite in ("projections", "operators"):
+        assert main(["check", "--suite", suite, "--trials", "2"]) == 0
+    assert draws == ["graph", "fd"]
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_bench_command(tmp_path, capsys):

@@ -22,7 +22,6 @@ from visplit import (
     PowerStepsize,
     Quadratic,
     ScaledOperator,
-    ShiftedFunction,
     build,
     run,
     sum_select,
@@ -48,7 +47,6 @@ def _shipped_functions(rng):
         MaxOfAffine(rng.standard_normal((4, n)), rng.standard_normal(4)),
         Quadratic(np.zeros((n, n)), rng.standard_normal(n), 0.4),  # affine
         ConstantFunction(n, -2.0),
-        ShiftedFunction(NormFunction(np.zeros(n)), 1.5),
     ]
 
 
@@ -134,12 +132,8 @@ NAN = float("nan")
         lambda: NormFunction([0.0], 1.0, NAN),
         lambda: Quadratic([[1.0]], None, NAN),
         lambda: Quadratic.from_diagonal([1.0], None, float("inf")),
-        lambda: ShiftedFunction(NormFunction([0.0]), NAN),
-        lambda: problems.build_a1(
-            _zero(1), NormFunction([0.0]), NAN, exact_set=BallSet([0.0], 0.0)
-        ),
     ],
-    ids=["constant", "affine", "norm", "quadratic", "quadratic-diagonal", "shifted", "a1"],
+    ids=["constant", "affine", "norm", "quadratic", "quadratic-diagonal"],
 )
 def test_a_non_finite_constant_is_rejected(make):
     # A NaN constant would make the gauge NaN everywhere, and c(x) > 0 is
@@ -404,7 +398,6 @@ def test_finite_difference_gradients():
         ConstantFunction(n, 4.0),
         NormFunction(10.0 * np.ones(n)),  # smooth away from its center
     ]
-    assert all(f.differentiable for f in smooth[:3])
     worst = 0.0
     for _ in range(100):
         x = rng.standard_normal(n)
@@ -420,11 +413,3 @@ def test_subgradient_gap_helper_sign():
         x = rng.standard_normal(2)
         y = rng.standard_normal(2)
         assert subgradient_gap(f, x, y) >= -1e-12
-
-
-def test_shifted_function_moves_the_level_set():
-    base = Quadratic.half_sq_distance([0.0])
-    f = ShiftedFunction(base, 0.5)
-    assert f.value([1.0]) == 0.0
-    assert np.array_equal(f.subgradient([1.0]), base.subgradient([1.0]))
-    assert f.differentiable

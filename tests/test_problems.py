@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+import visplit
 from visplit import (
     BallSet,
     ConfigError,
@@ -14,8 +17,9 @@ from visplit import (
     sum_select,
     with_reference,
 )
+from visplit import problems
 from visplit.oracle import feasible_points, vi_gap
-from visplit.problems import MAX_PARTS, validate_params
+from visplit.problems import FAMILY_PARAMS, MAX_PARTS, validate_params
 
 
 def test_family_names_are_stable():
@@ -26,6 +30,61 @@ def test_family_names_are_stable():
         "a2",
         "a3",
     )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_each_family_is_one_exported_function(family):
+    # build(family, params) calls the exported build_<family> itself, and its
+    # keyword parameters are the family's config fields.
+    fn = problems._BUILDERS[family]
+    assert fn is getattr(visplit, "build_" + family)
+    assert FAMILY_PARAMS[family] == frozenset(inspect.signature(fn).parameters)
+
+
+# Trace rows (wall_time dropped, as repr) and final averages of family
+# paths that the benchmark does not run, so that any change to what these
+# builders build shows as a changed bit; PowerStepsize(1.0, 0.6), 40 steps
+# kept every 10th.
+PINNED_RUNS = [
+    ("a1", {"objective": "norm", "target": [2.0, 1.0]}, [1.0, -1.0], [
+        "(0, 1.0, 2.23606797749979, 1.0, 1, 2.1213203435596424, 3.1401849173675503e-16, 2.1213203435596424, 6.9721359549995805)",
+        "(10, 0.23722714866171574, 2.23606797749979, 4.68862102495651, 1, 0.7527174300698198, 0.0, 0.7527174300698198, 0.3113633704745609)",
+        "(20, 0.16094164024930613, 2.23606797749979, 6.576862350799153, 1, 0.595287310836715, 1.962615573354719e-17, 0.595287310836715, 0.14252132423332306)",
+        "(30, 0.12740397661775155, 2.23606797749979, 7.984643252495197, 1, 0.5174309806622115, 0.0, 0.5174309806622115, 0.08914817816478714)",
+        "(39, 0.10933620739432783, 2.23606797749979, 9.035490730567624, 1, 0.4708800987468116, 2.7755575615628914e-17, 0.4708800987468116, 0.16271082718440566)",
+    ], "[0.3946236487889333, 0.2569051249241939]"),
+    ("a1", {"objective": "sqnorm", "target": [2.0, 1.0]}, [1.0, -1.0], [
+        "(0, 1.0, 2.1213203435596424, 1.0, 1, 2.23606797749979, 0.7071067811865476, 2.23606797749979, 5.972135954999579)",
+        "(10, 0.23722714866171574, 2.234976147432651, 4.68862102495651, 1, 0.6097199473075912, 0.0010918300671385692, 0.6097199473075912, 0.5327895982238917)",
+        "(20, 0.16094164024930613, 2.2360669112594898, 6.576862350799153, 1, 0.434702887567468, 1.066240299940009e-06, 0.434702887567468, 0.24534914598168348)",
+        "(30, 0.12740397661775155, 2.2360679764585396, 7.984643252495197, 1, 0.3580599817981604, 1.041250292910165e-09, 0.3580599817981604, 0.15374956301507448)",
+        "(39, 0.10933620739432783, 2.236067977497756, 9.035490730567624, 1, 0.3164168170865131, 2.033707494178624e-12, 0.3164168170865131, 0.11323376123632803)",
+    ], "[0.2830118048918241, 0.14150590244591205]"),
+    ("a2", {"matrix": [[1.0, 0.5]], "phi2": {"center": [4.0, 1.0]}}, [1.0, 2.0, 0.0], [
+        "(0, 1.0, 4.298885270735839, 1.0, 0, 0.0, 0.0, 0.2944616266666387, 71.0993208779958)",
+        "(10, 0.23722714866171574, 2.3387841712215938, 4.68862102495651, 0, 4.494775313252277e-16, 0.0, 0.3247081930750038, 1.5481972032920839)",
+        "(20, 0.16094164024930613, 2.309575939934901, 6.576862350799153, 0, 0.0, 0.0, 0.2798221534078557, 0.7006385194668459)",
+        "(30, 0.12740397661775155, 2.2964764695174638, 7.984643252495197, 0, 0.0, 0.0, 0.2513084516060536, 0.4358141356586679)",
+        "(39, 0.10933620739432783, 2.2890071638217258, 9.035490730567624, 0, 0.0, 0.0, 0.23308009835617113, 0.3196450496547994)",
+    ], "[2.1389821184337965, 0.06949105921689758, 2.173727648042245]"),
+    ("a3", {"phi1": {"weight": 0.0}, "phi2": {"weight": 0.0}}, [3.0, 4.0], [
+        "(0, 1.0, 5.0, 1.0, 0, 0.0, 0.0, 7.0710678118654755, 24.999999999999993)",
+        "(10, 0.23722714866171574, 13.677556018570742, 4.68862102495651, 0, 0.0, 0.0, 4.842584979100369, 10.52799771858679)",
+        "(20, 0.16094164024930613, 16.566295679012487, 6.576862350799153, 0, 0.0, 0.0, 1.5380458750977686, 7.108658697354883)",
+        "(30, 0.12740397661775155, 18.36842589473434, 7.984643252495197, 0, 0.0, 0.0, 1.84189289500685, 5.476585199276599)",
+        "(39, 0.10933620739432783, 19.565872173507646, 9.035490730567624, 0, 0.0, 0.0, 2.7543321970689916, 4.576425893623366)",
+    ], "[-1.471286518949672, 2.328446226771805]"),
+]
+
+
+@pytest.mark.parametrize(
+    "family, params, x0, rows, x", PINNED_RUNS,
+    ids=["a1-norm", "a1-sqnorm", "a2-wide", "a3-rotation"],
+)
+def test_family_paths_keep_their_traces_bit_for_bit(family, params, x0, rows, x):
+    state = run(build(family, params), PowerStepsize(1.0, 0.6), x0=x0, max_outer=40, cadence=10)
+    assert [repr(tuple(rec)[:-1]) for rec in state.trace] == rows
+    assert repr(state.x.tolist()) == x
 
 
 def test_ball_family_exterior_target():
@@ -114,7 +173,6 @@ def test_a1_relu_objective():
     moved = build("a1", {"target": [-1.0, 2.0]})
     assert np.array_equal(moved.known_solution, [-1.0, 2.0])
     assert prob.meta["objective"] == "relu"
-    assert prob.meta["f_min"] == 0.0
 
 
 def test_a1_norm_objectives_pin_the_origin():
