@@ -7,8 +7,10 @@ compute; otherwise the tie-break convention is documented on the oracle.
 
 Monotonicity of the shipped affine family is enforced at construction time
 (symmetric part positive semidefinite, tolerance ``-1e-10`` on the smallest
-eigenvalue). Subgradient oracles of convex functions are monotone by
-construction.
+eigenvalue). A diagonal symmetric part, as of a skew map or a skew map plus
+a diagonal, is checked from its diagonal without an eigenvalue solve; only
+other dense maps pay for ``eigvalsh``. Subgradient oracles of convex
+functions are monotone by construction.
 
 Points are checked once: ``Operator.select`` and ``ConvexFunction.value`` /
 ``subgradient`` apply ``as_point`` and call the kernel ``_select``,
@@ -114,11 +116,18 @@ class AffineOperator(Operator):
         return op
 
     def _setup(self, diag, dense, offset, label: str) -> None:
-        """Check monotonicity and keep the map: ``diag``, or ``dense`` when that is None."""
+        """Check monotonicity and keep the map: ``diag``, or ``dense`` when that is None.
+
+        The smallest eigenvalue of the symmetric part is read off its diagonal
+        when that part is diagonal: always for ``diag``, and for a skew or
+        skew-plus-diagonal ``dense``. Only other dense maps call ``eigvalsh``.
+        """
         if dense is None:
             lo, n = float(diag.min()), diag.size
         else:
-            lo = float(np.linalg.eigvalsh(_symmetric_part(dense)).min())
+            sym = _symmetric_part(dense)
+            sym_diag = _diagonal(sym)
+            lo = float((np.linalg.eigvalsh(sym) if sym_diag is None else sym_diag).min())
             n = dense.shape[0]
             dense.flags.writeable = False
         if not lo >= _PSD_TOL:

@@ -337,7 +337,7 @@ def build_a2(matrix=2.0, phi1: dict = {}, phi2: dict = {"center": [4.0]}) -> Pro
     known = None
     cert = None
     # First-order condition of the composite objective.
-    H = L.T @ phi1.Q @ L + phi2.Q
+    H = L.T @ _dense_q(phi1) @ L + _dense_q(phi2)
     g = L.T @ phi1.b + phi2.b
     x_star = _try_solve(H, -g)
     if x_star is not None:
@@ -388,7 +388,7 @@ def build_a3(matrix=1.0, phi1: dict = {}, phi2: dict = {}) -> Problem:
     known = None
     cert = None
     # Stationarity: grad phi1(x1) + L x2 = 0, grad phi2(x2) - L x1 = 0.
-    K = np.block([[phi1.Q, L], [-L, phi2.Q]])
+    K = np.block([[_dense_q(phi1), L], [-L, _dense_q(phi2)]])
     rhs = -np.concatenate([phi1.b, phi2.b])
     sol = _try_solve(K, rhs)
     if sol is not None:
@@ -425,6 +425,11 @@ def _phi(what: str, dim: int, weight: float = 1.0, center=None) -> Quadratic:
     weight = as_number(weight, f"{what}.weight")
     center = np.zeros(dim) if center is None else as_point(center, dim, f"{what}.center")
     return Quadratic.half_sq_distance(center, weight, label=what)
+
+
+def _dense_q(phi: Quadratic) -> np.ndarray:
+    """The Q of a ``_phi`` as a dense temporary; ``phi.Q`` would keep an n x n copy in phi."""
+    return np.diag(phi.gradient._diag)
 
 
 _BUILDERS = {

@@ -173,12 +173,58 @@ SHAPES = pytest.mark.parametrize(
 )
 
 
-@SHAPES
+def _skewed(diag):
+    # A skew part that leaves the symmetric part diagonal.
+    return np.diag(diag) + np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [np.diag, _rotated, _from_vector, _skewed],
+    ids=["diagonal", "dense", "from_diagonal", "skew_plus_diagonal"],
+)
 def test_psd_tolerance_boundary(shape):
     for cls in (AffineOperator, Quadratic):
         with pytest.raises(ValueError, match="eigenvalue -1.000e-09"):
             _make(cls, shape, shape([1.0, -1e-9]))
         _make(cls, shape, shape([1.0, -1e-11]))
+
+
+def _cli_batch_matrices(seed):
+    """The ``box`` and ``hexagon`` matrices of the benchmark's batch at ``seed``."""
+    rng = np.random.default_rng(seed)
+    t = float(rng.uniform(0.0, 2.0 * np.pi))
+    rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    flip = float(rng.choice([-1.0, 1.0]))
+    return [[0.2, flip], [-flip, 0.2]], rot @ np.array([[0.1, 1.0], [-1.0, 0.1]]) @ rot.T
+
+
+def test_diagonal_symmetric_parts_need_no_eigvalsh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for family in problems.FAMILIES:
+        build(family, {})
+    G = np.random.default_rng(24).standard_normal((10, 10))
+    AffineOperator(G - G.T)
+    for seed in (1, 7919):
+        for matrix in _cli_batch_matrices(seed):
+            AffineOperator(matrix)
+
+
+def test_other_dense_maps_still_call_eigvalsh(monkeypatch):
+    calls = Counter()
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls["eigvalsh"] += 1
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    AffineOperator(_rotated([1.0, 2.0]))
+    Quadratic(_rotated([1.0, 2.0]))
+    assert calls["eigvalsh"] == 2
 
 
 @SHAPES

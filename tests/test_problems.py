@@ -229,6 +229,25 @@ def test_a3_stationary_points():
     assert np.allclose(skew.certificate_sum(), [0.0, 0.0], atol=1e-15, rtol=0)
 
 
+def test_a2_a3_phis_keep_no_dense_matrix():
+    rng = np.random.default_rng(52)
+    L = rng.standard_normal((3, 3))
+    L = L + L.T
+    phi1 = {"weight": 2.0, "center": rng.standard_normal(3).tolist()}
+    phi2 = {"weight": 0.5, "center": rng.standard_normal(3).tolist()}
+    a2, a3 = problems.build_a2(L, phi1, phi2), problems.build_a3(L, phi1, phi2)
+    p1, p2 = a2.operators[0].base.fn, a2.operators[1].base.fn
+    q1, q2 = a3.operators[0].base.fn, a3.operators[1].phi2
+    for phi in (p1, p2, q1, q2):
+        assert phi.gradient._diag is not None and phi.gradient._matrix is None
+    # The dense formulas, reading each phi's Q, give the same bits.
+    x = np.linalg.solve(L.T @ p1.Q @ L + p2.Q, -(L.T @ p1.b + p2.b))
+    assert a2.known_solution.tobytes() == np.concatenate([x, L @ x]).tobytes()
+    K = np.block([[q1.Q, L], [-L, q2.Q]])
+    sol = np.linalg.solve(K, -np.concatenate([q1.b, q2.b]))
+    assert a3.known_solution.tobytes() == sol.tobytes()
+
+
 def test_known_solutions_pass_sampled_vi_gaps():
     rng = np.random.default_rng(51)
     instances = [
