@@ -23,6 +23,7 @@ line" section of the README; unknown fields are rejected by path.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -49,8 +50,8 @@ from .solver import (
 )
 from .space import as_number, as_point
 
-# The keyword options of ``run``, which ``run_options`` checks and defaults.
-RUN_OPTIONS = ("theta", "max_outer", "target_err", "target_dist", "cadence", "max_inner")
+# The keyword options of ``run``: the parameters of ``run_options`` after ``problem``.
+RUN_OPTIONS = tuple(inspect.signature(run_options).parameters)[1:]
 RUN_KEYS = frozenset(
     {"family", "params", "schedule", "x0", "label", "output", "seed", *RUN_OPTIONS}
 )

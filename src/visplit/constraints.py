@@ -42,7 +42,7 @@ from .errors import (
     NonFiniteValue,
 )
 from .operators import ConvexFunction
-from .space import Vector, as_dim, as_number, as_point
+from .space import Vector, as_dim, as_matrix, as_number, as_point
 
 
 class ExactSet:
@@ -77,7 +77,7 @@ class Halfspace(ExactSet):
     """
 
     def __init__(self, normal, offset: float):
-        self._init(as_point(normal), as_number(offset, "halfspace offset"))
+        self._init(as_point(normal).copy(), as_number(offset, "halfspace offset"))
 
     @classmethod
     def _of(cls, normal: Vector, offset: float) -> "Halfspace":
@@ -193,7 +193,7 @@ class BallSet(ExactSet):
         if not radius >= 0:
             raise ConfigError("radius must be nonnegative")
         super().__init__(center.size)
-        self.center = center
+        self.center = center.copy()
         self.radius = radius
 
     def _project(self, y: Vector) -> Vector:
@@ -218,8 +218,8 @@ class BoxSet(ExactSet):
         if np.any(lo > hi):
             raise ConfigError("box has lo > hi in some coordinate")
         super().__init__(lo.size)
-        self.lo = lo
-        self.hi = hi
+        self.lo = lo.copy()
+        self.hi = hi.copy()
 
     def _project(self, y: Vector) -> Vector:
         return np.clip(y, self.lo, self.hi)
@@ -233,11 +233,7 @@ class GraphSet(ExactSet):
     """
 
     def __init__(self, matrix):
-        M = np.asarray(matrix, dtype=float)
-        if M.ndim != 2:
-            raise DimensionMismatch("graph set needs a matrix")
-        if not np.all(np.isfinite(M)):
-            raise NonFiniteValue("graph set matrix has non-finite entries")
+        M = as_matrix(matrix)
         super().__init__(M.shape[1] + M.shape[0])
         self.matrix = M
         self.n = M.shape[1]
@@ -282,7 +278,7 @@ class Constraint:
             raise DimensionMismatch("exact set and constraint dimensions differ")
         self.exact_set = exact_set
         if slater_point is not None:
-            slater_point = as_point(slater_point, fn.dim)
+            slater_point = as_point(slater_point, fn.dim).copy()
             cw = fn.value(slater_point)
             if not cw < 0:
                 raise ConfigError(

@@ -26,7 +26,7 @@ eigenvalues, and applied elementwise, with results equal to the dense
 products bit for bit. A dense row sum adds exact zeros to a single product,
 starting from +0.0, so it never returns -0.0; the elementwise vectors add 0.0
 to match. The read-only dense ``.matrix`` / ``.Q`` of a diagonal map is built
-on first read and kept.
+on each read and not kept.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, NonFiniteValue
-from .space import Vector, as_dim, as_number, as_point
+from .space import Vector, as_dim, as_matrix, as_number, as_point
 
 _PSD_TOL = -1e-10
 
@@ -48,12 +48,10 @@ def _diagonal(A: np.ndarray) -> np.ndarray | None:
 
 
 def _square(A, name: str) -> np.ndarray:
-    """A finite square float copy of ``A``."""
-    A = np.array(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    """``A`` as a square matrix (``as_matrix``)."""
+    A = as_matrix(A, name)
+    if A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise NonFiniteValue(f"{name} has non-finite entries")
     return A
 
 
@@ -139,15 +137,13 @@ class AffineOperator(Operator):
         self._diag = diag
         self._matrix = dense
         self.offset = (
-            np.zeros(self.dim) if offset is None else as_point(offset, self.dim).copy()
+            np.zeros(self.dim) if offset is None else as_point(offset, self.dim, "offset").copy()
         )
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense matrix A (read-only; built on first read for a diagonal map)."""
-        if self._matrix is None:
-            self._matrix = _dense_of(self._diag)
-        return self._matrix
+        """The dense matrix A (read-only; built on each read for a diagonal map)."""
+        return self._matrix if self._diag is None else _dense_of(self._diag)
 
     def _select(self, x: Vector) -> Vector:
         if self._diag is not None:
@@ -274,7 +270,7 @@ class Quadratic(ConvexFunction):
 
     @property
     def Q(self) -> np.ndarray:
-        """The symmetric matrix Q (read-only; built on first read for a diagonal map)."""
+        """The symmetric matrix Q (read-only; built on each read for a diagonal map)."""
         return self.gradient.matrix
 
     @classmethod
@@ -314,7 +310,7 @@ class NormFunction(ConvexFunction):
         if not scale >= 0:
             raise ConfigError("scale must be nonnegative")
         super().__init__(center.size, label)
-        self.center = center
+        self.center = center.copy()
         self.scale = scale
         self.offset = _finite(offset, "offset")
 
@@ -339,17 +335,10 @@ class MaxOfAffine(ConvexFunction):
     """
 
     def __init__(self, rows, rhs, label: str = "max_affine"):
-        A = np.asarray(rows, dtype=float)
-        if A.ndim != 2 or A.shape[0] < 1:
-            raise DimensionMismatch(f"rows must be a nonempty matrix, got {A.shape}")
-        b = np.asarray(rhs, dtype=float).reshape(-1)
-        if b.size != A.shape[0]:
-            raise DimensionMismatch("one right-hand side per row is required")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-            raise NonFiniteValue("rows or rhs have non-finite entries")
-        super().__init__(A.shape[1], label)
-        self.rows = A
-        self.rhs = b
+        rows = as_matrix(rows, "rows")
+        super().__init__(rows.shape[1], label)
+        self.rows = rows
+        self.rhs = as_point(rhs, rows.shape[0], "rhs").copy()
 
     def _value(self, x: Vector) -> float:
         return float(np.max(self.rows @ x - self.rhs))

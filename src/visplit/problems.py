@@ -44,7 +44,7 @@ from .constraints import (
     GraphSet,
     Halfspace,
 )
-from .errors import ConfigError, DimensionMismatch, NonFiniteValue
+from .errors import ConfigError, DimensionMismatch
 from .operators import (
     AffineOperator,
     ConstantFunction,
@@ -58,7 +58,7 @@ from .operators import (
     ScaledOperator,
 )
 from .solver import Problem
-from .space import Vector, as_number, as_point
+from .space import Vector, as_matrix, as_number, as_point
 
 # Largest m a family's operator may be split into: each part costs an
 # operator, a certificate vector and O(m) drift-diagnostic work per step.
@@ -68,11 +68,10 @@ MAX_PARTS = 1000
 class _GraphResidual(ConvexFunction):
     """c(x, y) = 0.5 ||L x - y||^2 on the stacked space; zero exactly on the graph."""
 
-    def __init__(self, matrix):
-        M = np.asarray(matrix, dtype=float)
-        super().__init__(M.shape[0] + M.shape[1], "graph_residual")
-        self.matrix = M
-        self.n = M.shape[1]
+    def __init__(self, matrix: np.ndarray):
+        super().__init__(matrix.shape[0] + matrix.shape[1], "graph_residual")
+        self.matrix = matrix
+        self.n = matrix.shape[1]
 
     def _value(self, v: Vector) -> float:
         r = self.matrix @ v[: self.n] - v[self.n :]
@@ -88,17 +87,15 @@ class _SaddleCoupling(Operator):
 
     The coupling part is skew, so the block is monotone because phi2 is
     convex; ``build_a3`` passes phi2 as a ``Quadratic`` on the second block.
-    ``matrix`` comes from the config, so its shape, entries and symmetry are
-    checked here.
+    ``matrix`` comes from the config, so its shape and symmetry are checked
+    here.
     """
 
     def __init__(self, matrix, phi2: Quadratic):
-        M = np.asarray(matrix, dtype=float)
+        M = as_matrix(matrix)
         n = M.shape[0]
         if M.shape != (n, n):
             raise DimensionMismatch("saddle coupling needs a square matrix")
-        if not np.all(np.isfinite(M)):
-            raise NonFiniteValue("saddle coupling matrix has non-finite entries")
         if np.max(np.abs(M - M.T)) > 1e-12:
             raise ConfigError("saddle coupling needs a self-adjoint matrix")
         super().__init__(2 * n, "saddle_coupling")
@@ -218,9 +215,8 @@ def build_affine_vi_over_polyhedron(
     oracle recovers one by face enumeration.
     """
     m = _parts(m)
-    A = _as_matrix(matrix, "matrix")
-    n = A.shape[0]
-    offset = as_point(offset, n, "offset")
+    op = AffineOperator(matrix, offset)
+    n = op.dim
 
     if (rows is None) != (rhs is None):
         raise ConfigError("rows and rhs must be given together")
@@ -245,7 +241,7 @@ def build_affine_vi_over_polyhedron(
             raise ConfigError("give either a box or rows and rhs, not both")
         if interior_point is None:
             raise ConfigError("a row polyhedron needs a strictly feasible point")
-        gauge = MaxOfAffine(_as_matrix(rows, "rows"), rhs, label="polyhedron_gauge")
+        gauge = MaxOfAffine(rows, rhs, label="polyhedron_gauge")
         constraint = Constraint(gauge, slater_point=interior_point, label="polyhedron")
         meta_set = {
             "rows": gauge.rows.tolist(),
@@ -253,15 +249,15 @@ def build_affine_vi_over_polyhedron(
             "interior_point": constraint.slater_point.tolist(),
         }
 
-    ops = _split_affine(AffineOperator(A, offset), m)
+    ops = _split_affine(op, m)
     return Problem(
         operators=ops,
         constraint=constraint,
         label=f"affine_vi({constraint.label}, m={m})",
         meta={
             "family": "affine_vi_over_polyhedron",
-            "matrix": A.tolist(),
-            "offset": offset.tolist(),
+            "matrix": op.matrix.tolist(),
+            "offset": op.offset.tolist(),
             "m": m,
             **meta_set,
         },
@@ -322,7 +318,7 @@ def build_a2(matrix=2.0, phi1: dict = {}, phi2: dict = {"center": [4.0]}) -> Pro
     The graph is a subspace with a cheap exact projector, so the problem is
     built with use_exact_projection and the feasibility loop never runs.
     """
-    L = _as_matrix(matrix, "matrix")
+    L = as_matrix(matrix)
     p, n = L.shape
     phi1 = _phi("phi1", p, **phi1)
     phi2 = _phi("phi2", n, **phi2)
@@ -337,7 +333,7 @@ def build_a2(matrix=2.0, phi1: dict = {}, phi2: dict = {"center": [4.0]}) -> Pro
     known = None
     cert = None
     # First-order condition of the composite objective.
-    H = L.T @ _dense_q(phi1) @ L + _dense_q(phi2)
+    H = L.T @ phi1.Q @ L + phi2.Q
     g = L.T @ phi1.b + phi2.b
     x_star = _try_solve(H, -g)
     if x_star is not None:
@@ -371,7 +367,7 @@ def build_a3(matrix=1.0, phi1: dict = {}, phi2: dict = {}) -> Problem:
 
     T2 is monotone because the coupling terms cancel in the pairing.
     """
-    L = _as_matrix(matrix, "matrix")
+    L = as_matrix(matrix)
     n = L.shape[0]
     phi1 = _phi("phi1", n, **phi1)
     phi2 = _phi("phi2", n, **phi2)
@@ -388,7 +384,7 @@ def build_a3(matrix=1.0, phi1: dict = {}, phi2: dict = {}) -> Problem:
     known = None
     cert = None
     # Stationarity: grad phi1(x1) + L x2 = 0, grad phi2(x2) - L x1 = 0.
-    K = np.block([[_dense_q(phi1), L], [-L, _dense_q(phi2)]])
+    K = np.block([[phi1.Q, L], [-L, phi2.Q]])
     rhs = -np.concatenate([phi1.b, phi2.b])
     sol = _try_solve(K, rhs)
     if sol is not None:
@@ -407,29 +403,11 @@ def build_a3(matrix=1.0, phi1: dict = {}, phi2: dict = {}) -> Problem:
     )
 
 
-def _as_matrix(value, what: str) -> np.ndarray:
-    """``value`` as a float matrix (a number is 1x1); a ``ConfigError`` naming ``what`` otherwise."""
-    try:
-        M = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be a matrix of numbers: {exc}") from exc
-    if M.ndim == 0:
-        M = M.reshape(1, 1)
-    if M.ndim != 2:
-        raise ConfigError(f"{what} must be a matrix")
-    return M
-
-
 def _phi(what: str, dim: int, weight: float = 1.0, center=None) -> Quadratic:
     """phi = 0.5 * weight * ||x - center||^2 on R^dim; the center defaults to the origin."""
     weight = as_number(weight, f"{what}.weight")
     center = np.zeros(dim) if center is None else as_point(center, dim, f"{what}.center")
     return Quadratic.half_sq_distance(center, weight, label=what)
-
-
-def _dense_q(phi: Quadratic) -> np.ndarray:
-    """The Q of a ``_phi`` as a dense temporary; ``phi.Q`` would keep an n x n copy in phi."""
-    return np.diag(phi.gradient._diag)
 
 
 _BUILDERS = {

@@ -185,14 +185,14 @@ class Problem:
                     f"operator {op.label!r} has dim {op.dim}, constraint has {dim}"
                 )
         if known_solution is not None:
-            known_solution = as_point(known_solution, dim)
+            known_solution = as_point(known_solution, dim).copy()
             cx = constraint.value(known_solution)
             if cx > 1e-9:
                 raise ConfigError(f"known solution is infeasible: c(x*) = {cx!r}")
         if certificate is not None:
             if known_solution is None:
                 raise ConfigError("a certificate requires a known solution")
-            certificate = tuple(as_point(u, dim) for u in certificate)
+            certificate = tuple(as_point(u, dim).copy() for u in certificate)
             if len(certificate) != len(ops):
                 raise ConfigError("certificate needs one selection per operator")
         if use_exact_projection and constraint.exact_set is None:

@@ -1,10 +1,12 @@
-"""Point and scalar validation for the ambient coordinate space.
+"""Point, matrix and scalar validation for the ambient coordinate space.
 
-Points are plain 1-D float64 numpy arrays. ``as_point`` validates shape and
-finiteness so that bad values fail fast instead of propagating through an
-iterative run. ``as_number`` is the one rule for scalar settings (run
-options, counts, seeds, schedule constants) wherever they enter, and
-``as_dim`` applies it to the dimension of an operator, function or set.
+Each kind of input has one rule, applied where it enters the API so that bad
+values fail fast instead of propagating through an iterative run:
+``as_number`` for scalar settings (run options, counts, seeds, schedule
+constants), with ``as_dim`` applying it to the dimension of an operator,
+function or set; ``as_point`` for vectors, plain 1-D float64 arrays; and
+``as_matrix`` for the linear maps that operators and sets are built from.
+Points and matrices share one entry rule: every entry is a real number.
 """
 
 from __future__ import annotations
@@ -18,24 +20,35 @@ from .errors import ConfigError, DimensionMismatch, NonFiniteValue
 Vector = np.ndarray
 
 
-def as_point(x, dim: int | None = None, name: str = "vector") -> Vector:
-    """Coerce ``x`` to a finite 1-D float64 array, optionally of length ``dim``.
+def _floats(x, name: str, kind: str) -> np.ndarray:
+    """``x`` as a float64 array if every entry is a real number; a ``ConfigError`` otherwise.
 
-    An entry that is not a real number (a word, a bool, a ragged row), or
-    one too large for a float, is a ``ConfigError`` that names ``x`` as
-    ``name``, as ``as_number`` does for scalars. A numeric array skips the
-    entry check.
+    A word, a bool, a ragged row or a number too large for a float fails
+    with a message that names ``x`` as ``name``, a ``kind`` of numbers. A
+    numeric array skips the entry check and is returned as is.
     """
     if not (isinstance(x, np.ndarray) and x.dtype.kind in "fiu"):
         if not all(
             isinstance(c, numbers.Real) and not isinstance(c, bool)
             for c in np.asarray(x, dtype=object).flat
         ):
-            raise ConfigError(f"{name} must be a vector of numbers, got {x!r:.60}")
+            raise ConfigError(f"{name} must be a {kind} of numbers, got {x!r:.60}")
     try:
-        p = np.asarray(x, dtype=float)
+        return np.asarray(x, dtype=float)
     except OverflowError as exc:
         raise ConfigError(f"{name} is out of range: {exc}") from exc
+
+
+def as_point(x, dim: int | None = None, name: str = "vector") -> Vector:
+    """Coerce ``x`` to a finite 1-D float64 array, optionally of length ``dim``.
+
+    An entry that is not a real number (a word, a bool, a ragged row), or
+    one too large for a float, is a ``ConfigError`` that names ``x`` as
+    ``name``, as ``as_number`` does for scalars. A float64 array of the
+    right shape is returned as is, not copied; a constructor that keeps the
+    point copies it.
+    """
+    p = _floats(x, name, "vector")
     if p.ndim == 0:
         p = p.reshape(1)
     if p.ndim != 1 or p.size < 1:
@@ -45,6 +58,25 @@ def as_point(x, dim: int | None = None, name: str = "vector") -> Vector:
     if dim is not None and p.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {p.size}")
     return p
+
+
+def as_matrix(A, name: str = "matrix") -> np.ndarray:
+    """A new finite 2-D float64 array of the entries of ``A``, for the caller to keep.
+
+    The entries follow ``as_point``'s rule, so a word, a bool or a ragged
+    row is a ``ConfigError`` that names ``A`` as ``name``. A number is read
+    as a 1x1 matrix. Any other shape than a nonempty 2-D matrix is a
+    ``DimensionMismatch`` and a NaN or infinite entry a ``NonFiniteValue``,
+    both naming ``name``.
+    """
+    M = _floats(A, name, "matrix").copy()
+    if M.ndim == 0:
+        M = M.reshape(1, 1)
+    if M.ndim != 2 or M.size < 1:
+        raise DimensionMismatch(f"{name} must be a nonempty 2-D matrix, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise NonFiniteValue(f"{name} has NaN or infinite entries")
+    return M
 
 
 def as_number(value, name: str, integer: bool = False) -> float | int:

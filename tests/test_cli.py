@@ -309,6 +309,13 @@ MALFORMED_ARRAYS = [
     ("quadratic_over_ball", {"target": "1.5"}, "target"),
     ("quadratic_over_ball", {"target": [True, False]}, "target"),
     ("a3", {"matrix": [[1, 2], [3]]}, "matrix"),
+    ("affine_vi_over_polyhedron", {"matrix": [["0", "0.2"], ["-0.2", "0"]]}, "matrix"),
+    ("a3", {"matrix": True}, "matrix"),
+    ("a2", {"matrix": "2"}, "matrix"),
+    ("affine_vi_over_polyhedron",
+     {"rows": [["1", "0"], ["0", "1"]], "rhs": [1, 1], "interior_point": [0, 0]}, "rows"),
+    ("affine_vi_over_polyhedron",
+     {"rows": [[1, 0], [0, 1]], "rhs": ["1", True], "interior_point": [0, 0]}, "rhs"),
 ]
 
 
@@ -316,7 +323,9 @@ MALFORMED_ARRAYS = [
     "family, params, field", MALFORMED_ARRAYS, ids=["box-3-rows", "box-number", "offset-text",
                                                      "target-text", "target-digit-strings",
                                                      "target-number-string", "target-bools",
-                                                     "matrix-ragged"]
+                                                     "matrix-ragged", "matrix-digit-strings",
+                                                     "matrix-bool", "matrix-number-string",
+                                                     "rows-digit-strings", "rhs-string-and-bool"]
 )
 def test_a_malformed_array_field_is_a_config_error_naming_it(tmp_path, capsys, family, params,
                                                               field):

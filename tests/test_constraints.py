@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from visplit import (
+    AffineOperator,
     BallSet,
     BoxSet,
     ConfigError,
@@ -14,6 +15,8 @@ from visplit import (
     InfeasibleConstraint,
     MaxOfAffine,
     NonFiniteValue,
+    NormFunction,
+    Problem,
     Quadratic,
     project_halfspace_pair,
 )
@@ -183,6 +186,53 @@ def test_ball_set_validation():
         BoxSet([1.0, 0.0], [0.0, 1.0])
     with pytest.raises(NonFiniteValue):
         GraphSet([[np.nan]])
+
+
+def _outputs(obj):
+    """What ``obj`` gives at y = (2, 0), as one new array."""
+    y = [2.0, 0.0]
+    if isinstance(obj, ExactSet):
+        return np.hstack([obj.project(y), obj.distance(y)])
+    if isinstance(obj, Constraint):
+        return np.hstack([obj.dist_upper(y), obj.slater_point])
+    if isinstance(obj, Problem):
+        return np.hstack([obj.known_solution, *obj.certificate, obj.certificate_sum()])
+    return np.hstack([obj.value(y), obj.subgradient(y)])
+
+
+@pytest.mark.parametrize(
+    "make, arrays",
+    [
+        (GraphSet, [[[2.0]]]),
+        (lambda A: MaxOfAffine(A, [0.5]), [[[1.0, 0.0]]]),
+        (lambda b: MaxOfAffine([[1.0, 0.0]], b), [[0.5]]),
+        (lambda n: Halfspace(n, 0.0), [[1.0, 0.0]]),
+        (lambda c: BallSet(c, 1.0), [[0.0, 0.0]]),
+        (BoxSet, [[0.0, 0.0], [1.0, 1.0]]),
+        (lambda c: NormFunction(c, 1.0, -1.0), [[0.0, 0.0]]),
+        (lambda w: _unit_ball_constraint(slater_point=w), [[0.0, 0.0]]),
+        (
+            lambda x, u: Problem(
+                (AffineOperator.from_diagonal([1.0, 1.0], [-2.0, 0.0]),),
+                _unit_ball_constraint(exact_set=BallSet([0.0, 0.0], 1.0)),
+                known_solution=x,
+                certificate=(u,),
+            ),
+            [[1.0, 0.0], [-1.0, 0.0]],
+        ),
+    ],
+    ids=["GraphSet", "MaxOfAffine.rows", "MaxOfAffine.rhs", "Halfspace", "BallSet", "BoxSet",
+         "NormFunction", "Constraint.slater_point", "Problem"],
+)
+def test_constructors_keep_copies_of_the_arrays_they_are_given(make, arrays):
+    # A kept alias would drift with the caller's array, away from what the
+    # constructor cached from it (the inverse of I + M'M, |n|^2, c(w)).
+    arrays = [np.array(a, dtype=float) for a in arrays]
+    obj = make(*arrays)
+    before = _outputs(obj)
+    for a in arrays:
+        a[...] = 3.0
+    assert np.array_equal(_outputs(obj), before)
 
 
 def test_distance_rule_precedence():

@@ -63,6 +63,8 @@ def test_affine_operator_rejects_nonmonotone_matrix():
         AffineOperator([[-1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(DimensionMismatch):
         AffineOperator([[1.0, 0.0]])
+    with pytest.raises(DimensionMismatch):
+        MaxOfAffine([[1.0, 0.0]], [[0.5]])  # one rhs per row, as a vector
 
 
 @pytest.mark.parametrize(

@@ -246,6 +246,10 @@ def test_a2_a3_phis_keep_no_dense_matrix():
     K = np.block([[q1.Q, L], [-L, q2.Q]])
     sol = np.linalg.solve(K, -np.concatenate([q1.b, q2.b]))
     assert a3.known_solution.tobytes() == sol.tobytes()
+    # Each read of Q builds a read-only dense array and leaves none in the map.
+    for phi in (p1, p2, q1, q2):
+        assert np.array_equal(phi.Q, phi.Q) and not phi.Q.flags.writeable
+        assert phi.gradient._matrix is None
 
 
 def test_known_solutions_pass_sampled_vi_gaps():

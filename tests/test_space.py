@@ -10,7 +10,7 @@ from visplit import (
     NonFiniteValue,
     VisplitError,
 )
-from visplit.space import as_number, as_point
+from visplit.space import as_matrix, as_number, as_point
 
 
 def test_as_point_coerces_lists_and_scalars():
@@ -33,6 +33,11 @@ def test_as_point_rejects_bad_inputs():
         as_point([1.0, np.nan])
     with pytest.raises(NonFiniteValue):
         as_point([np.inf, 0.0])
+    for shape in ([1.0, 2.0], np.zeros((2, 0)), np.zeros((1, 1, 1))):
+        with pytest.raises(DimensionMismatch, match="^L must be a nonempty 2-D matrix"):
+            as_matrix(shape, "L")
+    with pytest.raises(NonFiniteValue, match="^L "):
+        as_matrix([[1.0, np.nan]], "L")
 
 
 @pytest.mark.parametrize(
@@ -46,6 +51,8 @@ def test_as_point_rejects_entries_that_are_not_real_numbers(value):
     # A word or a bool is not coerced, as as_number does not coerce them.
     with pytest.raises(ConfigError, match="^target "):
         as_point(value, name="target")
+    with pytest.raises(ConfigError, match="^L "):
+        as_matrix(value, "L")
 
 
 def test_as_point_keeps_numeric_arrays():
@@ -53,6 +60,10 @@ def test_as_point_keeps_numeric_arrays():
     assert as_point(p) is p
     assert np.array_equal(as_point(np.array([1, 2], dtype=np.int32)), [1.0, 2.0])
     assert np.array_equal(as_point([np.float32(0.5), np.int64(2)]), [0.5, 2.0])
+    # A matrix is always copied, for the constructor that keeps it.
+    M = np.eye(2)
+    assert not np.shares_memory(as_matrix(M), M) and np.array_equal(as_matrix(M), M)
+    assert np.array_equal(as_matrix(3), [[3.0]])
 
 
 def test_as_number_accepts_numbers_and_integral_counts():
