@@ -235,7 +235,7 @@ def check_innerloop(seed: int = 0, trials: int = 150) -> list[CheckResult]:
         d /= float(np.linalg.norm(d))
         z = center + radius * float(rng.uniform(1.05, 3.0)) * d
         tol = float(rng.uniform(0.01, 0.3))
-        res = run_inner(con, z, 1.0, tol)
+        res = run_inner(con, z, tol)
         worst_exit = max(worst_exit, res.dist_bound_at_exit - tol)
         worst_exit = max(worst_exit, con.exact_set.distance(res.z0) - tol)
         if res.iterations < 1:

@@ -48,14 +48,15 @@ from .solver import (
     kept_rows,
     run_options,
 )
-from .space import as_number, as_point
+from .space import as_number, as_object, as_point
 
 # The keyword options of ``run``: the parameters of ``run_options`` after ``problem``.
 RUN_OPTIONS = tuple(inspect.signature(run_options).parameters)[1:]
 RUN_KEYS = frozenset(
     {"family", "params", "schedule", "x0", "label", "output", "seed", *RUN_OPTIONS}
 )
-SCHEDULE_KEYS = frozenset({"kind", "a", "p"})
+# The schedules by config kind; each one's other fields are its constructor's parameters.
+SCHEDULES = {cls.kind: cls for cls in (PowerStepsize, AdaptivePowerStepsize, ConstantStepsize)}
 # The names of checks.SUITES, written out so that parsing a command line
 # does not import the check sweeps; a test holds the two equal.
 CHECK_SUITES = ("constraints", "fejer", "innerloop", "operators", "projections")
@@ -97,18 +98,10 @@ def _prepare_run(cfg: dict, where: str, args) -> RunJob:
     Every config of a batch passes through here before any run starts, so
     a bad value stops the batch before it writes anything.
     """
-    for key in cfg:
-        if key not in RUN_KEYS:
-            raise ConfigError(f"unknown field {where}.{key}")
+    as_object(cfg, RUN_KEYS, where)
     if "family" not in cfg:
         raise ConfigError(f"{where}.family is required")
-    sched = cfg.get("schedule", {})
-    if not isinstance(sched, dict):
-        raise ConfigError(f"{where}.schedule must be an object")
-    for key in sched:
-        if key not in SCHEDULE_KEYS:
-            raise ConfigError(f"unknown field {where}.schedule.{key}")
-    schedule = _build_schedule(sched, f"{where}.schedule")
+    schedule = _build_schedule(cfg.get("schedule", {}), f"{where}.schedule")
 
     for key in ("label", "output"):
         if key in cfg and not isinstance(cfg[key], str):
@@ -149,19 +142,22 @@ def _prepare_run(cfg: dict, where: str, args) -> RunJob:
     return RunJob(cfg, problem, schedule, x0, seed, options)
 
 
-def _build_schedule(spec: dict, where: str):
-    kind = spec.get("kind", "power")
-    a = as_number(spec.get("a", 1.0), f"{where}.a")
-    p = as_number(spec.get("p", 1.0), f"{where}.p")
-    if kind == "power":
-        return PowerStepsize(a, p)
-    if kind == "adaptive_power":
-        return AdaptivePowerStepsize(a, p)
-    if kind == "constant":
-        if "p" in spec:
-            raise ConfigError(f"{where}: a constant schedule takes no exponent")
-        return ConstantStepsize(a)
-    raise ConfigError(f"{where}: unknown schedule kind {kind!r}")
+def _build_schedule(spec, where: str) -> StepsizeSchedule:
+    """The schedule of a config's ``schedule`` object, the inverse of ``spec()``.
+
+    ``kind`` (default "power") picks the class of ``SCHEDULES``, and the other
+    fields are passed to its constructor, whose defaults fill in the rest.
+    """
+    kind = spec.get("kind", "power") if isinstance(spec, dict) else "power"
+    if not (isinstance(kind, str) and kind in SCHEDULES):
+        raise ConfigError(f"{where}: unknown schedule kind {kind!r}")
+    cls = SCHEDULES[kind]
+    as_object(spec, {"kind", *inspect.signature(cls).parameters}, where)
+    try:
+        # Each message of a schedule's constructor starts with the field's name.
+        return cls(**{key: value for key, value in spec.items() if key != "kind"})
+    except ConfigError as exc:
+        raise ConfigError(f"{where}.{exc}") from exc
 
 
 def _fmt(value) -> str:
@@ -326,10 +322,7 @@ def _bench_config(args) -> dict:
         loaded = _load_configs(args.config)
         if len(loaded) != 1:
             raise ConfigError(f"{args.config} must hold a single object")
-        cfg = loaded[0]
-        for key in cfg:
-            if key not in BENCH_KEYS:
-                raise ConfigError(f"unknown field {args.config}.{key}")
+        cfg = as_object(loaded[0], BENCH_KEYS, args.config)
     where = args.config or "bench"
     grid = cfg.get("grid", [0.2, 0.1, 0.05, 0.025])
     if not isinstance(grid, list) or not grid:
@@ -369,7 +362,7 @@ def _cmd_bench(args) -> int:
     for _ in range(reps):
         z = rng.standard_normal(dim)
         z[0] = abs(z[0]) + 0.1
-        flat_worst = max(flat_worst, run_inner(flat, z, 1.0, min(grid)).iterations)
+        flat_worst = max(flat_worst, run_inner(flat, z, min(grid)).iterations)
 
     print("tolerance  mean projections  mean seconds (curved set)")
     for tol, mean, sec in zip(grid, means, times):

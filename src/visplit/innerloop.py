@@ -3,16 +3,16 @@
 Starting from an infeasible base point, the loop repeatedly projects the
 base point onto the intersection of the freshest separating halfspace with
 a localizer anchored at the current iterate, until the constraint's distance
-bound at the new iterate drops to ``theta * alpha``. Each iterate is a
-projection of the base point onto a set containing C, so the loop never
-moves away from any feasible point (a Fejer step with respect to C).
+bound at the new iterate drops to the tolerance ``tol`` (theta * beta_k in
+the outer step). Each iterate is a projection of the base point onto a set
+containing C, so the loop never moves away from any feasible point (a Fejer
+step with respect to C).
 The outer step calls the kernels ``_run_inner`` and ``_feasible_shortcut``
 with the gauge value it has computed; the public functions check first.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from typing import NamedTuple
 
@@ -29,7 +29,7 @@ class InnerResult(NamedTuple):
     z0 is the new near-feasible point, sep the last separator built (it
     contains the feasible set and is the region the cycle projects onto),
     iterations the number of projections performed, and dist_bound_at_exit
-    the constraint's distance bound at z0.
+    the constraint's distance bound at z0, at most the loop's tolerance.
     """
 
     z0: Vector
@@ -41,11 +41,10 @@ class InnerResult(NamedTuple):
 def run_inner(
     constraint: Constraint,
     z,
-    theta: float,
-    alpha: float,
+    tol: float,
     max_iter: int = 10_000,
 ) -> InnerResult:
-    """Drive an infeasible point to within theta*alpha of the feasible set.
+    """Drive an infeasible point to within ``tol`` of the feasible set.
 
     Parameters
     ----------
@@ -54,24 +53,20 @@ def run_inner(
     z : array_like
         Infeasible base point, c(z) > 0. Feasible points take the
         :func:`feasible_shortcut` instead.
-    theta : float
-        Relaxation factor of the stopping test, positive and finite.
-    alpha : float
-        Tolerance scale of the stopping test (the outer stepsize, or the
-        raw stepsize numerator under the adaptive rule), positive.
+    tol : float
+        Tolerance of the stopping test on the distance bound, positive;
+        the outer step passes theta times the stepsize numerator beta_k.
     max_iter : int
         Projection budget; exceeding it raises IterationBudgetExceeded.
 
     Returns
     -------
     InnerResult
-        With dist_bound_at_exit <= theta * alpha and z0 inside the returned
-        separator.
+        With dist_bound_at_exit <= tol and z0 inside the returned separator.
     """
-    theta = as_number(theta, "theta")
-    alpha = as_number(alpha, "alpha")
-    if not (theta > 0 and math.isfinite(theta) and alpha > 0):
-        raise ConfigError("theta must be positive and finite, alpha positive")
+    tol = as_number(tol, "tol")
+    if not tol > 0:
+        raise ConfigError(f"tol must be positive, got {tol!r}")
     max_iter = as_number(max_iter, "max_iter", integer=True)
     if max_iter < 1:
         raise ConfigError("max_iter must be at least 1")
@@ -79,7 +74,7 @@ def run_inner(
     cz = constraint.fn._value(y0)
     if not cz > 0:
         raise ConfigError("run_inner expects an infeasible base point, c(z) > 0")
-    return _run_inner(constraint, y0, cz, theta * alpha, max_iter)
+    return _run_inner(constraint, y0, cz, tol, max_iter)
 
 
 def _run_inner(constraint: Constraint, y0: Vector, cz: float, tol: float, max_iter: int):
@@ -129,7 +124,7 @@ def projection_growth(constraint: Constraint, grid, reps: int, rng) -> tuple[lis
 
     For each tolerance of ``grid``, ``reps`` base points are drawn outside
     the unit sphere (a uniform direction scaled by 1 + U(0.05, 2)) and each
-    is driven to the tolerance with theta = 1.
+    is driven to the tolerance.
     """
     means, seconds = [], []
     for tol in grid:
@@ -139,7 +134,7 @@ def projection_growth(constraint: Constraint, grid, reps: int, rng) -> tuple[lis
             d = rng.standard_normal(constraint.dim)
             d /= float(np.linalg.norm(d))
             z = (1.0 + float(rng.uniform(0.05, 2.0))) * d
-            counts.append(run_inner(constraint, z, 1.0, tol).iterations)
+            counts.append(run_inner(constraint, z, tol).iterations)
         seconds.append((time.perf_counter() - t0) / reps)
         means.append(float(np.mean(counts)))
     return means, seconds

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleConstraint
 from .operators import sum_select
-from .solver import Problem, SolverState, StepsizeSchedule, stepsize
+from .solver import Problem, SolverState, StepsizeSchedule
 from .space import Vector, as_point
 
 _MAX_QP_ROWS = 12
@@ -442,13 +442,12 @@ def fejer_audit(
     alphas = []
 
     for snap in state.snapshots:
+        alpha = schedule.alpha(snap.k)
         if schedule.adaptive:
             probe = 1.0
             for op in problem.operators:
                 probe = max(probe, float(np.linalg.norm(op.select(snap.z0))))
-            alpha = stepsize(schedule, snap.k, probe)
-        else:
-            alpha = stepsize(schedule, snap.k)
+            alpha /= probe
         alphas.append(alpha)
 
         points = [snap.z0]

@@ -58,7 +58,7 @@ from .operators import (
     ScaledOperator,
 )
 from .solver import Problem
-from .space import Vector, as_matrix, as_number, as_point
+from .space import Vector, as_matrix, as_number, as_object, as_point
 
 # Largest m a family's operator may be split into: each part costs an
 # operator, a certificate vector and O(m) drift-diagnostic work per step.
@@ -431,18 +431,9 @@ def validate_params(family: str, params: dict, where: str = "params") -> None:
     """Reject unknown configuration fields and malformed phi objects, naming the path."""
     if family not in FAMILY_PARAMS:
         raise ConfigError(f"unknown problem family {family!r}")
-    if not isinstance(params, dict):
-        raise ConfigError(f"{where} must be an object, got {params!r}")
-    for key in params:
-        if key not in FAMILY_PARAMS[family]:
-            raise ConfigError(f"unknown field {where}.{key}")
+    as_object(params, FAMILY_PARAMS[family], where)
     for sub in ("phi1", "phi2"):
-        spec = params.get(sub, {})
-        if not isinstance(spec, dict):
-            raise ConfigError(f"{where}.{sub} must be an object, got {spec!r}")
-        for key in spec:
-            if key not in _PHI_PARAMS:
-                raise ConfigError(f"unknown field {where}.{sub}.{key}")
+        as_object(params.get(sub, {}), _PHI_PARAMS, f"{where}.{sub}")
 
 
 def build(family: str, params: dict) -> Problem:

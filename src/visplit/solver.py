@@ -20,11 +20,13 @@ One outer step, given the current base point z_k:
    z iterates need not converge for merely monotone operators (rotations
    survive); the averaged sequence is the one with guarantees.
 
+A schedule gives only the square-summable numerator beta_k; the step forms
+alpha_k from it and checks it once. Explicit rules take alpha_k = beta_k.
 The recorded eta_k is the norm bound max(1, max_i ||u_i||) realized by the
-cycle's own selections. Under the adaptive rule the stepsize divides the raw
-numerator beta_k by a probe of that bound taken at z_0 before the cycle
-runs, and the feasibility stage is driven by beta_k itself, since the
-stepsize does not exist until the probe point does.
+cycle's own selections, and under the adaptive rule alpha_k is beta_k
+divided by a probe of that bound taken at z_0 before the cycle runs. The
+feasibility tolerance is theta * beta_k under every rule, since the
+adaptive stepsize does not exist until the probe point does.
 
 A step has two phases. ``_advance`` is the math above and writes the new
 state; ``_diagnose`` computes the audit quantities of that step (cycle
@@ -41,6 +43,7 @@ dimension is the problem's, and that z_{k+1} is finite.
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from typing import NamedTuple
@@ -55,15 +58,24 @@ from .space import Vector, as_number, as_point
 
 
 class StepsizeSchedule:
-    """Base stepsize rule. Subclasses fix alpha_k, or beta_k plus a divisor."""
+    """Base stepsize rule: the numerator beta_k of alpha_k = beta_k / eta_k.
 
+    ``alpha(k)`` returns beta_k, which also scales the feasibility
+    tolerance. Explicit rules take alpha_k = beta_k; ``adaptive`` ones are
+    divided by the step's operator-norm probe. ``kind`` names the rule in a
+    config, whose other fields are the constructor's parameters.
+    """
+
+    kind = None
     adaptive = False
 
-    def alpha(self, k: int, eta: float = 1.0) -> float:
+    def alpha(self, k: int) -> float:
         raise NotImplementedError
 
     def spec(self) -> dict:
-        raise NotImplementedError
+        """The config object that builds this schedule: its kind and fields."""
+        fields = inspect.signature(type(self)).parameters
+        return {"kind": self.kind, **{name: getattr(self, name) for name in fields}}
 
 
 class PowerStepsize(StepsizeSchedule):
@@ -73,21 +85,20 @@ class PowerStepsize(StepsizeSchedule):
     alpha_k**2 converges, which is what the averaging analysis consumes.
     """
 
+    kind = "power"
+
     def __init__(self, a: float = 1.0, p: float = 1.0):
         a = as_number(a, "a")
         p = as_number(p, "p")
         if not (a > 0 and np.isfinite(a)):
-            raise ConfigError("stepsize scale a must be positive and finite")
+            raise ConfigError("a must be positive and finite")
         if not (0.5 < p <= 1.0):
-            raise ConfigError("stepsize exponent p must lie in (1/2, 1]")
+            raise ConfigError("p must lie in (1/2, 1]")
         self.a = a
         self.p = p
 
-    def alpha(self, k: int, eta: float = 1.0) -> float:
+    def alpha(self, k: int) -> float:
         return self.a / (k + 1) ** self.p
-
-    def spec(self) -> dict:
-        return {"kind": "power", "a": self.a, "p": self.p}
 
 
 class ConstantStepsize(StepsizeSchedule):
@@ -96,17 +107,16 @@ class ConstantStepsize(StepsizeSchedule):
     still hold and the audit's summability report flags the divergence.
     """
 
-    def __init__(self, a: float):
+    kind = "constant"
+
+    def __init__(self, a: float = 1.0):
         a = as_number(a, "a")
         if not (a > 0 and np.isfinite(a)):
-            raise ConfigError("stepsize must be positive and finite")
+            raise ConfigError("a must be positive and finite")
         self.a = a
 
-    def alpha(self, k: int, eta: float = 1.0) -> float:
+    def alpha(self, k: int) -> float:
         return self.a
-
-    def spec(self) -> dict:
-        return {"kind": "constant", "a": self.a}
 
 
 class AdaptivePowerStepsize(PowerStepsize):
@@ -117,31 +127,8 @@ class AdaptivePowerStepsize(PowerStepsize):
     get, at the price of a smaller effective step.
     """
 
+    kind = "adaptive_power"
     adaptive = True
-
-    def beta(self, k: int) -> float:
-        return super().alpha(k)
-
-    def alpha(self, k: int, eta: float = 1.0) -> float:
-        eta = float(eta)
-        if not (eta >= 1.0 and np.isfinite(eta)):
-            raise ConfigError("eta must be finite and at least 1")
-        return self.beta(k) / eta
-
-    def spec(self) -> dict:
-        return {"kind": "adaptive_power", "a": self.a, "p": self.p}
-
-
-def stepsize(schedule: StepsizeSchedule, k: int, eta_k: float = 1.0) -> float:
-    """Stepsize at outer index k, checked positive and finite.
-
-    The index is the loop's own (``state.k``). eta_k is checked by the
-    schedule that reads it.
-    """
-    a = schedule.alpha(k, eta_k)
-    if not (a > 0 and np.isfinite(a)):
-        raise ConfigError(f"schedule produced a nonpositive stepsize {a!r}")
-    return a
 
 
 class Problem:
@@ -321,7 +308,7 @@ def outer_step(
     snapshot to ``state.snapshots`` when that is a list.
     """
     step = _advance(problem, schedule, state, theta, max_inner)
-    record, check = _diagnose(problem, schedule, state, step, theta)
+    record, check = _diagnose(problem, state, step, theta)
     state.cycle_checks.append(check)
     return record
 
@@ -338,8 +325,8 @@ def _advance(
     Writes z_{k+1}, x_{k+1}, sigma_{k+1} and k + 1 to the state, and the
     snapshot when requested. Returns what ``_diagnose`` reads, in this
     order: the clock at the start, k, z_k, the cycle points z0 ... z_{k+1},
-    the region, the adaptive probe (None for explicit rules), alpha_k,
-    eta_k, the feasibility projections and the distance bound at z0.
+    the region, the adaptive probe (None for explicit rules), beta_k,
+    alpha_k, eta_k, the feasibility projections and the distance bound at z0.
     """
     t0 = time.perf_counter()
     k = state.k
@@ -347,9 +334,10 @@ def _advance(
     if z.shape != (problem.dim,):
         raise DimensionMismatch(f"state has dimension {z.size}, problem has {problem.dim}")
     constraint = problem.constraint
+    beta = schedule.alpha(k)
 
-    # Feasibility stage. The loop tolerance is theta times the stepsize at
-    # eta = 1: alpha_k for explicit rules, the raw beta_k for the adaptive one.
+    # Feasibility stage. The loop tolerance is theta times the numerator
+    # beta_k, which is the stepsize itself for explicit rules.
     cz = constraint.fn._value(z)
     if problem.use_exact_projection:
         region = constraint.exact_set
@@ -359,20 +347,20 @@ def _advance(
         z0, region, inner_iters, dist_z0 = _feasible_shortcut(constraint, z, cz)
     else:
         z0, region, inner_iters, dist_z0 = _run_inner(
-            constraint, z, cz, theta * schedule.alpha(k), max_inner
+            constraint, z, cz, theta * beta, max_inner
         )
 
-    # Stepsize. The adaptive rule probes all selections at z0 first; a probe
-    # that overflows is a diverged iterate, not a bad eta.
-    probe = None
+    # Stepsize. The adaptive rule divides beta_k by a probe of all
+    # selections at z0; a probe that overflows is a diverged iterate.
+    alpha, probe = beta, None
     if schedule.adaptive:
         norms = [float(np.linalg.norm(op._select(z0))) for op in problem.operators]
         if not all(map(math.isfinite, norms)):
             raise NonFiniteIterate(f"operator selection at z0 is not finite at k={k}")
         probe = max(1.0, *norms)
-        alpha = stepsize(schedule, k, probe)
-    else:
-        alpha = stepsize(schedule, k)
+        alpha = beta / probe
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ConfigError(f"schedule produced a nonpositive stepsize {alpha!r}")
 
     # Cycle stage: one step and one region projection per operator.
     points = [z0]
@@ -401,7 +389,7 @@ def _advance(
     state.z = z_next
     state.x = x_next
     state.sigma = sigma
-    return t0, k, z, points, region, probe, alpha, eta, inner_iters, dist_z0
+    return t0, k, z, points, region, probe, beta, alpha, eta, inner_iters, dist_z0
 
 
 def _err_x(problem: Problem, x: Vector) -> float:
@@ -419,7 +407,6 @@ def _dist_x(problem: Problem, x: Vector) -> float:
 
 def _diagnose(
     problem: Problem,
-    schedule: StepsizeSchedule,
     state: SolverState,
     step: tuple,
     theta: float,
@@ -431,7 +418,7 @@ def _diagnose(
     ``err_x`` and ``dist_x`` are computed here unless the caller already
     has them for ``state.x``.
     """
-    t0, k, z, points, region, probe, alpha, eta, inner_iters, dist_z0 = step
+    t0, k, z, points, region, probe, beta, alpha, eta, inner_iters, dist_z0 = step
 
     # Cycle diagnostics: containment in the region and the drift bound.
     containment = max(float(region._distance(p)) for p in points)
@@ -452,7 +439,7 @@ def _diagnose(
         m = problem.m
         bound = m * (
             (eta * alpha) ** 2 + (m - 1) * problem._eta_bar * eta * alpha**2
-        ) + 2.0 * theta * problem._u_bar * schedule.alpha(k) * alpha
+        ) + 2.0 * theta * problem._u_bar * beta * alpha
         before = float(np.linalg.norm(z - xs)) ** 2
         after = float(np.linalg.norm(points[-1] - xs)) ** 2
         fejer_slack = before + bound - after
@@ -551,7 +538,7 @@ def kept_rows(
             state.stop_reason = "max_outer"
         # Cadence decimation never drops the final record.
         if k % cadence == 0 or state.stop_reason is not None:
-            yield _diagnose(problem, schedule, state, step, theta, err_x, dist_x)
+            yield _diagnose(problem, state, step, theta, err_x, dist_x)
         if state.stop_reason is not None:
             return
 

@@ -4,9 +4,11 @@ Each kind of input has one rule, applied where it enters the API so that bad
 values fail fast instead of propagating through an iterative run:
 ``as_number`` for scalar settings (run options, counts, seeds, schedule
 constants), with ``as_dim`` applying it to the dimension of an operator,
-function or set; ``as_point`` for vectors, plain 1-D float64 arrays; and
-``as_matrix`` for the linear maps that operators and sets are built from.
-Points and matrices share one entry rule: every entry is a real number.
+function or set; ``as_point`` for vectors, plain 1-D float64 arrays;
+``as_matrix`` for the linear maps that operators and sets are built from;
+and ``as_object`` for the objects of a configuration, whose unknown fields
+it rejects by path. Points and matrices share one entry rule: every entry
+is a real number.
 """
 
 from __future__ import annotations
@@ -44,19 +46,20 @@ def as_point(x, dim: int | None = None, name: str = "vector") -> Vector:
 
     An entry that is not a real number (a word, a bool, a ragged row), or
     one too large for a float, is a ``ConfigError`` that names ``x`` as
-    ``name``, as ``as_number`` does for scalars. A float64 array of the
-    right shape is returned as is, not copied; a constructor that keeps the
-    point copies it.
+    ``name``, as ``as_number`` does for scalars; a wrong shape or length is
+    a ``DimensionMismatch`` and a NaN or infinite entry a ``NonFiniteValue``,
+    both naming ``name`` too. A float64 array of the right shape is returned
+    as is, not copied; a constructor that keeps the point copies it.
     """
     p = _floats(x, name, "vector")
     if p.ndim == 0:
         p = p.reshape(1)
     if p.ndim != 1 or p.size < 1:
-        raise DimensionMismatch(f"expected a 1-D vector, got shape {p.shape}")
+        raise DimensionMismatch(f"{name} must be a nonempty 1-D vector, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
         raise NonFiniteValue(f"{name} has NaN or infinite entries")
     if dim is not None and p.size != dim:
-        raise DimensionMismatch(f"expected dimension {dim}, got {p.size}")
+        raise DimensionMismatch(f"{name} must have dimension {dim}, got {p.size}")
     return p
 
 
@@ -95,6 +98,21 @@ def as_number(value, name: str, integer: bool = False) -> float | int:
         return int(value) if integer else float(value)
     except OverflowError as exc:
         raise ConfigError(f"{name} is out of range, got {value!r}") from exc
+
+
+def as_object(value, fields, where: str) -> dict:
+    """``value`` as a config object whose keys are all in ``fields``; a ``ConfigError`` otherwise.
+
+    A value that is not a dict fails with "``where`` must be an object", a
+    key outside ``fields`` with "unknown field ``where``.key". The values
+    are the caller's to check.
+    """
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    for key in value:
+        if key not in fields:
+            raise ConfigError(f"unknown field {where}.{key}")
+    return value
 
 
 def as_dim(value, what: str) -> int:

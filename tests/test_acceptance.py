@@ -113,7 +113,7 @@ def test_criterion_02_feasibility_loop_exit_and_fejer():
         z = 6.0 * rng.standard_normal(2)
         if con.value(z) <= 0:
             continue
-        res = run_inner(con, z, theta=theta, alpha=alpha)
+        res = run_inner(con, z, tol=theta * alpha)
         calls += 1
         worst_exit = max(worst_exit, con.dist_upper(res.z0) - theta * alpha)
         feasible = 0

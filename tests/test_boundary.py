@@ -93,7 +93,7 @@ def _point_methods():
          [0.5, 0.25]),
         ("project_halfspace_pair[w]", lambda p: project_halfspace_pair(sep, [0.5, 0.25], p),
          [2.0, 1.0]),
-        ("run_inner", lambda p: run_inner(slater, p, 1.0, 0.05), [1.5, -0.5]),
+        ("run_inner", lambda p: run_inner(slater, p, 0.05), [1.5, -0.5]),
         ("feasible_shortcut", lambda p: feasible_shortcut(slater, p), [0.5, -0.5]),
         ("run[x0]", lambda p: run(problem, schedule, x0=p, max_outer=2).x, [1.5, -0.5]),
         ("outer_step[SolverState]", _step_from_state, [1.5, -0.5]),

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from visplit import (
-    AdaptivePowerStepsize, ConfigError, NonFiniteIterate, PowerStepsize, TRACE_COLUMNS, build,
-    checks, oracle, run, solver,
+    AdaptivePowerStepsize, ConfigError, ConstantStepsize, DimensionMismatch, NonFiniteIterate,
+    PowerStepsize, TRACE_COLUMNS, build, checks, oracle, run, solver,
 )
-from visplit.cli import CHECK_SUITES, RUN_KEYS, main
+from visplit.cli import CHECK_SUITES, RUN_KEYS, _build_schedule, main
 from visplit.problems import FAMILIES, FAMILY_PARAMS
 from visplit.solver import run_options
 
@@ -229,6 +229,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
         {"family": "a3", "schedule": {"kind": "constant", "a": 0.1, "p": 0.6}},
     )
     assert main(["run", bad_sched]) == 2
+    assert f"unknown field {bad_sched}.schedule.p" in capsys.readouterr().err
 
     bad_x0 = _write_cfg(tmp_path / "f.json", {"family": "a3", "x0": "sideways"})
     assert main(["run", bad_x0]) == 2
@@ -282,12 +283,15 @@ def test_non_numeric_values_exit_2(tmp_path, capsys, cfg, field):
             "rhs": [1.0, 0.0, 0.0], "interior_point": [0.25, 0.25]}},
         {"family": "affine_vi_over_polyhedron", "params": {
             "box": [[0.0, 0.0], [1.0, 1.0]], "interior_point": [0.25, 0.25]}},
+        {"family": "a3", "schedule": {"kind": ["power"]}},
+        {"family": "a3", "schedule": {"kind": {}}},
+        {"family": "a3", "schedule": "power"},
     ],
     ids=[
         "params", "x0-text", "x0-dim", "x0-word", "theta-inf", "label",
         "a3-nan", "a2-inf", "target_err", "ball-m-huge", "polyhedron-m-huge", "m-inf",
         "radius-text", "squared-text", "weight-bool", "phi-null", "box-and-rows",
-        "box-and-interior-point",
+        "box-and-interior-point", "kind-list", "kind-object", "schedule-text",
     ],
 )
 def test_bad_second_config_stops_the_batch_before_any_run(tmp_path, capsys, bad):
@@ -335,6 +339,46 @@ def test_a_malformed_array_field_is_a_config_error_naming_it(tmp_path, capsys, f
     out = tmp_path / "out"
     assert main(["run", path, "--output", str(out)]) == 2
     assert f"{path}: {field}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_misshapen_vector_field_is_named(tmp_path, capsys):
+    params = {"rows": [[1, 0]], "rhs": [[0.5]], "interior_point": [0, 0]}
+    with pytest.raises(DimensionMismatch, match="^rhs must be a nonempty 1-D vector"):
+        build("affine_vi_over_polyhedron", params)
+    path = _write_cfg(tmp_path / "cfg.json",
+                      {"family": "affine_vi_over_polyhedron", "params": params})
+    out = tmp_path / "out"
+    assert main(["run", path, "--output", str(out)]) == 2
+    assert f"{path}: rhs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "schedule", [PowerStepsize(0.6, 0.55), AdaptivePowerStepsize(0.5, 0.75), ConstantStepsize(0.3)],
+    ids=lambda s: s.kind,
+)
+def test_a_schedule_spec_builds_the_same_schedule(schedule):
+    built = _build_schedule(schedule.spec(), "schedule")
+    assert type(built) is type(schedule)
+    assert built.spec() == schedule.spec()
+    # Missing fields take the constructor's defaults, and each message of a
+    # constructor is prefixed with the field's path.
+    assert _build_schedule({"kind": schedule.kind}, "schedule").a == 1.0
+    with pytest.raises(ConfigError, match="^schedule.a must be positive and finite"):
+        _build_schedule({"kind": schedule.kind, "a": 0.0}, "schedule")
+
+
+@pytest.mark.parametrize("schedule", [PowerStepsize, AdaptivePowerStepsize])
+def test_an_underflowing_stepsize_fails_alike_in_run_and_visplit_run(tmp_path, capsys, schedule):
+    # The step checks its stepsize once: 5e-324 / 2 underflows to 0 at k = 1.
+    with pytest.raises(ConfigError, match="nonpositive stepsize"):
+        run(build("a3", {}), schedule(5e-324, 1.0), max_outer=3)
+    cfg = {"family": "a3", "max_outer": 3,
+           "schedule": {"kind": schedule.kind, "a": 5e-324, "p": 1.0}}
+    out = tmp_path / "out"
+    assert main(["run", _write_cfg(tmp_path / "cfg.json", cfg), "--output", str(out)]) == 2
+    assert "nonpositive stepsize" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -25,7 +25,7 @@ def test_two_iteration_ball_case_frozen():
     # From (3, 0) against the unit ball with tolerance 0.5: the first
     # separator is {x1 <= 5/3} (distance 2/3, not enough), the second pass
     # lands on (17/15, 0) with distance 2/15.
-    res = run_inner(_unit_ball(), [3.0, 0.0], theta=1.0, alpha=0.5)
+    res = run_inner(_unit_ball(), [3.0, 0.0], tol=0.5)
     assert res.iterations == 2
     assert np.allclose(res.z0, [17.0 / 15.0, 0.0], atol=1e-12, rtol=0)
     assert res.dist_bound_at_exit == pytest.approx(2.0 / 15.0, abs=1e-12)
@@ -36,7 +36,7 @@ def test_two_iteration_ball_case_frozen():
 
 def test_affine_constraint_finishes_in_one_projection():
     c = Constraint(MaxOfAffine([[1.0, 0.0]], [0.0]), exact_set=Halfspace([1.0, 0.0], 0.0))
-    res = run_inner(c, [2.0, 3.0], theta=1.0, alpha=0.1)
+    res = run_inner(c, [2.0, 3.0], tol=0.1)
     assert res.iterations == 1
     assert np.array_equal(res.z0, [0.0, 3.0])
     assert res.dist_bound_at_exit == 0.0
@@ -44,35 +44,31 @@ def test_affine_constraint_finishes_in_one_projection():
 
 def test_run_inner_rejects_feasible_base():
     with pytest.raises(ConfigError):
-        run_inner(_unit_ball(), [0.5, 0.0], theta=1.0, alpha=0.1)
+        run_inner(_unit_ball(), [0.5, 0.0], tol=0.1)
     with pytest.raises(ConfigError):
-        run_inner(_unit_ball(), [1.0, 0.0], theta=1.0, alpha=0.1)  # boundary
+        run_inner(_unit_ball(), [1.0, 0.0], tol=0.1)  # boundary
 
 
 def test_run_inner_validation():
-    for theta in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ConfigError):
-            run_inner(_unit_ball(), [3.0, 0.0], theta=theta, alpha=0.1)
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigError, match="^tol must be positive"):
+            run_inner(_unit_ball(), [3.0, 0.0], tol)
     with pytest.raises(ConfigError):
-        run_inner(_unit_ball(), [3.0, 0.0], theta=1.0, alpha=-1.0)
-    with pytest.raises(ConfigError):
-        run_inner(_unit_ball(), [3.0, 0.0], theta=1.0, alpha=float("nan"))
-    with pytest.raises(ConfigError):
-        run_inner(_unit_ball(), [3.0, 0.0], theta=1.0, alpha=0.1, max_iter=0)
-    for theta, alpha in (("1", 0.5), (1.0, True), (1.0, "abc")):
-        with pytest.raises(ConfigError, match="must be a number"):
-            run_inner(_unit_ball(), [3.0, 0.0], theta=theta, alpha=alpha)
+        run_inner(_unit_ball(), [3.0, 0.0], 0.1, max_iter=0)
+    for tol in ("0.5", True, "abc", None):
+        with pytest.raises(ConfigError, match="^tol must be a number"):
+            run_inner(_unit_ball(), [3.0, 0.0], tol)
 
 
 def test_run_inner_budget_must_be_an_integer():
     with pytest.raises(ConfigError, match="max_iter must be an integer"):
-        run_inner(_unit_ball(), [3.0, 0.0], theta=1.0, alpha=0.1, max_iter=2.5)
+        run_inner(_unit_ball(), [3.0, 0.0], tol=0.1, max_iter=2.5)
 
 
 def test_budget_exhaustion_raises():
     # One projection reaches distance 2/3, still above 0.2.
     with pytest.raises(IterationBudgetExceeded):
-        run_inner(_unit_ball(), [3.0, 0.0], theta=1.0, alpha=0.2, max_iter=1)
+        run_inner(_unit_ball(), [3.0, 0.0], tol=0.2, max_iter=1)
 
 
 def test_feasible_shortcut_cases():
@@ -103,7 +99,7 @@ def test_exit_bound_and_fejer_sweep():
         z = 6.0 * rng.standard_normal(2)
         if c.value(z) <= 0:
             continue
-        res = run_inner(c, z, theta=theta, alpha=alpha)
+        res = run_inner(c, z, tol=theta * alpha)
         assert res.dist_bound_at_exit <= theta * alpha
         assert res.sep.distance(res.z0) <= 1e-9
         assert res.iterations >= 1

@@ -25,7 +25,6 @@ from visplit import (
     run,
 )
 from visplit import solver
-from visplit.solver import stepsize
 
 
 def _free_problem(*ops, label="free"):
@@ -79,24 +78,10 @@ def test_constant_stepsize():
 def test_adaptive_stepsize_divides_by_eta():
     sched = AdaptivePowerStepsize(0.5, 0.55)
     assert sched.adaptive
-    assert sched.beta(0) == 0.5
-    assert sched.alpha(0, 4.0) == 0.125
-    # At eta = 1 the step is the raw numerator, which also scales the
-    # feasibility tolerance.
+    # The schedule gives the raw numerator, which also scales the
+    # feasibility tolerance; the step divides it by the probe.
     assert sched.alpha(0) == 0.5
     assert sched.spec() == {"kind": "adaptive_power", "a": 0.5, "p": 0.55}
-    with pytest.raises(ConfigError):
-        sched.alpha(0, 0.5)  # eta below 1
-
-
-def test_stepsize_helper_validation():
-    sched = PowerStepsize(1.0, 1.0)
-    assert stepsize(sched, 5) == 1.0 / 6.0
-    adaptive = AdaptivePowerStepsize(1.0, 1.0)
-    with pytest.raises(ConfigError):
-        stepsize(adaptive, 0, eta_k=0.0)
-    with pytest.raises(ConfigError):
-        stepsize(adaptive, 0, eta_k=np.nan)
 
 
 def test_problem_validation():
@@ -190,8 +175,13 @@ def test_adaptive_probe_and_alpha_frozen():
     # At x0 = (3, 4) the largest selection norm among the two summands is
     # sqrt(17), so the first adaptive step is 0.5 / sqrt(17).
     prob = build("a3", {})
-    state = run(prob, AdaptivePowerStepsize(0.5, 0.55), x0=[3.0, 4.0], max_outer=1)
+    sched = AdaptivePowerStepsize(0.5, 0.55)
+    state = run(prob, sched, x0=[3.0, 4.0], max_outer=5, snapshots=True)
     assert state.trace[0].alpha_k == 0.5 / np.sqrt(17.0)
+    # Every recorded stepsize is the schedule's numerator over the probe at z0.
+    for rec, snap in zip(state.trace, state.snapshots):
+        probe = max(1.0, *(float(np.linalg.norm(op.select(snap.z0))) for op in prob.operators))
+        assert rec.alpha_k == sched.alpha(rec.k) / probe
 
 
 def test_eta_stress_flag():

@@ -23,16 +23,16 @@ def test_as_point_coerces_lists_and_scalars():
 
 
 def test_as_point_rejects_bad_inputs():
-    with pytest.raises(DimensionMismatch):
-        as_point([[1.0, 2.0], [3.0, 4.0]])
-    with pytest.raises(DimensionMismatch):
-        as_point([1.0, 2.0], dim=3)
-    with pytest.raises(DimensionMismatch):
-        as_point([])
-    with pytest.raises(NonFiniteValue):
-        as_point([1.0, np.nan])
-    with pytest.raises(NonFiniteValue):
-        as_point([np.inf, 0.0])
+    with pytest.raises(DimensionMismatch, match="^x must be a nonempty 1-D vector"):
+        as_point([[1.0, 2.0], [3.0, 4.0]], name="x")
+    with pytest.raises(DimensionMismatch, match="^x must have dimension 3, got 2"):
+        as_point([1.0, 2.0], dim=3, name="x")
+    with pytest.raises(DimensionMismatch, match="^x must be a nonempty 1-D vector"):
+        as_point([], name="x")
+    with pytest.raises(NonFiniteValue, match="^x "):
+        as_point([1.0, np.nan], name="x")
+    with pytest.raises(NonFiniteValue, match="^x "):
+        as_point([np.inf, 0.0], name="x")
     for shape in ([1.0, 2.0], np.zeros((2, 0)), np.zeros((1, 1, 1))):
         with pytest.raises(DimensionMismatch, match="^L must be a nonempty 2-D matrix"):
             as_matrix(shape, "L")
