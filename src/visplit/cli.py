@@ -104,8 +104,8 @@ def _prepare_run(cfg: dict, where: str, args) -> RunJob:
     schedule = _build_schedule(cfg.get("schedule", {}), f"{where}.schedule")
 
     for key in ("label", "output"):
-        if key in cfg and not isinstance(cfg[key], str):
-            raise ConfigError(f"{where}.{key} must be a string")
+        if key in cfg and not (isinstance(cfg[key], str) and "\0" not in cfg[key]):
+            raise ConfigError(f"{where}.{key} must be a string without NUL characters")
     label = cfg.get("label")
     if label is not None and (
         label in ("", ".", "..")
@@ -116,9 +116,7 @@ def _prepare_run(cfg: dict, where: str, args) -> RunJob:
     if not (x0 is None or x0 == "random" or isinstance(x0, list)):
         raise ConfigError(f'{where}.x0 must be a list of numbers or "random"')
     seed = cfg.get("seed", 0) if args.seed is None else args.seed
-    seed = as_number(seed, f"{where}.seed", integer=True)
-    if seed < 0:
-        raise ConfigError(f"{where}.seed must be nonnegative")
+    seed = as_number(seed, f"{where}.seed", integer=True, at_least=0)
 
     try:
         problem = problems.build(cfg["family"], cfg.get("params", {}))
@@ -280,14 +278,10 @@ def _cmd_run(args) -> int:
 def _cmd_check(args) -> int:
     from . import checks
 
-    seed = as_number(args.seed, "check.seed", integer=True)
-    if seed < 0:
-        raise ConfigError("check.seed must be nonnegative")
+    seed = as_number(args.seed, "check.seed", integer=True, at_least=0)
     trials = args.trials
     if trials is not None:
-        trials = as_number(trials, "check.trials", integer=True)
-        if trials < 1:
-            raise ConfigError("check.trials must be at least 1")
+        trials = as_number(trials, "check.trials", integer=True, at_least=1)
     rows = checks.run_suite(args.suite, seed=seed, trials=trials)
     failed = 0
     for row in rows:
@@ -327,20 +321,12 @@ def _bench_config(args) -> dict:
     grid = cfg.get("grid", [0.2, 0.1, 0.05, 0.025])
     if not isinstance(grid, list) or not grid:
         raise ConfigError(f"{where}.grid must be a non-empty list of tolerances")
-    grid = [as_number(t, f"{where}.grid[{i}]") for i, t in enumerate(grid)]
-    if any(not t > 0 for t in grid):
-        raise ConfigError(f"{where}.grid must hold positive tolerances")
+    grid = [as_number(t, f"{where}.grid[{i}]", above=0) for i, t in enumerate(grid)]
     reps = args.reps if args.reps is not None else cfg.get("reps", 50)
-    reps = as_number(reps, f"{where}.reps", integer=True)
-    if reps < 1:
-        raise ConfigError(f"{where}.reps must be at least 1")
-    dim = as_number(cfg.get("dim", 3), f"{where}.dim", integer=True)
-    if dim < 2:
-        raise ConfigError(f"{where}.dim must be at least 2")
+    reps = as_number(reps, f"{where}.reps", integer=True, at_least=1)
+    dim = as_number(cfg.get("dim", 3), f"{where}.dim", integer=True, at_least=2)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    seed = as_number(seed, f"{where}.seed", integer=True)
-    if seed < 0:
-        raise ConfigError(f"{where}.seed must be nonnegative")
+    seed = as_number(seed, f"{where}.seed", integer=True, at_least=0)
     return {"grid": grid, "reps": reps, "dim": dim, "seed": seed}
 
 

@@ -189,20 +189,20 @@ class BallSet(ExactSet):
 
     def __init__(self, center, radius: float):
         center = as_point(center)
-        radius = as_number(radius, "radius")
-        if not radius >= 0:
-            raise ConfigError("radius must be nonnegative")
+        radius = as_number(radius, "radius", at_least=0)
         super().__init__(center.size)
         self.center = center.copy()
         self.radius = radius
 
     def _project(self, y: Vector) -> Vector:
-        d = y - self.center
-        r = float(np.linalg.norm(d))
+        with np.errstate(over="ignore"):
+            d = y - self.center
+            r = float(np.linalg.norm(d))
         if r <= self.radius:
             return y.copy()
-        if r == 0.0:
-            return self.center.copy()
+        if r == math.inf:  # ||d||**2 overflowed: rescale d, which keeps its direction
+            d = d / np.max(np.abs(d))
+            r = float(np.linalg.norm(d))
         return self.center + (self.radius / r) * d
 
     def _distance(self, y: Vector) -> float:

@@ -64,12 +64,8 @@ def run_inner(
     InnerResult
         With dist_bound_at_exit <= tol and z0 inside the returned separator.
     """
-    tol = as_number(tol, "tol")
-    if not tol > 0:
-        raise ConfigError(f"tol must be positive, got {tol!r}")
-    max_iter = as_number(max_iter, "max_iter", integer=True)
-    if max_iter < 1:
-        raise ConfigError("max_iter must be at least 1")
+    tol = as_number(tol, "tol", above=0)
+    max_iter = as_number(max_iter, "max_iter", integer=True, at_least=1)
     y0 = as_point(z, constraint.dim)
     cz = constraint.fn._value(y0)
     if not cz > 0:

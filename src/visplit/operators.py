@@ -71,14 +71,6 @@ def _symmetric_part(A: np.ndarray) -> np.ndarray:
     return sym
 
 
-def _finite(value, name: str) -> float:
-    """``value`` as a float (``as_number``) that is neither NaN nor infinite."""
-    value = as_number(value, name)
-    if not np.isfinite(value):
-        raise NonFiniteValue(f"{name} must be finite, got {value!r}")
-    return value
-
-
 class Operator:
     """Deterministic selection oracle for a monotone operator on R^dim."""
 
@@ -166,9 +158,7 @@ class ScaledOperator(Operator):
     """t * T for t >= 0; nonnegative scaling preserves monotonicity."""
 
     def __init__(self, base: Operator, factor: float, label: str = ""):
-        factor = as_number(factor, "factor")
-        if not np.isfinite(factor) or factor < 0:
-            raise ConfigError("scale factor must be finite and nonnegative")
+        factor = as_number(factor, "factor", at_least=0)
         super().__init__(base.dim, label or f"{factor}*{base.label}")
         self.base = base
         self.factor = factor
@@ -266,7 +256,7 @@ class Quadratic(ConvexFunction):
         super().__init__(gradient.dim, label)
         self.gradient = gradient
         self.b = gradient.offset
-        self.constant = _finite(constant, "constant")
+        self.constant = as_number(constant, "constant")
 
     @property
     def Q(self) -> np.ndarray:
@@ -277,9 +267,7 @@ class Quadratic(ConvexFunction):
     def half_sq_distance(cls, center, weight: float = 1.0, label: str = "") -> "Quadratic":
         """0.5 * weight * ||x - center||^2."""
         center = as_point(center)
-        w = as_number(weight, "weight")
-        if not w >= 0:
-            raise ConfigError("weight must be nonnegative")
+        w = as_number(weight, "weight", at_least=0)
         return cls.from_diagonal(
             np.full(center.size, w),
             -w * center,
@@ -306,13 +294,10 @@ class NormFunction(ConvexFunction):
 
     def __init__(self, center, scale: float = 1.0, offset: float = 0.0, label: str = "norm"):
         center = as_point(center)
-        scale = as_number(scale, "scale")
-        if not scale >= 0:
-            raise ConfigError("scale must be nonnegative")
         super().__init__(center.size, label)
         self.center = center.copy()
-        self.scale = scale
-        self.offset = _finite(offset, "offset")
+        self.scale = as_number(scale, "scale", at_least=0)
+        self.offset = as_number(offset, "offset")
 
     def _value(self, x: Vector) -> float:
         return self.scale * float(np.linalg.norm(x - self.center)) + self.offset
@@ -353,7 +338,7 @@ class ConstantFunction(ConvexFunction):
 
     def __init__(self, dim: int, constant: float, label: str = "constant"):
         super().__init__(dim, label)
-        self.constant = _finite(constant, "constant")
+        self.constant = as_number(constant, "constant")
 
     def _value(self, x: Vector) -> float:
         return self.constant

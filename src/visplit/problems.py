@@ -34,6 +34,8 @@ a3 (saddle stationarity)
 from __future__ import annotations
 
 import inspect
+import math
+import sys
 
 import numpy as np
 
@@ -63,6 +65,8 @@ from .space import Vector, as_matrix, as_number, as_object, as_point
 # Largest m a family's operator may be split into: each part costs an
 # operator, a certificate vector and O(m) drift-diagnostic work per step.
 MAX_PARTS = 1000
+# Largest radius whose square, held by the squared ball gauge, is a float.
+_MAX_SQUARED_RADIUS = math.sqrt(sys.float_info.max)
 
 
 class _GraphResidual(ConvexFunction):
@@ -123,19 +127,8 @@ def _try_solve(A, b):
     return x
 
 
-def _parts(m) -> int:
-    """``m`` as an int in [1, MAX_PARTS], checked before any of the m parts is built.
-
-    An integral number such as 4.0 is accepted; 2.5, a bool or a string is not.
-    """
-    whole = as_number(m, "m", integer=True)
-    if not 1 <= whole <= MAX_PARTS:
-        raise ConfigError(f"m must lie in [1, {MAX_PARTS}], got {whole}")
-    return whole
-
-
 def _split_affine(base: AffineOperator, m: int) -> tuple[Operator, ...]:
-    """m equal monotone parts of an affine operator; m comes from ``_parts``."""
+    """m equal monotone parts of an affine operator, for an m already checked."""
     if m == 1:
         return (base,)
     return tuple(ScaledOperator(base, 1.0 / m, label=f"affine/{m}") for _ in range(m))
@@ -154,15 +147,14 @@ def build_quadratic_over_ball(
     is ||x - center||^2 - radius^2 by default (smooth), or the norm form
     ||x - center|| - radius with squared=False.
     """
-    m = _parts(m)
+    m = as_number(m, "m", integer=True, at_least=1, at_most=MAX_PARTS)
     target = as_point(target, name="target")
     n = target.size
     center = np.zeros(n) if center is None else as_point(center, n, "center")
-    radius = as_number(radius, "radius")
-    if not radius > 0:
-        raise ConfigError("radius must be positive")
     if not isinstance(squared, bool):
         raise ConfigError(f"squared must be true or false, got {squared!r}")
+    top = _MAX_SQUARED_RADIUS if squared else None
+    radius = as_number(radius, "radius", above=0, at_most=top)
 
     ball = BallSet(center, radius)
     if squared:
@@ -214,7 +206,7 @@ def build_affine_vi_over_polyhedron(
     rule; it takes no box. No solution is attached here; the reference
     oracle recovers one by face enumeration.
     """
-    m = _parts(m)
+    m = as_number(m, "m", integer=True, at_least=1, at_most=MAX_PARTS)
     op = AffineOperator(matrix, offset)
     n = op.dim
 
@@ -405,9 +397,12 @@ def build_a3(matrix=1.0, phi1: dict = {}, phi2: dict = {}) -> Problem:
 
 def _phi(what: str, dim: int, weight: float = 1.0, center=None) -> Quadratic:
     """phi = 0.5 * weight * ||x - center||^2 on R^dim; the center defaults to the origin."""
-    weight = as_number(weight, f"{what}.weight")
     center = np.zeros(dim) if center is None else as_point(center, dim, f"{what}.center")
-    return Quadratic.half_sq_distance(center, weight, label=what)
+    try:
+        # Each message of half_sq_distance starts with the field's name.
+        return Quadratic.half_sq_distance(center, weight, label=what)
+    except ConfigError as exc:
+        raise ConfigError(f"{what}.{exc}") from exc
 
 
 _BUILDERS = {

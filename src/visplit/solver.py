@@ -88,14 +88,8 @@ class PowerStepsize(StepsizeSchedule):
     kind = "power"
 
     def __init__(self, a: float = 1.0, p: float = 1.0):
-        a = as_number(a, "a")
-        p = as_number(p, "p")
-        if not (a > 0 and np.isfinite(a)):
-            raise ConfigError("a must be positive and finite")
-        if not (0.5 < p <= 1.0):
-            raise ConfigError("p must lie in (1/2, 1]")
-        self.a = a
-        self.p = p
+        self.a = as_number(a, "a", above=0)
+        self.p = as_number(p, "p", above=0.5, at_most=1)
 
     def alpha(self, k: int) -> float:
         return self.a / (k + 1) ** self.p
@@ -110,10 +104,7 @@ class ConstantStepsize(StepsizeSchedule):
     kind = "constant"
 
     def __init__(self, a: float = 1.0):
-        a = as_number(a, "a")
-        if not (a > 0 and np.isfinite(a)):
-            raise ConfigError("a must be positive and finite")
-        self.a = a
+        self.a = as_number(a, "a", above=0)
 
     def alpha(self, k: int) -> float:
         return self.a
@@ -493,20 +484,11 @@ def run_options(
     max_inner : int
         Projection budget per feasibility stage, at least 1.
     """
-    theta = as_number(theta, "theta")
-    if not (theta > 0 and math.isfinite(theta)):
-        raise ConfigError(f"theta must be positive and finite, got {theta!r}")
-    options = {"theta": theta}
+    options = {"theta": as_number(theta, "theta", above=0)}
     for name, value in (("max_outer", max_outer), ("cadence", cadence), ("max_inner", max_inner)):
-        options[name] = as_number(value, name, integer=True)
-        if options[name] < 1:
-            raise ConfigError(f"{name} must be at least 1, got {options[name]!r}")
+        options[name] = as_number(value, name, integer=True, at_least=1)
     for name, value in (("target_err", target_err), ("target_dist", target_dist)):
-        if value is not None:
-            value = as_number(value, name)
-            if not value >= 0:
-                raise ConfigError(f"{name} must be nonnegative, got {value!r}")
-        options[name] = value
+        options[name] = None if value is None else as_number(value, name, at_least=0)
     if target_err is not None and problem.known_solution is None:
         raise ConfigError("target_err needs a problem with a known solution")
     return options

@@ -1,18 +1,21 @@
-"""Point, matrix and scalar validation for the ambient coordinate space.
+"""Point, matrix, scalar and config-object validation for the ambient coordinate space.
 
 Each kind of input has one rule, applied where it enters the API so that bad
 values fail fast instead of propagating through an iterative run:
 ``as_number`` for scalar settings (run options, counts, seeds, schedule
-constants), with ``as_dim`` applying it to the dimension of an operator,
-function or set; ``as_point`` for vectors, plain 1-D float64 arrays;
-``as_matrix`` for the linear maps that operators and sets are built from;
-and ``as_object`` for the objects of a configuration, whose unknown fields
-it rejects by path. Points and matrices share one entry rule: every entry
-is a real number.
+constants, radii, weights, offsets), which must be finite and within the
+bounds the caller names, with ``as_dim`` applying it to the dimension of an
+operator, function or set; ``as_point`` for vectors, plain 1-D float64
+arrays; ``as_matrix`` for the linear maps that operators and sets are built
+from; and ``as_object`` for the objects of a configuration, whose unknown
+fields it rejects by path. Points and matrices share one entry rule: every
+entry is a real number. Each rule writes the messages of its input kind, so
+a bad value reads the same wherever it enters.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -82,22 +85,43 @@ def as_matrix(A, name: str = "matrix") -> np.ndarray:
     return M
 
 
-def as_number(value, name: str, integer: bool = False) -> float | int:
-    """``value`` as a float, or as an int when ``integer``; a ``ConfigError`` otherwise.
+def as_number(
+    value, name: str, integer: bool = False, *, above=None, at_least=None, at_most=None
+) -> float | int:
+    """``value`` as a finite float (an int when ``integer``) within bounds; a ``ConfigError`` otherwise.
 
     Bools, strings and other non-numbers fail with "``name`` must be a
     number". With ``integer``, a value that is not integral (2.5, inf, NaN)
     fails with "``name`` must be an integer"; an integral float such as 4.0
-    is accepted. Bounds are the caller's to check.
+    is accepted. A float must be finite and an int or float must lie in the
+    bounds given: greater than ``above``, at least ``at_least``, at most
+    ``at_most``. Any miss fails with one message that states them all, such
+    as "``name`` must be positive and finite" (``above=0``) or "``name``
+    must be at least 1" (an integer with ``at_least=1``).
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     if integer and not isinstance(value, numbers.Integral) and not float(value).is_integer():
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     try:
-        return int(value) if integer else float(value)
+        number = int(value) if integer else float(value)
     except OverflowError as exc:
         raise ConfigError(f"{name} is out of range, got {value!r}") from exc
+    rules = []  # (wording, holds)
+    if above is not None:
+        rules.append(("positive" if above == 0 else f"greater than {above}", number > above))
+    if at_least is not None:
+        word = "nonnegative" if at_least == 0 else f"at least {at_least}"
+        rules.append((word, number >= at_least))
+    if at_most is not None:
+        rules.append((f"at most {at_most}", number <= at_most))
+    if not integer:
+        rules.append(("finite", math.isfinite(number)))
+    if not all(holds for _, holds in rules):
+        *head, last = [word for word, _ in rules]
+        wording = f"{', '.join(head)} and {last}" if head else last
+        raise ConfigError(f"{name} must be {wording}, got {number!r}")
+    return number
 
 
 def as_object(value, fields, where: str) -> dict:

@@ -286,12 +286,16 @@ def test_non_numeric_values_exit_2(tmp_path, capsys, cfg, field):
         {"family": "a3", "schedule": {"kind": ["power"]}},
         {"family": "a3", "schedule": {"kind": {}}},
         {"family": "a3", "schedule": "power"},
+        {"family": "quadratic_over_ball", "params": {"radius": 1e160}},
+        {"family": "quadratic_over_ball", "label": "a\u0000b"},
+        {"family": "quadratic_over_ball", "output": "o\u0000ut"},
     ],
     ids=[
         "params", "x0-text", "x0-dim", "x0-word", "theta-inf", "label",
         "a3-nan", "a2-inf", "target_err", "ball-m-huge", "polyhedron-m-huge", "m-inf",
         "radius-text", "squared-text", "weight-bool", "phi-null", "box-and-rows",
         "box-and-interior-point", "kind-list", "kind-object", "schedule-text",
+        "radius-overflow", "label-nul", "output-nul",
     ],
 )
 def test_bad_second_config_stops_the_batch_before_any_run(tmp_path, capsys, bad):
@@ -430,6 +434,50 @@ def test_bad_run_option_fails_alike_in_run_and_visplit_run(tmp_path, capsys, fie
     out = tmp_path / "out"
     assert main(["run", path, "--output", str(out)]) == 2
     assert f"{path}.{field} must" in capsys.readouterr().err
+    assert not out.exists()
+
+
+NAN, INF = float("nan"), float("inf")
+# Each scalar field of a run config, by path, and one value out of its range.
+RUN_SCALARS = {
+    "theta": 0.0, "max_outer": 0, "target_err": -1.0, "target_dist": -1.0, "cadence": 0,
+    "max_inner": 0, "seed": -1, "schedule.a": 0.0, "schedule.p": 0.5, "params.radius": 0.0,
+    "params.m": 1001, "params.phi1.weight": -1.0, "params.phi2.weight": -1.0,
+}
+# The same for a bench config; a grid entry sits in a one-entry grid.
+BENCH_SCALARS = {"grid": 0.0, "reps": 0, "dim": 1, "seed": -1}
+
+
+def _nested(path: str, value) -> dict:
+    """The config object that holds ``value`` at the dotted ``path``."""
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    return value
+
+
+@pytest.mark.parametrize(
+    "command, field, value",
+    [("run", field, value) for field, bad in RUN_SCALARS.items() for value in (NAN, INF, bad)]
+    + [("bench", field, value) for field, bad in BENCH_SCALARS.items()
+       for value in (NAN, INF, bad)],
+    ids=lambda p: repr(p) if isinstance(p, (int, float)) else p,
+)
+def test_a_scalar_field_outside_its_range_exits_2_naming_it(tmp_path, capsys, command, field,
+                                                            value):
+    # NaN, infinity and a finite value out of range all fail the field's one
+    # check, as a ConfigError that names it, before anything is written.
+    if command == "run":
+        family = "a3" if field.startswith("params.phi") else "quadratic_over_ball"
+        cfg = {"family": family, "max_outer": 3, **_nested(field, value)}
+        name = field.removeprefix("params.")
+    else:
+        cfg = {"grid": [value]} if field == "grid" else {"grid": [0.1], field: value}
+        name = "grid[0]" if field == "grid" else field
+    path = _write_cfg(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main([command, path, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert path in err and f"{name} must be" in err
     assert not out.exists()
 
 
@@ -626,7 +674,7 @@ def test_bench_command(tmp_path, capsys):
         ({"reps": "many"}, "reps must be a number"),
         ({"seed": "s"}, "seed must be a number"),
         ({"seed": -1}, "seed must be nonnegative"),
-        ({"grid": [0.1, 0.0]}, "grid must hold positive tolerances"),
+        ({"grid": [0.1, 0.0]}, "grid[1] must be positive"),
         ({"reps": 0}, "reps must be at least 1"),
         ({"dim": 1}, "dim must be at least 2"),
     ],

@@ -50,7 +50,7 @@ def test_run_inner_rejects_feasible_base():
 
 
 def test_run_inner_validation():
-    for tol in (0.0, -1.0, float("nan")):
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="^tol must be positive"):
             run_inner(_unit_ball(), [3.0, 0.0], tol)
     with pytest.raises(ConfigError):

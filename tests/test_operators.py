@@ -127,21 +127,52 @@ NAN = float("nan")
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, error",
     [
-        lambda: ConstantFunction(2, NAN),
-        lambda: MaxOfAffine([[1.0]], [NAN]),
-        lambda: NormFunction([0.0], 1.0, NAN),
-        lambda: Quadratic([[1.0]], None, NAN),
-        lambda: Quadratic.from_diagonal([1.0], None, float("inf")),
+        (lambda: ConstantFunction(2, NAN), ConfigError),
+        (lambda: MaxOfAffine([[1.0]], [NAN]), NonFiniteValue),
+        (lambda: NormFunction([0.0], 1.0, NAN), ConfigError),
+        (lambda: Quadratic([[1.0]], None, NAN), ConfigError),
+        (lambda: Quadratic.from_diagonal([1.0], None, float("inf")), ConfigError),
     ],
     ids=["constant", "affine", "norm", "quadratic", "quadratic-diagonal"],
 )
-def test_a_non_finite_constant_is_rejected(make):
+def test_a_non_finite_constant_is_rejected(make, error):
     # A NaN constant would make the gauge NaN everywhere, and c(x) > 0 is
-    # False for NaN, so every point would pass as feasible.
-    with pytest.raises(NonFiniteValue):
+    # False for NaN, so every point would pass as feasible. A scalar constant
+    # is a setting (space.as_number); the rhs of MaxOfAffine is a vector.
+    with pytest.raises(error):
         make()
+
+
+# Each scalar of a library constructor: its name, a constructor taking it,
+# and one value out of its range (None when every finite value is in range).
+LIBRARY_SCALARS = [
+    ("scale", lambda v: NormFunction([0.0], v), -1.0),
+    ("offset", lambda v: NormFunction([0.0], 1.0, v), None),
+    ("radius", lambda v: BallSet([0.0], v), -1.0),
+    ("factor", lambda v: ScaledOperator(_zero(1), v), -1.0),
+    ("constant", lambda v: Quadratic([[1.0]], None, v), None),
+    ("weight", lambda v: Quadratic.half_sq_distance([0.0], v), -1.0),
+    ("halfspace offset", lambda v: Halfspace([1.0], v), None),
+]
+BAD_LIBRARY_SCALARS = [
+    (name, make, value)
+    for name, make, bad in LIBRARY_SCALARS
+    for value in (NAN, float("inf"), bad)
+    if value is not None
+]
+
+
+@pytest.mark.parametrize(
+    "name, make, value", BAD_LIBRARY_SCALARS,
+    ids=[f"{name}={value!r}" for name, _, value in BAD_LIBRARY_SCALARS],
+)
+def test_a_scalar_outside_its_range_is_a_config_error_naming_it(name, make, value):
+    # An infinite scale made the gauge NaN at its center, where c(x) > 0 is
+    # then False; an infinite radius was accepted as a ball.
+    with pytest.raises(ConfigError, match=f"^{name} must be"):
+        make(value)
 
 
 def test_overflowing_symmetric_part_is_rejected():

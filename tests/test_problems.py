@@ -297,6 +297,15 @@ def test_unknown_fields_are_rejected_by_path():
         build("affine_vi_over_polyhedron", {"rows": [[1.0, 0.0]]})
 
 
+def test_a_far_target_projects_onto_the_ball_not_its_center():
+    # ||target||**2 overflows a float; the projection must still be (1, 0).
+    problem = build("quadratic_over_ball", {"target": [1e200, 0.0]})
+    assert np.array_equal(problem.known_solution, [1.0, 0.0])
+    assert np.allclose(problem.certificate[0], [1.0 - 1e200, 0.0])
+    far = BallSet([1.0, 1.0], 2.0).project([1e300, -1e300])
+    assert np.allclose(far, [1.0 + np.sqrt(2.0), 1.0 - np.sqrt(2.0)])
+
+
 @pytest.mark.parametrize("family", ["quadratic_over_ball", "affine_vi_over_polyhedron"])
 def test_operator_parts_are_capped(family):
     assert build(family, {"m": MAX_PARTS}).m == MAX_PARTS

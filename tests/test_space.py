@@ -71,8 +71,9 @@ def test_as_number_accepts_numbers_and_integral_counts():
     assert as_number(np.float32(0.5), "x") == 0.5
     assert as_number(4.0, "n", integer=True) == 4
     assert type(as_number(np.int64(4), "n", integer=True)) is int
-    # Non-finite floats pass; bounds are the caller's to check.
-    assert np.isnan(as_number(float("nan"), "x"))
+    # Bounds are checked by the rule itself, inclusive unless named "above".
+    assert as_number(0, "x", at_least=0) == 0.0
+    assert as_number(1, "p", above=0.5, at_most=1) == 1.0
 
 
 @pytest.mark.parametrize(
@@ -81,11 +82,31 @@ def test_as_number_accepts_numbers_and_integral_counts():
         ("0.5", False, "must be a number"),
         (float("nan"), True, "must be an integer"),
         (10**400, False, "is out of range"),
+        (float("nan"), False, "must be finite"),
+        (float("inf"), False, "must be finite"),
     ],
 )
 def test_as_number_rejects_non_numbers_by_name(value, integer, message):
     with pytest.raises(ConfigError, match=f"^field {message}"):
         as_number(value, "field", integer=integer)
+
+
+@pytest.mark.parametrize(
+    "value, bounds, message",
+    [
+        (0.0, {"above": 0}, "must be positive and finite, got 0.0"),
+        (-float("inf"), {"at_least": 0}, "must be nonnegative and finite, got -inf"),
+        (-1, {"integer": True, "at_least": 0}, "must be nonnegative, got -1"),
+        (0, {"integer": True, "at_least": 1}, "must be at least 1, got 0"),
+        (float("nan"), {"above": 0.5, "at_most": 1},
+         "must be greater than 0.5, at most 1 and finite"),
+        (1001, {"integer": True, "at_least": 1, "at_most": 1000},
+         "must be at least 1 and at most 1000, got 1001"),
+    ],
+)
+def test_as_number_states_every_bound_of_a_miss(value, bounds, message):
+    with pytest.raises(ConfigError, match=f"^field {message}"):
+        as_number(value, "field", **bounds)
 
 
 def test_error_hierarchy():
