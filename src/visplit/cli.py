@@ -266,12 +266,8 @@ def _cmd_run(args) -> int:
     ]
     for s in summaries:
         final = s["final"]
-        err = final.get("err_x")
-        err_txt = "n/a" if err is None else f"{err:.3e}"
-        print(
-            f"{s['label']}: stop={s['stop_reason']} k={s['iterations']} "
-            f"dist={final['dist_x']:.3e} err={err_txt}"
-        )
+        dist, err = ("n/a" if v is None else f"{v:.3e}" for v in (final["dist_x"], final["err_x"]))
+        print(f"{s['label']}: stop={s['stop_reason']} k={s['iterations']} dist={dist} err={err}")
     return 0
 
 

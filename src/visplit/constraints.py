@@ -42,7 +42,7 @@ from .errors import (
     NonFiniteValue,
 )
 from .operators import ConvexFunction
-from .space import Vector, as_dim, as_matrix, as_number, as_point
+from .space import Vector, as_dim, as_matrix, as_number, as_point, norm
 
 
 class ExactSet:
@@ -65,7 +65,7 @@ class ExactSet:
 
     def _distance(self, y: Vector) -> float:
         """``distance`` on a finite 1-D float array of length ``dim``."""
-        return float(np.linalg.norm(y - self._project(y)))
+        return norm(y - self._project(y))
 
 
 class Halfspace(ExactSet):
@@ -150,7 +150,7 @@ def _project_pair(sep: Halfspace, z: Vector, w: Vector) -> Vector:
         return sep._project(w)
 
     loc = Halfspace._of(d, float(d @ z))
-    tol = 1e-10 * max(1.0, float(np.linalg.norm(w)), float(np.linalg.norm(z)))
+    tol = 1e-10 * max(1.0, norm(w), norm(z))
 
     if sep._distance(w) <= tol and loc._distance(w) <= tol:
         return w.copy()
@@ -195,18 +195,17 @@ class BallSet(ExactSet):
         self.radius = radius
 
     def _project(self, y: Vector) -> Vector:
-        with np.errstate(over="ignore"):
-            d = y - self.center
-            r = float(np.linalg.norm(d))
+        d = y - self.center
+        r = norm(d)
         if r <= self.radius:
             return y.copy()
-        if r == math.inf:  # ||d||**2 overflowed: rescale d, which keeps its direction
+        if r == math.inf:  # ||d|| itself is past the float range: rescale d, keeping its direction
             d = d / np.max(np.abs(d))
-            r = float(np.linalg.norm(d))
+            r = norm(d)
         return self.center + (self.radius / r) * d
 
     def _distance(self, y: Vector) -> float:
-        return max(0.0, float(np.linalg.norm(y - self.center)) - self.radius)
+        return max(0.0, norm(y - self.center) - self.radius)
 
 
 class BoxSet(ExactSet):
@@ -239,11 +238,6 @@ class GraphSet(ExactSet):
         self.n = M.shape[1]
         self.p = M.shape[0]
         self._solve = np.linalg.inv(np.eye(self.n) + M.T @ M)
-
-    def split(self, v) -> tuple[Vector, Vector]:
-        """The (x, y) blocks of a stacked point, checked."""
-        v = as_point(v, self.dim)
-        return v[: self.n], v[self.n :]
 
     def _project(self, y: Vector) -> Vector:
         x0, y0 = y[: self.n], y[self.n :]
@@ -306,7 +300,7 @@ class Constraint:
         if self.exact_set is not None:
             return self.exact_set._distance(y)
         w = self.slater_point
-        bound = float(np.linalg.norm(y - w)) * cy / (cy - self._slater_value)
+        bound = norm(y - w) * cy / (cy - self._slater_value)
         if not math.isfinite(bound):
             raise NonFiniteValue(f"Slater distance bound is {bound!r} at c(y) = {cy!r}")
         return bound
@@ -324,9 +318,14 @@ class Constraint:
     def _separator(self, y: Vector, cy: float) -> Halfspace:
         """``separator_at`` at a finite point ``y`` of length ``dim`` with ``cy = c(y)``.
 
-        The normal comes from the subgradient oracle and is checked here.
+        The normal comes from the subgradient oracle and is checked here, as
+        is ``cy``, the offset's other term.
         """
         g = as_point(self.fn._subgradient(y), self.dim)
+        if not math.isfinite(cy):
+            raise NonFiniteValue(
+                f"constraint value c(y) = {cy!r} is not finite at the separator point"
+            )
         if float(g @ g) == 0.0:
             if cy > 0.0:
                 raise InfeasibleConstraint(

@@ -20,7 +20,7 @@ import numpy as np
 
 from .constraints import Constraint, Halfspace, _project_pair
 from .errors import ConfigError, IterationBudgetExceeded
-from .space import Vector, as_number, as_point
+from .space import Vector, as_number, as_point, norm
 
 
 class InnerResult(NamedTuple):
@@ -128,7 +128,7 @@ def projection_growth(constraint: Constraint, grid, reps: int, rng) -> tuple[lis
         t0 = time.perf_counter()
         for _ in range(reps):
             d = rng.standard_normal(constraint.dim)
-            d /= float(np.linalg.norm(d))
+            d /= norm(d)
             z = (1.0 + float(rng.uniform(0.05, 2.0))) * d
             counts.append(run_inner(constraint, z, tol).iterations)
         seconds.append((time.perf_counter() - t0) / reps)

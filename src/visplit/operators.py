@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, NonFiniteValue
-from .space import Vector, as_dim, as_matrix, as_number, as_point
+from .space import Vector, as_dim, as_matrix, as_number, as_point, norm
 
 _PSD_TOL = -1e-10
 
@@ -300,11 +300,11 @@ class NormFunction(ConvexFunction):
         self.offset = as_number(offset, "offset")
 
     def _value(self, x: Vector) -> float:
-        return self.scale * float(np.linalg.norm(x - self.center)) + self.offset
+        return self.scale * norm(x - self.center) + self.offset
 
     def _subgradient(self, x: Vector) -> Vector:
         d = x - self.center
-        r = float(np.linalg.norm(d))
+        r = norm(d)
         if r == 0.0:
             return np.zeros(self.dim)
         return (self.scale / r) * d

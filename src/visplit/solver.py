@@ -54,7 +54,7 @@ from .constraints import Constraint, ExactSet
 from .errors import ConfigError, DimensionMismatch, NonFiniteIterate
 from .innerloop import _feasible_shortcut, _run_inner
 from .operators import Operator
-from .space import Vector, as_number, as_point
+from .space import Vector, as_number, as_point, norm
 
 
 class StepsizeSchedule:
@@ -188,8 +188,8 @@ class Problem:
         ):
             object.__setattr__(self, name, value)
         if certificate is not None:
-            object.__setattr__(self, "_eta_bar", max(float(np.linalg.norm(u)) for u in certificate))
-            object.__setattr__(self, "_u_bar", float(np.linalg.norm(self.certificate_sum())))
+            object.__setattr__(self, "_eta_bar", max(norm(u) for u in certificate))
+            object.__setattr__(self, "_u_bar", norm(self.certificate_sum()))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {name!r}: a Problem is immutable")
@@ -345,7 +345,7 @@ def _advance(
     # selections at z0; a probe that overflows is a diverged iterate.
     alpha, probe = beta, None
     if schedule.adaptive:
-        norms = [float(np.linalg.norm(op._select(z0))) for op in problem.operators]
+        norms = [norm(op._select(z0)) for op in problem.operators]
         if not all(map(math.isfinite, norms)):
             raise NonFiniteIterate(f"operator selection at z0 is not finite at k={k}")
         probe = max(1.0, *norms)
@@ -359,7 +359,7 @@ def _advance(
     eta = 1.0
     for op in problem.operators:
         u = op._select(cur)
-        eta = max(eta, float(np.linalg.norm(u)))
+        eta = max(eta, norm(u))
         cur = region._project(cur - alpha * u)
         points.append(cur)
     z_next = cur
@@ -387,7 +387,7 @@ def _err_x(problem: Problem, x: Vector) -> float:
     """||x - x*||, or NaN without a known solution."""
     if problem.known_solution is None:
         return float("nan")
-    return float(np.linalg.norm(x - problem.known_solution))
+    return norm(x - problem.known_solution)
 
 
 def _dist_x(problem: Problem, x: Vector) -> float:
@@ -417,7 +417,7 @@ def _diagnose(
     step_bound = eta * alpha
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            gap = float(np.linalg.norm(points[j] - points[i]))
+            gap = norm(points[j] - points[i])
             drift = max(drift, gap - (j - i) * step_bound)
     check = CycleCheck(k, containment, drift, probe is not None and eta > 10.0 * probe)
 
@@ -428,12 +428,15 @@ def _diagnose(
     if problem.certificate is not None:
         xs = problem.known_solution
         m = problem.m
-        bound = m * (
-            (eta * alpha) ** 2 + (m - 1) * problem._eta_bar * eta * alpha**2
-        ) + 2.0 * theta * problem._u_bar * beta * alpha
-        before = float(np.linalg.norm(z - xs)) ** 2
-        after = float(np.linalg.norm(points[-1] - xs)) ** 2
-        fejer_slack = before + bound - after
+        try:  # float ** raises OverflowError where a squared length is past the float range
+            bound = m * (
+                (eta * alpha) ** 2 + (m - 1) * problem._eta_bar * eta * alpha**2
+            ) + 2.0 * theta * problem._u_bar * beta * alpha
+            before = norm(z - xs) ** 2
+            after = norm(points[-1] - xs) ** 2
+            fejer_slack = before + bound - after
+        except OverflowError:
+            pass
 
     if dist_x is None:
         dist_x = _dist_x(problem, state.x)

@@ -1,4 +1,4 @@
-"""Point, matrix, scalar and config-object validation for the ambient coordinate space.
+"""Point, matrix, scalar and config-object validation, and lengths, in the ambient space.
 
 Each kind of input has one rule, applied where it enters the API so that bad
 values fail fast instead of propagating through an iterative run:
@@ -10,7 +10,8 @@ arrays; ``as_matrix`` for the linear maps that operators and sets are built
 from; and ``as_object`` for the objects of a configuration, whose unknown
 fields it rejects by path. Points and matrices share one entry rule: every
 entry is a real number. Each rule writes the messages of its input kind, so
-a bad value reads the same wherever it enters.
+a bad value reads the same wherever it enters. ``norm`` is the one rule for
+the length of a vector on the solver's path.
 """
 
 from __future__ import annotations
@@ -83,6 +84,25 @@ def as_matrix(A, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise NonFiniteValue(f"{name} has NaN or infinite entries")
     return M
+
+
+def norm(x: Vector) -> float:
+    """The Euclidean length of a 1-D float64 array ``x``.
+
+    While ``x @ x`` is finite this is the square root of the dot product of
+    a contiguous ``x``, as numpy's own norm computes it, so the two agree
+    bit for bit, underflow included. Where the square overflows at a finite
+    ``x``, the length of ``x / max|x|`` is scaled back, so it is finite
+    unless the length itself is past the float range. An infinite entry
+    gives inf and a NaN entry NaN, as in numpy. ``np.vdot`` is used because
+    it raises no overflow warning on the way to that fallback.
+    """
+    x = np.ascontiguousarray(x)
+    sq = float(np.vdot(x, x))
+    if sq != math.inf:
+        return math.sqrt(sq)
+    top = float(np.max(np.abs(x)))
+    return top if top == math.inf else top * norm(x / top)
 
 
 def as_number(

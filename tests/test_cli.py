@@ -556,12 +556,13 @@ def test_bench_reps_must_be_an_integer(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["power", "adaptive_power"])
 def test_overflowing_iterate_exits_3_under_every_schedule(tmp_path, capsys, kind):
-    # The selection at the origin is -target, whose norm overflows: the
-    # adaptive probe must report a diverged iterate, as the power rule does.
+    # The selection at the origin is -target, of length 2.1e308, past the
+    # float range: the adaptive probe must report a diverged iterate, as the
+    # power rule does.
     path = _write_cfg(tmp_path / "cfg.json", [
         {"family": "quadratic_over_ball", "max_outer": 5},
         {"family": "quadratic_over_ball", "schedule": {"kind": kind},
-         "params": {"target": [1e308, 1e308]}},
+         "params": {"target": [1.5e308, 1.5e308]}},
     ])
     out = tmp_path / "out"
     with np.errstate(all="ignore"):
@@ -570,6 +571,52 @@ def test_overflowing_iterate_exits_3_under_every_schedule(tmp_path, capsys, kind
     # The earlier run is written; the failed one leaves nothing behind.
     assert sorted(os.listdir(out / "quadratic_over_ball")) == ["summary.json", "trace.csv"]
     assert not (out / "quadratic_over_ball-1").exists()
+
+
+def test_a_selection_whose_square_overflows_is_a_finite_probe(tmp_path, capsys):
+    # At target (1e308, 1e308) the selection's length is 1.41e308, a float,
+    # though its square is not: the adaptive rule divides by it and runs on,
+    # while the power rule's first step still overflows the iterate.
+    runs = {}
+    for kind in ("adaptive_power", "power"):
+        path = _write_cfg(tmp_path / f"{kind}.json", {
+            "family": "quadratic_over_ball", "max_outer": 20, "schedule": {"kind": kind},
+            "params": {"target": [1e308, 1e308]},
+        })
+        with np.errstate(all="ignore"):
+            runs[kind] = main(["run", path, "--output", str(tmp_path / kind)])
+    assert runs == {"adaptive_power": 0, "power": 3}
+    summary = _read_summary(tmp_path / "adaptive_power" / "quadratic_over_ball")
+    assert summary["iterations"] == 20 and summary["stop_reason"] == "max_outer"
+    assert np.isfinite(summary["final"]["eta_k"])
+    assert "solver error" in capsys.readouterr().err
+
+
+def test_a_non_finite_final_distance_prints_n_a(tmp_path, capsys):
+    # One step from the origin leaves the average so far out that its
+    # distance bound is inf: the summary holds null and the printed line
+    # n/a, as for err.
+    path = _write_cfg(tmp_path / "cfg.json", {
+        "family": "quadratic_over_ball", "max_outer": 1,
+        "params": {"target": [1.5e308, 1.5e308]},
+    })
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["run", path, "--output", str(out)]) == 0
+    assert sorted(os.listdir(out / "quadratic_over_ball")) == ["summary.json", "trace.csv"]
+    assert _read_summary(out / "quadratic_over_ball")["final"]["dist_x"] is None
+    assert "dist=n/a err=n/a" in capsys.readouterr().out
+
+
+def test_an_overflowing_gauge_value_is_named_and_exits_3(tmp_path, capsys):
+    path = _write_cfg(tmp_path / "cfg.json", {
+        "family": "quadratic_over_ball", "max_outer": 2,
+        "params": {"target": [1e200, 0.0]},
+    })
+    with np.errstate(all="ignore"):
+        assert main(["run", path, "--output", str(tmp_path / "out")]) == 3
+    assert "constraint value c(y) = inf is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_budget_exhaustion_exits_3(tmp_path, capsys):

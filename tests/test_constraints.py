@@ -130,8 +130,6 @@ def test_exact_set_projectors_frozen():
     graph = GraphSet([[1.0]])
     assert graph.dim == 2
     assert np.allclose(graph.project([2.0, 0.0]), [1.0, 1.0], atol=1e-12, rtol=0)
-    x, y = graph.split([2.0, 0.0])
-    assert np.array_equal(x, [2.0]) and np.array_equal(y, [0.0])
     ws = Halfspace.whole_space(2)
     assert np.array_equal(ws.project([3.0, 4.0]), [3.0, 4.0])
     assert ws.distance([3.0, 4.0]) == 0.0
@@ -267,6 +265,17 @@ def test_slater_distance_bound_overflow_is_a_typed_error():
     c = Constraint(Quadratic.from_diagonal([2.0, 2.0], [0.0, 0.0], -1.0), slater_point=[0.0, 0.0])
     with np.errstate(all="ignore"), pytest.raises(NonFiniteValue):
         c.dist_upper([1e200, 0.0])
+
+
+def test_a_non_finite_gauge_value_is_named_before_a_separator_is_built():
+    # The squared gauge is inf at a finite point, which would give the
+    # halfspace an offset of g @ y - inf.
+    c = Constraint(Quadratic.from_diagonal([2.0, 2.0], [0.0, 0.0], -1.0),
+                   exact_set=BallSet([0.0, 0.0], 1.0))
+    with np.errstate(all="ignore"), pytest.raises(
+        NonFiniteValue, match=r"constraint value c\(y\) = inf is not finite"
+    ):
+        c.separator_at([1e200, 0.0])
 
 
 def test_dist_upper_majorizes_true_distance():

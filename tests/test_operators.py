@@ -492,3 +492,9 @@ def test_subgradient_gap_helper_sign():
         x = rng.standard_normal(2)
         y = rng.standard_normal(2)
         assert subgradient_gap(f, x, y) >= -1e-12
+
+
+def test_norm_gauge_is_finite_where_its_square_overflows():
+    fn = NormFunction([0.0, 0.0])
+    assert fn.value([1e200, 1e200]) == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+    assert np.allclose(fn.subgradient([1e200, 1e200]), [np.sqrt(0.5), np.sqrt(0.5)])

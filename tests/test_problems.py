@@ -298,12 +298,19 @@ def test_unknown_fields_are_rejected_by_path():
 
 
 def test_a_far_target_projects_onto_the_ball_not_its_center():
-    # ||target||**2 overflows a float; the projection must still be (1, 0).
+    # ||target||**2 overflows a float; the projection must still be (1, 0),
+    # and the lengths of the certificate and of the distance are finite.
     problem = build("quadratic_over_ball", {"target": [1e200, 0.0]})
     assert np.array_equal(problem.known_solution, [1.0, 0.0])
     assert np.allclose(problem.certificate[0], [1.0 - 1e200, 0.0])
+    assert problem._eta_bar == pytest.approx(1e200, rel=1e-15)
+    assert problem._u_bar == pytest.approx(1e200, rel=1e-15)
+    assert BallSet([0.0, 0.0], 1.0).distance([1e200, 0.0]) == pytest.approx(1e200, rel=1e-15)
     far = BallSet([1.0, 1.0], 2.0).project([1e300, -1e300])
     assert np.allclose(far, [1.0 + np.sqrt(2.0), 1.0 - np.sqrt(2.0)])
+    # ||target|| is past the float range too; the direction is kept.
+    beyond = BallSet([0.0, 0.0], 1.0).project([1.5e308, 1.5e308])
+    assert np.allclose(beyond, [np.sqrt(0.5), np.sqrt(0.5)])
 
 
 @pytest.mark.parametrize("family", ["quadratic_over_ball", "affine_vi_over_polyhedron"])

@@ -1,5 +1,7 @@
 """Property-based tests, drawn with hypothesis."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from visplit import AffineOperator, ConfigError  # noqa: E402
+from visplit.space import norm  # noqa: E402
 
 # Diagonal entries close to the -1e-10 tolerance, on either side of it.
 _near_tol = st.builds(
@@ -39,3 +42,48 @@ def test_skew_plus_diagonal_monotonicity_matches_eigvalsh(drawn):
         assert f"eigenvalue {d.min():.3e}" in str(exc)
     else:
         assert monotone
+
+
+
+@st.composite
+def _vectors(draw):
+    """A 1-D float64 array of length 1-500 at a scale from 1e-150 to 1e150, often a strided view."""
+    n = draw(st.integers(1, 500))
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    step = draw(st.sampled_from([1, 2, 3, -1, -2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (scale * rng.uniform(-1.0, 1.0, n * abs(step)))[::step][:n]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_vectors())
+def test_norm_is_numpys_norm_bit_for_bit_in_range(x):
+    assert norm(x) == float(np.linalg.norm(x))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 500), st.integers(155, 300), st.integers(0, 2**32 - 1))
+def test_norm_stays_finite_past_the_squared_range(n, exponent, seed):
+    scale = 10.0**exponent
+    x = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    x[0] = scale  # so x @ x overflows, while the length stays below 1e302
+    assert norm(x) == pytest.approx(math.hypot(*x), rel=1e-12, abs=0)
+
+
+@st.composite
+def _with_a_non_finite_entry(draw):
+    entries = draw(st.lists(
+        st.one_of(st.sampled_from([math.inf, -math.inf, math.nan, 1e300]), st.floats(-1e10, 1e10)),
+        max_size=7,
+    ))
+    at = draw(st.integers(0, len(entries)))
+    entries.insert(at, draw(st.sampled_from([math.inf, -math.inf, math.nan])))
+    return np.array(entries)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_with_a_non_finite_entry())
+def test_norm_of_infinite_and_nan_entries_is_numpys(x):
+    with np.errstate(all="ignore"):
+        expected = float(np.linalg.norm(x))
+    assert np.array_equal(norm(x), expected, equal_nan=True)

@@ -153,6 +153,18 @@ def test_first_outer_step_on_ball_frozen():
     assert state.stop_reason == "max_outer"
 
 
+def test_a_length_past_the_squared_range_leaves_fejer_slack_nan():
+    # The first selection is -target, of length 1e200: eta_k is that length,
+    # and the squares of the Fejer bound overflow, so the slack is NaN.
+    prob = build("quadratic_over_ball", {"target": [1e200, 0.0]})
+    with np.errstate(all="ignore"):
+        state = run(prob, PowerStepsize(1.0, 1.0), max_outer=1)
+    rec = state.trace[0]
+    assert rec.eta_k == 1e200
+    assert np.isnan(rec.fejer_slack)
+    assert rec.dist_x == pytest.approx(1e200, rel=1e-15)
+
+
 def test_zero_operator_padding_changes_nothing():
     # Appending a zero summand leaves every iterate bitwise identical: the
     # extra cycle leg moves by zero and the projection is idempotent there.
