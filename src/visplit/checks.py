@@ -49,14 +49,8 @@ def _row(name: str, worst: float, tol: float, extra: str = "") -> CheckResult:
 
 
 def _ball_gauge(center, radius) -> Constraint:
-    n = center.size
-    fn = Quadratic.from_diagonal(
-        np.full(n, 2.0),
-        -2.0 * center,
-        float(center @ center) - radius**2,
-        label="gauge",
-    )
-    return Constraint(fn, exact_set=BallSet(center, radius))
+    gauge = Quadratic.ball_gauge(center, radius, "gauge")
+    return Constraint(gauge, exact_set=BallSet(center, radius))
 
 
 def projection_samples(rng, trials: int):

@@ -190,7 +190,7 @@ def _execute_run(job: RunJob, label: str, outdir: str) -> dict:
     part = os.path.join(rundir, "trace.csv.part")
 
     t0 = time.perf_counter()
-    state = SolverState(z=job.x0.copy(), x=job.x0.copy())
+    state = SolverState(job.x0)
     containment, drift, stress = -np.inf, -np.inf, 0  # max(worst, nan) skips a NaN row
     try:
         with open(part, "w", encoding="utf-8") as fh:
@@ -291,7 +291,7 @@ def _cmd_check(args) -> int:
 def _bench_constraints(dim: int):
     center = np.zeros(dim)
     curved = Constraint(
-        Quadratic.from_diagonal(np.full(dim, 2.0), np.zeros(dim), -1.0, label="unit_ball"),
+        Quadratic.ball_gauge(center, 1.0, "unit_ball"),
         slater_point=center,
     )
     rows = np.zeros((2, dim))

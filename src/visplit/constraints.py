@@ -42,7 +42,7 @@ from .errors import (
     NonFiniteValue,
 )
 from .operators import ConvexFunction
-from .space import Vector, as_dim, as_matrix, as_number, as_point, norm
+from .space import Vector, as_dim, as_matrix, as_number, as_point, difference, norm
 
 
 class ExactSet:
@@ -99,7 +99,10 @@ class Halfspace(ExactSet):
 
     @classmethod
     def whole_space(cls, dim: int) -> "Halfspace":
-        return cls._of(np.zeros(as_dim(dim, "halfspace")), 0.0)
+        """R^dim as a halfspace: a read-only zero normal and offset 0."""
+        normal = np.zeros(as_dim(dim, "halfspace"))
+        normal.flags.writeable = False
+        return cls._of(normal, 0.0)
 
     @property
     def is_whole_space(self) -> bool:
@@ -195,13 +198,9 @@ class BallSet(ExactSet):
         self.radius = radius
 
     def _project(self, y: Vector) -> Vector:
-        d = y - self.center
-        r = norm(d)
-        if r <= self.radius:
+        d, r, s = difference(y, self.center)
+        if s * r <= self.radius:
             return y.copy()
-        if r == math.inf:  # ||d|| itself is past the float range: rescale d, keeping its direction
-            d = d / np.max(np.abs(d))
-            r = norm(d)
         return self.center + (self.radius / r) * d
 
     def _distance(self, y: Vector) -> float:
@@ -271,6 +270,7 @@ class Constraint:
         if exact_set is not None and exact_set.dim != fn.dim:
             raise DimensionMismatch("exact set and constraint dimensions differ")
         self.exact_set = exact_set
+        self._whole_space = Halfspace.whole_space(self.dim)
         if slater_point is not None:
             slater_point = as_point(slater_point, fn.dim).copy()
             cw = fn.value(slater_point)
@@ -318,10 +318,13 @@ class Constraint:
     def _separator(self, y: Vector, cy: float) -> Halfspace:
         """``separator_at`` at a finite point ``y`` of length ``dim`` with ``cy = c(y)``.
 
-        The normal comes from the subgradient oracle and is checked here, as
-        is ``cy``, the offset's other term.
+        The normal comes from the subgradient oracle, which may be a user's
+        ``ConvexFunction`` subclass, so it is checked here as the "constraint
+        subgradient", as is ``cy``, the offset's other term. A zero
+        subgradient at a feasible point gives the constraint's one
+        whole-space region, built with it.
         """
-        g = as_point(self.fn._subgradient(y), self.dim)
+        g = as_point(self.fn._subgradient(y), self.dim, "constraint subgradient")
         if not math.isfinite(cy):
             raise NonFiniteValue(
                 f"constraint value c(y) = {cy!r} is not finite at the separator point"
@@ -331,5 +334,5 @@ class Constraint:
                 raise InfeasibleConstraint(
                     "zero subgradient at an infeasible point: feasible set is empty"
                 )
-            return Halfspace._of(np.zeros(self.dim), 0.0)
+            return self._whole_space
         return Halfspace._of(g, float(g @ y) - cy)

@@ -111,7 +111,7 @@ def feasible_shortcut(constraint: Constraint, z) -> InnerResult:
 
 def _feasible_shortcut(constraint: Constraint, z: Vector, cz: float) -> InnerResult:
     """``feasible_shortcut`` at a finite point ``z`` with ``cz = c(z) <= 0``."""
-    sep = Halfspace._of(np.zeros(z.size), 0.0) if cz < 0 else constraint._separator(z, cz)
+    sep = constraint._whole_space if cz < 0 else constraint._separator(z, cz)
     return InnerResult(z.copy(), sep, 0, 0.0)
 
 

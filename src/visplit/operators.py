@@ -31,12 +31,17 @@ on each read and not kept.
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, NonFiniteValue
-from .space import Vector, as_dim, as_matrix, as_number, as_point, norm
+from .space import Vector, as_dim, as_matrix, as_number, as_point, difference, norm
 
 _PSD_TOL = -1e-10
+# Largest radius whose square, held by the squared ball gauge, is a float.
+_MAX_SQUARED_RADIUS = math.sqrt(sys.float_info.max)
 
 
 def _diagonal(A: np.ndarray) -> np.ndarray | None:
@@ -275,6 +280,22 @@ class Quadratic(ConvexFunction):
             label or f"half_sq_dist(w={w})",
         )
 
+    @classmethod
+    def ball_gauge(cls, center, radius: float, label: str = "") -> "Quadratic":
+        """||x - center||^2 - radius^2, the smooth gauge of a ball.
+
+        The constant holds radius^2, so ``radius`` is at most the square
+        root of the largest float.
+        """
+        center = as_point(center, name="center")
+        radius = as_number(radius, "radius", at_least=0, at_most=_MAX_SQUARED_RADIUS)
+        return cls.from_diagonal(
+            np.full(center.size, 2.0),
+            -2.0 * center,
+            float(center @ center) - radius**2,
+            label or "ball_gauge_sq",
+        )
+
     def _value(self, x: Vector) -> float:
         g = self.gradient
         if g._diag is not None:
@@ -303,8 +324,7 @@ class NormFunction(ConvexFunction):
         return self.scale * norm(x - self.center) + self.offset
 
     def _subgradient(self, x: Vector) -> Vector:
-        d = x - self.center
-        r = norm(d)
+        d, r, _ = difference(x, self.center)
         if r == 0.0:
             return np.zeros(self.dim)
         return (self.scale / r) * d

@@ -34,8 +34,6 @@ a3 (saddle stationarity)
 from __future__ import annotations
 
 import inspect
-import math
-import sys
 
 import numpy as np
 
@@ -65,8 +63,6 @@ from .space import Vector, as_matrix, as_number, as_object, as_point
 # Largest m a family's operator may be split into: each part costs an
 # operator, a certificate vector and O(m) drift-diagnostic work per step.
 MAX_PARTS = 1000
-# Largest radius whose square, held by the squared ball gauge, is a float.
-_MAX_SQUARED_RADIUS = math.sqrt(sys.float_info.max)
 
 
 class _GraphResidual(ConvexFunction):
@@ -153,17 +149,11 @@ def build_quadratic_over_ball(
     center = np.zeros(n) if center is None else as_point(center, n, "center")
     if not isinstance(squared, bool):
         raise ConfigError(f"squared must be true or false, got {squared!r}")
-    top = _MAX_SQUARED_RADIUS if squared else None
-    radius = as_number(radius, "radius", above=0, at_most=top)
+    radius = as_number(radius, "radius", above=0)
 
     ball = BallSet(center, radius)
     if squared:
-        fn = Quadratic.from_diagonal(
-            np.full(n, 2.0),
-            -2.0 * center,
-            float(center @ center) - radius**2,
-            label="ball_gauge_sq",
-        )
+        fn = Quadratic.ball_gauge(center, radius, "ball_gauge_sq")
     else:
         fn = NormFunction(center, 1.0, -radius, label="ball_gauge")
     constraint = Constraint(fn, exact_set=ball, label="ball")

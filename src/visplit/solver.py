@@ -36,9 +36,11 @@ advances on every step, evaluates only what its stop test reads, and
 diagnoses and yields only the rows it keeps, holding none; ``run`` collects
 them, and ``visplit run`` writes each to disk as it comes.
 
-Both phases call only kernels, which trust their points: ``SolverState``,
-``run`` and ``Problem`` check what enters, the step checks that the state's
-dimension is the problem's, and that z_{k+1} is finite.
+Both phases call only kernels, which trust their points: ``SolverState``
+and ``Problem`` check the points that enter, ``run_options`` the options
+of ``kept_rows`` and ``run`` (``outer_step`` checks its two with the same
+bounds), and the step checks that the state's dimension is the problem's,
+and that z_{k+1} is finite.
 """
 
 from __future__ import annotations
@@ -263,19 +265,21 @@ class CycleCheck(NamedTuple):
 class SolverState:
     """Mutable run state: base point, average, accumulators, and records.
 
-    A state starts at base point z and average x, which the constructor
-    checks (same length, finite), with k = 0, sigma = 0, no stop reason,
-    empty ``trace`` and ``cycle_checks`` lists and ``snapshots`` None.
-    ``outer_step`` trusts z and x and writes only finite points back.
+    A state starts with base point z and average x both at ``x0``, which
+    the constructor checks (a finite vector) and copies, with k = 0,
+    sigma = 0, no stop reason, empty ``trace`` and ``cycle_checks`` lists
+    and ``snapshots`` None. The start of x weighs nothing: the first
+    average has weight alpha_0 / sigma_0 = 1. ``outer_step`` trusts z and
+    x and writes only finite points back.
     ``trace`` holds the rows the caller keeps and ``cycle_checks`` the
     diagnostics of those rows (``run``) or of every step (``outer_step``).
     Setting ``snapshots`` to a list makes each step append to it, as
     ``run(snapshots=True)`` does.
     """
 
-    def __init__(self, z, x):
-        self.z = as_point(z)
-        self.x = as_point(x, self.z.size)
+    def __init__(self, x0):
+        self.z = as_point(x0, name="x0").copy()
+        self.x = self.z.copy()
         self.k = 0
         self.sigma = 0.0
         self.trace = []
@@ -296,8 +300,12 @@ def outer_step(
     The record is not appended to ``state.trace``: which rows to keep is the
     caller's choice (``run`` keeps every cadence-th and the last). The
     step's ``CycleCheck`` is appended to ``state.cycle_checks``, and a
-    snapshot to ``state.snapshots`` when that is a list.
+    snapshot to ``state.snapshots`` when that is a list. ``theta`` and
+    ``max_inner`` are checked as ``run_options`` checks them, before the
+    step starts.
     """
+    theta = as_number(theta, "theta", **_THETA)
+    max_inner = as_number(max_inner, "max_inner", **_COUNT)
     step = _advance(problem, schedule, state, theta, max_inner)
     record, check = _diagnose(problem, state, step, theta)
     state.cycle_checks.append(check)
@@ -455,6 +463,12 @@ def _diagnose(
     ), check
 
 
+# The bounds of theta and of the counts max_outer, cadence and max_inner,
+# as keywords of ``as_number``; ``run_options`` and ``outer_step`` share them.
+_THETA = {"above": 0}
+_COUNT = {"integer": True, "at_least": 1}
+
+
 def run_options(
     problem: Problem,
     *,
@@ -467,10 +481,11 @@ def run_options(
 ) -> dict:
     """The options of ``run`` on ``problem``, checked and with defaults filled in.
 
-    ``run`` and ``visplit run`` both pass their options through here. Each
-    value goes through ``as_number``, so a bool, a string or a non-integral
-    count is a ``ConfigError`` that names the option, as is a value out of
-    bounds or a ``target_err`` for a problem without a known solution.
+    ``kept_rows``, and so ``run``, checks its options here, and
+    ``visplit run`` checks every config's before any run starts. Each value
+    goes through ``as_number``, so a bool, a string or a non-integral count
+    is a ``ConfigError`` that names the option, as is a value out of bounds
+    or a ``target_err`` for a problem without a known solution.
 
     Parameters
     ----------
@@ -487,9 +502,9 @@ def run_options(
     max_inner : int
         Projection budget per feasibility stage, at least 1.
     """
-    options = {"theta": as_number(theta, "theta", above=0)}
+    options = {"theta": as_number(theta, "theta", **_THETA)}
     for name, value in (("max_outer", max_outer), ("cadence", cadence), ("max_inner", max_inner)):
-        options[name] = as_number(value, name, integer=True, at_least=1)
+        options[name] = as_number(value, name, **_COUNT)
     for name, value in (("target_err", target_err), ("target_dist", target_dist)):
         options[name] = None if value is None else as_number(value, name, at_least=0)
     if target_err is not None and problem.known_solution is None:
@@ -497,15 +512,20 @@ def run_options(
     return options
 
 
-def kept_rows(
-    problem: Problem, schedule: StepsizeSchedule, state: SolverState, *,
-    theta, max_outer, target_err, target_dist, cadence, max_inner,
-):
-    """Advance ``state`` step by step and yield each kept ``(TraceRecord, CycleCheck)``.
+def kept_rows(problem: Problem, schedule: StepsizeSchedule, state: SolverState, **options):
+    """A generator that advances ``state`` step by step and yields each kept
+    ``(TraceRecord, CycleCheck)``.
 
-    The options are the checked ones ``run_options`` returns. Every
-    cadence-th step and the last, which sets ``state.stop_reason``, are kept.
+    ``options`` are those of ``run``; ``run_options`` checks them and fills
+    in their defaults here, before the generator is made. Every cadence-th
+    step and the last, which sets ``state.stop_reason``, are kept.
     """
+    return _kept_rows(problem, schedule, state, **run_options(problem, **options))
+
+
+def _kept_rows(problem, schedule, state, *, theta, max_outer, target_err, target_dist, cadence,
+               max_inner):
+    """``kept_rows`` with the options ``run_options`` returns."""
     # Every step advances; only the stop test's quantities are evaluated on
     # every step, and the diagnostics only for the rows that are kept.
     for k in range(max_outer):
@@ -548,7 +568,7 @@ def run(
         Keep raw per-step snapshots for replay audits.
     **options
         theta, max_outer, target_err, target_dist, cadence and max_inner,
-        checked and defaulted by :func:`run_options`.
+        checked and defaulted by :func:`run_options` in :func:`kept_rows`.
 
     Returns
     -------
@@ -557,9 +577,7 @@ def run(
         record and the final one; ``cycle_checks`` holds the diagnostics of
         exactly those rows. Both are :func:`kept_rows` collected.
     """
-    options = run_options(problem, **options)
-    x0 = as_point(np.zeros(problem.dim) if x0 is None else x0, problem.dim)
-    state = SolverState(z=x0.copy(), x=x0.copy())
+    state = SolverState(np.zeros(problem.dim) if x0 is None else x0)
     if snapshots:
         state.snapshots = []
     for record, check in kept_rows(problem, schedule, state, **options):

@@ -11,7 +11,8 @@ from; and ``as_object`` for the objects of a configuration, whose unknown
 fields it rejects by path. Points and matrices share one entry rule: every
 entry is a real number. Each rule writes the messages of its input kind, so
 a bad value reads the same wherever it enters. ``norm`` is the one rule for
-the length of a vector on the solver's path.
+the length of a vector on the solver's path, and ``difference`` for the
+direction from one point to another.
 """
 
 from __future__ import annotations
@@ -103,6 +104,26 @@ def norm(x: Vector) -> float:
         return math.sqrt(sq)
     top = float(np.max(np.abs(x)))
     return top if top == math.inf else top * norm(x / top)
+
+
+def difference(y: Vector, c: Vector) -> tuple[Vector, float, float]:
+    """``(d, r, s)`` with y - c = s * d and r = ``norm(d)``, for finite ``y`` and ``c``.
+
+    While the length of y - c is finite, d is y - c and s is 1.0, so d, r
+    and the results built from them keep their bits. Only where that
+    length is inf are y and c first divided by s = max(max|y|, max|c|) and
+    then subtracted, so d / r is still the direction of y - c and s * r its
+    length, inf or a float near it. numpy's overflow warning of the first
+    subtraction is not silenced: ``np.errstate`` would cost more per call
+    than the subtraction.
+    """
+    d = y - c
+    r = norm(d)
+    if r != math.inf:
+        return d, r, 1.0
+    s = max(float(np.max(np.abs(y))), float(np.max(np.abs(c))))
+    d = y / s - c / s
+    return d, norm(d), s
 
 
 def as_number(

@@ -213,7 +213,7 @@ def test_criterion_06_recursive_average_matches_direct_sum():
     prob = build("quadratic_over_ball", {})
     sched = PowerStepsize(1.0, 1.0)
     x0 = np.array([2.0, 0.0])
-    state = SolverState(z=x0.copy(), x=x0.copy())
+    state = SolverState(x0)
     acc = np.zeros(2)
     sigma = 0.0
     worst = 0.0
@@ -291,7 +291,7 @@ def test_criterion_09_skew_instance_averages_out_oscillation():
     prob = build("a3", {"phi1": {"weight": 0.0}, "phi2": {"weight": 0.0}})
     sched = PowerStepsize(**ERGODIC_SCHEDULE)
     x0 = np.array([0.1, 0.1])
-    state = SolverState(z=x0.copy(), x=x0.copy())
+    state = SolverState(x0)
     tail = []
     for k in range(100_000):
         outer_step(prob, sched, state)

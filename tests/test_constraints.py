@@ -18,6 +18,7 @@ from visplit import (
     NormFunction,
     Problem,
     Quadratic,
+    feasible_shortcut,
     project_halfspace_pair,
 )
 from visplit.oracle import qp_project
@@ -319,4 +320,19 @@ def test_separator_zero_subgradient_cases():
     with pytest.raises(InfeasibleConstraint):
         empty.separator_at([0.0, 0.0])
     trivial = Constraint(ConstantFunction(2, -1.0), exact_set=Halfspace.whole_space(2))
-    assert trivial.separator_at([5.0, 5.0]).is_whole_space
+    region = trivial.separator_at([5.0, 5.0])
+    assert region.is_whole_space
+    # One region per constraint, shared by every step, with a read-only normal.
+    assert trivial.separator_at([0.0, 1.0]) is region
+    assert feasible_shortcut(trivial, [1.0, 2.0]).sep is region
+    with pytest.raises(ValueError):
+        region.normal[0] = 1.0
+
+
+def test_a_ball_projection_keeps_its_direction_where_y_minus_center_overflows():
+    with np.errstate(over="ignore"):
+        p = BallSet([-1e308, 0.0], 1.0).project([1e308, 0.0])
+    assert np.array_equal(p, [-1e308, 0.0])
+    with np.errstate(over="ignore"):
+        q = BallSet([-1e308, 0.0], 5.0).project([1e308, 1e308])
+    assert np.allclose(q, [-1e308 + 5.0 * 2.0 / np.sqrt(5.0), 5.0 / np.sqrt(5.0)], rtol=1e-15)

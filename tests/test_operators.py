@@ -498,3 +498,26 @@ def test_norm_gauge_is_finite_where_its_square_overflows():
     fn = NormFunction([0.0, 0.0])
     assert fn.value([1e200, 1e200]) == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
     assert np.allclose(fn.subgradient([1e200, 1e200]), [np.sqrt(0.5), np.sqrt(0.5)])
+    # ||x|| itself is past the float range; the subgradient keeps its direction.
+    assert fn.value([1.5e308, 1.5e308]) == np.inf
+    assert np.allclose(fn.subgradient([1.5e308, 1.5e308]), [np.sqrt(0.5), np.sqrt(0.5)],
+                       rtol=1e-15, atol=0)
+
+
+def test_ball_gauge_is_the_squared_distance_less_the_squared_radius():
+    center = np.array([0.5, -2.0, 3.0])
+    fn = Quadratic.ball_gauge(center, 1.5, "gauge")
+    spelled = Quadratic.from_diagonal(
+        np.full(3, 2.0), -2.0 * center, float(center @ center) - 1.5**2
+    )
+    assert fn.label == "gauge" and Quadratic.ball_gauge(center, 1.5).label == "ball_gauge_sq"
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        x = rng.standard_normal(3)
+        assert fn.value(x) == spelled.value(x)
+        assert fn.subgradient(x).tobytes() == spelled.subgradient(x).tobytes()
+        assert fn.value(x) == pytest.approx(float((x - center) @ (x - center)) - 2.25)
+    # The constant holds radius**2, which must be a float.
+    for radius in (-1.0, 1e160, float("nan"), "1"):
+        with pytest.raises(ConfigError, match="^radius must"):
+            Quadratic.ball_gauge(center, radius)

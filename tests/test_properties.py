@@ -8,7 +8,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from visplit import AffineOperator, ConfigError  # noqa: E402
+from visplit import AffineOperator, ConfigError, Halfspace, project_halfspace_pair  # noqa: E402
+from visplit.constraints import _project_pair  # noqa: E402
+from visplit.oracle import qp_project  # noqa: E402
 from visplit.space import norm  # noqa: E402
 
 # Diagonal entries close to the -1e-10 tolerance, on either side of it.
@@ -87,3 +89,43 @@ def test_norm_of_infinite_and_nan_entries_is_numpys(x):
     with np.errstate(all="ignore"):
         expected = float(np.linalg.norm(x))
     assert np.array_equal(norm(x), expected, equal_nan=True)
+
+
+@st.composite
+def _loop_pairs(draw):
+    """(sep, z, w) shaped like the feasibility loop's pair: a separator that z
+    violates, and the localizer through z toward w, whose direction w - z lies
+    1e-12 to 1 rad off the separator's normal; dims 2-5, scales 1e-8 to 1e8.
+    The normals are never near-antiparallel: both halfspaces of the loop
+    contain the feasible set, so their intersection is never nearly empty.
+    """
+    n = draw(st.integers(2, 5))
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    angle = 10.0 ** draw(st.floats(-12.0, 0.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal(n)
+    a /= norm(a)
+    e = rng.standard_normal(n)
+    e -= (e @ a) * a
+    e /= norm(e)
+    z = scale * rng.standard_normal(n)
+    d = scale * rng.uniform(0.01, 2.0) * (math.cos(angle) * a + math.sin(angle) * e)
+    normal = 10.0 ** rng.uniform(-3.0, 3.0) * a
+    sep = Halfspace(normal, float(normal @ z) - scale * rng.uniform(1e-3, 1.0) * norm(normal))
+    return sep, z, z + d
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_loop_pairs())
+def test_pair_projection_is_feasible_and_nearest(pair):
+    # What a projection must satisfy, not the oracle's point: the two points
+    # differ by up to about 1e-8 * S on ill-conditioned pairs.
+    sep, z, w = pair
+    got = project_halfspace_pair(sep, z, w)
+    assert got.tobytes() == _project_pair(sep, z, w).tobytes()
+    loc = Halfspace(w - z, float((w - z) @ z))
+    S = max(1.0, norm(w), norm(z))
+    assert sep.distance(got) <= 1e-9 * S
+    assert loc.distance(got) <= 1e-9 * S
+    best = qp_project(w, [sep, loc])
+    assert norm(got - w) <= norm(best - w) + 1e-8 * S

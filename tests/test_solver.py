@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -12,6 +14,8 @@ from visplit import (
     ConstantFunction,
     ConstantStepsize,
     Constraint,
+    ConvexFunction,
+    DimensionMismatch,
     Halfspace,
     NonFiniteValue,
     PowerStepsize,
@@ -21,6 +25,7 @@ from visplit import (
     TRACE_COLUMNS,
     TraceRecord,
     build,
+    kept_rows,
     outer_step,
     run,
 )
@@ -275,7 +280,7 @@ def test_outer_step_feasibility_stage_meets_tolerance():
     prob = build("quadratic_over_ball", {})
     sched = PowerStepsize(0.7, 0.8)
     for theta in (0.5, 1.0, 2.0):
-        state = SolverState(z=np.array([3.0, -2.0]), x=np.array([3.0, -2.0]))
+        state = SolverState(np.array([3.0, -2.0]))
         for k in range(40):
             rec = outer_step(prob, sched, state, theta=theta)
             assert rec.dist_z0 <= theta * sched.alpha(k)
@@ -283,7 +288,7 @@ def test_outer_step_feasibility_stage_meets_tolerance():
     # Random starts, same invariant.
     for _ in range(20):
         x0 = 4.0 * rng.standard_normal(2)
-        state = SolverState(z=x0.copy(), x=x0.copy())
+        state = SolverState(x0)
         rec = outer_step(prob, sched, state)
         assert rec.dist_z0 <= sched.alpha(0)
 
@@ -320,7 +325,7 @@ def _assert_kept_rows_are_hand_stepped(problem, schedule, x0, **options):
     """Run, then step the same problem by hand: every kept row and its
     cycle check equal the hand-stepped ones bit for bit, wall_time aside."""
     state = run(problem, schedule, x0=x0, **options)
-    hand = SolverState(z=x0, x=x0)
+    hand = SolverState(x0)
     records = [outer_step(problem, schedule, hand) for _ in range(state.k)]
     assert [c.k for c in state.cycle_checks] == [r.k for r in state.trace]
     for rec, check in zip(state.trace, state.cycle_checks):
@@ -380,7 +385,7 @@ def test_records_and_problems_reject_assignment_and_share_no_state():
         problem.known_solution = None
     with pytest.raises(AttributeError):
         del problem.meta
-    one, two = SolverState(z=[0.0], x=[0.0]), SolverState(z=[0.0], x=[0.0])
+    one, two = SolverState([0.0]), SolverState([0.0])
     assert one.trace is not two.trace
     assert one.cycle_checks is not two.cycle_checks
     op = AffineOperator(np.eye(2))
@@ -403,3 +408,73 @@ def test_a_decimated_run_retains_only_its_kept_rows():
         tracemalloc.stop()
     assert len(state.trace) == len(state.cycle_checks) == 21
     assert retained < 0.5e6, retained
+
+
+def test_outer_step_defaults_are_those_of_run_options():
+    defaults = solver.run_options(build("quadratic_over_ball", {}))
+    for name, param in inspect.signature(outer_step).parameters.items():
+        if param.default is not inspect.Parameter.empty:
+            assert param.default == defaults[name], name
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("max_inner", 2.5), ("max_inner", 0), ("theta", -1.0), ("theta", math.nan), ("theta", "1")],
+)
+def test_outer_step_rejects_a_bad_option_before_any_projection(monkeypatch, option, value):
+    problem = build("quadratic_over_ball", {})
+    state = SolverState([3.0, 0.0])
+    gauge = problem.constraint.fn
+    monkeypatch.setattr(gauge, "_value", lambda y: pytest.fail("the step started"))
+    with pytest.raises(ConfigError, match=f"^{option} must"):
+        outer_step(problem, PowerStepsize(1.0, 1.0), state, **{option: value})
+    assert state.k == 0 and state.cycle_checks == []
+
+
+def test_kept_rows_checks_its_options_when_called():
+    problem = build("quadratic_over_ball", {})
+    state = SolverState([3.0, 0.0])
+    with pytest.raises(ConfigError, match="^max_outer must be an integer"):
+        kept_rows(problem, PowerStepsize(1.0, 1.0), state, max_outer=2.5)
+    with pytest.raises(ConfigError, match="^theta must"):
+        kept_rows(problem, PowerStepsize(1.0, 1.0), state, theta=float("nan"))
+    with pytest.raises(TypeError):
+        kept_rows(problem, PowerStepsize(1.0, 1.0), state, maxouter=5)
+    assert state.k == 0
+
+
+class _DiskGauge(ConvexFunction):
+    """||x||^2 - 1 on R^2, whose subgradient is ``shape`` of 2x."""
+
+    def __init__(self, shape):
+        super().__init__(2, "disk")
+        self.shape = shape
+
+    def _value(self, x):
+        return float(x @ x) - 1.0
+
+    def _subgradient(self, x):
+        return self.shape(2.0 * x)
+
+
+@pytest.mark.parametrize(
+    "shape, error",
+    [
+        (lambda g: np.full(2, np.nan), NonFiniteValue),
+        (lambda g: g[:1], DimensionMismatch),
+        (lambda g: g.tolist(), None),
+    ],
+    ids=["nan", "one-short", "list"],
+)
+def test_a_users_subgradient_is_checked_on_every_projection(shape, error):
+    # A ConvexFunction subclass is code from outside the package: the
+    # separator checks each subgradient it returns and names it.
+    problem = Problem(
+        operators=(AffineOperator(np.eye(2), [-2.0, 0.0]),),
+        constraint=Constraint(_DiskGauge(shape), slater_point=[0.0, 0.0]),
+    )
+    if error is None:
+        assert run(problem, PowerStepsize(1.0, 1.0), x0=[3.0, 0.0], max_outer=20).k == 20
+        return
+    with pytest.raises(error, match="^constraint subgradient"):
+        run(problem, PowerStepsize(1.0, 1.0), x0=[3.0, 0.0], max_outer=20)

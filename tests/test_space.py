@@ -10,7 +10,7 @@ from visplit import (
     NonFiniteValue,
     VisplitError,
 )
-from visplit.space import as_matrix, as_number, as_point
+from visplit.space import as_matrix, as_number, as_point, difference, norm
 
 
 def test_as_point_coerces_lists_and_scalars():
@@ -126,3 +126,17 @@ def test_error_hierarchy():
     assert issubclass(NonFiniteIterate, NonFiniteValue)
     assert issubclass(IterationBudgetExceeded, RuntimeError)
     assert issubclass(InfeasibleConstraint, RuntimeError)
+
+
+def test_difference_keeps_numpys_bits_in_range_and_the_direction_past_it():
+    rng = np.random.default_rng(3)
+    for exponent in (-150, 0, 150, 300):
+        y, c = 10.0**exponent * rng.standard_normal((2, 4))
+        d, r, s = difference(y, c)
+        assert d.tobytes() == (y - c).tobytes() and r == norm(y - c) and s == 1.0
+    # y - c overflows at finite y and c: the direction and the length survive.
+    y, c = np.array([1e308, 0.0]), np.array([-1e308, 1e308])
+    with np.errstate(over="ignore"):
+        d, r, s = difference(y, c)
+    assert s == 1e308 and np.array_equal(d, [2.0, -1.0]) and r == norm(d)
+    assert s * r == np.inf
