@@ -10,12 +10,10 @@ optionally intersected with the localizer
 
     W_{z,w} = {x : <x - z, w - z> <= 0}.
 
-Both projections have closed forms. The pair projection is solved by direct
-case analysis over the active constraints (none, one, or both), which gives
-the exact projector for every configuration, including parallel boundaries;
-the two-active case solves a 2x2 Gram system for the multipliers and keeps
-the candidate only when it is feasible, so no multiplier clamping heuristics
-are needed.
+Both projections have closed forms. The pair projection follows the cases of
+its proof (localizer vacuous, one boundary active, or both) and returns at
+the first that holds, since the projection is unique; the two-active case
+moves z to the vertex in one step and checks that it is feasible.
 
 Every region the cycle projects onto is an ``ExactSet``: a separating
 ``Halfspace``, the whole space ``Halfspace.whole_space(dim)``, or a set with
@@ -132,15 +130,28 @@ class Halfspace(ExactSet):
 def project_halfspace_pair(sep: Halfspace, z, w) -> Vector:
     """Exact projection of ``w`` onto sep ∩ {x : <x - z, w - z> <= 0}.
 
-    Candidates are enumerated by active set: ``w`` itself, the single
-    projections onto each halfspace, and the point with both boundaries
-    active (2x2 Gram system in the multipliers). The closest feasible
-    candidate is the projection. When the normals are parallel the Gram
-    system is skipped and a single halfspace is necessarily binding.
+    The projection is unique, so the first of these cases that holds gives
+    it; membership is tested to 1e-10 * max(1, ||w||, ||z||):
 
-    Degenerate localizer (w == z) falls back to the single projection onto
-    ``sep``. Raises InfeasibleConstraint if the intersection is empty, which
-    cannot happen for separators of a nonempty feasible set.
+    1. ``w == z``: the localizer is the whole space, so project onto ``sep``.
+    2. The projection of ``w`` onto ``sep`` lies in the localizer: it is
+       nearest in the larger set ``sep``, so it is the answer.
+    3. ``z`` lies in ``sep``: the localizer's projection of ``w`` is
+       ``w - (w - z) = z``, nearest in the larger set. A whole-space
+       separator always ends in case 2 or here.
+    4. Otherwise both boundaries are active and the answer is their vertex.
+       It is also z's vertex, since ``w - z`` is one of the normals, and z
+       is on the localizer's boundary, so the 2x2 Gram system from z
+       solves to z moved along a, the part of sep's normal orthogonal to
+       ``w - z``, to sep's boundary. Taking a by Gram-Schmidt twice keeps
+       both residuals at rounding level on thin wedges, so no refinement
+       passes follow.
+
+    Raises InfeasibleConstraint if the vertex is not in both halfspaces, or
+    if ||a||² <= 1e-14 ||normal||², that is ``w - z`` within about 1e-7 rad
+    of parallel to sep's normal: after cases 2 and 3 those normals are
+    opposed, and the intersection is empty or its vertex over 1e7 gaps
+    out. For separators of a nonempty feasible set it is never empty.
     """
     return _project_pair(sep, as_point(z, sep.dim), as_point(w, sep.dim))
 
@@ -151,40 +162,23 @@ def _project_pair(sep: Halfspace, z: Vector, w: Vector) -> Vector:
     dd = float(d @ d)
     if dd == 0.0:
         return sep._project(w)
-
     loc = Halfspace._of(d, float(d @ z))
     tol = 1e-10 * max(1.0, norm(w), norm(z))
-
-    if sep._distance(w) <= tol and loc._distance(w) <= tol:
-        return w.copy()
-    candidates = []
-    p1 = sep._project(w)
-    if loc._distance(p1) <= tol:
-        candidates.append(p1)
-    p2 = loc._project(w)
-    if sep._distance(p2) <= tol:
-        candidates.append(p2)
-    if not candidates and not sep.is_whole_space:
-        a = sep.normal
-        aa = float(a @ a)
-        ad = float(a @ d)
-        det = aa * dd - ad * ad
-        if det > 1e-14 * aa * dd:
-            q = w
-            # Refinement passes keep the vertex accurate on thin wedges,
-            # where the Gram system loses digits to near-parallel normals.
-            for _ in range(3):
-                ra = sep._residual(q)
-                rd = loc._residual(q)
-                mu1 = (ra * dd - ad * rd) / det
-                mu2 = (aa * rd - ad * ra) / det
-                q = q - mu1 * a - mu2 * d
-            if sep._distance(q) <= tol and loc._distance(q) <= tol:
-                candidates.append(q)
-    if not candidates:
-        raise InfeasibleConstraint("halfspace pair has empty intersection")
-    best = min(candidates, key=lambda p: float((p - w) @ (p - w)))
-    return best
+    p = sep._project(w)
+    if loc._distance(p) <= tol:
+        return p
+    if sep._distance(z) <= tol:
+        return z.copy()
+    # The vertex is z moved along a, the part of sep's normal orthogonal to
+    # d (Gram-Schmidt twice), to sep's boundary.
+    a = sep.normal - (float(sep.normal @ d) / dd) * d
+    a -= (float(a @ d) / dd) * d
+    slope = float(a @ sep.normal)
+    if slope > 1e-14 * sep._sq:
+        q = z - (sep._residual(z) / slope) * a
+        if sep._distance(q) <= tol and loc._distance(q) <= tol:
+            return q
+    raise InfeasibleConstraint("halfspace pair has empty intersection")
 
 
 class BallSet(ExactSet):

@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from visplit import (
     run,
     with_reference,
 )
+from visplit import oracle
 from visplit.oracle import probe_affine, reference_solution, vi_gap
 
 
@@ -226,3 +230,30 @@ def test_audit_report_ok_thresholds():
     assert not AuditReport(**{**good, "max_replay_gap": 1e-6}).ok
     assert not AuditReport(**{**good, "fejer_violations": 1}).ok
     assert not AuditReport(**{**good, "worst_containment": 1e-6}).ok
+
+
+def _private_uses(source: str) -> list[str]:
+    """The ``_``-prefixed names ``source`` imports from solver, innerloop or
+    constraints, and every ``_``-prefixed attribute it reads: the AST cannot
+    tell which module an attribute's object comes from, so none is allowed."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").rsplit(".", 1)[-1] in ("solver", "innerloop", "constraints"):
+                found += [f"import {a.name}" for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Attribute):
+            if node.attr.startswith("_") and not node.attr.startswith("__"):
+                found.append(f"line {node.lineno}: .{node.attr}")
+    return found
+
+
+def test_oracle_reaches_no_private_kernel():
+    # The oracle's routes must share no code with the solver's, or their
+    # agreement shows nothing.
+    assert _private_uses(
+        "from .constraints import _project_pair\n"
+        "from visplit.solver import run, _advance\n"
+        "from .operators import _square\n"
+        "x = region._project(y).__class__\n"
+    ) == ["import _project_pair", "import _advance", "line 4: ._project"]
+    assert _private_uses(inspect.getsource(oracle)) == []

@@ -8,7 +8,16 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from visplit import AffineOperator, ConfigError, Halfspace, project_halfspace_pair  # noqa: E402
+from visplit import (  # noqa: E402
+    AffineOperator,
+    ConfigError,
+    Constraint,
+    Halfspace,
+    NormFunction,
+    Quadratic,
+    project_halfspace_pair,
+    run_inner,
+)
 from visplit.constraints import _project_pair  # noqa: E402
 from visplit.oracle import qp_project  # noqa: E402
 from visplit.space import norm  # noqa: E402
@@ -94,14 +103,27 @@ def test_norm_of_infinite_and_nan_entries_is_numpys(x):
 @st.composite
 def _loop_pairs(draw):
     """(sep, z, w) shaped like the feasibility loop's pair: a separator that z
-    violates, and the localizer through z toward w, whose direction w - z lies
-    1e-12 to 1 rad off the separator's normal; dims 2-5, scales 1e-8 to 1e8.
-    The normals are never near-antiparallel: both halfspaces of the loop
-    contain the feasible set, so their intersection is never nearly empty.
+    violates by a gap h, and the localizer through z toward w; dims 2-5,
+    scales 1e-8 to 1e8. The direction w - z lies 1e-12 to 1 rad off the
+    separator's normal, with h either up to the scale or below
+    ||w - z|| sin²(angle) / cos(angle), where the separator's projection of
+    w leaves the localizer and both boundaries are active (down to the pair
+    tolerance, below which z counts as inside the separator). Or it lies
+    1e-4 to 1 rad off the normal's opposite, where both are always active
+    and the vertex lies up to 1e4 gaps out: the loop meets such a wedge when
+    its base point is far from a small feasible set, which both halfspaces
+    contain. Thinner opposed wedges put the vertex beyond what the pair
+    tolerance, relative to ||w|| and ||z||, can confirm, and opposed wedges
+    start at scale 1: below it the oracle's tolerance is absolute and
+    admits a point nearer than the vertex.
     """
     n = draw(st.integers(2, 5))
-    scale = 10.0 ** draw(st.integers(-8, 8))
-    angle = 10.0 ** draw(st.floats(-12.0, 0.0))
+    kind = draw(st.sampled_from(["one active", "vertex", "opposed"]))
+    scale = 10.0 ** draw(st.integers(0 if kind == "opposed" else -8, 8))
+    if kind == "opposed":
+        angle = math.pi - 10.0 ** draw(st.floats(-4.0, 0.0))
+    else:
+        angle = 10.0 ** draw(st.floats(-12.0, 0.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a = rng.standard_normal(n)
     a /= norm(a)
@@ -109,17 +131,22 @@ def _loop_pairs(draw):
     e -= (e @ a) * a
     e /= norm(e)
     z = scale * rng.standard_normal(n)
-    d = scale * rng.uniform(0.01, 2.0) * (math.cos(angle) * a + math.sin(angle) * e)
+    length = scale * rng.uniform(0.01, 2.0)
+    d = length * (math.cos(angle) * a + math.sin(angle) * e)
     normal = 10.0 ** rng.uniform(-3.0, 3.0) * a
-    sep = Halfspace(normal, float(normal @ z) - scale * rng.uniform(1e-3, 1.0) * norm(normal))
+    if kind == "vertex":
+        h = length * math.sin(angle) ** 2 / math.cos(angle) * 10.0 ** rng.uniform(-3.0, 0.0)
+    else:
+        h = scale * rng.uniform(1e-3, 1.0)
+    sep = Halfspace(normal, float(normal @ z) - h * norm(normal))
     return sep, z, z + d
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(_loop_pairs())
 def test_pair_projection_is_feasible_and_nearest(pair):
-    # What a projection must satisfy, not the oracle's point: the two points
-    # differ by up to about 1e-8 * S on ill-conditioned pairs.
+    # What a projection must satisfy, not the oracle's point: on thin wedges
+    # the two points differ by up to about 1e-5 * S.
     sep, z, w = pair
     got = project_halfspace_pair(sep, z, w)
     assert got.tobytes() == _project_pair(sep, z, w).tobytes()
@@ -129,3 +156,53 @@ def test_pair_projection_is_feasible_and_nearest(pair):
     assert loc.distance(got) <= 1e-9 * S
     best = qp_project(w, [sep, loc])
     assert norm(got - w) <= norm(best - w) + 1e-8 * S
+
+
+@st.composite
+def _gauged_bases(draw):
+    """(constraint, y0, tol, feasible points): a ball, an axis-aligned ellipsoid
+    or a norm ball of size 1e-3 to 1e3 in dims 2-5, gauged with the Slater rule
+    from a random interior point; an infeasible base point y0 up to 10 sizes out;
+    a tolerance 1e-6 to 1e-1 of the size; and 20 points of the set.
+    """
+    n = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["ball", "ellipsoid", "norm"]))
+    size = 10.0 ** draw(st.integers(-3, 3))
+    tol = size * 10.0 ** draw(st.floats(-6.0, -1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    center = size * rng.standard_normal(n)
+    # The set is center + {v : 0.5 * sum(D * v**2) <= 1}.
+    D = 2.0 / size**2 * (10.0 ** rng.uniform(-1.0, 1.0, n) if kind == "ellipsoid" else np.ones(n))
+    if kind == "norm":
+        fn = NormFunction(center, 1.0, -size)
+    else:
+        fn = Quadratic.from_diagonal(D, -D * center, 0.5 * float(D @ (center * center)) - 1.0)
+
+    def at_gauge(rho):
+        u = rng.standard_normal(n)
+        return center + rho * u / math.sqrt(0.5 * float(D @ (u * u)))
+
+    slater = at_gauge(rng.uniform(0.0, 0.9))
+    y0 = at_gauge(1.0 + 10.0 ** rng.uniform(-2.0, 1.0))
+    feasible = [at_gauge(rng.uniform(0.0, 1.0)) for _ in range(20)]
+    return Constraint(fn, slater_point=slater), y0, tol, feasible
+
+
+def test_feasibility_loop_exits_in_its_separator_and_nearer_every_feasible_point():
+    # The loop's contract over curved gauges, where it takes several pair
+    # projections, through every pair case but the third (z in sep).
+    iterations = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_gauged_bases())
+    def check(drawn):
+        constraint, y0, tol, feasible = drawn
+        res = run_inner(constraint, y0, tol)
+        iterations.append(res.iterations)
+        assert res.dist_bound_at_exit <= tol
+        assert res.sep.distance(res.z0) <= 1e-9 * max(1.0, norm(y0))
+        for s in feasible:
+            assert norm(res.z0 - s) <= norm(y0 - s)
+
+    check()
+    assert sum(k >= 2 for k in iterations) >= 100

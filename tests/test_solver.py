@@ -16,6 +16,7 @@ from visplit import (
     Constraint,
     ConvexFunction,
     DimensionMismatch,
+    ExactSet,
     Halfspace,
     NonFiniteValue,
     PowerStepsize,
@@ -214,6 +215,45 @@ def test_eta_stress_flag():
     state = run(prob, PowerStepsize(0.001, 1.0), x0=[0.0, 0.0], max_outer=1)
     assert not state.cycle_checks[0].eta_stress
     assert state.cycle_checks[0].containment == 0.0
+
+
+class _ShiftingHalfspace(ExactSet):
+    """{x : x[0] <= 0}, whose projector also moves every point by ``shift``
+    along x[1]: its points land in the set, but it is not nonexpansive, so
+    a cycle over it can beat the drift bound."""
+
+    def __init__(self, shift):
+        super().__init__(2)
+        self.shift = shift
+
+    def _project(self, y):
+        return np.array([min(y[0], 0.0), y[1] + self.shift])
+
+    def _distance(self, y):
+        return max(0.0, y[0])
+
+
+@pytest.mark.parametrize(
+    "shift, alpha, x0, containment, drift",
+    [
+        # Cycle points (0, 0), (0, 1), (0, 2), (0, 3) against steps of
+        # eta * alpha = 0.25: the worst pair is the widest, 3 - 3 * 0.25.
+        (1.0, 0.25, [0.0, 0.0], 0.0, 2.25),
+        # Every pair stays (j - i) * 0.5 inside the bound; the excess is floored at 0.
+        (0.5, 1.0, [0.0, 0.0], 0.0, 0.0),
+        # z0 = x0 is feasible for the gauge but 0.5 outside the region, whose
+        # later points are inside it.
+        (0.0, 1.0, [0.5, 0.0], 0.5, 0.0),
+    ],
+)
+def test_cycle_diagnostics_frozen(shift, alpha, x0, containment, drift):
+    # Three zero summands, so eta_k = 1 and every move is the projector's.
+    zero = AffineOperator.from_diagonal(np.zeros(2))
+    constraint = Constraint(ConstantFunction(2, -1.0), exact_set=_ShiftingHalfspace(shift))
+    prob = Problem((zero,) * 3, constraint, use_exact_projection=True)
+    state = SolverState(x0)
+    outer_step(prob, ConstantStepsize(alpha), state)
+    assert state.cycle_checks == [solver.CycleCheck(0, containment, drift, False)]
 
 
 def test_run_validation():
