@@ -56,8 +56,8 @@ def qp_project(point, halfspaces) -> Vector:
     A = np.stack(rows)
     b = np.asarray(offs, dtype=float)
     count = A.shape[0]
-    # Rows are unit-normalized, so residuals are signed distances.
-    tol = 1e-9 * max(1.0, float(np.linalg.norm(w)))
+    # Unit rows: residuals are signed distances, relative to ||w|| and the offsets.
+    tol = 1e-9 * max(float(np.linalg.norm(w)), min(1.0, float(np.max(np.abs(b)))))
 
     best = None
     best_d = np.inf

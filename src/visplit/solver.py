@@ -236,7 +236,7 @@ TRACE_COLUMNS = TraceRecord._fields
 
 
 class StepSnapshot(NamedTuple):
-    """Raw per-step data for replay audits; stored only on request."""
+    """Raw per-step data for replay audits, stored on request; its points are the step's own."""
 
     k: int
     z: Vector
@@ -380,9 +380,7 @@ def _advance(
     x_next = (1.0 - weight) * state.x + weight * z_next
 
     if state.snapshots is not None:
-        state.snapshots.append(
-            StepSnapshot(k, z.copy(), z0.copy(), z_next.copy(), region, inner_iters)
-        )
+        state.snapshots.append(StepSnapshot(k, z, z0, z_next, region, inner_iters))
 
     state.k = k + 1
     state.z = z_next
@@ -420,7 +418,7 @@ def _diagnose(
     t0, k, z, points, region, probe, beta, alpha, eta, inner_iters, dist_z0 = step
 
     # Cycle diagnostics: containment in the region and the drift bound.
-    containment = max(float(region._distance(p)) for p in points)
+    containment = max(region._distance(p) for p in points)
     drift = 0.0
     step_bound = eta * alpha
     for i in range(len(points)):

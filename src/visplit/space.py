@@ -109,15 +109,13 @@ def norm(x: Vector) -> float:
 def difference(y: Vector, c: Vector) -> tuple[Vector, float, float]:
     """``(d, r, s)`` with y - c = s * d and r = ``norm(d)``, for finite ``y`` and ``c``.
 
-    While the length of y - c is finite, d is y - c and s is 1.0, so d, r
-    and the results built from them keep their bits. Only where that
-    length is inf are y and c first divided by s = max(max|y|, max|c|) and
-    then subtracted, so d / r is still the direction of y - c and s * r its
-    length, inf or a float near it. numpy's overflow warning of the first
-    subtraction is not silenced: ``np.errstate`` would cost more per call
-    than the subtraction.
+    While y - c has a finite length, d is y - c and s is 1.0, bit for bit;
+    past it, y and c are divided by s = max(max|y|, max|c|) first, so d / r
+    is still the direction of y - c and s * r its length. The subtraction
+    runs under ``np.errstate``, so an overflow of y - c does not warn.
     """
-    d = y - c
+    with np.errstate(over="ignore"):
+        d = y - c
     r = norm(d)
     if r != math.inf:
         return d, r, 1.0

@@ -406,6 +406,26 @@ def test_summary_reports_the_kept_rows_cycle_diagnostics(tmp_path):
     assert max(c.containment for c in kept) > 0.0
 
 
+def test_summary_folds_every_kept_row_not_the_last(tmp_path, monkeypatch):
+    # The worst drift and the stress count come from all kept rows: here the
+    # worst is the middle row's and the last row has no stress.
+    from visplit import cli
+
+    crafted = [(0.5, True), (2.0, True), (0.25, False)]
+    real = cli.kept_rows
+
+    def kept_rows(*args, **options):
+        for (record, check), (drift, stress) in zip(real(*args, **options), crafted):
+            yield record, check._replace(drift_excess=drift, eta_stress=stress)
+
+    monkeypatch.setattr(cli, "kept_rows", kept_rows)
+    cfg = {"family": "quadratic_over_ball", "max_outer": 3, "label": "fold"}
+    assert main(["run", _write_cfg(tmp_path / "cfg.json", cfg), "--output", str(tmp_path)]) == 0
+    summary = _read_summary(tmp_path / "fold")
+    assert summary["worst_drift_excess"] == 2.0
+    assert summary["eta_stress_steps"] == 2
+
+
 BAD_RUN_OPTIONS = [
     ("max_outer", 2.5),
     ("max_outer", True),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,16 @@ def test_pair_projection_empty_intersection_raises():
     sep = Halfspace([1.0, 0.0], -1.0)
     with pytest.raises(InfeasibleConstraint):
         project_halfspace_pair(sep, [2.0, 0.0], [1.0, 0.0])
+
+
+def test_pair_tolerance_scales_with_z():
+    # In the loop, z can be far longer than its base point w when C is far
+    # from the origin. z = (1e8, 0) misses sep = {x1 <= 1e8 - 1e-3} by 1e-3,
+    # within the tolerance 1e-10 * ||z|| = 1e-2, so z counts as in sep and is
+    # the answer (case 3); 1e-10 * max(1, ||w||) alone would refuse the pair.
+    z = np.array([1e8, 0.0])
+    p = project_halfspace_pair(Halfspace([1.0, 0.0], 1e8 - 1e-3), z, [0.0, 0.0])
+    assert np.array_equal(p, z) and not np.shares_memory(p, z)
 
 
 def test_pair_projection_matches_qp_oracle():
@@ -330,9 +342,36 @@ def test_separator_zero_subgradient_cases():
 
 
 def test_a_ball_projection_keeps_its_direction_where_y_minus_center_overflows():
-    with np.errstate(over="ignore"):
+    # Quietly: numpy's overflow warning is an error here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         p = BallSet([-1e308, 0.0], 1.0).project([1e308, 0.0])
-    assert np.array_equal(p, [-1e308, 0.0])
-    with np.errstate(over="ignore"):
         q = BallSet([-1e308, 0.0], 5.0).project([1e308, 1e308])
+        g = NormFunction([-1e308, 0.0]).subgradient([1e308, 0.0])
+    assert np.array_equal(p, [-1e308, 0.0])
     assert np.allclose(q, [-1e308 + 5.0 * 2.0 / np.sqrt(5.0), 5.0 / np.sqrt(5.0)], rtol=1e-15)
+    assert np.array_equal(g, [1.0, 0.0])
+
+
+def test_a_point_of_a_set_is_its_own_projection_at_an_exact_tie():
+    # On the boundary, residual 0 and distance exactly the radius: the point
+    # comes back bit for bit, a -0.0 entry included, where the projection
+    # formula would give 0.0 and c + (y - c) a last-bit neighbour of y.
+    y = np.array([-0.0, 1.0])
+    h = Halfspace([-1.0, 1.0], 1.0)
+    assert h.residual(y) == 0.0
+    assert h.project(y).tobytes() == y.tobytes()
+    y, c = np.array([-0.9, -1.0]), np.array([0.3, -0.5])
+    ball = BallSet(c, np.linalg.norm(y - c))
+    assert ball.distance(y) == 0.0
+    assert (c + (y - c)).tobytes() != y.tobytes()
+    assert ball.project(y).tobytes() == y.tobytes()
+
+
+def test_a_zero_subgradient_on_the_boundary_separates_nothing():
+    # c = ||x - center|| is 0 at its center, where the selection is 0: the
+    # point is feasible, so its separator is the whole space, not a refusal.
+    cons = Constraint(NormFunction([1.0, 2.0]), exact_set=BallSet([1.0, 2.0], 0.0))
+    assert cons.value([1.0, 2.0]) == 0.0
+    assert cons.separator_at([1.0, 2.0]).is_whole_space
+    assert feasible_shortcut(cons, [1.0, 2.0]).sep.is_whole_space

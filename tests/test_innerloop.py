@@ -87,6 +87,22 @@ def test_feasible_shortcut_cases():
         feasible_shortcut(c, [3.0, 0.0])
 
 
+def test_a_bound_equal_to_the_tolerance_ends_the_loop():
+    # The exit test is dist_bound_at_exit <= tol, so an exact tie stops.
+    first = run_inner(_unit_ball(), [3.0, 0.0], tol=1.0)
+    assert first.iterations == 1 and 0.0 < first.dist_bound_at_exit < 1.0
+    tie = run_inner(_unit_ball(), [3.0, 0.0], tol=first.dist_bound_at_exit)
+    assert tie.iterations == 1
+    assert tie.dist_bound_at_exit == first.dist_bound_at_exit
+
+
+def test_the_shortcut_point_is_not_the_callers_array():
+    z = np.array([0.5, 0.0])
+    res = feasible_shortcut(_unit_ball(), z)
+    z[0] = 9.0
+    assert np.array_equal(res.z0, [0.5, 0.0])
+
+
 def test_exit_bound_and_fejer_sweep():
     rng = np.random.default_rng(31)
     ball = _unit_ball()

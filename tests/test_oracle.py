@@ -63,6 +63,18 @@ def test_qp_project_guards():
         qp_project(np.zeros(2), [Halfspace([1.0, 0.0], 1.0)] * 13)
 
 
+def test_qp_project_tolerance_follows_the_instance_scale():
+    # A point outside a halfspace by 5e-10 is projected, not admitted: the
+    # feasibility tolerance is relative to ||w|| and the offsets below scale
+    # 1, and 1e-9 * ||w|| at and above it.
+    assert np.array_equal(qp_project([0.0, 0.0], [Halfspace([1.0, 0.0], -5e-10)]), [-5e-10, 0.0])
+    for scale in (1e-300, 1e-12, 1e-6, 1.0, 1e6):
+        p = qp_project([0.0, 0.0], [Halfspace([3.0, 4.0], -5.0 * scale)])
+        assert np.allclose(p, [-0.6 * scale, -0.8 * scale], rtol=1e-12, atol=0)
+    # Two halfspaces meeting only at the origin, from a base point there.
+    assert np.array_equal(qp_project([0.0], [Halfspace([1.0], 0.0), Halfspace([-1.0], 0.0)]), [0.0])
+
+
 def test_qp_project_optimality_sweep():
     rng = np.random.default_rng(61)
     for _ in range(200):

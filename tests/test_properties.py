@@ -9,12 +9,22 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from visplit import (  # noqa: E402
+    AdaptivePowerStepsize,
     AffineOperator,
+    BallSet,
+    BoxSet,
     ConfigError,
+    ConstantFunction,
     Constraint,
     Halfspace,
+    InfeasibleConstraint,
+    MaxOfAffine,
     NormFunction,
+    PowerStepsize,
+    Problem,
     Quadratic,
+    SolverState,
+    outer_step,
     project_halfspace_pair,
     run_inner,
 )
@@ -113,13 +123,12 @@ def _loop_pairs(draw):
     and the vertex lies up to 1e4 gaps out: the loop meets such a wedge when
     its base point is far from a small feasible set, which both halfspaces
     contain. Thinner opposed wedges put the vertex beyond what the pair
-    tolerance, relative to ||w|| and ||z||, can confirm, and opposed wedges
-    start at scale 1: below it the oracle's tolerance is absolute and
-    admits a point nearer than the vertex.
+    tolerance, relative to ||w|| and ||z||, can confirm
+    (``_near_parallel_wedges``).
     """
     n = draw(st.integers(2, 5))
     kind = draw(st.sampled_from(["one active", "vertex", "opposed"]))
-    scale = 10.0 ** draw(st.integers(0 if kind == "opposed" else -8, 8))
+    scale = 10.0 ** draw(st.integers(-8, 8))
     if kind == "opposed":
         angle = math.pi - 10.0 ** draw(st.floats(-4.0, 0.0))
     else:
@@ -156,6 +165,48 @@ def test_pair_projection_is_feasible_and_nearest(pair):
     assert loc.distance(got) <= 1e-9 * S
     best = qp_project(w, [sep, loc])
     assert norm(got - w) <= norm(best - w) + 1e-8 * S
+
+
+@st.composite
+def _near_parallel_wedges(draw):
+    """(sep, z, w) in dims 2-4 at scale 1, z outside sep by a gap of 0.1 to 1,
+    and w - z 10^-7.2 to 10^-5 rad off the opposite of sep's normal: the
+    vertex lies 1e5 to 1.6e7 gaps out, around where the pair tolerance can
+    no longer confirm it.
+    """
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal(n)
+    a /= norm(a)
+    e = rng.standard_normal(n)
+    e -= (e @ a) * a
+    e /= norm(e)
+    angle = math.pi - 10.0 ** draw(st.floats(-7.2, -5.0))
+    z = rng.standard_normal(n)
+    sep = Halfspace(a, float(a @ z) - rng.uniform(0.1, 1.0))
+    return sep, z, z + math.cos(angle) * a + math.sin(angle) * e
+
+
+def test_pair_projection_returns_only_points_it_can_confirm():
+    # The documented contract: a returned point lies in both halfspaces to
+    # 1e-10 * max(1, ||w||, ||z||); a vertex that misses it is refused.
+    refused = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_near_parallel_wedges())
+    def check(pair):
+        sep, z, w = pair
+        try:
+            got = project_halfspace_pair(sep, z, w)
+        except InfeasibleConstraint:
+            refused.append(pair)
+            return
+        tol = 1e-10 * max(1.0, norm(w), norm(z))
+        assert sep.distance(got) <= tol
+        assert Halfspace(w - z, float((w - z) @ z)).distance(got) <= tol
+
+    check()
+    assert 0 < len(refused) < 300
 
 
 @st.composite
@@ -206,3 +257,130 @@ def test_feasibility_loop_exits_in_its_separator_and_nearer_every_feasible_point
 
     check()
     assert sum(k >= 2 for k in iterations) >= 100
+
+
+@st.composite
+def _ellipsoids(draw):
+    """(constraint, y0, tol, size, center, boundary, rng): an axis-aligned
+    ellipsoid of size 1e-3 to 1e3 in dims 2-5 under the Slater rule, a base
+    point y0 up to 10 sizes out, a tolerance 1e-6 to 1e-1 of the size, its
+    center, ``boundary(u)``, the boundary point in the direction u from the
+    center, and the generator that drew them.
+    """
+    n = draw(st.integers(2, 5))
+    size = 10.0 ** draw(st.integers(-3, 3))
+    tol = size * 10.0 ** draw(st.floats(-6.0, -1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    center = size * rng.standard_normal(n)
+    D = 2.0 / size**2 * 10.0 ** rng.uniform(-1.0, 1.0, n)
+    fn = Quadratic.from_diagonal(D, -D * center, 0.5 * float(D @ (center * center)) - 1.0)
+
+    def boundary(u, rho=1.0):
+        return center + rho * u / math.sqrt(0.5 * float(D @ (u * u)))
+
+    slater = boundary(rng.standard_normal(n), rng.uniform(0.0, 0.9))
+    y0 = boundary(rng.standard_normal(n), 1.0 + 10.0 ** rng.uniform(-2.0, 1.0))
+    return Constraint(fn, slater_point=slater), y0, tol, size, center, boundary, rng
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_ellipsoids())
+def test_the_loop_result_is_a_projection_of_its_base_point(drawn):
+    # Each pass projects the base point y0, not the last iterate, onto a set
+    # that contains C (the separator cut by the localizer), so z0 sees every
+    # s of C at an obtuse angle from y0: <y0 - z0, s - z0> <= 0. Stepping
+    # from the last iterate also ends near C and nearer every s, but breaks
+    # the angle at boundary points near z0, which are drawn here.
+    constraint, y0, tol, size, center, boundary, rng = drawn
+    z0 = run_inner(constraint, y0, tol).z0
+    for spread in (1e-4, 1e-3, 1e-2, 1e-1, 1.0):
+        for _ in range(8):
+            u = z0 - center + spread * norm(z0 - center) * rng.standard_normal(center.size)
+            s = boundary(u)
+            assert float((y0 - z0) @ (s - z0)) <= 1e-9 * norm(y0 - z0) * size
+
+
+@st.composite
+def _cycled_problems(draw):
+    """(problem, schedule, x0): m = 1-6 random monotone affine parts D + K + b
+    (D >= 0 diagonal, K antisymmetric) in dims 1-5 over a ball or a box, with
+    the exact projection on (the region is the set) or off (a separator or
+    the whole space); or m copies of one constant part of length >= 1 over
+    the whole space, whose cycle steps are collinear and of length eta * alpha.
+    The schedule is explicit or adaptive, and x0 up to 3 out.
+    """
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["ball", "box", "collinear"]))
+    exact = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "collinear":
+        u = rng.standard_normal(n)
+        u *= rng.uniform(1.0, 5.0) / norm(u)
+        ops = [AffineOperator(np.zeros((n, n)), u)] * m
+        cons = Constraint(ConstantFunction(n, -1.0), exact_set=Halfspace.whole_space(n))
+    else:
+        ops = []
+        for _ in range(m):
+            upper = np.triu(rng.standard_normal((n, n)), 1)
+            A = np.diag(rng.uniform(0.0, 2.0, n)) + upper - upper.T
+            ops.append(AffineOperator(A, rng.standard_normal(n)))
+        center = rng.standard_normal(n)
+        r = rng.uniform(0.5, 2.0)
+        if kind == "ball":
+            cons = Constraint(Quadratic.ball_gauge(center, r), exact_set=BallSet(center, r))
+        else:
+            eye = np.eye(n)
+            cons = Constraint(
+                MaxOfAffine(np.vstack([eye, -eye]), np.concatenate([center + r, r - center])),
+                exact_set=BoxSet(center - r, center + r),
+            )
+    schedule = draw(st.sampled_from([PowerStepsize, AdaptivePowerStepsize]))(
+        rng.uniform(0.1, 2.0), 1.0
+    )
+    x0 = 3.0 * rng.standard_normal(n)
+    return Problem(tuple(ops), cons, use_exact_projection=exact and kind != "collinear"), schedule, x0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_cycled_problems())
+def test_cycle_drift_stays_at_rounding_level(drawn):
+    # The drift lemma: the cycle's steps are each at most eta * alpha long
+    # and its regions are nonexpansive, so ||z_j - z_i|| <= (j - i) eta alpha
+    # for every pair, and drift_excess only sees rounding. Collinear steps of
+    # length exactly eta * alpha are the tight case.
+    problem, schedule, x0 = drawn
+    state = SolverState(x0)
+    for _ in range(4):
+        record = outer_step(problem, schedule, state)
+        check = state.cycle_checks[-1]
+        assert 0.0 <= check.drift_excess <= 1e-12 * max(1.0, record.eta_k * record.alpha_k)
+
+
+@st.composite
+def _tied_rows(draw):
+    """(rows, rhs, x) with integer entries, so every row value is exact: 1-8
+    rows in dims 1-4, drawn from a few distinct rows so that some repeat, and
+    right-hand sides from a few values so that different rows tie as well."""
+    n = draw(st.integers(1, 4))
+    small = st.integers(-3, 3)
+    distinct = draw(st.lists(st.lists(small, min_size=n, max_size=n), min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=8))
+    rhs = draw(st.lists(st.integers(-1, 1), min_size=len(picks), max_size=len(picks)))
+    x = draw(st.lists(small, min_size=n, max_size=n))
+    return [distinct[i] for i in picks], rhs, x
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_tied_rows())
+def test_max_of_affine_takes_the_lowest_index_maximizing_row(drawn):
+    rows, rhs, x = drawn
+    fn = MaxOfAffine(rows, rhs)
+    values = [sum(a * b for a, b in zip(row, x)) - c for row, c in zip(rows, rhs)]
+    top = max(values)
+    first = values.index(top)
+    y = np.array(x, dtype=float)
+    assert fn.value(x) == top
+    assert np.array_equal(fn.subgradient(x), rows[first])
+    assert fn.value(x) == fn._value(y)
+    assert fn.subgradient(x).tobytes() == fn._subgradient(y).tobytes()

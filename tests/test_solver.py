@@ -159,6 +159,22 @@ def test_first_outer_step_on_ball_frozen():
     assert state.stop_reason == "max_outer"
 
 
+def test_the_loop_tolerance_and_the_descent_bound_scale_with_theta():
+    # From (2, 0) one projection gives z0 = (1.25, 0) at distance 0.25. With
+    # beta_0 = 0.2 and theta = 2 the tolerance theta * beta_0 = 0.4 accepts
+    # it under both rules: the adaptive probe at z0 is max(1, 0.2) = 1, so
+    # alpha = 0.2 too. The cycle moves to (1.21, 0); the descent bound is
+    # (eta alpha)^2 + 2 theta |u*| beta alpha = 0.04 + 0.008, before = 1,
+    # after = 0.21^2.
+    prob = build("quadratic_over_ball", {})
+    for schedule in (PowerStepsize(0.2, 1.0), AdaptivePowerStepsize(0.2, 1.0)):
+        state = SolverState([2.0, 0.0])
+        rec = outer_step(prob, schedule, state, theta=2.0)
+        assert rec.inner_iterations == 1 and rec.dist_z0 == 0.25
+        assert rec.alpha_k == 0.2 and rec.eta_k == 1.0
+        assert rec.fejer_slack == pytest.approx(1.0 + 0.048 - 0.21**2, abs=1e-12)
+
+
 def test_a_length_past_the_squared_range_leaves_fejer_slack_nan():
     # The first selection is -target, of length 1e200: eta_k is that length,
     # and the squares of the Fejer bound overflow, so the slack is NaN.
@@ -215,6 +231,18 @@ def test_eta_stress_flag():
     state = run(prob, PowerStepsize(0.001, 1.0), x0=[0.0, 0.0], max_outer=1)
     assert not state.cycle_checks[0].eta_stress
     assert state.cycle_checks[0].containment == 0.0
+
+
+def test_eta_stress_needs_more_than_ten_times_the_probe():
+    # At z0 = 0 the selections are -1 and 0, so the probe is 1 and alpha is
+    # beta_0 = 1; the cycle steps to 1, where the second selection is 10.
+    # eta = 10 ties 10x the probe, which is not "more than a factor of 10".
+    prob = _free_problem(
+        AffineOperator(np.zeros((1, 1)), [-1.0]), AffineOperator(10.0 * np.eye(1)), label="tie"
+    )
+    state = run(prob, AdaptivePowerStepsize(1.0, 1.0), x0=[0.0], max_outer=1)
+    assert state.trace[0].alpha_k == 1.0 and state.trace[0].eta_k == 10.0
+    assert not state.cycle_checks[0].eta_stress
 
 
 class _ShiftingHalfspace(ExactSet):
