@@ -54,7 +54,7 @@ _EXPORTS = {
     ),
     "solver": (
         "AdaptivePowerStepsize", "ConstantStepsize", "CycleCheck", "PowerStepsize",
-        "Problem", "SolverState", "StepSnapshot", "StepsizeSchedule", "TraceRecord",
+        "Problem", "SolverState", "Step", "StepsizeSchedule", "TraceRecord",
         "TRACE_COLUMNS", "kept_rows", "outer_step", "run",
     ),
 }

@@ -131,7 +131,7 @@ def project_halfspace_pair(sep: Halfspace, z, w) -> Vector:
     """Exact projection of ``w`` onto sep ∩ {x : <x - z, w - z> <= 0}.
 
     The projection is unique, so the first of these cases that holds gives
-    it; membership is tested to 1e-10 * max(1, ||w||, ||z||):
+    it; membership is tested to 1e-10 * max(||w||, ||z||):
 
     1. ``w == z``: the localizer is the whole space, so project onto ``sep``.
     2. The projection of ``w`` onto ``sep`` lies in the localizer: it is
@@ -163,7 +163,7 @@ def _project_pair(sep: Halfspace, z: Vector, w: Vector) -> Vector:
     if dd == 0.0:
         return sep._project(w)
     loc = Halfspace._of(d, float(d @ z))
-    tol = 1e-10 * max(1.0, norm(w), norm(z))
+    tol = 1e-10 * max(norm(w), norm(z))
     p = sep._project(w)
     if loc._distance(p) <= tol:
         return p
@@ -198,7 +198,8 @@ class BallSet(ExactSet):
         return self.center + (self.radius / r) * d
 
     def _distance(self, y: Vector) -> float:
-        return max(0.0, norm(y - self.center) - self.radius)
+        _, r, s = difference(y, self.center)
+        return max(0.0, s * r - self.radius)
 
 
 class BoxSet(ExactSet):

@@ -37,7 +37,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, NonFiniteValue
-from .space import Vector, as_dim, as_matrix, as_number, as_point, difference, norm
+from .space import Vector, as_dim, as_matrix, as_number, as_point, difference
 
 _PSD_TOL = -1e-10
 # Largest radius whose square, held by the squared ball gauge, is a float.
@@ -321,7 +321,8 @@ class NormFunction(ConvexFunction):
         self.offset = as_number(offset, "offset")
 
     def _value(self, x: Vector) -> float:
-        return self.scale * norm(x - self.center) + self.offset
+        _, r, s = difference(x, self.center)
+        return self.scale * s * r + self.offset
 
     def _subgradient(self, x: Vector) -> Vector:
         d, r, _ = difference(x, self.center)

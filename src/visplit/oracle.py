@@ -446,19 +446,19 @@ def fejer_audit(
         if schedule.adaptive:
             probe = 1.0
             for op in problem.operators:
-                probe = max(probe, float(np.linalg.norm(op.select(snap.z0))))
+                probe = max(probe, float(np.linalg.norm(op.select(snap.points[0]))))
             alpha /= probe
         alphas.append(alpha)
 
-        points = [snap.z0]
-        cur = snap.z0
+        points = [snap.points[0]]
+        cur = snap.points[0]
         eta = 1.0
         for op in problem.operators:
             u = op.select(cur)
             eta = max(eta, float(np.linalg.norm(u)))
             cur = snap.region.project(cur - alpha * u)
             points.append(cur)
-        max_replay = max(max_replay, float(np.linalg.norm(cur - snap.z_next)))
+        max_replay = max(max_replay, float(np.linalg.norm(cur - snap.points[-1])))
 
         rec = by_k.get(snap.k)
         if rec is not None:

@@ -61,7 +61,8 @@ from .solver import Problem
 from .space import Vector, as_matrix, as_number, as_object, as_point
 
 # Largest m a family's operator may be split into: each part costs an
-# operator, a certificate vector and O(m) drift-diagnostic work per step.
+# operator and a certificate vector, and a diagnosed step takes m(m+1)/2
+# drift norms, one per pair of its m + 1 cycle points.
 MAX_PARTS = 1000
 
 

@@ -28,19 +28,19 @@ divided by a probe of that bound taken at z_0 before the cycle runs. The
 feasibility tolerance is theta * beta_k under every rule, since the
 adaptive stepsize does not exist until the probe point does.
 
-A step has two phases. ``_advance`` is the math above and writes the new
-state; ``_diagnose`` computes the audit quantities of that step (cycle
-containment and drift, err_x, fejer_slack, dist_x), its record and its
-``CycleCheck``. ``outer_step`` runs both. The generator ``kept_rows``
-advances on every step, evaluates only what its stop test reads, and
-diagnoses and yields only the rows it keeps, holding none; ``run`` collects
-them, and ``visplit run`` writes each to disk as it comes.
+A step has two phases. ``_advance`` is the math above: it writes the new
+state and returns the step as one ``Step``. ``_diagnose`` reads that record
+alone and computes the audit quantities of the step (cycle containment and
+drift, err_x, fejer_slack, dist_x), its record and its ``CycleCheck``.
+``outer_step`` runs both. The generator ``kept_rows`` advances on every
+step, evaluates only what its stop test reads, and diagnoses and yields
+only the rows it keeps, holding none; ``run`` collects them, and
+``visplit run`` writes each to disk as it comes.
 
 Both phases call only kernels, which trust their points: ``SolverState``
 and ``Problem`` check the points that enter, ``run_options`` the options
-of ``kept_rows`` and ``run`` (``outer_step`` checks its two with the same
-bounds), and the step checks that the state's dimension is the problem's,
-and that z_{k+1} is finite.
+of ``kept_rows``, ``run`` and ``outer_step``, and the step checks that the
+state's dimension is the problem's, and that z_{k+1} is finite.
 """
 
 from __future__ import annotations
@@ -235,15 +235,27 @@ class TraceRecord(NamedTuple):
 TRACE_COLUMNS = TraceRecord._fields
 
 
-class StepSnapshot(NamedTuple):
-    """Raw per-step data for replay audits, stored on request; its points are the step's own."""
+class Step(NamedTuple):
+    """One outer step as ``_advance`` took it, for ``_diagnose`` and snapshots.
+
+    z is z_k, points the cycle z0 ... z_{k+1}, probe the adaptive probe at z0
+    (None for explicit rules); sigma and x are the state after the step, t0
+    the clock at its start. No later step writes its arrays in place.
+    """
 
     k: int
     z: Vector
-    z0: Vector
-    z_next: Vector
+    points: list
     region: ExactSet
     inner_iterations: int
+    dist_z0: float
+    probe: float | None
+    beta: float
+    alpha: float
+    eta: float
+    sigma: float
+    x: Vector
+    t0: float
 
 
 class CycleCheck(NamedTuple):
@@ -273,8 +285,8 @@ class SolverState:
     x and writes only finite points back.
     ``trace`` holds the rows the caller keeps and ``cycle_checks`` the
     diagnostics of those rows (``run``) or of every step (``outer_step``).
-    Setting ``snapshots`` to a list makes each step append to it, as
-    ``run(snapshots=True)`` does.
+    Setting ``snapshots`` to a list makes each step append its ``Step`` to
+    it, as ``run(snapshots=True)`` does.
     """
 
     def __init__(self, x0):
@@ -299,15 +311,13 @@ def outer_step(
 
     The record is not appended to ``state.trace``: which rows to keep is the
     caller's choice (``run`` keeps every cadence-th and the last). The
-    step's ``CycleCheck`` is appended to ``state.cycle_checks``, and a
-    snapshot to ``state.snapshots`` when that is a list. ``theta`` and
-    ``max_inner`` are checked as ``run_options`` checks them, before the
-    step starts.
+    step's ``CycleCheck`` is appended to ``state.cycle_checks``, and its
+    ``Step`` to ``state.snapshots`` when that is a list. ``theta`` and
+    ``max_inner`` are checked by ``run_options``, before the step starts.
     """
-    theta = as_number(theta, "theta", **_THETA)
-    max_inner = as_number(max_inner, "max_inner", **_COUNT)
-    step = _advance(problem, schedule, state, theta, max_inner)
-    record, check = _diagnose(problem, state, step, theta)
+    options = run_options(problem, theta=theta, max_inner=max_inner)
+    step = _advance(problem, schedule, state, options["theta"], options["max_inner"])
+    record, check = _diagnose(problem, step, options["theta"])
     state.cycle_checks.append(check)
     return record
 
@@ -318,14 +328,11 @@ def _advance(
     state: SolverState,
     theta: float,
     max_inner: int,
-) -> tuple:
+) -> Step:
     """The step's math: feasibility stage, stepsize, cycle and average.
 
-    Writes z_{k+1}, x_{k+1}, sigma_{k+1} and k + 1 to the state, and the
-    snapshot when requested. Returns what ``_diagnose`` reads, in this
-    order: the clock at the start, k, z_k, the cycle points z0 ... z_{k+1},
-    the region, the adaptive probe (None for explicit rules), beta_k,
-    alpha_k, eta_k, the feasibility projections and the distance bound at z0.
+    Writes z_{k+1}, x_{k+1}, sigma_{k+1} and k + 1 to the state and returns
+    the ``Step``, appended to ``state.snapshots`` too when that is a list.
     """
     t0 = time.perf_counter()
     k = state.k
@@ -363,14 +370,12 @@ def _advance(
 
     # Cycle stage: one step and one region projection per operator.
     points = [z0]
-    cur = z0
     eta = 1.0
     for op in problem.operators:
-        u = op._select(cur)
+        u = op._select(points[-1])
         eta = max(eta, norm(u))
-        cur = region._project(cur - alpha * u)
-        points.append(cur)
-    z_next = cur
+        points.append(region._project(points[-1] - alpha * u))
+    z_next = points[-1]
     if not np.all(np.isfinite(z_next)):
         raise NonFiniteIterate(f"outer iterate diverged at k={k}")
 
@@ -379,14 +384,16 @@ def _advance(
     weight = alpha / sigma
     x_next = (1.0 - weight) * state.x + weight * z_next
 
+    step = Step(k, z, points, region, inner_iters, dist_z0, probe, beta, alpha, eta, sigma,
+                x_next, t0)
     if state.snapshots is not None:
-        state.snapshots.append(StepSnapshot(k, z, z0, z_next, region, inner_iters))
+        state.snapshots.append(step)
 
     state.k = k + 1
     state.z = z_next
     state.x = x_next
     state.sigma = sigma
-    return t0, k, z, points, region, probe, beta, alpha, eta, inner_iters, dist_z0
+    return step
 
 
 def _err_x(problem: Problem, x: Vector) -> float:
@@ -404,67 +411,60 @@ def _dist_x(problem: Problem, x: Vector) -> float:
 
 def _diagnose(
     problem: Problem,
-    state: SolverState,
-    step: tuple,
+    step: Step,
     theta: float,
     err_x: float | None = None,
     dist_x: float | None = None,
 ) -> tuple[TraceRecord, CycleCheck]:
-    """The record and the ``CycleCheck`` of the step ``_advance`` has just taken.
+    """The record and the ``CycleCheck`` of a ``Step``, read from its fields alone.
 
     ``err_x`` and ``dist_x`` are computed here unless the caller already
-    has them for ``state.x``.
+    has them for ``step.x``.
     """
-    t0, k, z, points, region, probe, beta, alpha, eta, inner_iters, dist_z0 = step
-
     # Cycle diagnostics: containment in the region and the drift bound.
-    containment = max(region._distance(p) for p in points)
+    points = step.points
+    containment = max(step.region._distance(p) for p in points)
     drift = 0.0
-    step_bound = eta * alpha
+    step_bound = step.eta * step.alpha
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             gap = norm(points[j] - points[i])
             drift = max(drift, gap - (j - i) * step_bound)
-    check = CycleCheck(k, containment, drift, probe is not None and eta > 10.0 * probe)
+    stress = step.probe is not None and step.eta > 10.0 * step.probe
+    check = CycleCheck(step.k, containment, drift, stress)
 
     # Optional audit quantities against a known solution.
     if err_x is None:
-        err_x = _err_x(problem, state.x)
+        err_x = _err_x(problem, step.x)
     fejer_slack = float("nan")
     if problem.certificate is not None:
         xs = problem.known_solution
         m = problem.m
         try:  # float ** raises OverflowError where a squared length is past the float range
             bound = m * (
-                (eta * alpha) ** 2 + (m - 1) * problem._eta_bar * eta * alpha**2
-            ) + 2.0 * theta * problem._u_bar * beta * alpha
-            before = norm(z - xs) ** 2
+                step_bound**2 + (m - 1) * problem._eta_bar * step.eta * step.alpha**2
+            ) + 2.0 * theta * problem._u_bar * step.beta * step.alpha
+            before = norm(step.z - xs) ** 2
             after = norm(points[-1] - xs) ** 2
             fejer_slack = before + bound - after
         except OverflowError:
             pass
 
     if dist_x is None:
-        dist_x = _dist_x(problem, state.x)
+        dist_x = _dist_x(problem, step.x)
 
     return TraceRecord(
-        k=k,
-        alpha_k=alpha,
-        eta_k=eta,
-        sigma_k=state.sigma,
-        inner_iterations=inner_iters,
+        k=step.k,
+        alpha_k=step.alpha,
+        eta_k=step.eta,
+        sigma_k=step.sigma,
+        inner_iterations=step.inner_iterations,
         dist_x=dist_x,
-        dist_z0=dist_z0,
+        dist_z0=step.dist_z0,
         err_x=err_x,
         fejer_slack=fejer_slack,
-        wall_time=time.perf_counter() - t0,
+        wall_time=time.perf_counter() - step.t0,
     ), check
-
-
-# The bounds of theta and of the counts max_outer, cadence and max_inner,
-# as keywords of ``as_number``; ``run_options`` and ``outer_step`` share them.
-_THETA = {"above": 0}
-_COUNT = {"integer": True, "at_least": 1}
 
 
 def run_options(
@@ -500,9 +500,9 @@ def run_options(
     max_inner : int
         Projection budget per feasibility stage, at least 1.
     """
-    options = {"theta": as_number(theta, "theta", **_THETA)}
+    options = {"theta": as_number(theta, "theta", above=0)}
     for name, value in (("max_outer", max_outer), ("cadence", cadence), ("max_inner", max_inner)):
-        options[name] = as_number(value, name, **_COUNT)
+        options[name] = as_number(value, name, integer=True, at_least=1)
     for name, value in (("target_err", target_err), ("target_dist", target_dist)):
         options[name] = None if value is None else as_number(value, name, at_least=0)
     if target_err is not None and problem.known_solution is None:
@@ -541,7 +541,7 @@ def _kept_rows(problem, schedule, state, *, theta, max_outer, target_err, target
             state.stop_reason = "max_outer"
         # Cadence decimation never drops the final record.
         if k % cadence == 0 or state.stop_reason is not None:
-            yield _diagnose(problem, state, step, theta, err_x, dist_x)
+            yield _diagnose(problem, step, theta, err_x, dist_x)
         if state.stop_reason is not None:
             return
 

@@ -117,6 +117,20 @@ def test_pair_tolerance_scales_with_z():
     assert np.array_equal(p, z) and not np.shares_memory(p, z)
 
 
+def test_pair_tolerance_is_relative_below_scale_one():
+    # z = (1e-8, 0) misses sep = {x1 <= 1e-8 - 5e-11} by 5e-11, half a
+    # percent of the scale. The tolerance 1e-10 * 1e-8 sees that, so the
+    # answer is the vertex the oracle finds, not z, which an absolute
+    # tolerance of 1e-10 would take for a point of sep (case 3).
+    sep = Halfspace([1.0, 0.0], 1e-8 - 5e-11)
+    z, w = np.array([1e-8, 0.0]), np.array([0.0, 1e-8])
+    p = project_halfspace_pair(sep, z, w)
+    q = qp_project(w, [sep, Halfspace(w - z, float((w - z) @ z))])
+    assert sep.distance(p) <= 1e-18
+    assert np.linalg.norm(p - q) <= 1e-18
+    assert np.allclose(p, [9.95e-9, -5e-11], rtol=1e-12, atol=0)
+
+
 def test_pair_projection_matches_qp_oracle():
     rng = np.random.default_rng(22)
     worst = 0.0
@@ -351,6 +365,27 @@ def test_a_ball_projection_keeps_its_direction_where_y_minus_center_overflows():
     assert np.array_equal(p, [-1e308, 0.0])
     assert np.allclose(q, [-1e308 + 5.0 * 2.0 / np.sqrt(5.0), 5.0 / np.sqrt(5.0)], rtol=1e-15)
     assert np.array_equal(g, [1.0, 0.0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_far_ball_distance_and_norm_gauge_are_inf_without_a_warning():
+    # y - c overflows and so does its length: both read inf, quietly.
+    assert BallSet([-1e308, 0.0], 1.0).distance([1e308, 0.0]) == np.inf
+    assert NormFunction([-1e308, 0.0]).value([1e308, 0.0]) == np.inf
+    # A zero scale weighs the far length to 0 there, where 0 * inf would be NaN.
+    assert NormFunction([-1e308, 0.0], scale=0.0, offset=-1.0).value([1e308, 0.0]) == -1.0
+
+
+def test_ball_distance_and_norm_gauge_are_numpys_lengths_in_range():
+    rng = np.random.default_rng(31)
+    for _ in range(500):
+        n = int(rng.integers(1, 6))
+        scale = 10.0 ** rng.uniform(-100.0, 100.0)
+        y, c = scale * rng.standard_normal(n), scale * rng.standard_normal(n)
+        radius, weight, offset = scale * rng.uniform(0.0, 2.0), rng.uniform(0.0, 3.0), rng.normal()
+        length = float(np.linalg.norm(y - c))
+        assert BallSet(c, radius).distance(y) == max(0.0, length - radius)
+        assert NormFunction(c, weight, offset).value(y) == weight * length + offset
 
 
 def test_a_point_of_a_set_is_its_own_projection_at_an_exact_tie():

@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 KERNELS = {
     "_advance", "_diagnose", "_run_inner", "_feasible_shortcut", "_project_pair",
     "Constraint._separator", "Constraint._dist_upper", "Halfspace._project",
-    "BallSet._project", "cli._execute_run",
+    "BallSet._project", "BallSet._distance", "NormFunction._value", "cli._execute_run",
 }
 
 

@@ -213,7 +213,7 @@ def test_a2_zero_objective_stays_on_the_graph():
     # A zero operator leaves every cycle at the projection of the start.
     assert np.allclose(state.z, [1.0, 1.0], atol=1e-12, rtol=0)
     for snap in state.snapshots:
-        assert np.allclose(snap.z_next, [1.0, 1.0], atol=1e-12, rtol=0)
+        assert np.allclose(snap.points[-1], [1.0, 1.0], atol=1e-12, rtol=0)
 
 
 def test_a3_stationary_points():

@@ -160,7 +160,7 @@ def test_pair_projection_is_feasible_and_nearest(pair):
     got = project_halfspace_pair(sep, z, w)
     assert got.tobytes() == _project_pair(sep, z, w).tobytes()
     loc = Halfspace(w - z, float((w - z) @ z))
-    S = max(1.0, norm(w), norm(z))
+    S = max(norm(w), norm(z))
     assert sep.distance(got) <= 1e-9 * S
     assert loc.distance(got) <= 1e-9 * S
     best = qp_project(w, [sep, loc])
@@ -189,7 +189,7 @@ def _near_parallel_wedges(draw):
 
 def test_pair_projection_returns_only_points_it_can_confirm():
     # The documented contract: a returned point lies in both halfspaces to
-    # 1e-10 * max(1, ||w||, ||z||); a vertex that misses it is refused.
+    # 1e-10 * max(||w||, ||z||); a vertex that misses it is refused.
     refused = []
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -201,7 +201,7 @@ def test_pair_projection_returns_only_points_it_can_confirm():
         except InfeasibleConstraint:
             refused.append(pair)
             return
-        tol = 1e-10 * max(1.0, norm(w), norm(z))
+        tol = 1e-10 * max(norm(w), norm(z))
         assert sep.distance(got) <= tol
         assert Halfspace(w - z, float((w - z) @ z)).distance(got) <= tol
 

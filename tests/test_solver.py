@@ -214,7 +214,7 @@ def test_adaptive_probe_and_alpha_frozen():
     assert state.trace[0].alpha_k == 0.5 / np.sqrt(17.0)
     # Every recorded stepsize is the schedule's numerator over the probe at z0.
     for rec, snap in zip(state.trace, state.snapshots):
-        probe = max(1.0, *(float(np.linalg.norm(op.select(snap.z0))) for op in prob.operators))
+        probe = max(1.0, *(float(np.linalg.norm(op.select(snap.points[0]))) for op in prob.operators))
         assert rec.alpha_k == sched.alpha(rec.k) / probe
 
 
@@ -337,8 +337,8 @@ def test_snapshots_follow_the_iterates():
     for i, snap in enumerate(state.snapshots):
         assert snap.k == i
         if i > 0:
-            assert np.array_equal(snap.z, state.snapshots[i - 1].z_next)
-    assert np.array_equal(state.snapshots[-1].z_next, state.z)
+            assert np.array_equal(snap.z, state.snapshots[i - 1].points[-1])
+    assert np.array_equal(state.snapshots[-1].points[-1], state.z)
     bare = run(prob, PowerStepsize(1.0, 1.0), x0=[2.0, 0.0], max_outer=5)
     assert bare.snapshots is None
 
@@ -368,7 +368,7 @@ def test_recursive_average_matches_direct_weights():
     sched = PowerStepsize(1.0, 1.0)
     state = run(prob, sched, x0=[2.0, 0.0], max_outer=200, snapshots=True)
     alphas = np.array([sched.alpha(k) for k in range(200)])
-    zs = np.stack([s.z_next for s in state.snapshots])
+    zs = np.stack([s.points[-1] for s in state.snapshots])
     direct = (alphas[:, None] * zs).sum(axis=0) / alphas.sum()
     assert np.linalg.norm(state.x - direct) <= 1e-12
 
@@ -425,6 +425,32 @@ def test_kept_rows_are_the_hand_stepped_records(make, cadence):
     problem, schedule, x0 = make()
     state = _assert_kept_rows_are_hand_stepped(problem, schedule, x0, max_outer=250, cadence=cadence)
     assert [r.k for r in state.trace] == sorted(set(range(0, 250, cadence)) | {249})
+
+
+@pytest.mark.parametrize(
+    "make", [_ball_power, _box_adaptive, _graph_adaptive], ids=["ball", "box", "graph"]
+)
+def test_a_snapshot_is_the_whole_step(make, monkeypatch):
+    # Each snapshot is the Step _advance returned, and diagnosing it again
+    # after the run gives the kept record and check, bit for bit but the
+    # wall time: a snapshot holds all the step's data, and no later step
+    # writes into it.
+    problem, schedule, x0 = make()
+    returned = []
+    advance = solver._advance
+
+    def recording_advance(*args):
+        returned.append(advance(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(solver, "_advance", recording_advance)
+    state = run(problem, schedule, x0=x0, max_outer=250, snapshots=True)
+    assert len(state.snapshots) == len(returned) == len(state.trace) == 250
+    assert all(snap is step for snap, step in zip(state.snapshots, returned))
+    for snap, rec, check in zip(state.snapshots, state.trace, state.cycle_checks):
+        again, again_check = solver._diagnose(problem, snap, 1.0)
+        assert _bits(again[:-1]) == _bits(rec[:-1]), rec.k
+        assert _bits(again_check) == _bits(check), rec.k
 
 
 @pytest.mark.parametrize("cadence", [7, 100])

@@ -15,7 +15,7 @@ and that was removed instead; its text must no longer occur.
     python tools/mutants.py            # all mutants; writes tools/mutants.json
     python tools/mutants.py P03 I01    # only these; prints, writes nothing
 
-Standard library only. One mutant takes 2-56 s on a two-core host, the list about 25 minutes.
+Standard library only. One mutant takes 3-59 s on a two-core host, the list 23-29 minutes.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ KERNELS = {
     "Constraint._dist_upper": CONS,
     "Halfspace._project": CONS,
     "BallSet._project": CONS,
+    "BallSet._distance": CONS,
+    "NormFunction._value": "src/visplit/operators.py",
     "cli._execute_run": "src/visplit/cli.py",
 }
 
@@ -89,24 +91,29 @@ MUTANTS = (
     Mutant("A05", "_advance", "term", "alpha = beta / probe", "alpha = beta"),
     Mutant("A06", "_advance", "constant", "    eta = 1.0\n", "    eta = 0.5\n"),
     Mutant("A07", "_advance", "term", "eta = max(eta, norm(u))", "eta = max(1.0, norm(u))"),
-    Mutant("A08", "_advance", "branch", "cur = region._project(cur - alpha * u)",
-           "cur = cur - alpha * u"),
+    Mutant("A08", "_advance", "branch", "points.append(region._project(points[-1] - alpha * u))",
+           "points.append(points[-1] - alpha * u)"),
     Mutant("A09", "_advance", "term", "sigma = state.sigma + alpha", "sigma = alpha"),
     Mutant("A10", "_advance", "branch", "if not np.all(np.isfinite(z_next)):", "if False:"),
     Mutant("A11", "_advance", "branch", "if not all(map(math.isfinite, norms)):", "if False:"),
     Mutant("A12", "_advance", "term", "if not (alpha > 0 and math.isfinite(alpha)):",
            "if not math.isfinite(alpha):"),
+    Mutant("A13", "_advance", "copy", "state.snapshots.append(step)",
+           "state.snapshots.append(step._replace())"),
+    Mutant("A14", "_advance", "branch", "if state.snapshots is not None:", "if state.snapshots:"),
     Mutant("D01", "_diagnose", "term", "gap - (j - i) * step_bound", "gap - step_bound"),
     Mutant("D02", "_diagnose", "constant", "    drift = 0.0\n", "    drift = -math.inf\n"),
     Mutant("D03", "_diagnose", "branch", "for j in range(i + 1, len(points)):",
            "for j in range(i + 1, min(i + 2, len(points))):"),
     Mutant("D04", "_diagnose", "term", "region._distance(p) for p in points)",
            "region._distance(p) for p in points[1:])"),
-    Mutant("D05", "_diagnose", "comparison", "eta > 10.0 * probe", "eta >= 10.0 * probe"),
-    Mutant("D06", "_diagnose", "constant", "eta > 10.0 * probe", "eta > 100.0 * probe"),
+    Mutant("D05", "_diagnose", "comparison", "step.eta > 10.0 * step.probe",
+           "step.eta >= 10.0 * step.probe"),
+    Mutant("D06", "_diagnose", "constant", "step.eta > 10.0 * step.probe",
+           "step.eta > 100.0 * step.probe"),
     Mutant("D07", "_diagnose", "term", "(m - 1) * problem._eta_bar", "m * problem._eta_bar"),
     Mutant("D08", "_diagnose", "term", "2.0 * theta * problem._u_bar", "2.0 * problem._u_bar"),
-    Mutant("D09", "_diagnose", "term", "before = norm(z - xs) ** 2",
+    Mutant("D09", "_diagnose", "term", "before = norm(step.z - xs) ** 2",
            "before = norm(points[0] - xs) ** 2"),
     Mutant("I01", "_run_inner", "comparison", "if bound <= tol:", "if bound < tol:"),
     Mutant("I02", "_run_inner", "term", "_project_pair(sep, y, y0)", "_project_pair(sep, y, y)"),
@@ -127,7 +134,8 @@ MUTANTS = (
            "its digest c40cfd1c688d6adf unchanged"),
     Mutant("P02", "_project_pair", "branch",
            "if sep._distance(q) <= tol and loc._distance(q) <= tol:", "if True:"),
-    Mutant("P03", "_project_pair", "term", "max(1.0, norm(w), norm(z))", "max(1.0, norm(w))"),
+    Mutant("P03", "_project_pair", "term", "tol = 1e-10 * max(norm(w), norm(z))",
+           "tol = 1e-10 * norm(w)"),
     Mutant("P04", "_project_pair", "constant", "tol = 1e-10 *", "tol = 1e-7 *"),
     Mutant("P05", "_project_pair", "branch",
            "    if loc._distance(p) <= tol:\n        return p\n", ""),
@@ -136,6 +144,8 @@ MUTANTS = (
     Mutant("P07", "_project_pair", "copy", "        return z.copy()\n", "        return z\n"),
     Mutant("P08", "_project_pair", "term", "    a -= (float(a @ d) / dd) * d\n", ""),
     Mutant("P09", "_project_pair", "constant", "slope > 1e-14 * sep._sq", "slope > 1e-6 * sep._sq"),
+    Mutant("P10", "_project_pair", "constant", "max(norm(w), norm(z))",
+           "max(1.0, norm(w), norm(z))"),
     Mutant("S01", "Constraint._separator", "comparison", "if cy > 0.0:", "if cy >= 0.0:"),
     Mutant("S02", "Constraint._separator", "term", "float(g @ y) - cy)", "float(g @ y) + cy)"),
     Mutant("S03", "Constraint._separator", "branch", "if not math.isfinite(cy):", "if False:"),
@@ -154,6 +164,10 @@ MUTANTS = (
     Mutant("B02", "BallSet._project", "term", "if s * r <= self.radius:", "if r <= self.radius:"),
     Mutant("B03", "BallSet._project", "term", "self.center + (self.radius / r) * d",
            "self.center + self.radius * d"),
+    Mutant("B04", "BallSet._distance", "term", "max(0.0, s * r - self.radius)",
+           "max(0.0, r - self.radius)"),
+    Mutant("N01", "NormFunction._value", "term", "self.scale * s * r", "self.scale * r"),
+    Mutant("N02", "NormFunction._value", "term", "self.scale * s * r", "self.scale * (s * r)"),
     Mutant("C01", "cli._execute_run", "constant", "stress = -np.inf, -np.inf, 0",
            "stress = 0.0, 0.0, 0",
            equivalent="every run keeps its final row, and every check's containment and "
