@@ -32,7 +32,7 @@ from .operators import (
     Quadratic,
 )
 from .problems import FAMILIES, build
-from .solver import AdaptivePowerStepsize, PowerStepsize, run
+from .solver import AdaptivePowerStepsize, PowerStepsize
 
 
 class CheckResult(NamedTuple):
@@ -260,14 +260,7 @@ def check_fejer(seed: int = 0, trials: int = 200) -> list[CheckResult]:
         problem = oracle.with_reference(build(family, {}))
         for schedule in (PowerStepsize(0.5, 1.0), AdaptivePowerStepsize(0.5, 0.75)):
             x0 = np.full(problem.dim, 0.3)
-            state = run(
-                problem,
-                schedule,
-                x0=x0,
-                max_outer=max(20, min(trials, 200)),
-                snapshots=True,
-            )
-            report = oracle.fejer_audit(problem, schedule, state)
+            report = oracle.fejer_audit(problem, schedule, max(20, min(trials, 200)), x0=x0)
             name = f"audit {family} [{schedule.spec()['kind']}]"
             detail = (
                 f"replay {report.max_replay_gap:.1e}, "

@@ -230,7 +230,6 @@ class GraphSet(ExactSet):
         super().__init__(M.shape[1] + M.shape[0])
         self.matrix = M
         self.n = M.shape[1]
-        self.p = M.shape[0]
         self._solve = np.linalg.inv(np.eye(self.n) + M.T @ M)
 
     def _project(self, y: Vector) -> Vector:
@@ -280,9 +279,6 @@ class Constraint:
 
     def value(self, y) -> float:
         return self.fn.value(y)
-
-    def subgradient(self, y) -> Vector:
-        return self.fn.subgradient(y)
 
     def dist_upper(self, y) -> float:
         y = as_point(y, self.dim)

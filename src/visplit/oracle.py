@@ -3,7 +3,7 @@
 Nothing in this module reuses solver code paths. Projections are recomputed
 by enumerating active sets of a small quadratic program, solutions are
 recovered by probing the operators and solving the resulting first-order
-systems, and runs are audited by replaying each recorded cycle from its
+systems, and runs are audited by replaying the cycle of each step from its
 snapshot and recomputing every bound from scratch. Agreement between two
 routes that share no code is the evidence the tests lean on.
 
@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleConstraint
 from .operators import sum_select
-from .solver import Problem, SolverState, StepsizeSchedule
-from .space import Vector, as_point
+from .solver import Problem, SolverState, StepsizeSchedule, outer_step
+from .space import Vector, as_number, as_point
 
 _MAX_QP_ROWS = 12
 
@@ -353,7 +353,7 @@ def with_reference(problem: Problem, rng=None) -> Problem:
 
 
 class AuditReport(NamedTuple):
-    """Outcome of replaying a recorded run against recomputed bounds.
+    """Outcome of replaying the steps of a run against recomputed bounds.
 
     Gap fields are worst cases over all replayed steps; the fejer fields are
     populated only when the problem carries a certificate. The decay fields
@@ -412,21 +412,25 @@ def _decay_fit(alphas):
 def fejer_audit(
     problem: Problem,
     schedule: StepsizeSchedule,
-    state: SolverState,
+    steps: int,
+    *,
+    x0=None,
     theta: float = 1.0,
 ) -> AuditReport:
-    """Replay every snapshot of a run and recompute its guarantees.
+    """Take ``steps`` outer steps from ``x0`` and recompute each one's guarantees.
 
-    For each recorded step: rebuild the stepsize from the schedule (probing
+    The run starts at ``x0`` (the origin by default, as in ``run``); the
+    audit pops each step's snapshot from the state, so it holds one at a
+    time. For each step: rebuild the stepsize from the schedule (probing
     z_0 under the adaptive rule), rerun the operator cycle from z_0 inside
     the recorded region, and compare the endpoint, stepsize, and norm bound
-    against the trace. With a certificate available, recompute the per-step
-    quasi-distance inequality toward the known solution with slack
-    tolerance 1e-8. Requires a run recorded with snapshots on.
+    against the step's record. With a certificate available, recompute the
+    per-step quasi-distance inequality toward the known solution with slack
+    tolerance 1e-8.
     """
-    if not state.snapshots:
-        raise ConfigError("audit needs a run recorded with snapshots enabled")
-    by_k = {r.k: r for r in state.trace}
+    steps = as_number(steps, "steps", integer=True, at_least=1)
+    state = SolverState(np.zeros(problem.dim) if x0 is None else x0)
+    state.snapshots = []
     xs = problem.known_solution
     cert = problem.certificate
     fejer_checked = xs is not None and cert is not None
@@ -439,16 +443,18 @@ def fejer_audit(
     worst_contain = worst_drift = 0.0
     violations = 0
     worst_slack = np.inf
-    alphas = []
+    alphas = np.empty(steps)
 
-    for snap in state.snapshots:
+    for k in range(steps):
+        rec = outer_step(problem, schedule, state, theta)[0]
+        snap = state.snapshots.pop()
         alpha = schedule.alpha(snap.k)
         if schedule.adaptive:
             probe = 1.0
             for op in problem.operators:
                 probe = max(probe, float(np.linalg.norm(op.select(snap.points[0]))))
             alpha /= probe
-        alphas.append(alpha)
+        alphas[k] = alpha
 
         points = [snap.points[0]]
         cur = snap.points[0]
@@ -460,10 +466,8 @@ def fejer_audit(
             points.append(cur)
         max_replay = max(max_replay, float(np.linalg.norm(cur - snap.points[-1])))
 
-        rec = by_k.get(snap.k)
-        if rec is not None:
-            max_alpha = max(max_alpha, abs(alpha - rec.alpha_k))
-            max_eta = max(max_eta, abs(eta - rec.eta_k))
+        max_alpha = max(max_alpha, abs(alpha - rec.alpha_k))
+        max_eta = max(max_eta, abs(eta - rec.eta_k))
 
         worst_contain = max(
             worst_contain, max(float(snap.region.distance(p)) for p in points)
@@ -489,7 +493,7 @@ def fejer_audit(
     diverges = None if np.isnan(p_hat) else bool(p_hat <= 1.05)
     sq_ok = None if np.isnan(p_hat) else bool(p_hat > 0.505)
     return AuditReport(
-        steps=len(state.snapshots),
+        steps=steps,
         max_replay_gap=max_replay,
         max_alpha_gap=max_alpha,
         max_eta_gap=max_eta,

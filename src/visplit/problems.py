@@ -64,6 +64,10 @@ from .space import Vector, as_matrix, as_number, as_object, as_point
 # operator and a certificate vector, and a diagnosed step takes m(m+1)/2
 # drift norms, one per pair of its m + 1 cycle points.
 MAX_PARTS = 1000
+# Largest problem dimension a family builds: a2 holds n x n arrays (the graph
+# projector's inverse and its first-order system), about 24 n^2 bytes at its
+# peak, and a3 a 2n x 2n system. 4096 leaves room for dimension sweeps.
+MAX_DIM = 4096
 
 
 class _GraphResidual(ConvexFunction):
@@ -111,6 +115,13 @@ class _SaddleCoupling(Operator):
         )
 
 
+def _dim(n: int, field: str) -> int:
+    """``n``, the problem dimension that ``field`` gives; a ``ConfigError`` above ``MAX_DIM``."""
+    if n > MAX_DIM:
+        raise ConfigError(f"{field} gives dimension {n}, more than MAX_DIM = {MAX_DIM}")
+    return n
+
+
 def _try_solve(A, b):
     """Solve A x = b, returning None when the system is singular or inconsistent."""
     try:
@@ -146,7 +157,7 @@ def build_quadratic_over_ball(
     """
     m = as_number(m, "m", integer=True, at_least=1, at_most=MAX_PARTS)
     target = as_point(target, name="target")
-    n = target.size
+    n = _dim(target.size, "target")
     center = np.zeros(n) if center is None else as_point(center, n, "center")
     if not isinstance(squared, bool):
         raise ConfigError(f"squared must be true or false, got {squared!r}")
@@ -199,7 +210,7 @@ def build_affine_vi_over_polyhedron(
     """
     m = as_number(m, "m", integer=True, at_least=1, at_most=MAX_PARTS)
     op = AffineOperator(matrix, offset)
-    n = op.dim
+    n = _dim(op.dim, "matrix")
 
     if (rows is None) != (rhs is None):
         raise ConfigError("rows and rhs must be given together")
@@ -257,7 +268,7 @@ def build_a1(target=(0.05, 0.0), objective: str = "relu") -> Problem:
     the exact projector onto it supplies the distance rule.
     """
     target = as_point(target, name="target")
-    n = target.size
+    n = _dim(target.size, "target")
     op = AffineOperator.from_diagonal(np.ones(n), -target, label="pull_to_target")
     if objective == "relu":
         rows = np.zeros((2, n))
@@ -303,9 +314,9 @@ def build_a2(matrix=2.0, phi1: dict = {}, phi2: dict = {"center": [4.0]}) -> Pro
     """
     L = as_matrix(matrix)
     p, n = L.shape
+    dim = _dim(n + p, "matrix")
     phi1 = _phi("phi1", p, **phi1)
     phi2 = _phi("phi2", n, **phi2)
-    dim = n + p
 
     t_outer = EmbeddedOperator(dim, GradientOperator(phi1), n, label="outer_term")
     t_inner = EmbeddedOperator(dim, GradientOperator(phi2), 0, label="inner_term")
@@ -352,9 +363,9 @@ def build_a3(matrix=1.0, phi1: dict = {}, phi2: dict = {}) -> Problem:
     """
     L = as_matrix(matrix)
     n = L.shape[0]
+    dim = _dim(2 * n, "matrix")
     phi1 = _phi("phi1", n, **phi1)
     phi2 = _phi("phi2", n, **phi2)
-    dim = 2 * n
 
     t1 = EmbeddedOperator(dim, GradientOperator(phi1), 0, label="separable_term")
     t2 = _SaddleCoupling(L, phi2)

@@ -283,10 +283,9 @@ class SolverState:
     and ``snapshots`` None. The start of x weighs nothing: the first
     average has weight alpha_0 / sigma_0 = 1. ``outer_step`` trusts z and
     x and writes only finite points back.
-    ``trace`` holds the rows the caller keeps and ``cycle_checks`` the
-    diagnostics of those rows (``run``) or of every step (``outer_step``).
-    Setting ``snapshots`` to a list makes each step append its ``Step`` to
-    it, as ``run(snapshots=True)`` does.
+    ``run`` fills ``trace`` with the rows it keeps and ``cycle_checks`` with
+    their diagnostics. Setting ``snapshots`` to a list makes each step
+    append its ``Step`` to it.
     """
 
     def __init__(self, x0):
@@ -306,20 +305,18 @@ def outer_step(
     state: SolverState,
     theta: float = 1.0,
     max_inner: int = 10_000,
-) -> TraceRecord:
-    """Advance the state by one outer iteration and return its record.
+) -> tuple[TraceRecord, CycleCheck]:
+    """Advance the state by one outer iteration and return its record and check.
 
-    The record is not appended to ``state.trace``: which rows to keep is the
-    caller's choice (``run`` keeps every cadence-th and the last). The
-    step's ``CycleCheck`` is appended to ``state.cycle_checks``, and its
-    ``Step`` to ``state.snapshots`` when that is a list. ``theta`` and
-    ``max_inner`` are checked by ``run_options``, before the step starts.
+    The pair is the one ``kept_rows`` yields for a kept step, and neither
+    is appended to ``state.trace`` or ``state.cycle_checks``: which rows to
+    keep is the caller's choice. The ``Step`` is appended to
+    ``state.snapshots`` when that is a list. ``theta`` and ``max_inner`` are
+    checked by ``run_options``, before the step starts.
     """
     options = run_options(problem, theta=theta, max_inner=max_inner)
     step = _advance(problem, schedule, state, options["theta"], options["max_inner"])
-    record, check = _diagnose(problem, step, options["theta"])
-    state.cycle_checks.append(check)
-    return record
+    return _diagnose(problem, step, options["theta"])
 
 
 def _advance(
@@ -551,7 +548,6 @@ def run(
     schedule: StepsizeSchedule,
     *,
     x0=None,
-    snapshots: bool = False,
     **options,
 ) -> SolverState:
     """Run the outer iteration until a target or the iteration cap.
@@ -562,8 +558,6 @@ def run(
     schedule : StepsizeSchedule
     x0 : array_like, optional
         Starting point, defaults to the origin.
-    snapshots : bool
-        Keep raw per-step snapshots for replay audits.
     **options
         theta, max_outer, target_err, target_dist, cadence and max_inner,
         checked and defaulted by :func:`run_options` in :func:`kept_rows`.
@@ -576,8 +570,6 @@ def run(
         exactly those rows. Both are :func:`kept_rows` collected.
     """
     state = SolverState(np.zeros(problem.dim) if x0 is None else x0)
-    if snapshots:
-        state.snapshots = []
     for record, check in kept_rows(problem, schedule, state, **options):
         state.trace.append(record)
         state.cycle_checks.append(check)

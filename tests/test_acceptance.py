@@ -219,7 +219,7 @@ def test_criterion_06_recursive_average_matches_direct_sum():
     worst = 0.0
     checks = 0
     for k in range(100_000):
-        rec = outer_step(prob, sched, state)
+        rec, _ = outer_step(prob, sched, state)
         acc += rec.alpha_k * state.z
         sigma += rec.alpha_k
         if (k + 1) % 100 == 0:

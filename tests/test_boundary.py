@@ -220,7 +220,7 @@ def test_a_step_checks_no_point_twice_and_evaluates_the_gauge_once(make, monkeyp
     for _ in range(300):
         checks.clear()
         seen.clear()
-        rec = outer_step(problem, schedule, state)
+        rec, _ = outer_step(problem, schedule, state)
         assert len(seen) == len(set(seen)), f"gauge evaluated twice at a point, k={rec.k}"
         # The only points checked are separator normals: one per projection
         # of the feasibility loop, or the supporting normal at a boundary point.

@@ -11,7 +11,7 @@ from visplit import (
     PowerStepsize, TRACE_COLUMNS, build, checks, oracle, run, solver,
 )
 from visplit.cli import CHECK_SUITES, RUN_KEYS, _build_schedule, main
-from visplit.problems import FAMILIES, FAMILY_PARAMS
+from visplit.problems import FAMILIES, FAMILY_PARAMS, MAX_DIM
 from visplit.solver import run_options
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -289,13 +289,15 @@ def test_non_numeric_values_exit_2(tmp_path, capsys, cfg, field):
         {"family": "quadratic_over_ball", "params": {"radius": 1e160}},
         {"family": "quadratic_over_ball", "label": "a\u0000b"},
         {"family": "quadratic_over_ball", "output": "o\u0000ut"},
+        {"family": "a2", "params": {"matrix": [[1.0] * MAX_DIM], "phi2": {}}},
+        {"family": "quadratic_over_ball", "params": {"target": [1.0] * (MAX_DIM + 1)}},
     ],
     ids=[
         "params", "x0-text", "x0-dim", "x0-word", "theta-inf", "label",
         "a3-nan", "a2-inf", "target_err", "ball-m-huge", "polyhedron-m-huge", "m-inf",
         "radius-text", "squared-text", "weight-bool", "phi-null", "box-and-rows",
         "box-and-interior-point", "kind-list", "kind-object", "schedule-text",
-        "radius-overflow", "label-nul", "output-nul",
+        "radius-overflow", "label-nul", "output-nul", "a2-dim-over-cap", "ball-dim-over-cap",
     ],
 )
 def test_bad_second_config_stops_the_batch_before_any_run(tmp_path, capsys, bad):

@@ -1,5 +1,7 @@
 from collections import Counter
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -175,14 +177,16 @@ def test_a_scalar_outside_its_range_is_a_config_error_naming_it(name, make, valu
         make(value)
 
 
+@pytest.mark.filterwarnings("error")
 def test_overflowing_symmetric_part_is_rejected():
     # A + A.T overflows to +-inf; eigvalsh of that returns nan, which a plain
-    # `lo < tol` comparison would let through.
-    A = [[-1e308, 1e308], [1e308, -1e308]]
-    with pytest.raises(NonFiniteValue):
-        AffineOperator(A)
-    with pytest.raises(NonFiniteValue):
-        Quadratic(A)
+    # `lo < tol` comparison would let through. The overflow itself is no
+    # warning: the error says what went wrong.
+    for A in ([[-1e308, 1e308], [1e308, -1e308]], [[1e308, 1e308], [-1e308, 1e308]]):
+        with pytest.raises(NonFiniteValue):
+            AffineOperator(A)
+        with pytest.raises(NonFiniteValue):
+            Quadratic(A)
 
 
 def _rotated(diag):
@@ -295,8 +299,6 @@ def test_from_diagonal_rejects_bad_vectors(diag, error):
 
 
 def test_diagonal_maps_hold_no_dense_matrix():
-    import tracemalloc
-
     target = np.random.default_rng(23).standard_normal(2000)
     tracemalloc.start()
     try:
@@ -306,6 +308,15 @@ def test_diagonal_maps_hold_no_dense_matrix():
         tracemalloc.stop()
     # One dense 2000 x 2000 matrix alone takes 32 MB.
     assert peak < 1e6
+    # A dense diagonal input is copied on entry; the map keeps its diagonal only.
+    dense = np.diag(np.abs(target))
+    tracemalloc.start()
+    try:
+        op = AffineOperator(dense)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert op._matrix is None and held < 1e6, held
 
 
 # Calls of the reference kernels by name, so a test can show they ran.
@@ -395,6 +406,23 @@ def test_norm_subgradient_at_kink_is_minimum_norm():
     assert f.value([-2.0]) == 2.0
 
 
+def test_a_function_value_is_a_python_float():
+    # Values reach messages such as "c(x*) = ...", which print a numpy
+    # scalar as np.float64(...).
+    rng = np.random.default_rng(5)
+    for fn in _shipped_functions(rng):
+        assert type(fn.value(rng.standard_normal(fn.dim))) is float, fn
+
+
+def test_writing_into_a_subgradient_leaves_the_function_unchanged():
+    rng = np.random.default_rng(6)
+    for fn in _shipped_functions(rng):
+        x = rng.standard_normal(fn.dim)
+        value, g = fn.value(x), fn.subgradient(x)
+        fn.subgradient(x)[:] = 7.0
+        assert fn.value(x) == value and np.array_equal(fn.subgradient(x), g), fn
+
+
 def test_max_of_affine_first_argmax_tie_break():
     f = MaxOfAffine([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
     assert f.value([0.5, 7.0]) == 0.5
@@ -424,6 +452,8 @@ def test_wrapper_operators():
     assert np.array_equal(emb.select([5.0, 4.0, 3.0]), [0.0, 8.0, 0.0])
     with pytest.raises(DimensionMismatch):
         EmbeddedOperator(2, AffineOperator(np.eye(2)), 1)
+    with pytest.raises(DimensionMismatch):
+        EmbeddedOperator(2, AffineOperator([[1.0]]), -1)
     with pytest.raises(ValueError):
         ScaledOperator(base, -1.0)
 
@@ -435,6 +465,8 @@ def test_sum_select_adds_selections():
     assert np.array_equal(sum_select(ops, x), [5.0, 6.0])
     with pytest.raises(ValueError):
         sum_select([], x)
+    with pytest.raises(DimensionMismatch):
+        sum_select([_zero(2), _zero(3)], x)
 
 
 def test_monotonicity_sweep():

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from visplit import (
     fejer_audit,
     grid_vi_solution,
     qp_project,
-    run,
     with_reference,
 )
 from visplit import oracle
@@ -162,12 +162,10 @@ def test_grid_oracle_guards():
         grid_vi_solution(big)
 
 
-def test_audit_requires_snapshots():
-    prob = _line_problem()
-    sched = PowerStepsize(0.5, 1.0)
-    state = run(prob, sched, x0=[0.0], max_outer=2)
-    with pytest.raises(ConfigError):
-        fejer_audit(prob, sched, state)
+@pytest.mark.parametrize("steps", [0, 2.5, "3"])
+def test_audit_steps_must_be_a_positive_integer(steps):
+    with pytest.raises(ConfigError, match="^steps must"):
+        fejer_audit(_line_problem(), PowerStepsize(0.5, 1.0), steps, x0=[0.0])
 
 
 def test_audit_slacks_are_closed_form_on_the_line():
@@ -175,12 +173,10 @@ def test_audit_slacks_are_closed_form_on_the_line():
     # 9 + (3/2)^2 - (3/2)^2 = 9, the second 2.25 + 0.140625 - 1.265625.
     prob = _line_problem()
     sched = PowerStepsize(0.5, 1.0)
-    one = run(prob, sched, x0=[0.0], max_outer=1, snapshots=True)
-    report = fejer_audit(prob, sched, one)
+    report = fejer_audit(prob, sched, 1, x0=[0.0])
     assert report.fejer_checked
     assert report.worst_fejer_slack == 9.0
-    two = run(prob, sched, x0=[0.0], max_outer=2, snapshots=True)
-    report = fejer_audit(prob, sched, two)
+    report = fejer_audit(prob, sched, 2, x0=[0.0])
     assert report.worst_fejer_slack == 1.125
     assert report.fejer_violations == 0
     assert report.max_replay_gap == 0.0
@@ -198,26 +194,41 @@ def test_audit_slacks_are_closed_form_on_the_line():
 def test_audit_replays_a_constrained_run_exactly():
     prob = build("quadratic_over_ball", {"target": [2.0, 0.0]})
     sched = PowerStepsize(1.0, 1.0)
-    state = run(prob, sched, x0=[2.0, 0.0], max_outer=100, snapshots=True)
-    report = fejer_audit(prob, sched, state)
+    report = fejer_audit(prob, sched, 100, x0=[2.0, 0.0])
     assert report.steps == 100
     assert report.max_replay_gap == 0.0
     assert report.fejer_violations == 0
     assert report.ok
 
 
+def test_audit_memory_does_not_grow_with_its_steps():
+    # The audit holds one step at a time. What it keeps per step is only the
+    # 8-byte stepsize its decay fit reads, and the fit's own index array;
+    # a kept Step of the line problem takes about 800 bytes.
+    prob = _line_problem()
+    sched = PowerStepsize(0.5, 0.75)
+    fejer_audit(prob, sched, 10, x0=[0.0])
+    peaks = []
+    for steps in (200, 2000):
+        tracemalloc.start()
+        try:
+            fejer_audit(prob, sched, steps, x0=[0.0])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 32 * 1800, peaks
+
+
 def test_audit_summability_verdicts():
     prob = _line_problem()
     flat = ConstantStepsize(0.05)
-    state = run(prob, flat, x0=[0.0], max_outer=300, snapshots=True)
-    report = fejer_audit(prob, flat, state)
+    report = fejer_audit(prob, flat, 300, x0=[0.0])
     assert report.fejer_violations == 0
     assert abs(report.decay_exponent) <= 0.05
     assert report.stepsum_divergent is True
     assert report.sqsum_convergent is False
     decaying = PowerStepsize(1.0, 0.55)
-    state = run(prob, decaying, x0=[0.0], max_outer=300, snapshots=True)
-    report = fejer_audit(prob, decaying, state)
+    report = fejer_audit(prob, decaying, 300, x0=[0.0])
     assert abs(report.decay_exponent - 0.55) <= 0.1
     assert report.stepsum_divergent is True
     assert report.sqsum_convergent is True

@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from visplit import (
     GraphSet,
     Halfspace,
     PowerStepsize,
+    SolverState,
     build,
+    kept_rows,
     run,
     reference_solution,
     sum_select,
@@ -19,7 +22,7 @@ from visplit import (
 )
 from visplit import problems
 from visplit.oracle import feasible_points, vi_gap
-from visplit.problems import FAMILY_PARAMS, MAX_PARTS, validate_params
+from visplit.problems import FAMILY_PARAMS, MAX_DIM, MAX_PARTS, validate_params
 
 
 def test_family_names_are_stable():
@@ -208,8 +211,10 @@ def test_a2_zero_objective_stays_on_the_graph():
         "a2", {"matrix": 1.0, "phi1": {"weight": 0.0}, "phi2": {"weight": 0.0}}
     )
     assert prob.known_solution is None
-    state = run(prob, PowerStepsize(1.0, 1.0), x0=[2.0, 0.0], max_outer=30,
-                snapshots=True)
+    state = SolverState([2.0, 0.0])
+    state.snapshots = []
+    for _ in kept_rows(prob, PowerStepsize(1.0, 1.0), state, max_outer=30):
+        pass
     # A zero operator leaves every cycle at the projection of the start.
     assert np.allclose(state.z, [1.0, 1.0], atol=1e-12, rtol=0)
     for snap in state.snapshots:
@@ -311,6 +316,35 @@ def test_a_far_target_projects_onto_the_ball_not_its_center():
     # ||target|| is past the float range too; the direction is kept.
     beyond = BallSet([0.0, 0.0], 1.0).project([1.5e308, 1.5e308])
     assert np.allclose(beyond, [np.sqrt(0.5), np.sqrt(0.5)])
+
+
+@pytest.mark.parametrize(
+    "family, params, field",
+    [
+        ("quadratic_over_ball", {"target": [1.0] * (MAX_DIM + 1)}, "target"),
+        ("a1", {"target": [1.0] * (MAX_DIM + 1)}, "target"),
+        ("a2", {"matrix": [[1.0] * MAX_DIM], "phi2": {}}, "matrix"),
+        ("a3", {"matrix": [[1.0]] * (MAX_DIM // 2 + 1)}, "matrix"),
+    ],
+    ids=["ball", "a1", "a2", "a3"],
+)
+def test_problem_dimension_is_capped(family, params, field):
+    # Past the cap a build fails before it makes anything larger than its
+    # input; at the cap, a2 alone would peak near 24 * MAX_DIM^2 bytes.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=f"^{field} gives dimension 40.., more than MAX_DIM"):
+            build(family, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+
+
+def test_the_dimension_cap_admits_the_sweeps():
+    # Dimension sweeps reach n = 4096; wide_split builds the ball at dim 500.
+    assert MAX_DIM >= 4096
+    assert build("quadratic_over_ball", {"target": [1.0] * MAX_DIM}).dim == MAX_DIM
 
 
 @pytest.mark.parametrize("family", ["quadratic_over_ball", "affine_vi_over_polyhedron"])

@@ -352,8 +352,7 @@ def test_cycle_drift_stays_at_rounding_level(drawn):
     problem, schedule, x0 = drawn
     state = SolverState(x0)
     for _ in range(4):
-        record = outer_step(problem, schedule, state)
-        check = state.cycle_checks[-1]
+        record, check = outer_step(problem, schedule, state)
         assert 0.0 <= check.drift_excess <= 1e-12 * max(1.0, record.eta_k * record.alpha_k)
 
 

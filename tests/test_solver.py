@@ -33,6 +33,16 @@ from visplit import (
 from visplit import solver
 
 
+def _run_with_snapshots(problem, schedule, x0, **options):
+    """``run``'s state, with every step's ``Step`` kept in ``snapshots``."""
+    state = SolverState(x0)
+    state.snapshots = []
+    for record, check in kept_rows(problem, schedule, state, **options):
+        state.trace.append(record)
+        state.cycle_checks.append(check)
+    return state
+
+
 def _free_problem(*ops, label="free"):
     dim = ops[0].dim
     c = Constraint(ConstantFunction(dim, -1.0), exact_set=Halfspace.whole_space(dim))
@@ -169,7 +179,7 @@ def test_the_loop_tolerance_and_the_descent_bound_scale_with_theta():
     prob = build("quadratic_over_ball", {})
     for schedule in (PowerStepsize(0.2, 1.0), AdaptivePowerStepsize(0.2, 1.0)):
         state = SolverState([2.0, 0.0])
-        rec = outer_step(prob, schedule, state, theta=2.0)
+        rec, _ = outer_step(prob, schedule, state, theta=2.0)
         assert rec.inner_iterations == 1 and rec.dist_z0 == 0.25
         assert rec.alpha_k == 0.2 and rec.eta_k == 1.0
         assert rec.fejer_slack == pytest.approx(1.0 + 0.048 - 0.21**2, abs=1e-12)
@@ -210,7 +220,7 @@ def test_adaptive_probe_and_alpha_frozen():
     # sqrt(17), so the first adaptive step is 0.5 / sqrt(17).
     prob = build("a3", {})
     sched = AdaptivePowerStepsize(0.5, 0.55)
-    state = run(prob, sched, x0=[3.0, 4.0], max_outer=5, snapshots=True)
+    state = _run_with_snapshots(prob, sched, [3.0, 4.0], max_outer=5)
     assert state.trace[0].alpha_k == 0.5 / np.sqrt(17.0)
     # Every recorded stepsize is the schedule's numerator over the probe at z0.
     for rec, snap in zip(state.trace, state.snapshots):
@@ -280,8 +290,18 @@ def test_cycle_diagnostics_frozen(shift, alpha, x0, containment, drift):
     constraint = Constraint(ConstantFunction(2, -1.0), exact_set=_ShiftingHalfspace(shift))
     prob = Problem((zero,) * 3, constraint, use_exact_projection=True)
     state = SolverState(x0)
-    outer_step(prob, ConstantStepsize(alpha), state)
-    assert state.cycle_checks == [solver.CycleCheck(0, containment, drift, False)]
+    _, check = outer_step(prob, ConstantStepsize(alpha), state)
+    assert check == solver.CycleCheck(0, containment, drift, False)
+
+
+def test_outer_step_returns_its_pair_and_keeps_no_row():
+    # The pair is the one kept_rows yields; the state's lists stay run's.
+    problem = build("quadratic_over_ball", {})
+    state = SolverState([3.0, 0.0])
+    record, check = outer_step(problem, PowerStepsize(1.0, 1.0), state)
+    assert type(record) is TraceRecord and type(check) is solver.CycleCheck
+    assert record.k == check.k == 0 and state.k == 1
+    assert state.trace == [] and state.cycle_checks == [] and state.snapshots is None
 
 
 def test_run_validation():
@@ -331,8 +351,7 @@ def test_default_start_is_origin():
 
 def test_snapshots_follow_the_iterates():
     prob = build("quadratic_over_ball", {})
-    state = run(prob, PowerStepsize(1.0, 1.0), x0=[2.0, 0.0], max_outer=5,
-                snapshots=True)
+    state = _run_with_snapshots(prob, PowerStepsize(1.0, 1.0), [2.0, 0.0], max_outer=5)
     assert len(state.snapshots) == 5
     for i, snap in enumerate(state.snapshots):
         assert snap.k == i
@@ -350,14 +369,14 @@ def test_outer_step_feasibility_stage_meets_tolerance():
     for theta in (0.5, 1.0, 2.0):
         state = SolverState(np.array([3.0, -2.0]))
         for k in range(40):
-            rec = outer_step(prob, sched, state, theta=theta)
+            rec, _ = outer_step(prob, sched, state, theta=theta)
             assert rec.dist_z0 <= theta * sched.alpha(k)
             assert np.isfinite(rec.fejer_slack)
     # Random starts, same invariant.
     for _ in range(20):
         x0 = 4.0 * rng.standard_normal(2)
         state = SolverState(x0)
-        rec = outer_step(prob, sched, state)
+        rec, _ = outer_step(prob, sched, state)
         assert rec.dist_z0 <= sched.alpha(0)
 
 
@@ -366,7 +385,7 @@ def test_recursive_average_matches_direct_weights():
     # sum(alpha_i z_i) / sigma_k from snapshots and compare.
     prob = build("quadratic_over_ball", {})
     sched = PowerStepsize(1.0, 1.0)
-    state = run(prob, sched, x0=[2.0, 0.0], max_outer=200, snapshots=True)
+    state = _run_with_snapshots(prob, sched, [2.0, 0.0], max_outer=200)
     alphas = np.array([sched.alpha(k) for k in range(200)])
     zs = np.stack([s.points[-1] for s in state.snapshots])
     direct = (alphas[:, None] * zs).sum(axis=0) / alphas.sum()
@@ -394,11 +413,11 @@ def _assert_kept_rows_are_hand_stepped(problem, schedule, x0, **options):
     cycle check equal the hand-stepped ones bit for bit, wall_time aside."""
     state = run(problem, schedule, x0=x0, **options)
     hand = SolverState(x0)
-    records = [outer_step(problem, schedule, hand) for _ in range(state.k)]
+    pairs = [outer_step(problem, schedule, hand) for _ in range(state.k)]
     assert [c.k for c in state.cycle_checks] == [r.k for r in state.trace]
     for rec, check in zip(state.trace, state.cycle_checks):
-        assert _bits(rec[:-1]) == _bits(records[rec.k][:-1]), rec.k
-        assert _bits(check) == _bits(hand.cycle_checks[rec.k]), rec.k
+        assert _bits(rec[:-1]) == _bits(pairs[rec.k][0][:-1]), rec.k
+        assert _bits(check) == _bits(pairs[rec.k][1]), rec.k
     assert np.array_equal(state.x, hand.x) and np.array_equal(state.z, hand.z)
     return state
 
@@ -444,7 +463,7 @@ def test_a_snapshot_is_the_whole_step(make, monkeypatch):
         return returned[-1]
 
     monkeypatch.setattr(solver, "_advance", recording_advance)
-    state = run(problem, schedule, x0=x0, max_outer=250, snapshots=True)
+    state = _run_with_snapshots(problem, schedule, x0, max_outer=250)
     assert len(state.snapshots) == len(returned) == len(state.trace) == 250
     assert all(snap is step for snap, step in zip(state.snapshots, returned))
     for snap, rec, check in zip(state.snapshots, state.trace, state.cycle_checks):

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from visplit import (
+    BallSet,
     ConfigError,
     DimensionMismatch,
     InfeasibleConstraint,
     IterationBudgetExceeded,
     NonFiniteIterate,
     NonFiniteValue,
+    NormFunction,
     VisplitError,
 )
 from visplit.space import as_matrix, as_number, as_point, difference, norm
@@ -140,3 +142,12 @@ def test_difference_keeps_numpys_bits_in_range_and_the_direction_past_it():
         d, r, s = difference(y, c)
     assert s == 1e308 and np.array_equal(d, [2.0, -1.0]) and r == norm(d)
     assert s * r == np.inf
+
+
+def test_difference_scales_by_the_far_point_on_either_side():
+    # y = 0 and a far center: the scale is max|c|, since y alone gives none.
+    far = np.array([1.5e308, 1.5e308])
+    with np.errstate(over="ignore"):
+        assert np.array_equal(BallSet(far, 1.0).project([0.0, 0.0]), far)
+        g = NormFunction(far).subgradient([0.0, 0.0])
+    assert np.allclose(g, -np.sqrt(0.5), rtol=1e-15, atol=0)

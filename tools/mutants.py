@@ -42,6 +42,8 @@ PYTEST_ARGS = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
 SOLVER = "src/visplit/solver.py"
 INNER = "src/visplit/innerloop.py"
 CONS = "src/visplit/constraints.py"
+OPS = "src/visplit/operators.py"
+SPACE = "src/visplit/space.py"
 # The kernels mutated, and the file each lives in.
 KERNELS = {
     "_advance": SOLVER,
@@ -54,8 +56,24 @@ KERNELS = {
     "Halfspace._project": CONS,
     "BallSet._project": CONS,
     "BallSet._distance": CONS,
-    "NormFunction._value": "src/visplit/operators.py",
+    "NormFunction._value": OPS,
     "cli._execute_run": "src/visplit/cli.py",
+    "_floats": SPACE,
+    "as_point": SPACE,
+    "norm": SPACE,
+    "difference": SPACE,
+    "as_dim": SPACE,
+    "_diagonal": OPS,
+    "_symmetric_part": OPS,
+    "AffineOperator._select": OPS,
+    "ScaledOperator._select": OPS,
+    "EmbeddedOperator.__init__": OPS,
+    "EmbeddedOperator._select": OPS,
+    "sum_select": OPS,
+    "Quadratic._value": OPS,
+    "NormFunction._subgradient": OPS,
+    "MaxOfAffine._value": OPS,
+    "MaxOfAffine._subgradient": OPS,
 }
 
 
@@ -178,6 +196,50 @@ MUTANTS = (
            "drift = check.drift_excess"),
     Mutant("C04", "cli._execute_run", "term", "stress += check.eta_stress",
            "stress = check.eta_stress"),
+    Mutant("Z01", "norm", "branch", "    if sq != math.inf:\n", "    if True:\n"),
+    Mutant("Z02", "norm", "branch", "return top if top == math.inf else top * norm(x / top)",
+           "return top * norm(x / top)"),
+    Mutant("Z03", "difference", "branch", "    if r != math.inf:\n", "    if True:\n"),
+    Mutant("Z04", "difference", "term",
+           "s = max(float(np.max(np.abs(y))), float(np.max(np.abs(c))))",
+           "s = float(np.max(np.abs(y)))"),
+    Mutant("Z05", "difference", "term", "d = y / s - c / s", "d = (y - c) / s"),
+    Mutant("Z07", "as_point", "branch", "    if not np.all(np.isfinite(p)):\n        raise NonFiniteValue(f\"{name} has",
+           "    if False:\n        raise NonFiniteValue(f\"{name} has"),
+    Mutant("Z08", "_floats", "branch",
+           "if not (isinstance(x, np.ndarray) and x.dtype.kind in \"fiu\"):", "if True:",
+           equivalent="every entry of a float, int or uint array is a real number and no bool, "
+           "so the entry check passes on it; the fast path skips it because as_point runs on "
+           "every public call: _floats of a float64 array took 0.49 us with it against 5.5 us "
+           "without at dim 2, and 0.46 us against 358 us at dim 500 (timeit, best of 5, "
+           "two-core host)"),
+    Mutant("Z10", "as_dim", "comparison", "    if dim < 1:\n", "    if dim < 0:\n"),
+    Mutant("O01", "_diagonal", "branch", "if np.count_nonzero(A) != np.count_nonzero(d):",
+           "if True:"),
+    Mutant("O02", "MaxOfAffine._subgradient", "copy", "return self.rows[i].copy()",
+           "return self.rows[i]"),
+    Mutant("O03", "_symmetric_part", "branch", "    if not np.all(np.isfinite(sym)):\n",
+           "    if False:\n"),
+    Mutant("O04", "EmbeddedOperator.__init__", "term", "if start < 0 or start + base.dim > dim:",
+           "if start + base.dim > dim:"),
+    Mutant("O05", "sum_select", "branch", "        if op.dim != out.size:\n", "        if False:\n"),
+    Mutant("O06", "AffineOperator._select", "term", "return (self._diag * x + 0.0) + self.offset",
+           "return self._diag * x + self.offset"),
+    Mutant("O07", "_diagonal", "copy", "    return d.copy()\n", "    return d\n"),
+    Mutant("O08", "_symmetric_part", "branch",
+           "    with np.errstate(over=\"ignore\"):\n        sym = 0.5 * (A + A.T)",
+           "    if True:\n        sym = 0.5 * (A + A.T)"),
+    Mutant("O14", "ScaledOperator._select", "term", "return self.factor * self.base._select(x)",
+           "return self.base._select(x)"),
+    Mutant("O15", "EmbeddedOperator._select", "term",
+           "out[self.start : self.start + self.base.dim] = block", "out[: self.base.dim] = block"),
+    Mutant("O16", "Quadratic._value", "constant", "float(0.5 * x * g._diag @ x",
+           "float(x * g._diag @ x"),
+    Mutant("O17", "NormFunction._subgradient", "branch", "        if r == 0.0:\n", "        if False:\n"),
+    Mutant("O18", "MaxOfAffine._value", "copy", "return float(np.max(self.rows @ x - self.rhs))",
+           "return np.max(self.rows @ x - self.rhs)"),
+    Mutant("O19", "MaxOfAffine._subgradient", "term", "np.argmax(self.rows @ x - self.rhs)",
+           "np.argmax(self.rows @ x)"),
 )
 
 # Code that earlier mutants showed to be equivalent, and that went.
