@@ -1,4 +1,5 @@
-"""One-line mutants of visplit's step kernels, each run against tier-1 alone.
+"""One-line mutants of visplit's step kernels and of the operator and space
+kernels they call, each run against tier-1 alone.
 
 A mutant replaces one piece of text in one source file: a constant tweak, a
 flipped comparison, a dropped term, a dropped branch or a dropped copy. Each
@@ -15,7 +16,7 @@ and that was removed instead; its text must no longer occur.
     python tools/mutants.py            # all mutants; writes tools/mutants.json
     python tools/mutants.py P03 I01    # only these; prints, writes nothing
 
-Standard library only. One mutant takes 3-59 s on a two-core host, the list 23-29 minutes.
+Standard library only. One mutant takes 2-57 s on a two-core host, the list about 32 minutes.
 """
 
 from __future__ import annotations
