@@ -201,7 +201,7 @@ def test_audit_replays_a_constrained_run_exactly():
     assert report.ok
 
 
-def test_audit_memory_does_not_grow_with_its_steps():
+def test_audit_holds_one_step_at_a_time():
     # The audit holds one step at a time. What it keeps per step is only the
     # 8-byte stepsize its decay fit reads, and the fit's own index array;
     # a kept Step of the line problem takes about 800 bytes.
