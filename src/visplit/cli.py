@@ -320,7 +320,8 @@ def _bench_config(args) -> dict:
     grid = [as_number(t, f"{where}.grid[{i}]", above=0) for i, t in enumerate(grid)]
     reps = args.reps if args.reps is not None else cfg.get("reps", 50)
     reps = as_number(reps, f"{where}.reps", integer=True, at_least=1)
-    dim = as_number(cfg.get("dim", 3), f"{where}.dim", integer=True, at_least=2)
+    dim = as_number(cfg.get("dim", 3), f"{where}.dim", integer=True, at_least=2,
+                    at_most=problems.MAX_DIM)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     seed = as_number(seed, f"{where}.seed", integer=True, at_least=0)
     return {"grid": grid, "reps": reps, "dim": dim, "seed": seed}

@@ -3,9 +3,10 @@
 Nothing in this module reuses solver code paths. Projections are recomputed
 by enumerating active sets of a small quadratic program, solutions are
 recovered by probing the operators and solving the resulting first-order
-systems, and runs are audited by replaying the cycle of each step from its
-snapshot and recomputing every bound from scratch. Agreement between two
-routes that share no code is the evidence the tests lean on.
+systems, and runs are audited by replaying the cycle of each step from the
+``Step`` that ``outer_step`` returns and recomputing every bound from
+scratch. Agreement between two routes that share no code is the evidence
+the tests lean on.
 
 The solution routes only handle affine operator sums (every shipped family
 is affine); they probe the implementation at basis points rather than
@@ -348,7 +349,7 @@ def with_reference(problem: Problem, rng=None) -> Problem:
         known_solution=x,
         certificate=cert,
         use_exact_projection=problem.use_exact_projection,
-        meta=dict(problem.meta),
+        meta=problem.meta,
     )
 
 
@@ -420,17 +421,16 @@ def fejer_audit(
     """Take ``steps`` outer steps from ``x0`` and recompute each one's guarantees.
 
     The run starts at ``x0`` (the origin by default, as in ``run``); the
-    audit pops each step's snapshot from the state, so it holds one at a
-    time. For each step: rebuild the stepsize from the schedule (probing
-    z_0 under the adaptive rule), rerun the operator cycle from z_0 inside
-    the recorded region, and compare the endpoint, stepsize, and norm bound
-    against the step's record. With a certificate available, recompute the
-    per-step quasi-distance inequality toward the known solution with slack
-    tolerance 1e-8.
+    audit keeps only the ``Step`` that ``outer_step`` returns, so it holds
+    one at a time. For each step: rebuild the stepsize from the schedule
+    (probing z_0 under the adaptive rule), rerun the operator cycle from z_0
+    inside the step's region, and compare the endpoint, stepsize, and norm
+    bound against the step's own. With a certificate available, recompute
+    the per-step quasi-distance inequality toward the known solution with
+    slack tolerance 1e-8.
     """
     steps = as_number(steps, "steps", integer=True, at_least=1)
     state = SolverState(np.zeros(problem.dim) if x0 is None else x0)
-    state.snapshots = []
     xs = problem.known_solution
     cert = problem.certificate
     fejer_checked = xs is not None and cert is not None
@@ -446,8 +446,7 @@ def fejer_audit(
     alphas = np.empty(steps)
 
     for k in range(steps):
-        rec = outer_step(problem, schedule, state, theta)[0]
-        snap = state.snapshots.pop()
+        snap = outer_step(problem, schedule, state, theta)
         alpha = schedule.alpha(snap.k)
         if schedule.adaptive:
             probe = 1.0
@@ -466,8 +465,8 @@ def fejer_audit(
             points.append(cur)
         max_replay = max(max_replay, float(np.linalg.norm(cur - snap.points[-1])))
 
-        max_alpha = max(max_alpha, abs(alpha - rec.alpha_k))
-        max_eta = max(max_eta, abs(eta - rec.eta_k))
+        max_alpha = max(max_alpha, abs(alpha - snap.alpha))
+        max_eta = max(max_eta, abs(eta - snap.eta))
 
         worst_contain = max(
             worst_contain, max(float(snap.region.distance(p)) for p in points)

@@ -32,9 +32,9 @@ A step has two phases. ``_advance`` is the math above: it writes the new
 state and returns the step as one ``Step``. ``_diagnose`` reads that record
 alone and computes the audit quantities of the step (cycle containment and
 drift, err_x, fejer_slack, dist_x), its record and its ``CycleCheck``.
-``outer_step`` runs both. The generator ``kept_rows`` advances on every
-step, evaluates only what its stop test reads, and diagnoses and yields
-only the rows it keeps, holding none; ``run`` collects them, and
+``outer_step`` is ``_advance`` alone. The generator ``kept_rows`` advances
+on every step, evaluates only what its stop test reads, and diagnoses and
+yields only the rows it keeps, holding none; ``run`` collects them, and
 ``visplit run`` writes each to disk as it comes.
 
 Both phases call only kernels, which trust their points: ``SolverState``
@@ -45,6 +45,7 @@ state's dimension is the problem's, and that z_{k+1} is finite.
 
 from __future__ import annotations
 
+import copy
 import inspect
 import math
 import time
@@ -134,7 +135,8 @@ class Problem:
     use_exact_projection replaces the feasibility stage with the
     constraint's exact projector, for feasible sets that are cheap to
     project onto directly. The descent-bound constants of a certificate,
-    max_i ||u_i|| and ||sum_i u_i||, are computed once here.
+    max_i ||u_i|| and ||sum_i u_i||, are computed once here. meta is
+    deep-copied, so no later edit of the caller's dict reaches the problem.
 
     A problem is checked when built and rejects attribute assignment; a
     variant is built through the constructor, which checks it again.
@@ -184,7 +186,7 @@ class Problem:
             ("known_solution", known_solution),
             ("certificate", certificate),
             ("use_exact_projection", use_exact_projection),
-            ("meta", {} if meta is None else meta),
+            ("meta", {} if meta is None else copy.deepcopy(meta)),
             ("_eta_bar", None),
             ("_u_bar", None),
         ):
@@ -236,7 +238,7 @@ TRACE_COLUMNS = TraceRecord._fields
 
 
 class Step(NamedTuple):
-    """One outer step as ``_advance`` took it, for ``_diagnose`` and snapshots.
+    """One outer step as ``_advance`` took it, and as ``outer_step`` returns it.
 
     z is z_k, points the cycle z0 ... z_{k+1}, probe the adaptive probe at z0
     (None for explicit rules); sigma and x are the state after the step, t0
@@ -279,13 +281,12 @@ class SolverState:
 
     A state starts with base point z and average x both at ``x0``, which
     the constructor checks (a finite vector) and copies, with k = 0,
-    sigma = 0, no stop reason, empty ``trace`` and ``cycle_checks`` lists
-    and ``snapshots`` None. The start of x weighs nothing: the first
-    average has weight alpha_0 / sigma_0 = 1. ``outer_step`` trusts z and
-    x and writes only finite points back.
+    sigma = 0, no stop reason and empty ``trace`` and ``cycle_checks``
+    lists. The start of x weighs nothing: the first average has weight
+    alpha_0 / sigma_0 = 1. ``outer_step`` trusts z and x and writes only
+    finite points back.
     ``run`` fills ``trace`` with the rows it keeps and ``cycle_checks`` with
-    their diagnostics. Setting ``snapshots`` to a list makes each step
-    append its ``Step`` to it.
+    their diagnostics.
     """
 
     def __init__(self, x0):
@@ -294,7 +295,6 @@ class SolverState:
         self.k = 0
         self.sigma = 0.0
         self.trace = []
-        self.snapshots = None
         self.cycle_checks = []
         self.stop_reason = None
 
@@ -305,18 +305,16 @@ def outer_step(
     state: SolverState,
     theta: float = 1.0,
     max_inner: int = 10_000,
-) -> tuple[TraceRecord, CycleCheck]:
-    """Advance the state by one outer iteration and return its record and check.
+) -> Step:
+    """Advance the state by one outer iteration and return its ``Step``.
 
-    The pair is the one ``kept_rows`` yields for a kept step, and neither
-    is appended to ``state.trace`` or ``state.cycle_checks``: which rows to
-    keep is the caller's choice. The ``Step`` is appended to
-    ``state.snapshots`` when that is a list. ``theta`` and ``max_inner`` are
-    checked by ``run_options``, before the step starts.
+    The step writes only the state's z, x, sigma and k and diagnoses
+    nothing: records and ``CycleCheck``s come from ``kept_rows``.
+    ``theta`` and ``max_inner`` are checked by ``run_options``, before the
+    step starts.
     """
     options = run_options(problem, theta=theta, max_inner=max_inner)
-    step = _advance(problem, schedule, state, options["theta"], options["max_inner"])
-    return _diagnose(problem, step, options["theta"])
+    return _advance(problem, schedule, state, options["theta"], options["max_inner"])
 
 
 def _advance(
@@ -329,7 +327,7 @@ def _advance(
     """The step's math: feasibility stage, stepsize, cycle and average.
 
     Writes z_{k+1}, x_{k+1}, sigma_{k+1} and k + 1 to the state and returns
-    the ``Step``, appended to ``state.snapshots`` too when that is a list.
+    the ``Step``.
     """
     t0 = time.perf_counter()
     k = state.k
@@ -381,16 +379,12 @@ def _advance(
     weight = alpha / sigma
     x_next = (1.0 - weight) * state.x + weight * z_next
 
-    step = Step(k, z, points, region, inner_iters, dist_z0, probe, beta, alpha, eta, sigma,
-                x_next, t0)
-    if state.snapshots is not None:
-        state.snapshots.append(step)
-
     state.k = k + 1
     state.z = z_next
     state.x = x_next
     state.sigma = sigma
-    return step
+    return Step(k, z, points, region, inner_iters, dist_z0, probe, beta, alpha, eta, sigma,
+                x_next, t0)
 
 
 def _err_x(problem: Problem, x: Vector) -> float:

@@ -219,9 +219,9 @@ def test_criterion_06_recursive_average_matches_direct_sum():
     worst = 0.0
     checks = 0
     for k in range(100_000):
-        rec, _ = outer_step(prob, sched, state)
-        acc += rec.alpha_k * state.z
-        sigma += rec.alpha_k
+        step = outer_step(prob, sched, state)
+        acc += step.alpha * state.z
+        sigma += step.alpha
         if (k + 1) % 100 == 0:
             checks += 1
             worst = max(worst, float(np.linalg.norm(state.x - acc / sigma)))

@@ -30,6 +30,7 @@ from visplit import (
     SolverState,
     build,
     feasible_shortcut,
+    kept_rows,
     outer_step,
     project_halfspace_pair,
     run,
@@ -217,14 +218,13 @@ def test_a_step_checks_no_point_twice_and_evaluates_the_gauge_once(make, monkeyp
     monkeypatch.setattr(gauge, "_value", lambda y: seen.append(y.tobytes()) or kernel(y))
 
     per_step = []
-    for _ in range(300):
-        checks.clear()
-        seen.clear()
-        rec, _ = outer_step(problem, schedule, state)
+    for rec, _ in kept_rows(problem, schedule, state, max_outer=300):
         assert len(seen) == len(set(seen)), f"gauge evaluated twice at a point, k={rec.k}"
         # The only points checked are separator normals: one per projection
         # of the feasibility loop, or the supporting normal at a boundary point.
         assert len(checks) <= max(rec.inner_iterations, 1), rec.k
         per_step.append(len(checks))
+        checks.clear()
+        seen.clear()
     assert sum(per_step) > 0  # the feasibility loop ran
     assert sum(per_step) / len(per_step) <= 2.0

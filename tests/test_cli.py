@@ -8,7 +8,7 @@ import pytest
 
 from visplit import (
     AdaptivePowerStepsize, ConfigError, ConstantStepsize, DimensionMismatch, NonFiniteIterate,
-    PowerStepsize, TRACE_COLUMNS, build, checks, oracle, run, solver,
+    PowerStepsize, TRACE_COLUMNS, build, checks, cli, oracle, run, solver,
 )
 from visplit.cli import CHECK_SUITES, RUN_KEYS, _build_schedule, main
 from visplit.problems import FAMILIES, FAMILY_PARAMS, MAX_DIM
@@ -756,6 +756,17 @@ def test_bench_bad_values_exit_2(tmp_path, capsys, cfg, field):
     path = _write_cfg(tmp_path / "bench.json", cfg)
     assert main(["bench", path]) == 2
     assert f"{path}.{field}" in capsys.readouterr().err
+
+
+def test_bench_dim_above_the_cap_exits_2_before_building(tmp_path, capsys, monkeypatch):
+    # A dim past problems.MAX_DIM is a config error, caught before the
+    # bench allocates its constraints.
+    built = []
+    monkeypatch.setattr(cli, "_bench_constraints", lambda dim: built.append(dim))
+    path = _write_cfg(tmp_path / "bench.json", {"dim": MAX_DIM + 1, "reps": 1, "grid": [0.1]})
+    assert main(["bench", path]) == 2
+    assert f"{path}.dim must be at least 2 and at most {MAX_DIM}" in capsys.readouterr().err
+    assert built == []
 
 
 @pytest.mark.parametrize(

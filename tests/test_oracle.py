@@ -18,13 +18,15 @@ from visplit import (
     NormFunction,
     PowerStepsize,
     Problem,
+    SolverState,
     build,
     fejer_audit,
     grid_vi_solution,
+    outer_step,
     qp_project,
     with_reference,
 )
-from visplit import oracle
+from visplit import oracle, solver
 from visplit.oracle import probe_affine, reference_solution, vi_gap
 
 
@@ -217,6 +219,23 @@ def test_audit_holds_one_step_at_a_time():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 32 * 1800, peaks
+
+
+def test_outer_step_and_the_audit_diagnose_nothing(monkeypatch):
+    # A step returns its Step and the audit reads only that, so neither
+    # computes the step's record: a diagnosis that raises stops neither.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a step was diagnosed")
+
+    monkeypatch.setattr(solver, "_diagnose", refuse)
+    prob = with_reference(build("quadratic_over_ball", {"m": 4}))
+    sched = PowerStepsize(0.6, 0.55)
+    state = SolverState([2.0, 0.0])
+    for _ in range(3):
+        outer_step(prob, sched, state)
+    assert state.k == 3
+    report = fejer_audit(prob, sched, 50, x0=[2.0, 0.0])
+    assert report.steps == 50 and report.fejer_checked and report.ok
 
 
 def test_audit_summability_verdicts():

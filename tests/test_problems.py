@@ -14,7 +14,7 @@ from visplit import (
     PowerStepsize,
     SolverState,
     build,
-    kept_rows,
+    outer_step,
     run,
     reference_solution,
     sum_select,
@@ -212,13 +212,11 @@ def test_a2_zero_objective_stays_on_the_graph():
     )
     assert prob.known_solution is None
     state = SolverState([2.0, 0.0])
-    state.snapshots = []
-    for _ in kept_rows(prob, PowerStepsize(1.0, 1.0), state, max_outer=30):
-        pass
+    steps = [outer_step(prob, PowerStepsize(1.0, 1.0), state) for _ in range(30)]
     # A zero operator leaves every cycle at the projection of the start.
     assert np.allclose(state.z, [1.0, 1.0], atol=1e-12, rtol=0)
-    for snap in state.snapshots:
-        assert np.allclose(snap.points[-1], [1.0, 1.0], atol=1e-12, rtol=0)
+    for step in steps:
+        assert np.allclose(step.points[-1], [1.0, 1.0], atol=1e-12, rtol=0)
 
 
 def test_a3_stationary_points():

@@ -24,7 +24,7 @@ from visplit import (  # noqa: E402
     Problem,
     Quadratic,
     SolverState,
-    outer_step,
+    kept_rows,
     project_halfspace_pair,
     run_inner,
 )
@@ -351,8 +351,7 @@ def test_cycle_drift_stays_at_rounding_level(drawn):
     # length exactly eta * alpha are the tight case.
     problem, schedule, x0 = drawn
     state = SolverState(x0)
-    for _ in range(4):
-        record, check = outer_step(problem, schedule, state)
+    for record, check in kept_rows(problem, schedule, state, max_outer=4):
         assert 0.0 <= check.drift_excess <= 1e-12 * max(1.0, record.eta_k * record.alpha_k)
 
 

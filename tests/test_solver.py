@@ -1,3 +1,4 @@
+import copy
 import inspect
 import itertools
 import math
@@ -31,16 +32,6 @@ from visplit import (
     run,
 )
 from visplit import solver
-
-
-def _run_with_snapshots(problem, schedule, x0, **options):
-    """``run``'s state, with every step's ``Step`` kept in ``snapshots``."""
-    state = SolverState(x0)
-    state.snapshots = []
-    for record, check in kept_rows(problem, schedule, state, **options):
-        state.trace.append(record)
-        state.cycle_checks.append(check)
-    return state
 
 
 def _free_problem(*ops, label="free"):
@@ -142,6 +133,24 @@ def test_problem_validation():
     assert np.array_equal(cert_p.certificate_sum(), [1.5, 0.5])
 
 
+def test_a_problem_keeps_its_own_meta():
+    # The oracle picks its reference route by meta["family"], so an edit of
+    # the caller's dict, nested lists included, must not reach the problem.
+    a3 = build("a3", {})
+    meta = copy.deepcopy(a3.meta)
+    problem = Problem(a3.operators, a3.constraint, meta=meta)
+    meta["family"] = "quadratic_over_ball"
+    meta["matrix"][0][0] = 5.0
+    meta["matrix"].append([1.0])
+    assert problem.meta == a3.meta == {"family": "a3", "matrix": [[1.0]]}
+    ball = build("quadratic_over_ball", {})
+    meta = copy.deepcopy(ball.meta)
+    problem = Problem(ball.operators, ball.constraint, meta=meta)
+    meta["center"][0] = 3.0
+    meta["target"].append(0.0)
+    assert problem.meta == ball.meta
+
+
 def test_first_outer_step_on_ball_frozen():
     # From (2, 0) with a harmonic step: one feasibility projection onto
     # {4 x1 <= 5} gives z0 = (1.25, 0) at distance 0.25; the cycle moves by
@@ -179,7 +188,7 @@ def test_the_loop_tolerance_and_the_descent_bound_scale_with_theta():
     prob = build("quadratic_over_ball", {})
     for schedule in (PowerStepsize(0.2, 1.0), AdaptivePowerStepsize(0.2, 1.0)):
         state = SolverState([2.0, 0.0])
-        rec, _ = outer_step(prob, schedule, state, theta=2.0)
+        [(rec, _)] = kept_rows(prob, schedule, state, theta=2.0, max_outer=1)
         assert rec.inner_iterations == 1 and rec.dist_z0 == 0.25
         assert rec.alpha_k == 0.2 and rec.eta_k == 1.0
         assert rec.fejer_slack == pytest.approx(1.0 + 0.048 - 0.21**2, abs=1e-12)
@@ -220,12 +229,13 @@ def test_adaptive_probe_and_alpha_frozen():
     # sqrt(17), so the first adaptive step is 0.5 / sqrt(17).
     prob = build("a3", {})
     sched = AdaptivePowerStepsize(0.5, 0.55)
-    state = _run_with_snapshots(prob, sched, [3.0, 4.0], max_outer=5)
-    assert state.trace[0].alpha_k == 0.5 / np.sqrt(17.0)
-    # Every recorded stepsize is the schedule's numerator over the probe at z0.
-    for rec, snap in zip(state.trace, state.snapshots):
-        probe = max(1.0, *(float(np.linalg.norm(op.select(snap.points[0]))) for op in prob.operators))
-        assert rec.alpha_k == sched.alpha(rec.k) / probe
+    state = SolverState([3.0, 4.0])
+    steps = [outer_step(prob, sched, state) for _ in range(5)]
+    assert steps[0].alpha == 0.5 / np.sqrt(17.0)
+    # Every stepsize is the schedule's numerator over the probe at z0.
+    for step in steps:
+        probe = max(1.0, *(float(np.linalg.norm(op.select(step.points[0]))) for op in prob.operators))
+        assert step.alpha == sched.alpha(step.k) / probe
 
 
 def test_eta_stress_flag():
@@ -290,18 +300,20 @@ def test_cycle_diagnostics_frozen(shift, alpha, x0, containment, drift):
     constraint = Constraint(ConstantFunction(2, -1.0), exact_set=_ShiftingHalfspace(shift))
     prob = Problem((zero,) * 3, constraint, use_exact_projection=True)
     state = SolverState(x0)
-    _, check = outer_step(prob, ConstantStepsize(alpha), state)
+    [(_, check)] = kept_rows(prob, ConstantStepsize(alpha), state, max_outer=1)
     assert check == solver.CycleCheck(0, containment, drift, False)
 
 
-def test_outer_step_returns_its_pair_and_keeps_no_row():
-    # The pair is the one kept_rows yields; the state's lists stay run's.
+def test_outer_step_returns_its_step_and_keeps_no_row():
+    # The step is the one kept_rows diagnoses; the state's lists stay run's.
     problem = build("quadratic_over_ball", {})
     state = SolverState([3.0, 0.0])
-    record, check = outer_step(problem, PowerStepsize(1.0, 1.0), state)
-    assert type(record) is TraceRecord and type(check) is solver.CycleCheck
-    assert record.k == check.k == 0 and state.k == 1
-    assert state.trace == [] and state.cycle_checks == [] and state.snapshots is None
+    step = outer_step(problem, PowerStepsize(1.0, 1.0), state)
+    assert type(step) is solver.Step
+    assert step.k == 0 and state.k == 1
+    assert step.points[-1] is state.z and step.x is state.x and step.sigma == state.sigma
+    assert state.trace == [] and state.cycle_checks == []
+    assert not hasattr(state, "snapshots")
 
 
 def test_run_validation():
@@ -351,15 +363,13 @@ def test_default_start_is_origin():
 
 def test_snapshots_follow_the_iterates():
     prob = build("quadratic_over_ball", {})
-    state = _run_with_snapshots(prob, PowerStepsize(1.0, 1.0), [2.0, 0.0], max_outer=5)
-    assert len(state.snapshots) == 5
-    for i, snap in enumerate(state.snapshots):
-        assert snap.k == i
+    state = SolverState([2.0, 0.0])
+    steps = [outer_step(prob, PowerStepsize(1.0, 1.0), state) for _ in range(5)]
+    for i, step in enumerate(steps):
+        assert step.k == i
         if i > 0:
-            assert np.array_equal(snap.z, state.snapshots[i - 1].points[-1])
-    assert np.array_equal(state.snapshots[-1].points[-1], state.z)
-    bare = run(prob, PowerStepsize(1.0, 1.0), x0=[2.0, 0.0], max_outer=5)
-    assert bare.snapshots is None
+            assert np.array_equal(step.z, steps[i - 1].points[-1])
+    assert np.array_equal(steps[-1].points[-1], state.z)
 
 
 def test_outer_step_feasibility_stage_meets_tolerance():
@@ -368,26 +378,26 @@ def test_outer_step_feasibility_stage_meets_tolerance():
     sched = PowerStepsize(0.7, 0.8)
     for theta in (0.5, 1.0, 2.0):
         state = SolverState(np.array([3.0, -2.0]))
-        for k in range(40):
-            rec, _ = outer_step(prob, sched, state, theta=theta)
-            assert rec.dist_z0 <= theta * sched.alpha(k)
+        for rec, _ in kept_rows(prob, sched, state, theta=theta, max_outer=40):
+            assert rec.dist_z0 <= theta * sched.alpha(rec.k)
             assert np.isfinite(rec.fejer_slack)
     # Random starts, same invariant.
     for _ in range(20):
         x0 = 4.0 * rng.standard_normal(2)
         state = SolverState(x0)
-        rec, _ = outer_step(prob, sched, state)
-        assert rec.dist_z0 <= sched.alpha(0)
+        step = outer_step(prob, sched, state)
+        assert step.dist_z0 <= sched.alpha(0)
 
 
 def test_recursive_average_matches_direct_weights():
     # x_k is maintained by the two-term recursion; rebuild it directly as
-    # sum(alpha_i z_i) / sigma_k from snapshots and compare.
+    # sum(alpha_i z_i) / sigma_k from the steps and compare.
     prob = build("quadratic_over_ball", {})
     sched = PowerStepsize(1.0, 1.0)
-    state = _run_with_snapshots(prob, sched, [2.0, 0.0], max_outer=200)
+    state = SolverState([2.0, 0.0])
+    steps = [outer_step(prob, sched, state) for _ in range(200)]
     alphas = np.array([sched.alpha(k) for k in range(200)])
-    zs = np.stack([s.points[-1] for s in state.snapshots])
+    zs = np.stack([s.points[-1] for s in steps])
     direct = (alphas[:, None] * zs).sum(axis=0) / alphas.sum()
     assert np.linalg.norm(state.x - direct) <= 1e-12
 
@@ -413,7 +423,8 @@ def _assert_kept_rows_are_hand_stepped(problem, schedule, x0, **options):
     cycle check equal the hand-stepped ones bit for bit, wall_time aside."""
     state = run(problem, schedule, x0=x0, **options)
     hand = SolverState(x0)
-    pairs = [outer_step(problem, schedule, hand) for _ in range(state.k)]
+    pairs = [solver._diagnose(problem, outer_step(problem, schedule, hand), 1.0)
+             for _ in range(state.k)]
     assert [c.k for c in state.cycle_checks] == [r.k for r in state.trace]
     for rec, check in zip(state.trace, state.cycle_checks):
         assert _bits(rec[:-1]) == _bits(pairs[rec.k][0][:-1]), rec.k
@@ -440,7 +451,7 @@ def _graph_adaptive():
 )
 def test_kept_rows_are_the_hand_stepped_records(make, cadence):
     # run diagnoses only the rows it keeps; those rows must be the records
-    # outer_step returns on every step, bit for bit.
+    # of the steps outer_step returns, bit for bit.
     problem, schedule, x0 = make()
     state = _assert_kept_rows_are_hand_stepped(problem, schedule, x0, max_outer=250, cadence=cadence)
     assert [r.k for r in state.trace] == sorted(set(range(0, 250, cadence)) | {249})
@@ -449,25 +460,17 @@ def test_kept_rows_are_the_hand_stepped_records(make, cadence):
 @pytest.mark.parametrize(
     "make", [_ball_power, _box_adaptive, _graph_adaptive], ids=["ball", "box", "graph"]
 )
-def test_a_snapshot_is_the_whole_step(make, monkeypatch):
-    # Each snapshot is the Step _advance returned, and diagnosing it again
-    # after the run gives the kept record and check, bit for bit but the
-    # wall time: a snapshot holds all the step's data, and no later step
-    # writes into it.
+def test_a_snapshot_is_the_whole_step(make):
+    # Diagnosing each Step outer_step returned, after the last step, gives
+    # run's record and check, bit for bit but the wall time: a Step holds
+    # all the step's data, and no later step writes into it.
     problem, schedule, x0 = make()
-    returned = []
-    advance = solver._advance
-
-    def recording_advance(*args):
-        returned.append(advance(*args))
-        return returned[-1]
-
-    monkeypatch.setattr(solver, "_advance", recording_advance)
-    state = _run_with_snapshots(problem, schedule, x0, max_outer=250)
-    assert len(state.snapshots) == len(returned) == len(state.trace) == 250
-    assert all(snap is step for snap, step in zip(state.snapshots, returned))
-    for snap, rec, check in zip(state.snapshots, state.trace, state.cycle_checks):
-        again, again_check = solver._diagnose(problem, snap, 1.0)
+    state = run(problem, schedule, x0=x0, max_outer=250)
+    hand = SolverState(x0)
+    steps = [outer_step(problem, schedule, hand) for _ in range(250)]
+    assert len(state.trace) == 250
+    for step, rec, check in zip(steps, state.trace, state.cycle_checks):
+        again, again_check = solver._diagnose(problem, step, 1.0)
         assert _bits(again[:-1]) == _bits(rec[:-1]), rec.k
         assert _bits(again_check) == _bits(check), rec.k
 

@@ -10,13 +10,13 @@ mutant there (never in the checkout), and runs the tier-1 suite with
 ``tests/test_mutants.py``, which checks this list against the sources. A
 mutant is killed when the suite fails; one that passes is either marked
 equivalent with its reason in ``MUTANTS`` or reported as a survivor to pin.
-``DELETED`` lists the code that earlier survivors showed no test could see,
-and that was removed instead; its text must no longer occur.
+``DELETED`` lists code that was removed, because earlier survivors showed no
+test could see it or because its job went; its text must no longer occur.
 
     python tools/mutants.py            # all mutants; writes tools/mutants.json
     python tools/mutants.py P03 I01    # only these; prints, writes nothing
 
-Standard library only. One mutant takes 2-57 s on a two-core host, the list about 32 minutes.
+Standard library only. One mutant takes 2-63 s on a two-core host, the list about 32 minutes.
 """
 
 from __future__ import annotations
@@ -117,9 +117,6 @@ MUTANTS = (
     Mutant("A11", "_advance", "branch", "if not all(map(math.isfinite, norms)):", "if False:"),
     Mutant("A12", "_advance", "term", "if not (alpha > 0 and math.isfinite(alpha)):",
            "if not math.isfinite(alpha):"),
-    Mutant("A13", "_advance", "copy", "state.snapshots.append(step)",
-           "state.snapshots.append(step._replace())"),
-    Mutant("A14", "_advance", "branch", "if state.snapshots is not None:", "if state.snapshots:"),
     Mutant("D01", "_diagnose", "term", "gap - (j - i) * step_bound", "gap - step_bound"),
     Mutant("D02", "_diagnose", "constant", "    drift = 0.0\n", "    drift = -math.inf\n"),
     Mutant("D03", "_diagnose", "branch", "for j in range(i + 1, len(points)):",
@@ -243,7 +240,7 @@ MUTANTS = (
            "np.argmax(self.rows @ x)"),
 )
 
-# Code that earlier mutants showed to be equivalent, and that went.
+# Code that went: earlier mutants showed it equivalent, or it lost its job.
 DELETED = (
     Deleted("X01", "_diagnose", "max(float(region._distance(p)) for p in points)",
             "every ExactSet._distance already returns a float, so the float() went"),
@@ -251,6 +248,10 @@ DELETED = (
             "StepSnapshot(k, z.copy(), z0.copy(), z_next.copy(), region, inner_iters)",
             "a step replaces the state's points and writes none of them in place, so the "
             "snapshot keeps the step's own arrays instead of three copies"),
+    Deleted("A13", "_advance", "state.snapshots.append(step)",
+            "the snapshots hook went: outer_step returns the Step, so no step appends it"),
+    Deleted("A14", "_advance", "if state.snapshots is not None:",
+            "the snapshots hook went: outer_step returns the Step, so no step appends it"),
 )
 
 
