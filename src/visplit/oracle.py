@@ -135,21 +135,18 @@ def feasible_points(problem: Problem, rng, count: int):
     dim = problem.dim
     out = []
     if family == "quadratic_over_ball":
-        center = np.asarray(meta["center"], dtype=float)
-        radius = float(meta["radius"])
+        center, radius = meta["center"], meta["radius"]
         for _ in range(count):
             d = rng.standard_normal(dim)
             d /= max(float(np.linalg.norm(d)), 1e-12)
             r = radius * rng.uniform() ** (1.0 / dim)
             out.append(center + r * d)
     elif family == "affine_vi_over_polyhedron" and "box" in meta:
-        lo, hi = (np.asarray(v, dtype=float) for v in meta["box"])
+        lo, hi = meta["box"]
         for _ in range(count):
             out.append(lo + rng.uniform(size=dim) * (hi - lo))
     elif family == "affine_vi_over_polyhedron":
-        rows = np.asarray(meta["rows"], dtype=float)
-        rhs = np.asarray(meta["rhs"], dtype=float)
-        w = np.asarray(meta["interior_point"], dtype=float)
+        rows, rhs, w = meta["rows"], meta["rhs"], meta["interior_point"]
         for _ in range(count):
             d = rng.standard_normal(dim)
             d /= max(float(np.linalg.norm(d)), 1e-12)
@@ -168,7 +165,7 @@ def feasible_points(problem: Problem, rng, count: int):
         else:
             out = [np.zeros(dim) for _ in range(count)]
     elif family == "a2":
-        L = np.asarray(meta["matrix"], dtype=float)
+        L = meta["matrix"]
         n = L.shape[1]
         for _ in range(count):
             x = rng.standard_normal(n)
@@ -222,10 +219,8 @@ def _ball_solution(M, c, center, radius):
     return point(hi)
 
 
-def _rows_solution(M, c, rows, rhs):
+def _rows_solution(M, c, R, d):
     """Affine VI over {R x <= d} by KKT active-set enumeration."""
-    R = np.asarray(rows, dtype=float)
-    d = np.asarray(rhs, dtype=float).reshape(-1)
     count = R.shape[0]
     if count > _MAX_QP_ROWS:
         raise ConfigError(f"oracle handles at most {_MAX_QP_ROWS} rows")
@@ -260,7 +255,7 @@ def grid_vi_solution(problem: Problem, step: float = 1e-3) -> Vector:
         raise ConfigError("grid oracle only covers box instances")
     if problem.dim != 2:
         raise ConfigError("grid oracle only covers dimension 2")
-    lo, hi = (np.asarray(v, dtype=float) for v in meta["box"])
+    lo, hi = meta["box"]
     M, c = probe_affine(problem.operators, 2)
     xs = np.arange(lo[0], hi[0] + 0.5 * step, step)
     ys = np.arange(lo[1], hi[1] + 0.5 * step, step)
@@ -285,12 +280,10 @@ def reference_solution(problem: Problem, rng=None) -> Vector:
     M, c = probe_affine(problem.operators, dim)
 
     if family == "quadratic_over_ball":
-        x = _ball_solution(
-            M, c, np.asarray(meta["center"], dtype=float), float(meta["radius"])
-        )
+        x = _ball_solution(M, c, meta["center"], meta["radius"])
     elif family == "affine_vi_over_polyhedron":
         if "box" in meta:
-            lo, hi = (np.asarray(v, dtype=float) for v in meta["box"])
+            lo, hi = meta["box"]
             rows = np.vstack([np.eye(dim), -np.eye(dim)])
             rhs = np.concatenate([hi, -lo])
         else:
@@ -304,7 +297,7 @@ def reference_solution(problem: Problem, rng=None) -> Vector:
         else:
             x = np.zeros(dim)
     elif family == "a2":
-        L = np.asarray(meta["matrix"], dtype=float)
+        L = meta["matrix"]
         n = L.shape[1]
         Z = np.vstack([np.eye(n), L])
         t = np.linalg.solve(Z.T @ M @ Z, -(Z.T @ c))

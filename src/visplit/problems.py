@@ -1,8 +1,10 @@
 """Shipped problem families with oracle-checkable solutions.
 
 Every builder returns a :class:`~visplit.solver.Problem` whose ``meta``
-records the family name and raw parameters, so reference oracles can
-recompute solutions along an independent route. Builders attach a known
+holds the family name and what the reference oracle needs of the feasible
+set (ball: center and radius; box: the stacked [lo, hi]; rows: rows, rhs
+and the interior point; a1: the objective; a2: the matrix), so the oracle
+can recompute solutions along an independent route. Builders attach a known
 solution and a matching certificate only where the derivation is a genuine
 closed form (ball projection, small linear solves); everything else is left
 to the reference oracle.
@@ -179,14 +181,7 @@ def build_quadratic_over_ball(
         label=f"quadratic_over_ball(m={m})",
         known_solution=x_star,
         certificate=cert,
-        meta={
-            "family": "quadratic_over_ball",
-            "target": target.tolist(),
-            "m": m,
-            "center": center.tolist(),
-            "radius": radius,
-            "squared": squared,
-        },
+        meta={"family": "quadratic_over_ball", "center": center, "radius": radius},
     )
 
 
@@ -229,7 +224,7 @@ def build_affine_vi_over_polyhedron(
             label="box_gauge",
         )
         constraint = Constraint(gauge, exact_set=BoxSet(lo, hi), label="box")
-        meta_set = {"box": [lo.tolist(), hi.tolist()]}
+        meta_set = {"box": np.stack([lo, hi])}
     else:
         if box is not None:
             raise ConfigError("give either a box or rows and rhs, not both")
@@ -238,9 +233,9 @@ def build_affine_vi_over_polyhedron(
         gauge = MaxOfAffine(rows, rhs, label="polyhedron_gauge")
         constraint = Constraint(gauge, slater_point=interior_point, label="polyhedron")
         meta_set = {
-            "rows": gauge.rows.tolist(),
-            "rhs": gauge.rhs.tolist(),
-            "interior_point": constraint.slater_point.tolist(),
+            "rows": gauge.rows,
+            "rhs": gauge.rhs,
+            "interior_point": constraint.slater_point,
         }
 
     ops = _split_affine(op, m)
@@ -248,13 +243,7 @@ def build_affine_vi_over_polyhedron(
         operators=ops,
         constraint=constraint,
         label=f"affine_vi({constraint.label}, m={m})",
-        meta={
-            "family": "affine_vi_over_polyhedron",
-            "matrix": op.matrix.tolist(),
-            "offset": op.offset.tolist(),
-            "m": m,
-            **meta_set,
-        },
+        meta={"family": "affine_vi_over_polyhedron", **meta_set},
     )
 
 
@@ -292,7 +281,7 @@ def build_a1(target=(0.05, 0.0), objective: str = "relu") -> Problem:
         label="argmin_refinement",
         known_solution=x_star,
         certificate=(op.select(x_star),),
-        meta={"family": "a1", "target": target.tolist(), "objective": objective},
+        meta={"family": "a1", "objective": objective},
     )
 
 
@@ -343,7 +332,7 @@ def build_a2(matrix=2.0, phi1: dict = {}, phi2: dict = {"center": [4.0]}) -> Pro
         known_solution=known,
         certificate=cert,
         use_exact_projection=True,
-        meta={"family": "a2", "matrix": L.tolist()},
+        meta={"family": "a2", "matrix": L},
     )
 
 
@@ -393,7 +382,7 @@ def build_a3(matrix=1.0, phi1: dict = {}, phi2: dict = {}) -> Problem:
         label="saddle_stationarity",
         known_solution=known,
         certificate=cert,
-        meta={"family": "a3", "matrix": L.tolist()},
+        meta={"family": "a3"},
     )
 
 

@@ -45,10 +45,10 @@ state's dimension is the problem's, and that z_{k+1} is finite.
 
 from __future__ import annotations
 
-import copy
 import inspect
 import math
 import time
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -135,8 +135,10 @@ class Problem:
     use_exact_projection replaces the feasibility stage with the
     constraint's exact projector, for feasible sets that are cheap to
     project onto directly. The descent-bound constants of a certificate,
-    max_i ||u_i|| and ||sum_i u_i||, are computed once here. meta is
-    deep-copied, so no later edit of the caller's dict reaches the problem.
+    max_i ||u_i|| and ||sum_i u_i||, are computed once here. meta is kept
+    as a read-only mapping: a str or number stays as given and any other
+    value becomes a read-only float array copy, so no edit of the caller's
+    dict or arrays reaches the problem.
 
     A problem is checked when built and rejects attribute assignment; a
     variant is built through the constructor, which checks it again.
@@ -186,7 +188,7 @@ class Problem:
             ("known_solution", known_solution),
             ("certificate", certificate),
             ("use_exact_projection", use_exact_projection),
-            ("meta", {} if meta is None else copy.deepcopy(meta)),
+            ("meta", MappingProxyType({k: _frozen(v) for k, v in (meta or {}).items()})),
             ("_eta_bar", None),
             ("_u_bar", None),
         ):
@@ -214,6 +216,14 @@ class Problem:
 
     def certificate_sum(self) -> np.ndarray:
         return np.sum(np.stack(self.certificate), axis=0)
+
+
+def _frozen(value):
+    if isinstance(value, (str, bool, int, float)):
+        return value
+    value = np.array(value, dtype=float)
+    value.flags.writeable = False
+    return value
 
 
 class TraceRecord(NamedTuple):

@@ -283,6 +283,12 @@ def test_non_numeric_values_exit_2(tmp_path, capsys, cfg, field):
             "rhs": [1.0, 0.0, 0.0], "interior_point": [0.25, 0.25]}},
         {"family": "affine_vi_over_polyhedron", "params": {
             "box": [[0.0, 0.0], [1.0, 1.0]], "interior_point": [0.25, 0.25]}},
+        {"family": "a3", "params": {"matrix": [[1.0, 2.0], [3.0, 4.0]]}},
+        {"family": "a3", "params": {"matrix": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]}},
+        {"family": "affine_vi_over_polyhedron", "params": {
+            "rows": [[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], "rhs": [1.0, 0.0, 0.0]}},
+        {"family": "affine_vi_over_polyhedron", "params": {
+            "rows": [[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]}},
         {"family": "a3", "schedule": {"kind": ["power"]}},
         {"family": "a3", "schedule": {"kind": {}}},
         {"family": "a3", "schedule": "power"},
@@ -296,7 +302,8 @@ def test_non_numeric_values_exit_2(tmp_path, capsys, cfg, field):
         "params", "x0-text", "x0-dim", "x0-word", "theta-inf", "label",
         "a3-nan", "a2-inf", "target_err", "ball-m-huge", "polyhedron-m-huge", "m-inf",
         "radius-text", "squared-text", "weight-bool", "phi-null", "box-and-rows",
-        "box-and-interior-point", "kind-list", "kind-object", "schedule-text",
+        "box-and-interior-point", "a3-not-self-adjoint", "a3-not-square",
+        "rows-without-interior-point", "rows-without-rhs", "kind-list", "kind-object", "schedule-text",
         "radius-overflow", "label-nul", "output-nul", "a2-dim-over-cap", "ball-dim-over-cap",
     ],
 )
@@ -681,9 +688,9 @@ def test_a_run_failing_after_some_rows_leaves_earlier_files_as_they_were(
 
 
 def test_check_command(capsys):
-    assert main(["check", "--suite", "projections", "--trials", "40"]) == 0
+    assert main(["check", "--suite", "all", "--trials", "40"]) == 0
     out = capsys.readouterr().out
-    assert "checks passed" in out
+    assert "22/22 checks passed" in out
     assert "FAIL" not in out
     with pytest.raises(SystemExit) as exc:
         main(["check", "--suite", "nonsense"])  # rejected by the parser

@@ -118,6 +118,27 @@ def test_vi_gap_is_negative_away_from_the_solution():
     assert vi_gap(prob, [0.0, 1.0], rng) < -0.5
 
 
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("a1", {}),
+        ("a1", {"objective": "norm"}),
+        ("a1", {"objective": "sqnorm"}),
+        ("a1", {"target": [-1.0, 2.0]}),
+        ("a3", {}),
+        ("a3", {"phi1": {"center": [1.0]}}),
+        ("a2", {}),
+        ("quadratic_over_ball", {"m": 4, "target": [2.0, 0.0]}),
+    ],
+    ids=["a1-relu", "a1-norm", "a1-sqnorm", "a1-moved", "a3", "a3-moved", "a2", "ball-m4"],
+)
+def test_reference_route_agrees_with_the_builders_solution(family, params):
+    # The builder's closed form and the oracle's probe-and-solve route are
+    # derived apart, from the operators and meta; they agree to roundoff.
+    prob = build(family, params)
+    assert np.max(np.abs(reference_solution(prob) - prob.known_solution)) <= 1e-15
+
+
 def test_reference_solution_rejects_unknown_meta():
     with pytest.raises(ConfigError):
         reference_solution(_line_problem())

@@ -98,7 +98,6 @@ def test_ball_family_exterior_target():
     assert np.allclose(prob.certificate[0], [-1.0, 0.0], atol=1e-12, rtol=0)
     assert prob.meta["family"] == "quadratic_over_ball"
     assert prob.meta["radius"] == 1.0
-    assert prob.meta["target"] == [2.0, 0.0]
     assert prob.label == "quadratic_over_ball(m=1)"
 
 
@@ -128,8 +127,6 @@ def test_ball_family_gauge_variants():
     assert sq.constraint.value([2.0, 0.0]) == 3.0
     assert lin.constraint.value([2.0, 0.0]) == 1.0
     assert np.allclose(lin.known_solution, sq.known_solution, atol=1e-12, rtol=0)
-    assert sq.meta["squared"] is True
-    assert lin.meta["squared"] is False
 
 
 def test_box_instance_reference_and_grid_agree():
@@ -160,7 +157,7 @@ def test_rows_instance_reference():
     # T = x - (2, 2) pulled into the simplex-like triangle: the active face
     # is x1 + x2 = 1 and symmetry puts the solution at its midpoint.
     assert np.allclose(reference_solution(prob), [0.5, 0.5], atol=1e-9, rtol=0)
-    assert prob.meta["interior_point"] == [0.25, 0.25]
+    assert np.array_equal(prob.meta["interior_point"], [0.25, 0.25])
 
 
 def test_a1_relu_objective():

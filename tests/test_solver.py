@@ -1,4 +1,3 @@
-import copy
 import inspect
 import itertools
 import math
@@ -29,6 +28,7 @@ from visplit import (
     build,
     kept_rows,
     outer_step,
+    reference_solution,
     run,
 )
 from visplit import solver
@@ -134,21 +134,43 @@ def test_problem_validation():
 
 
 def test_a_problem_keeps_its_own_meta():
-    # The oracle picks its reference route by meta["family"], so an edit of
-    # the caller's dict, nested lists included, must not reach the problem.
-    a3 = build("a3", {})
-    meta = copy.deepcopy(a3.meta)
-    problem = Problem(a3.operators, a3.constraint, meta=meta)
+    # The oracle picks its reference route by meta["family"] and reads the
+    # arrays beside it, so an edit of the caller's dict, arrays or lists
+    # must not reach the problem, and the problem's meta cannot be edited.
+    prob = build(
+        "affine_vi_over_polyhedron",
+        {
+            "rows": [[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+            "rhs": [1.0, 0.0, 0.0],
+            "matrix": [[1.0, 0.0], [0.0, 1.0]],
+            "offset": [-2.0, -2.0],
+            "interior_point": [0.25, 0.25],
+        },
+    )
+    rows, rhs = [[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], np.array([1.0, 0.0, 0.0])
+    meta = {
+        "family": "affine_vi_over_polyhedron",
+        "rows": rows,
+        "rhs": rhs,
+        "interior_point": [0.25, 0.25],
+    }
+    problem = Problem(prob.operators, prob.constraint, meta=meta)
     meta["family"] = "quadratic_over_ball"
-    meta["matrix"][0][0] = 5.0
-    meta["matrix"].append([1.0])
-    assert problem.meta == a3.meta == {"family": "a3", "matrix": [[1.0]]}
-    ball = build("quadratic_over_ball", {})
-    meta = copy.deepcopy(ball.meta)
-    problem = Problem(ball.operators, ball.constraint, meta=meta)
-    meta["center"][0] = 3.0
-    meta["target"].append(0.0)
-    assert problem.meta == ball.meta
+    rows[0][0] = 5.0
+    rows.append([1.0, 0.0])
+    rhs[0] = -1.0
+    assert problem.meta["family"] == "affine_vi_over_polyhedron"
+    assert np.array_equal(problem.meta["rows"], [[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    assert np.array_equal(problem.meta["rhs"], [1.0, 0.0, 0.0])
+    assert np.allclose(reference_solution(problem), [0.5, 0.5], atol=1e-9, rtol=0)
+    with pytest.raises(TypeError):
+        problem.meta["family"] = "quadratic_over_ball"
+    with pytest.raises(ValueError):
+        problem.meta["rhs"][0] = -1.0
+    with pytest.raises(TypeError):
+        build("a3", {}).meta["family"] = "x"
+    with pytest.raises(ValueError):
+        build("a2", {}).meta["matrix"][0, 0] = 5.0
 
 
 def test_first_outer_step_on_ball_frozen():
@@ -506,7 +528,8 @@ def test_records_and_problems_reject_assignment_and_share_no_state():
     assert one.cycle_checks is not two.cycle_checks
     op = AffineOperator(np.eye(2))
     first, second = _free_problem(op), _free_problem(op)
-    first.meta["note"] = 1
+    with pytest.raises(TypeError):
+        first.meta["note"] = 1
     assert second.meta == {}
 
 
