@@ -41,16 +41,28 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-def _row(name: str, worst: float, tol: float, extra: str = "") -> CheckResult:
-    detail = f"worst {worst:.3e} (tol {tol:.1e})"
-    if extra:
-        detail += f", {extra}"
-    return CheckResult(name, worst <= tol, detail)
+def _row(name: str, worst: float, tol: float) -> CheckResult:
+    return CheckResult(name, worst <= tol, f"worst {worst:.3e} (tol {tol:.1e})")
 
 
 def _ball_gauge(center, radius) -> Constraint:
     gauge = Quadratic.ball_gauge(center, radius, "gauge")
     return Constraint(gauge, exact_set=BallSet(center, radius))
+
+
+def _ball(rng):
+    """A random ball in dimension 2 to 5: its squared-gauge constraint, center, radius."""
+    n = int(rng.integers(2, 6))
+    center = rng.standard_normal(n)
+    radius = float(rng.uniform(0.3, 2.0))
+    return _ball_gauge(center, radius), center, radius
+
+
+def _outside(rng, center, radius, lo, hi):
+    """A point at lo to hi radii from the center, along a random direction."""
+    d = rng.standard_normal(center.size)
+    d /= float(np.linalg.norm(d))
+    return center + radius * float(rng.uniform(lo, hi)) * d
 
 
 def projection_samples(rng, trials: int):
@@ -69,14 +81,9 @@ def projection_samples(rng, trials: int):
         w = 3.0 * rng.standard_normal(n)
         yield "single", h.project(w), w, [h]
     for _ in range(trials):
-        n = int(rng.integers(2, 6))
-        center = rng.standard_normal(n)
-        radius = float(rng.uniform(0.3, 2.0))
-        con = _ball_gauge(center, radius)
-        d = rng.standard_normal(n)
-        d /= float(np.linalg.norm(d))
-        z = center + radius * float(rng.uniform(1.05, 3.0)) * d
-        w = z + 0.7 * rng.standard_normal(n)
+        con, center, radius = _ball(rng)
+        z = _outside(rng, center, radius, 1.05, 3.0)
+        w = z + 0.7 * rng.standard_normal(z.size)
         sep = con.separator_at(z)
         loc = Halfspace(w - z, float((w - z) @ z))
         yield "pair", project_halfspace_pair(sep, z, w), w, [sep, loc]
@@ -184,12 +191,9 @@ def check_constraints(seed: int = 0, trials: int = 200) -> list[CheckResult]:
     # dist_upper must bound the true distance for every rule on the same set.
     worst = 0.0
     for _ in range(trials):
-        n = int(rng.integers(2, 6))
-        center = rng.standard_normal(n)
-        radius = float(rng.uniform(0.3, 2.0))
-        exact = _ball_gauge(center, radius)
+        exact, center, _ = _ball(rng)
         slater = Constraint(exact.fn, slater_point=center)
-        y = center + 4.0 * rng.standard_normal(n)
+        y = center + 4.0 * rng.standard_normal(center.size)
         true_d = float(exact.exact_set.distance(y))
         worst = max(worst, true_d - exact.dist_upper(y), true_d - slater.dist_upper(y))
     out.append(_row("distance rules bound the true distance", worst, 1e-9))
@@ -197,16 +201,11 @@ def check_constraints(seed: int = 0, trials: int = 200) -> list[CheckResult]:
     # Separating halfspaces must contain the feasible set.
     worst = 0.0
     for _ in range(trials):
-        n = int(rng.integers(2, 6))
-        center = rng.standard_normal(n)
-        radius = float(rng.uniform(0.3, 2.0))
-        con = _ball_gauge(center, radius)
-        d = rng.standard_normal(n)
-        d /= float(np.linalg.norm(d))
-        y = center + radius * float(rng.uniform(1.01, 4.0)) * d
+        con, center, radius = _ball(rng)
+        y = _outside(rng, center, radius, 1.01, 4.0)
         sep = con.separator_at(y)
         for _ in range(20):
-            s = con.exact_set.project(center + 3.0 * rng.standard_normal(n))
+            s = con.exact_set.project(center + 3.0 * rng.standard_normal(y.size))
             worst = max(worst, float(sep.distance(s)))
         worst = max(worst, -(sep.residual(y)))
     out.append(_row("separators contain the feasible set", worst, 1e-9))
@@ -221,13 +220,8 @@ def check_innerloop(seed: int = 0, trials: int = 150) -> list[CheckResult]:
     worst_fejer = 0.0
     worst_shortcut = 0.0
     for _ in range(trials):
-        n = int(rng.integers(2, 6))
-        center = rng.standard_normal(n)
-        radius = float(rng.uniform(0.3, 2.0))
-        con = _ball_gauge(center, radius)
-        d = rng.standard_normal(n)
-        d /= float(np.linalg.norm(d))
-        z = center + radius * float(rng.uniform(1.05, 3.0)) * d
+        con, center, radius = _ball(rng)
+        z = _outside(rng, center, radius, 1.05, 3.0)
         tol = float(rng.uniform(0.01, 0.3))
         res = run_inner(con, z, tol)
         worst_exit = max(worst_exit, res.dist_bound_at_exit - tol)
@@ -235,7 +229,7 @@ def check_innerloop(seed: int = 0, trials: int = 150) -> list[CheckResult]:
         if res.iterations < 1:
             worst_exit = max(worst_exit, 1.0)
         for _ in range(20):
-            s = con.exact_set.project(center + 3.0 * rng.standard_normal(n))
+            s = con.exact_set.project(center + 3.0 * rng.standard_normal(z.size))
             gap = float(np.linalg.norm(res.z0 - s)) - float(np.linalg.norm(z - s))
             worst_fejer = max(worst_fejer, gap)
             worst_fejer = max(worst_fejer, float(res.sep.distance(s)))

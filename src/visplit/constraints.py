@@ -42,6 +42,9 @@ from .errors import (
 from .operators import ConvexFunction
 from .space import Vector, as_dim, as_matrix, as_number, as_point, difference, norm
 
+# Smallest normal float: a squared length below it has lost digits.
+_MIN_SQ = np.finfo(float).tiny
+
 
 class ExactSet:
     """Closed convex set with an exact projector and distance."""
@@ -71,7 +74,10 @@ class Halfspace(ExactSet):
 
     A zero normal with nonnegative offset denotes the whole space, which
     ``Halfspace.whole_space(dim)`` builds. A zero normal with negative
-    offset would be empty and is rejected.
+    offset would be empty and is rejected. A nonzero normal whose squared
+    length overflows or falls below the normal float range is stored
+    divided, with the offset, by its largest entry: the same halfspace. An
+    offset that this division makes infinite raises ``NonFiniteValue``.
     """
 
     def __init__(self, normal, offset: float):
@@ -88,7 +94,13 @@ class Halfspace(ExactSet):
         offset = float(offset)
         if not np.isfinite(offset):
             raise NonFiniteValue("halfspace offset must be finite")
-        self._sq = float(normal @ normal)
+        self._sq = float(np.vdot(normal, normal))
+        if not _MIN_SQ <= self._sq < math.inf and normal.any():
+            big = float(np.max(np.abs(normal)))
+            normal, offset = normal / big, offset / big
+            if not math.isfinite(offset):
+                raise NonFiniteValue(f"halfspace offset {offset!r} after rescaling the normal")
+            self._sq = float(np.vdot(normal, normal))
         if self._sq == 0.0 and offset < 0.0:
             raise InfeasibleConstraint("zero normal with negative offset is empty")
         self.normal = normal
@@ -320,7 +332,7 @@ class Constraint:
             raise NonFiniteValue(
                 f"constraint value c(y) = {cy!r} is not finite at the separator point"
             )
-        if float(g @ g) == 0.0:
+        if not g.any():
             if cy > 0.0:
                 raise InfeasibleConstraint(
                     "zero subgradient at an infeasible point: feasible set is empty"

@@ -297,6 +297,7 @@ def test_non_numeric_values_exit_2(tmp_path, capsys, cfg, field):
         {"family": "quadratic_over_ball", "output": "o\u0000ut"},
         {"family": "a2", "params": {"matrix": [[1.0] * MAX_DIM], "phi2": {}}},
         {"family": "quadratic_over_ball", "params": {"target": [1.0] * (MAX_DIM + 1)}},
+        {"max_outer": 3},
     ],
     ids=[
         "params", "x0-text", "x0-dim", "x0-word", "theta-inf", "label",
@@ -305,6 +306,7 @@ def test_non_numeric_values_exit_2(tmp_path, capsys, cfg, field):
         "box-and-interior-point", "a3-not-self-adjoint", "a3-not-square",
         "rows-without-interior-point", "rows-without-rhs", "kind-list", "kind-object", "schedule-text",
         "radius-overflow", "label-nul", "output-nul", "a2-dim-over-cap", "ball-dim-over-cap",
+        "no-family",
     ],
 )
 def test_bad_second_config_stops_the_batch_before_any_run(tmp_path, capsys, bad):
@@ -703,6 +705,13 @@ def test_check_command(capsys):
     assert all(name in usage for name in CHECK_SUITES)
 
 
+def test_a_suite_runs_at_its_default_trials_and_an_unknown_one_is_refused():
+    rows = checks.run_suite("constraints")
+    assert len(rows) == 2 and all(row.passed for row in rows)
+    with pytest.raises(ConfigError, match="unknown check suite 'nope'"):
+        checks.run_suite("nope")
+
+
 def test_a_small_trials_count_still_draws_every_sweep(monkeypatch, capsys):
     # The optimality and finite-difference sweeps take a share of --trials;
     # with --trials 2 each must still draw a sample before it reports ok.
@@ -763,6 +772,22 @@ def test_bench_bad_values_exit_2(tmp_path, capsys, cfg, field):
     path = _write_cfg(tmp_path / "bench.json", cfg)
     assert main(["bench", path]) == 2
     assert f"{path}.{field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("run", [1, 2], "must hold an object or a list of objects"),
+        ("bench", [{"grid": [0.1]}, {"grid": [0.2]}], "must hold a single object"),
+    ],
+    ids=["run-list-of-numbers", "bench-two-objects"],
+)
+def test_a_config_file_of_the_wrong_shape_exits_2(tmp_path, capsys, command, content, message):
+    path = _write_cfg(tmp_path / "cfg.json", content)
+    out = tmp_path / "out"
+    assert main([command, path, "--output", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_dim_above_the_cap_exits_2_before_building(tmp_path, capsys, monkeypatch):

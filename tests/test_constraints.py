@@ -56,6 +56,30 @@ def test_zero_normal_negative_offset_is_empty():
         Halfspace([0.0, 0.0], -1.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e200, 1e155, 1e-100, 1e-160, 1e-200])
+def test_a_halfspace_is_the_same_set_at_any_scale_of_its_normal(scale):
+    # {scale * x1 <= scale} is {x1 <= 1}. A squared length that overflows
+    # (1e155) or leaves the normal float range (1e-160 is subnormal, 1e-200
+    # is 0) has the normal and offset divided by the largest entry.
+    h = Halfspace([scale, 0.0], scale)
+    assert np.array_equal(h.project([2.0, 0.0]), [1.0, 0.0])
+    assert h.distance([2.0, 0.0]) == 1.0
+    assert not h.is_whole_space
+    rescaled = not 1e-154 < scale < 1e154
+    assert h.normal[0] == (1.0 if rescaled else scale)
+    assert h.offset == (1.0 if rescaled else scale)
+
+
+def test_an_offset_that_rescaling_makes_infinite_is_a_typed_error():
+    with pytest.raises(NonFiniteValue, match="after rescaling"):
+        Halfspace([1e-200, 0.0], 1e200)
+    # Far out on the unit ball's squared gauge, <g, y> overflows the offset.
+    cons = _unit_ball_constraint(slater_point=[0.0, 0.0])
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteValue, match="offset must be finite"):
+        cons.separator_at([1e154, 0.0])
+
+
 def test_halfspace_projection_is_firmly_nonexpansive():
     rng = np.random.default_rng(21)
     worst_firm = 0.0

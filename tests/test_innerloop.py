@@ -8,6 +8,7 @@ from visplit import (
     Halfspace,
     IterationBudgetExceeded,
     MaxOfAffine,
+    NormFunction,
     Quadratic,
     feasible_shortcut,
     run_inner,
@@ -40,6 +41,19 @@ def test_affine_constraint_finishes_in_one_projection():
     assert res.iterations == 1
     assert np.array_equal(res.z0, [0.0, 3.0])
     assert res.dist_bound_at_exit == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e200, 1e-100, 1e-200])
+def test_a_norm_gauge_at_any_scale_needs_one_projection(scale):
+    # c = scale * (||x|| - 1): the separator at (2, 0) is {x1 <= 1} at every
+    # scale, though its normal's squared length is inf at 1e200 and 0 at 1e-200.
+    con = Constraint(
+        NormFunction([0.0, 0.0], scale=scale, offset=-scale), exact_set=BallSet([0.0, 0.0], 1.0)
+    )
+    res = run_inner(con, [2.0, 0.0], tol=0.1)
+    assert res.iterations == 1
+    assert np.array_equal(res.z0, [1.0, 0.0])
 
 
 def test_run_inner_rejects_feasible_base():

@@ -27,7 +27,7 @@ from visplit import (
     with_reference,
 )
 from visplit import oracle, solver
-from visplit.oracle import probe_affine, reference_solution, vi_gap
+from visplit.oracle import feasible_points, probe_affine, reference_solution, vi_gap
 
 
 def _line_problem():
@@ -129,8 +129,11 @@ def test_vi_gap_is_negative_away_from_the_solution():
         ("a3", {"phi1": {"center": [1.0]}}),
         ("a2", {}),
         ("quadratic_over_ball", {"m": 4, "target": [2.0, 0.0]}),
+        ("quadratic_over_ball", {"target": [0.5, 0.0]}),
+        ("quadratic_over_ball", {"target": [10.0, 0.0]}),
     ],
-    ids=["a1-relu", "a1-norm", "a1-sqnorm", "a1-moved", "a3", "a3-moved", "a2", "ball-m4"],
+    ids=["a1-relu", "a1-norm", "a1-sqnorm", "a1-moved", "a3", "a3-moved", "a2", "ball-m4",
+         "ball-interior", "ball-far"],
 )
 def test_reference_route_agrees_with_the_builders_solution(family, params):
     # The builder's closed form and the oracle's probe-and-solve route are
@@ -142,6 +145,30 @@ def test_reference_route_agrees_with_the_builders_solution(family, params):
 def test_reference_solution_rejects_unknown_meta():
     with pytest.raises(ConfigError):
         reference_solution(_line_problem())
+    with pytest.raises(ConfigError, match="no feasible sampler"):
+        feasible_points(_line_problem(), np.random.default_rng(0), 1)
+
+
+def test_reference_solution_refuses_what_it_cannot_solve():
+    angles = np.linspace(0.0, 2.0 * np.pi, 13, endpoint=False)
+    rows = np.column_stack([np.cos(angles), np.sin(angles)])
+    prob = build(
+        "affine_vi_over_polyhedron",
+        {"rows": rows.tolist(), "rhs": [1.0] * 13, "interior_point": [0.0, 0.0]},
+    )
+    with pytest.raises(ConfigError, match="at most 12 rows"):
+        reference_solution(prob)
+    # The ball multiplier would have to pass 1e12, where the bracket stops.
+    with pytest.raises(ConfigError, match="bracket failed"):
+        reference_solution(build("quadratic_over_ball", {"target": [1e13, 0.0]}))
+    # T = (0, 1) over {x1 <= 1} has no solution: x2 can always fall further.
+    drift = build(
+        "affine_vi_over_polyhedron",
+        {"matrix": [[0.0, 0.0], [0.0, 0.0]], "offset": [0.0, 1.0], "rows": [[1.0, 0.0]],
+         "rhs": [1.0], "interior_point": [0.0, 0.0]},
+    )
+    with pytest.raises(ConfigError, match="no KKT point"):
+        reference_solution(drift)
 
 
 def test_with_reference_rejects_a_wrong_declared_solution():
@@ -158,6 +185,18 @@ def test_with_reference_rejects_a_wrong_declared_solution():
     # Agreement within tolerance passes through unchanged.
     same = with_reference(prob)
     assert same.certificate is prob.certificate
+    # A declared solution without a certificate is kept, and its selections
+    # are the builder's certificate bit for bit.
+    split = build("quadratic_over_ball", {"m": 2})
+    bare = Problem(
+        operators=split.operators,
+        constraint=split.constraint,
+        known_solution=split.known_solution,
+        meta=split.meta,
+    )
+    got = with_reference(bare)
+    assert got.known_solution.tobytes() == split.known_solution.tobytes()
+    assert [u.tobytes() for u in got.certificate] == [u.tobytes() for u in split.certificate]
 
 
 def test_grid_oracle_guards():
@@ -222,6 +261,26 @@ def test_audit_replays_a_constrained_run_exactly():
     assert report.max_replay_gap == 0.0
     assert report.fejer_violations == 0
     assert report.ok
+
+
+def test_audit_counts_the_steps_a_wrong_solution_breaks():
+    # The builder's certificate with a declared solution on the far side of
+    # the ball: the quasi-distance bound toward it fails on exactly one step.
+    far = build("quadratic_over_ball", {"target": [10.0, 0.0]})
+    wrong = Problem(
+        operators=far.operators,
+        constraint=far.constraint,
+        known_solution=[-1.0, 0.0],
+        certificate=far.certificate,
+        meta=far.meta,
+    )
+    sched = PowerStepsize(0.6, 0.55)
+    report = fejer_audit(wrong, sched, 200, x0=[0.0, 1.0])
+    assert report.fejer_violations == 1
+    assert not report.ok
+    # theta is the audited run's own: the right solution holds at any theta.
+    for theta in (0.5, 2.0):
+        assert fejer_audit(far, sched, 200, x0=[0.0, 1.0], theta=theta).ok
 
 
 def test_audit_holds_one_step_at_a_time():

@@ -136,7 +136,7 @@ def test_box_instance_reference_and_grid_agree():
     assert np.allclose(x, [0.0, 1.0], atol=1e-9, rtol=0)
     from visplit import grid_vi_solution
 
-    g = grid_vi_solution(prob, step=1e-3)
+    g = grid_vi_solution(prob)
     assert np.linalg.norm(x - g) <= 2e-3
     enriched = with_reference(prob)
     assert np.allclose(enriched.known_solution, x, atol=1e-12, rtol=0)
@@ -201,6 +201,12 @@ def test_a2_composite_solution_and_certificate():
     assert np.allclose(
         reference_solution(prob), prob.known_solution, atol=1e-9, rtol=0
     )
+    # A first-order system whose solve leaves a residual above 1e-9 |g| is
+    # not declared: here phi2's weight is 1e-8, and its centre 2e10 is far.
+    L = [[0.04, -0.51, 0.59], [0.89, 0.32, -0.82]]
+    phi2 = {"weight": 1e-8, "center": [2e10, 0.0, -2e10]}
+    far = build("a2", {"matrix": L, "phi1": {"center": [-0.5, 0.88]}, "phi2": phi2})
+    assert far.known_solution is None and far.certificate is None
 
 
 def test_a2_zero_objective_stays_on_the_graph():
