@@ -9,19 +9,25 @@ iterates are Fejer monotone; the reported iterate is a stepsize-weighted
 running average, which is the sequence that converges for merely monotone
 (for example rotational) operators.
 
-Layers: ``operators`` and ``constraints`` define the oracle interfaces,
-``innerloop`` drives an infeasible point toward C through halfspace
-projections, ``solver`` runs the outer iteration with traces and
-diagnostics, ``problems`` ships ready-made families, ``oracle`` recomputes
-everything along independent routes, ``checks`` bundles seeded sweeps, and
-``cli`` exposes the batch interface.
+Layers: ``operators`` and ``constraints`` define the oracle interfaces
+(``Operator``, ``AffineOperator``, ``ConvexFunction``, ``Quadratic``,
+``ExactSet``, ``Halfspace``, ``BallSet``, ``Constraint``), ``innerloop``
+drives an infeasible point toward C through halfspace projections,
+``solver`` runs the outer iteration with traces and diagnostics,
+``problems`` ships ready-made families with the oracles and sets only they
+use (``GradientOperator``, ``ScaledOperator``, ``EmbeddedOperator``,
+``NormFunction``, ``MaxOfAffine``, ``ConstantFunction``, ``BoxSet``,
+``GraphSet``), ``oracle`` recomputes everything along independent routes,
+``checks`` bundles seeded sweeps, and ``cli`` exposes the batch interface.
 
 Start-up: ``import visplit`` loads no submodule. Each public name below is
 imported from its submodule on first access (PEP 562), so a solver run
-loads ``space``, ``errors``, ``operators``, ``constraints``, ``innerloop``
-and ``solver`` only; ``visplit run`` adds ``problems`` and ``cli``.
-``oracle``, ``problems`` and ``checks`` load on first use, and
-``from visplit import *`` loads every module that exports a name.
+loads ``errors``, ``space``, ``operators``, ``constraints``, ``innerloop``
+and ``solver`` only (``tests/test_imports.py`` holds it to that); ``visplit
+run`` adds ``problems`` and ``cli``. ``oracle``, ``problems`` and
+``checks`` load on first use, so a name that lives in ``problems``, such as
+``MaxOfAffine``, loads the families with it; ``from visplit import *``
+loads every module that exports a name.
 """
 
 from importlib import import_module
@@ -31,26 +37,22 @@ __version__ = "0.1.0"
 # Public names by the submodule that defines them.
 _EXPORTS = {
     "constraints": (
-        "BallSet", "BoxSet", "Constraint", "ExactSet", "GraphSet", "Halfspace",
-        "project_halfspace_pair",
+        "BallSet", "Constraint", "ExactSet", "Halfspace", "project_halfspace_pair",
     ),
     "errors": (
         "ConfigError", "DimensionMismatch", "InfeasibleConstraint",
         "IterationBudgetExceeded", "NonFiniteIterate", "NonFiniteValue", "VisplitError",
     ),
     "innerloop": ("InnerResult", "feasible_shortcut", "run_inner"),
-    "operators": (
-        "AffineOperator", "ConstantFunction", "ConvexFunction", "EmbeddedOperator",
-        "GradientOperator", "MaxOfAffine", "NormFunction", "Operator", "Quadratic",
-        "ScaledOperator", "sum_select",
-    ),
+    "operators": ("AffineOperator", "ConvexFunction", "Operator", "Quadratic", "sum_select"),
     "oracle": (
         "AuditReport", "fejer_audit", "grid_vi_solution", "qp_project",
         "reference_solution", "with_reference",
     ),
     "problems": (
-        "FAMILIES", "build", "build_a1", "build_a2", "build_a3",
-        "build_affine_vi_over_polyhedron", "build_quadratic_over_ball",
+        "BoxSet", "ConstantFunction", "EmbeddedOperator", "FAMILIES", "GradientOperator",
+        "GraphSet", "MaxOfAffine", "NormFunction", "ScaledOperator", "build", "build_a1",
+        "build_a2", "build_a3", "build_affine_vi_over_polyhedron", "build_quadratic_over_ball",
     ),
     "solver": (
         "AdaptivePowerStepsize", "ConstantStepsize", "CycleCheck", "PowerStepsize",

@@ -14,24 +14,19 @@ from typing import NamedTuple
 import numpy as np
 
 from . import oracle
-from .constraints import (
-    BallSet,
-    BoxSet,
-    Constraint,
-    GraphSet,
-    Halfspace,
-    project_halfspace_pair,
-)
+from .constraints import BallSet, Constraint, Halfspace, project_halfspace_pair
 from .errors import ConfigError
 from .innerloop import feasible_shortcut, run_inner
-from .operators import (
-    AffineOperator,
+from .operators import AffineOperator, Quadratic
+from .problems import (
+    FAMILIES,
+    BoxSet,
     GradientOperator,
+    GraphSet,
     MaxOfAffine,
     NormFunction,
-    Quadratic,
+    build,
 )
-from .problems import FAMILIES, build
 from .solver import AdaptivePowerStepsize, PowerStepsize
 
 

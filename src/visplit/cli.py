@@ -35,8 +35,9 @@ import numpy as np
 from . import problems
 from .constraints import Constraint, Halfspace
 from .errors import ConfigError, VisplitError
-from .innerloop import projection_growth, run_inner
-from .operators import MaxOfAffine, Quadratic
+from .innerloop import run_inner
+from .operators import Quadratic
+from .problems import MaxOfAffine
 from .solver import (
     AdaptivePowerStepsize,
     ConstantStepsize,
@@ -48,7 +49,7 @@ from .solver import (
     kept_rows,
     run_options,
 )
-from .space import as_number, as_object, as_point
+from .space import as_number, as_object, as_point, norm
 
 # The keyword options of ``run``: the parameters of ``run_options`` after ``problem``.
 RUN_OPTIONS = tuple(inspect.signature(run_options).parameters)[1:]
@@ -325,6 +326,27 @@ def _bench_config(args) -> dict:
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     seed = as_number(seed, f"{where}.seed", integer=True, at_least=0)
     return {"grid": grid, "reps": reps, "dim": dim, "seed": seed}
+
+
+def projection_growth(constraint: Constraint, grid, reps: int, rng) -> tuple[list, list]:
+    """Mean ``run_inner`` projections and mean seconds per call, per tolerance.
+
+    For each tolerance of ``grid``, ``reps`` base points are drawn outside
+    the unit sphere (a uniform direction scaled by 1 + U(0.05, 2)) and each
+    is driven to the tolerance.
+    """
+    means, seconds = [], []
+    for tol in grid:
+        counts = []
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            d = rng.standard_normal(constraint.dim)
+            d /= norm(d)
+            z = (1.0 + float(rng.uniform(0.05, 2.0))) * d
+            counts.append(run_inner(constraint, z, tol).iterations)
+        seconds.append((time.perf_counter() - t0) / reps)
+        means.append(float(np.mean(counts)))
+    return means, seconds
 
 
 def _cmd_bench(args) -> int:

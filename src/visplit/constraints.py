@@ -17,7 +17,8 @@ moves z to the vertex in one step and checks that it is feasible.
 
 Every region the cycle projects onto is an ``ExactSet``: a separating
 ``Halfspace``, the whole space ``Halfspace.whole_space(dim)``, or a set with
-a closed-form projector (ball, box, graph of a linear map).
+a closed-form projector: the ``BallSet`` here, or the box and graph sets of
+the shipped families, which live in ``problems``.
 
 Each public per-point method checks its points with ``as_point`` and calls
 a kernel that trusts them: ``_project``, ``_distance``, ``_residual``,
@@ -40,7 +41,7 @@ from .errors import (
     NonFiniteValue,
 )
 from .operators import ConvexFunction
-from .space import Vector, as_dim, as_matrix, as_number, as_point, difference, norm
+from .space import Vector, as_dim, as_number, as_point, difference, norm
 
 # Smallest normal float: a squared length below it has lost digits.
 _MIN_SQ = np.finfo(float).tiny
@@ -212,42 +213,6 @@ class BallSet(ExactSet):
     def _distance(self, y: Vector) -> float:
         _, r, s = difference(y, self.center)
         return max(0.0, s * r - self.radius)
-
-
-class BoxSet(ExactSet):
-    """Axis-aligned box [lo, hi]; projection clamps componentwise."""
-
-    def __init__(self, lo, hi):
-        lo = as_point(lo)
-        hi = as_point(hi, lo.size)
-        if np.any(lo > hi):
-            raise ConfigError("box has lo > hi in some coordinate")
-        super().__init__(lo.size)
-        self.lo = lo.copy()
-        self.hi = hi.copy()
-
-    def _project(self, y: Vector) -> Vector:
-        return np.clip(y, self.lo, self.hi)
-
-
-class GraphSet(ExactSet):
-    """Graph subspace {(x, y) : L x = y} of a linear map, stacked as one vector.
-
-    Projection solves the normal equations (I + L'L) x = x0 + L'y0, which is
-    the exact least-squares projection onto the subspace.
-    """
-
-    def __init__(self, matrix):
-        M = as_matrix(matrix)
-        super().__init__(M.shape[1] + M.shape[0])
-        self.matrix = M
-        self.n = M.shape[1]
-        self._solve = np.linalg.inv(np.eye(self.n) + M.T @ M)
-
-    def _project(self, y: Vector) -> Vector:
-        x0, y0 = y[: self.n], y[self.n :]
-        x = self._solve @ (x0 + self.matrix.T @ y0)
-        return np.concatenate([x, self.matrix @ x])
 
 
 class Constraint:

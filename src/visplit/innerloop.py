@@ -13,14 +13,11 @@ with the gauge value it has computed; the public functions check first.
 
 from __future__ import annotations
 
-import time
 from typing import NamedTuple
-
-import numpy as np
 
 from .constraints import Constraint, Halfspace, _project_pair
 from .errors import ConfigError, IterationBudgetExceeded
-from .space import Vector, as_number, as_point, norm
+from .space import Vector, as_number, as_point
 
 
 class InnerResult(NamedTuple):
@@ -113,24 +110,3 @@ def _feasible_shortcut(constraint: Constraint, z: Vector, cz: float) -> InnerRes
     """``feasible_shortcut`` at a finite point ``z`` with ``cz = c(z) <= 0``."""
     sep = constraint._whole_space if cz < 0 else constraint._separator(z, cz)
     return InnerResult(z.copy(), sep, 0, 0.0)
-
-
-def projection_growth(constraint: Constraint, grid, reps: int, rng) -> tuple[list, list]:
-    """Mean ``run_inner`` projections and mean seconds per call, per tolerance.
-
-    For each tolerance of ``grid``, ``reps`` base points are drawn outside
-    the unit sphere (a uniform direction scaled by 1 + U(0.05, 2)) and each
-    is driven to the tolerance.
-    """
-    means, seconds = [], []
-    for tol in grid:
-        counts = []
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            d = rng.standard_normal(constraint.dim)
-            d /= norm(d)
-            z = (1.0 + float(rng.uniform(0.05, 2.0))) * d
-            counts.append(run_inner(constraint, z, tol).iterations)
-        seconds.append((time.perf_counter() - t0) / reps)
-        means.append(float(np.mean(counts)))
-    return means, seconds

@@ -4,6 +4,10 @@ Set-valued maps are exposed through deterministic single-valued selections:
 the solver only ever needs one element of ``T(x)`` per visit. At kinks the
 selection returns the minimum-norm subgradient where that is cheap to
 compute; otherwise the tie-break convention is documented on the oracle.
+This module holds the interfaces, the affine map, the quadratic and
+``sum_select``; the oracles only the shipped families use (gradient, scaled
+and embedded operators, norm, max-of-affine and constant functions) live in
+``problems``.
 
 Monotonicity of the shipped affine family is enforced at construction time
 (symmetric part positive semidefinite, tolerance ``-1e-10`` on the smallest
@@ -37,7 +41,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, NonFiniteValue
-from .space import Vector, as_dim, as_matrix, as_number, as_point, difference
+from .space import Vector, as_dim, as_matrix, as_number, as_point
 
 _PSD_TOL = -1e-10
 # Largest radius whose square, held by the squared ball gauge, is a float.
@@ -146,52 +150,6 @@ class AffineOperator(Operator):
         if self._diag is not None:
             return (self._diag * x + 0.0) + self.offset
         return self._matrix @ x + self.offset
-
-
-class GradientOperator(Operator):
-    """Subgradient selection of a convex function, monotone by convexity."""
-
-    def __init__(self, fn: "ConvexFunction", label: str = ""):
-        super().__init__(fn.dim, label or f"subgrad[{fn.label}]")
-        self.fn = fn
-
-    def _select(self, x: Vector) -> Vector:
-        return self.fn._subgradient(x)
-
-
-class ScaledOperator(Operator):
-    """t * T for t >= 0; nonnegative scaling preserves monotonicity."""
-
-    def __init__(self, base: Operator, factor: float, label: str = ""):
-        factor = as_number(factor, "factor", at_least=0)
-        super().__init__(base.dim, label or f"{factor}*{base.label}")
-        self.base = base
-        self.factor = factor
-
-    def _select(self, x: Vector) -> Vector:
-        return self.factor * self.base._select(x)
-
-
-class EmbeddedOperator(Operator):
-    """Apply a lower-dimensional operator to one block of the coordinates.
-
-    The result is zero-padded outside the block, which keeps monotonicity:
-    the pairing only sees the block the base operator acts on.
-    """
-
-    def __init__(self, dim: int, base: Operator, start: int, label: str = ""):
-        super().__init__(dim, label or f"embed[{base.label}]")
-        start = as_number(start, "start", integer=True)
-        if start < 0 or start + base.dim > dim:
-            raise DimensionMismatch("embedded block does not fit the ambient space")
-        self.base = base
-        self.start = start
-
-    def _select(self, x: Vector) -> Vector:
-        out = np.zeros(self.dim)
-        block = self.base._select(x[self.start : self.start + self.base.dim])
-        out[self.start : self.start + self.base.dim] = block
-        return out
 
 
 def sum_select(oracles, x) -> Vector:
@@ -304,66 +262,3 @@ class Quadratic(ConvexFunction):
 
     def _subgradient(self, x: Vector) -> Vector:
         return self.gradient._select(x)
-
-
-class NormFunction(ConvexFunction):
-    """scale * ||x - center|| + offset.
-
-    At the center the subdifferential is the scaled unit ball; the selection
-    returns its minimum-norm element, the zero vector.
-    """
-
-    def __init__(self, center, scale: float = 1.0, offset: float = 0.0, label: str = "norm"):
-        center = as_point(center)
-        super().__init__(center.size, label)
-        self.center = center.copy()
-        self.scale = as_number(scale, "scale", at_least=0)
-        self.offset = as_number(offset, "offset")
-
-    def _value(self, x: Vector) -> float:
-        _, r, s = difference(x, self.center)
-        return self.scale * s * r + self.offset
-
-    def _subgradient(self, x: Vector) -> Vector:
-        d, r, _ = difference(x, self.center)
-        if r == 0.0:
-            return np.zeros(self.dim)
-        return (self.scale / r) * d
-
-
-class MaxOfAffine(ConvexFunction):
-    """max_i (<a_i, x> - b_i).
-
-    On ties, the selection returns the row of the first maximizer (lowest
-    index); the minimum-norm element of the convex hull of active rows is a
-    small program in its own right, so the first-row convention is used and
-    documented instead.
-    """
-
-    def __init__(self, rows, rhs, label: str = "max_affine"):
-        rows = as_matrix(rows, "rows")
-        super().__init__(rows.shape[1], label)
-        self.rows = rows
-        self.rhs = as_point(rhs, rows.shape[0], "rhs").copy()
-
-    def _value(self, x: Vector) -> float:
-        return float(np.max(self.rows @ x - self.rhs))
-
-    def _subgradient(self, x: Vector) -> Vector:
-        i = int(np.argmax(self.rows @ x - self.rhs))
-        return self.rows[i].copy()
-
-
-class ConstantFunction(ConvexFunction):
-    """Constant map; convex, with zero subgradient everywhere."""
-
-    def __init__(self, dim: int, constant: float, label: str = "constant"):
-        super().__init__(dim, label)
-        self.constant = as_number(constant, "constant")
-
-    def _value(self, x: Vector) -> float:
-        return self.constant
-
-    def _subgradient(self, x: Vector) -> Vector:
-        return np.zeros(self.dim)
-

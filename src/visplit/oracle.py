@@ -194,8 +194,16 @@ def vi_gap(problem: Problem, x_star, rng, count: int = 200) -> float:
     return worst
 
 
+def _solve(A, b, route: str) -> Vector:
+    """``np.linalg.solve(A, b)``; a singular ``A`` raises a ``ConfigError`` naming ``route``."""
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise ConfigError(f"{route} reference route: {exc}") from exc
+
+
 def _ball_solution(M, c, center, radius):
-    x_free = np.linalg.solve(M, -c)
+    x_free = _solve(M, -c, "quadratic_over_ball")
     if float(np.linalg.norm(x_free - center)) <= radius + 1e-12:
         return x_free
 
@@ -300,10 +308,10 @@ def reference_solution(problem: Problem) -> Vector:
         L = meta["matrix"]
         n = L.shape[1]
         Z = np.vstack([np.eye(n), L])
-        t = np.linalg.solve(Z.T @ M @ Z, -(Z.T @ c))
+        t = _solve(Z.T @ M @ Z, -(Z.T @ c), "a2")
         x = Z @ t
     elif family == "a3":
-        x = np.linalg.solve(M, -c)
+        x = _solve(M, -c, "a3")
         if float(np.linalg.norm(M @ x + c)) > 1e-8:
             raise ConfigError("stationarity solve failed")
     else:

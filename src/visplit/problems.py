@@ -1,4 +1,12 @@
-"""Shipped problem families with oracle-checkable solutions.
+"""Shipped problem families with oracle-checkable solutions, and their oracles.
+
+Beside the builders, this module holds the operators, functions and exact
+sets that only the families use: ``GradientOperator``, ``ScaledOperator``,
+``EmbeddedOperator``, ``NormFunction``, ``MaxOfAffine``, ``ConstantFunction``,
+``BoxSet`` and ``GraphSet``, and the private ``_GraphResidual`` and
+``_SaddleCoupling``. The solver needs none of them, so they live here and
+not in ``operators`` or ``constraints``: a solver run on a problem of its
+own never loads or compiles them.
 
 Every builder returns a :class:`~visplit.solver.Problem` whose ``meta``
 holds the family name and what the reference oracle needs of the feasible
@@ -39,28 +47,11 @@ import inspect
 
 import numpy as np
 
-from .constraints import (
-    BallSet,
-    BoxSet,
-    Constraint,
-    GraphSet,
-    Halfspace,
-)
+from .constraints import BallSet, Constraint, ExactSet, Halfspace
 from .errors import ConfigError, DimensionMismatch
-from .operators import (
-    AffineOperator,
-    ConstantFunction,
-    ConvexFunction,
-    EmbeddedOperator,
-    GradientOperator,
-    MaxOfAffine,
-    NormFunction,
-    Operator,
-    Quadratic,
-    ScaledOperator,
-)
+from .operators import AffineOperator, ConvexFunction, Operator, Quadratic
 from .solver import Problem
-from .space import Vector, as_matrix, as_number, as_object, as_point
+from .space import Vector, as_matrix, as_number, as_object, as_point, difference
 
 # Largest m a family's operator may be split into: each part costs an
 # operator and a certificate vector, and a diagnosed step takes m(m+1)/2
@@ -70,6 +61,150 @@ MAX_PARTS = 1000
 # projector's inverse and its first-order system), about 24 n^2 bytes at its
 # peak, and a3 a 2n x 2n system. 4096 leaves room for dimension sweeps.
 MAX_DIM = 4096
+
+
+class GradientOperator(Operator):
+    """Subgradient selection of a convex function, monotone by convexity."""
+
+    def __init__(self, fn: "ConvexFunction", label: str = ""):
+        super().__init__(fn.dim, label or f"subgrad[{fn.label}]")
+        self.fn = fn
+
+    def _select(self, x: Vector) -> Vector:
+        return self.fn._subgradient(x)
+
+
+class ScaledOperator(Operator):
+    """t * T for t >= 0; nonnegative scaling preserves monotonicity."""
+
+    def __init__(self, base: Operator, factor: float, label: str = ""):
+        factor = as_number(factor, "factor", at_least=0)
+        super().__init__(base.dim, label or f"{factor}*{base.label}")
+        self.base = base
+        self.factor = factor
+
+    def _select(self, x: Vector) -> Vector:
+        return self.factor * self.base._select(x)
+
+
+class EmbeddedOperator(Operator):
+    """Apply a lower-dimensional operator to one block of the coordinates.
+
+    The result is zero-padded outside the block, which keeps monotonicity:
+    the pairing only sees the block the base operator acts on.
+    """
+
+    def __init__(self, dim: int, base: Operator, start: int, label: str = ""):
+        super().__init__(dim, label or f"embed[{base.label}]")
+        start = as_number(start, "start", integer=True)
+        if start < 0 or start + base.dim > dim:
+            raise DimensionMismatch("embedded block does not fit the ambient space")
+        self.base = base
+        self.start = start
+
+    def _select(self, x: Vector) -> Vector:
+        out = np.zeros(self.dim)
+        block = self.base._select(x[self.start : self.start + self.base.dim])
+        out[self.start : self.start + self.base.dim] = block
+        return out
+
+
+class NormFunction(ConvexFunction):
+    """scale * ||x - center|| + offset.
+
+    At the center the subdifferential is the scaled unit ball; the selection
+    returns its minimum-norm element, the zero vector.
+    """
+
+    def __init__(self, center, scale: float = 1.0, offset: float = 0.0, label: str = "norm"):
+        center = as_point(center)
+        super().__init__(center.size, label)
+        self.center = center.copy()
+        self.scale = as_number(scale, "scale", at_least=0)
+        self.offset = as_number(offset, "offset")
+
+    def _value(self, x: Vector) -> float:
+        _, r, s = difference(x, self.center)
+        return self.scale * s * r + self.offset
+
+    def _subgradient(self, x: Vector) -> Vector:
+        d, r, _ = difference(x, self.center)
+        if r == 0.0:
+            return np.zeros(self.dim)
+        return (self.scale / r) * d
+
+
+class MaxOfAffine(ConvexFunction):
+    """max_i (<a_i, x> - b_i).
+
+    On ties, the selection returns the row of the first maximizer (lowest
+    index); the minimum-norm element of the convex hull of active rows is a
+    small program in its own right, so the first-row convention is used and
+    documented instead.
+    """
+
+    def __init__(self, rows, rhs, label: str = "max_affine"):
+        rows = as_matrix(rows, "rows")
+        super().__init__(rows.shape[1], label)
+        self.rows = rows
+        self.rhs = as_point(rhs, rows.shape[0], "rhs").copy()
+
+    def _value(self, x: Vector) -> float:
+        return float(np.max(self.rows @ x - self.rhs))
+
+    def _subgradient(self, x: Vector) -> Vector:
+        i = int(np.argmax(self.rows @ x - self.rhs))
+        return self.rows[i].copy()
+
+
+class ConstantFunction(ConvexFunction):
+    """Constant map; convex, with zero subgradient everywhere."""
+
+    def __init__(self, dim: int, constant: float, label: str = "constant"):
+        super().__init__(dim, label)
+        self.constant = as_number(constant, "constant")
+
+    def _value(self, x: Vector) -> float:
+        return self.constant
+
+    def _subgradient(self, x: Vector) -> Vector:
+        return np.zeros(self.dim)
+
+
+class BoxSet(ExactSet):
+    """Axis-aligned box [lo, hi]; projection clamps componentwise."""
+
+    def __init__(self, lo, hi):
+        lo = as_point(lo)
+        hi = as_point(hi, lo.size)
+        if np.any(lo > hi):
+            raise ConfigError("box has lo > hi in some coordinate")
+        super().__init__(lo.size)
+        self.lo = lo.copy()
+        self.hi = hi.copy()
+
+    def _project(self, y: Vector) -> Vector:
+        return np.clip(y, self.lo, self.hi)
+
+
+class GraphSet(ExactSet):
+    """Graph subspace {(x, y) : L x = y} of a linear map, stacked as one vector.
+
+    Projection solves the normal equations (I + L'L) x = x0 + L'y0, which is
+    the exact least-squares projection onto the subspace.
+    """
+
+    def __init__(self, matrix):
+        M = as_matrix(matrix)
+        super().__init__(M.shape[1] + M.shape[0])
+        self.matrix = M
+        self.n = M.shape[1]
+        self._solve = np.linalg.inv(np.eye(self.n) + M.T @ M)
+
+    def _project(self, y: Vector) -> Vector:
+        x0, y0 = y[: self.n], y[self.n :]
+        x = self._solve @ (x0 + self.matrix.T @ y0)
+        return np.concatenate([x, self.matrix @ x])
 
 
 class _GraphResidual(ConvexFunction):

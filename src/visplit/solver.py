@@ -381,7 +381,7 @@ def _advance(
         eta = max(eta, norm(u))
         points.append(region._project(points[-1] - alpha * u))
     z_next = points[-1]
-    if not np.all(np.isfinite(z_next)):
+    if not np.isfinite(z_next).all():
         raise NonFiniteIterate(f"outer iterate diverged at k={k}")
 
     # Averaging stage.

@@ -61,7 +61,7 @@ def as_point(x, dim: int | None = None, name: str = "vector") -> Vector:
         p = p.reshape(1)
     if p.ndim != 1 or p.size < 1:
         raise DimensionMismatch(f"{name} must be a nonempty 1-D vector, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise NonFiniteValue(f"{name} has NaN or infinite entries")
     if dim is not None and p.size != dim:
         raise DimensionMismatch(f"{name} must have dimension {dim}, got {p.size}")

@@ -25,8 +25,7 @@ from visplit import (
     with_reference,
 )
 from visplit.checks import _ball_gauge, projection_samples
-from visplit.cli import main
-from visplit.innerloop import projection_growth
+from visplit.cli import main, projection_growth
 from visplit.oracle import qp_project
 
 # Schedule used by the ergodic-convergence criteria (8 and 9). The exponent

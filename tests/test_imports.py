@@ -41,6 +41,30 @@ def test_import_cli_loads_no_oracle_checks_or_thread_pool():
     assert loaded == ["False"] * 4
 
 
+def test_a_solver_run_loads_only_the_solver_modules():
+    # The paper's step needs each operator's selection, the constraint's
+    # subgradient and halfspace projections; the families' oracles and sets,
+    # the reference oracle and the CLI stay unloaded and uncompiled.
+    loaded = _python(
+        "import sys\n"
+        "from visplit import AffineOperator, Constraint, PowerStepsize, Problem, Quadratic\n"
+        "from visplit import solver\n"
+        "problem = Problem(\n"
+        "    operators=(AffineOperator([[0.0, 1.0], [-1.0, 0.0]]),),\n"
+        "    constraint=Constraint(Quadratic.ball_gauge([0.0, 0.0], 1.0),\n"
+        "                          slater_point=[0.0, 0.0]),\n"
+        "    label='hand_built',\n"
+        ")\n"
+        "state = solver.run(problem, PowerStepsize(1.0, 0.6), x0=[2.0, 0.0], max_outer=20)\n"
+        "print(state.k)\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('visplit.')))"
+    )
+    assert loaded == [
+        "20", "visplit.constraints", "visplit.errors", "visplit.innerloop",
+        "visplit.operators", "visplit.solver", "visplit.space",
+    ]
+
+
 def test_lazy_exports_resolve():
     out = _python(
         "import visplit\n"

@@ -8,6 +8,7 @@ import pytest
 from visplit import (
     AffineOperator,
     AuditReport,
+    BallSet,
     ConfigError,
     ConstantFunction,
     ConstantStepsize,
@@ -18,6 +19,7 @@ from visplit import (
     NormFunction,
     PowerStepsize,
     Problem,
+    Quadratic,
     SolverState,
     build,
     fejer_audit,
@@ -169,6 +171,28 @@ def test_reference_solution_refuses_what_it_cannot_solve():
     )
     with pytest.raises(ConfigError, match="no KKT point"):
         reference_solution(drift)
+
+
+def _flat_ball():
+    # T = 0 over the unit ball: every point solves it, and M = 0 is singular.
+    return Problem(
+        operators=(AffineOperator(np.zeros((2, 2))),),
+        constraint=Constraint(Quadratic.ball_gauge([0.0, 0.0], 1.0),
+                              exact_set=BallSet([0.0, 0.0], 1.0)),
+        label="flat_ball",
+        meta={"family": "quadratic_over_ball", "center": [0.0, 0.0], "radius": 1.0},
+    )
+
+
+@pytest.mark.parametrize("route", ["a3", "a2", "quadratic_over_ball"])
+def test_a_singular_reference_system_is_a_config_error_naming_its_route(route):
+    if route == "quadratic_over_ball":
+        problem = _flat_ball()
+    else:
+        zero = {"weight": 0.0}
+        problem = build(route, {"matrix": [[0.0]], "phi1": zero, "phi2": zero})
+    with pytest.raises(ConfigError, match=f"^{route} reference route: Singular matrix"):
+        reference_solution(problem)
 
 
 def test_with_reference_rejects_a_wrong_declared_solution():

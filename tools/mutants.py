@@ -45,6 +45,7 @@ INNER = "src/visplit/innerloop.py"
 CONS = "src/visplit/constraints.py"
 OPS = "src/visplit/operators.py"
 SPACE = "src/visplit/space.py"
+PROBS = "src/visplit/problems.py"
 # The kernels mutated, and the file each lives in.
 KERNELS = {
     "_advance": SOLVER,
@@ -57,7 +58,7 @@ KERNELS = {
     "Halfspace._project": CONS,
     "BallSet._project": CONS,
     "BallSet._distance": CONS,
-    "NormFunction._value": OPS,
+    "NormFunction._value": PROBS,
     "cli._execute_run": "src/visplit/cli.py",
     "_floats": SPACE,
     "as_point": SPACE,
@@ -67,14 +68,14 @@ KERNELS = {
     "_diagonal": OPS,
     "_symmetric_part": OPS,
     "AffineOperator._select": OPS,
-    "ScaledOperator._select": OPS,
-    "EmbeddedOperator.__init__": OPS,
-    "EmbeddedOperator._select": OPS,
+    "ScaledOperator._select": PROBS,
+    "EmbeddedOperator.__init__": PROBS,
+    "EmbeddedOperator._select": PROBS,
     "sum_select": OPS,
     "Quadratic._value": OPS,
-    "NormFunction._subgradient": OPS,
-    "MaxOfAffine._value": OPS,
-    "MaxOfAffine._subgradient": OPS,
+    "NormFunction._subgradient": PROBS,
+    "MaxOfAffine._value": PROBS,
+    "MaxOfAffine._subgradient": PROBS,
 }
 
 
@@ -113,7 +114,7 @@ MUTANTS = (
     Mutant("A08", "_advance", "branch", "points.append(region._project(points[-1] - alpha * u))",
            "points.append(points[-1] - alpha * u)"),
     Mutant("A09", "_advance", "term", "sigma = state.sigma + alpha", "sigma = alpha"),
-    Mutant("A10", "_advance", "branch", "if not np.all(np.isfinite(z_next)):", "if False:"),
+    Mutant("A10", "_advance", "branch", "if not np.isfinite(z_next).all():", "if False:"),
     Mutant("A11", "_advance", "branch", "if not all(map(math.isfinite, norms)):", "if False:"),
     Mutant("A12", "_advance", "term", "if not (alpha > 0 and math.isfinite(alpha)):",
            "if not math.isfinite(alpha):"),
@@ -202,7 +203,7 @@ MUTANTS = (
            "s = max(float(np.max(np.abs(y))), float(np.max(np.abs(c))))",
            "s = float(np.max(np.abs(y)))"),
     Mutant("Z05", "difference", "term", "d = y / s - c / s", "d = (y - c) / s"),
-    Mutant("Z07", "as_point", "branch", "    if not np.all(np.isfinite(p)):\n        raise NonFiniteValue(f\"{name} has",
+    Mutant("Z07", "as_point", "branch", "    if not np.isfinite(p).all():\n        raise NonFiniteValue(f\"{name} has",
            "    if False:\n        raise NonFiniteValue(f\"{name} has"),
     Mutant("Z08", "_floats", "branch",
            "if not (isinstance(x, np.ndarray) and x.dtype.kind in \"fiu\"):", "if True:",
