@@ -15,16 +15,16 @@ Layers: ``operators`` and ``constraints`` define the oracle interfaces
 drives an infeasible point toward C through halfspace projections,
 ``solver`` runs the outer iteration with traces and diagnostics,
 ``problems`` ships ready-made families with the oracles and sets only they
-use (``GradientOperator``, ``ScaledOperator``, ``EmbeddedOperator``,
-``NormFunction``, ``MaxOfAffine``, ``ConstantFunction``, ``BoxSet``,
-``GraphSet``), ``oracle`` recomputes everything along independent routes,
+use (``GradientOperator``, ``ScaledOperator``, ``NormFunction``,
+``MaxOfAffine``, ``ConstantFunction``, ``BoxSet``, ``GraphSet``),
+``oracle`` recomputes everything along independent routes,
 ``checks`` bundles seeded sweeps, and ``cli`` exposes the batch interface.
 
 Start-up: ``import visplit`` loads no submodule. Each public name below is
 imported from its submodule on first access (PEP 562), so a solver run
 loads ``errors``, ``space``, ``operators``, ``constraints``, ``innerloop``
-and ``solver`` only (``tests/test_imports.py`` holds it to that); ``visplit
-run`` adds ``problems`` and ``cli``. ``oracle``, ``problems`` and
+and ``solver`` only, and ``visplit run`` adds ``problems`` and ``cli``
+(``tests/test_imports.py`` holds both to that). ``oracle``, ``problems`` and
 ``checks`` load on first use, so a name that lives in ``problems``, such as
 ``MaxOfAffine``, loads the families with it; ``from visplit import *``
 loads every module that exports a name.
@@ -50,9 +50,9 @@ _EXPORTS = {
         "reference_solution", "with_reference",
     ),
     "problems": (
-        "BoxSet", "ConstantFunction", "EmbeddedOperator", "FAMILIES", "GradientOperator",
-        "GraphSet", "MaxOfAffine", "NormFunction", "ScaledOperator", "build", "build_a1",
-        "build_a2", "build_a3", "build_affine_vi_over_polyhedron", "build_quadratic_over_ball",
+        "BoxSet", "ConstantFunction", "FAMILIES", "GradientOperator", "GraphSet",
+        "MaxOfAffine", "NormFunction", "ScaledOperator", "build", "build_a1", "build_a2",
+        "build_a3", "build_affine_vi_over_polyhedron", "build_quadratic_over_ball",
     ),
     "solver": (
         "AdaptivePowerStepsize", "ConstantStepsize", "CycleCheck", "PowerStepsize",

@@ -2,11 +2,13 @@
 
 Beside the builders, this module holds the operators, functions and exact
 sets that only the families use: ``GradientOperator``, ``ScaledOperator``,
-``EmbeddedOperator``, ``NormFunction``, ``MaxOfAffine``, ``ConstantFunction``,
-``BoxSet`` and ``GraphSet``, and the private ``_GraphResidual`` and
-``_SaddleCoupling``. The solver needs none of them, so they live here and
-not in ``operators`` or ``constraints``: a solver run on a problem of its
-own never loads or compiles them.
+``NormFunction``, ``MaxOfAffine``, ``ConstantFunction``, ``BoxSet`` and
+``GraphSet``, and the private ``_GraphResidual`` and ``_SaddleCoupling``.
+The solver needs none of them, so they live here and not in ``operators``
+or ``constraints``: a solver run on a problem of its own never loads or
+compiles them. The separable blocks of a2 and a3 are gradients of diagonal
+quadratics, so each is one diagonal ``AffineOperator`` on the stacked space,
+zero outside its block.
 
 Every builder returns a :class:`~visplit.solver.Problem` whose ``meta``
 holds the family name and what the reference oracle needs of the feasible
@@ -85,28 +87,6 @@ class ScaledOperator(Operator):
 
     def _select(self, x: Vector) -> Vector:
         return self.factor * self.base._select(x)
-
-
-class EmbeddedOperator(Operator):
-    """Apply a lower-dimensional operator to one block of the coordinates.
-
-    The result is zero-padded outside the block, which keeps monotonicity:
-    the pairing only sees the block the base operator acts on.
-    """
-
-    def __init__(self, dim: int, base: Operator, start: int, label: str = ""):
-        super().__init__(dim, label or f"embed[{base.label}]")
-        start = as_number(start, "start", integer=True)
-        if start < 0 or start + base.dim > dim:
-            raise DimensionMismatch("embedded block does not fit the ambient space")
-        self.base = base
-        self.start = start
-
-    def _select(self, x: Vector) -> Vector:
-        out = np.zeros(self.dim)
-        block = self.base._select(x[self.start : self.start + self.base.dim])
-        out[self.start : self.start + self.base.dim] = block
-        return out
 
 
 class NormFunction(ConvexFunction):
@@ -442,8 +422,8 @@ def build_a2(matrix=2.0, phi1: dict = {}, phi2: dict = {"center": [4.0]}) -> Pro
     phi1 = _phi("phi1", p, **phi1)
     phi2 = _phi("phi2", n, **phi2)
 
-    t_outer = EmbeddedOperator(dim, GradientOperator(phi1), n, label="outer_term")
-    t_inner = EmbeddedOperator(dim, GradientOperator(phi2), 0, label="inner_term")
+    t_outer = _on_block(phi1, dim, n, "outer_term")
+    t_inner = _on_block(phi2, dim, 0, "inner_term")
     constraint = Constraint(
         _GraphResidual(L), exact_set=GraphSet(L), label="graph"
     )
@@ -456,9 +436,7 @@ def build_a2(matrix=2.0, phi1: dict = {}, phi2: dict = {"center": [4.0]}) -> Pro
     x_star = _try_solve(H, -g)
     if x_star is not None:
         known = np.concatenate([x_star, L @ x_star])
-        u1 = np.concatenate([np.zeros(n), phi1.subgradient(L @ x_star)])
-        u2 = np.concatenate([phi2.subgradient(x_star), np.zeros(p)])
-        cert = (u1, u2)
+        cert = (t_outer.select(known), t_inner.select(known))
 
     return Problem(
         operators=(t_outer, t_inner),
@@ -491,7 +469,7 @@ def build_a3(matrix=1.0, phi1: dict = {}, phi2: dict = {}) -> Problem:
     phi1 = _phi("phi1", n, **phi1)
     phi2 = _phi("phi2", n, **phi2)
 
-    t1 = EmbeddedOperator(dim, GradientOperator(phi1), 0, label="separable_term")
+    t1 = _on_block(phi1, dim, 0, "separable_term")
     t2 = _SaddleCoupling(L, phi2)
     constraint = Constraint(
         ConstantFunction(dim, -1.0, label="everywhere"),
@@ -507,9 +485,7 @@ def build_a3(matrix=1.0, phi1: dict = {}, phi2: dict = {}) -> Problem:
     sol = _try_solve(K, rhs)
     if sol is not None:
         known = sol
-        u1 = np.concatenate([phi1.subgradient(sol[:n]), np.zeros(n)])
-        u2 = t2.select(sol)
-        cert = (u1, u2)
+        cert = (t1.select(sol), t2.select(sol))
 
     return Problem(
         operators=(t1, t2),
@@ -519,6 +495,14 @@ def build_a3(matrix=1.0, phi1: dict = {}, phi2: dict = {}) -> Problem:
         certificate=cert,
         meta={"family": "a3"},
     )
+
+
+def _on_block(phi: Quadratic, dim: int, start: int, label: str) -> AffineOperator:
+    """grad phi on the block of R^dim from ``start``: phi's diagonal and offset, zeros elsewhere."""
+    diag, offset = np.zeros(dim), np.zeros(dim)
+    diag[start : start + phi.dim] = phi.gradient._diag
+    offset[start : start + phi.dim] = phi.b
+    return AffineOperator.from_diagonal(diag, offset, label=label)
 
 
 def _phi(what: str, dim: int, weight: float = 1.0, center=None) -> Quadratic:

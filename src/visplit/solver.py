@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constraints import Constraint, ExactSet
-from .errors import ConfigError, DimensionMismatch, NonFiniteIterate
+from .errors import ConfigError, DimensionMismatch, NonFiniteIterate, NonFiniteValue
 from .innerloop import _feasible_shortcut, _run_inner
 from .operators import Operator
 from .space import Vector, as_number, as_point, norm
@@ -141,7 +141,9 @@ class Problem:
     dict or arrays reaches the problem.
 
     A problem is checked when built and rejects attribute assignment; a
-    variant is built through the constructor, which checks it again.
+    variant is built through the constructor, which checks it again. A known
+    solution x* is refused when c(x*) > 0 and the constraint's distance bound
+    there is above 1e-9 max(1, ||x*||), or not finite.
     """
 
     __slots__ = (
@@ -171,8 +173,13 @@ class Problem:
         if known_solution is not None:
             known_solution = as_point(known_solution, dim).copy()
             cx = constraint.value(known_solution)
-            if cx > 1e-9:
-                raise ConfigError(f"known solution is infeasible: c(x*) = {cx!r}")
+            if cx > 0.0:
+                try:
+                    dist = constraint._dist_upper(known_solution, cx)
+                except NonFiniteValue:
+                    dist = math.inf
+                if not dist <= 1e-9 * max(1.0, norm(known_solution)):
+                    raise ConfigError(f"known solution is infeasible: c(x*) = {cx!r}")
         if certificate is not None:
             if known_solution is None:
                 raise ConfigError("a certificate requires a known solution")

@@ -16,7 +16,6 @@ from visplit import (
     ConstantFunction,
     Constraint,
     DimensionMismatch,
-    EmbeddedOperator,
     GradientOperator,
     GraphSet,
     Halfspace,
@@ -62,7 +61,6 @@ def _point_methods():
         "AffineOperator.from_diagonal": AffineOperator.from_diagonal([1.0, 2.0], [0.1, 0.2]),
         "GradientOperator": GradientOperator(norm),
         "ScaledOperator": ScaledOperator(affine, 0.5),
-        "EmbeddedOperator": EmbeddedOperator(2, AffineOperator([[3.0]], [1.0]), 1),
         "_SaddleCoupling": build("a3", {}).operators[1],
     }
     sets = {

@@ -1,4 +1,4 @@
-"""Import boundaries: what ``import visplit`` and ``import visplit.cli`` load.
+"""Import boundaries: what ``import visplit``, ``import visplit.cli`` and a run load.
 
 Each check runs in a fresh interpreter, so modules this test process has
 already imported cannot hide an eager import.
@@ -62,6 +62,26 @@ def test_a_solver_run_loads_only_the_solver_modules():
     assert loaded == [
         "20", "visplit.constraints", "visplit.errors", "visplit.innerloop",
         "visplit.operators", "visplit.solver", "visplit.space",
+    ]
+
+
+def test_a_visplit_run_loads_only_the_run_modules(tmp_path):
+    # One config through `visplit run` builds a family and runs the solver;
+    # the reference oracle and the check sweeps stay unloaded.
+    cfg = tmp_path / "a2.json"
+    cfg.write_text('{"family": "a2", "max_outer": 5}')
+    loaded = _python(
+        "import contextlib, io, sys\n"
+        "from visplit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['run', {str(cfg)!r}, '--output', {str(tmp_path / 'out')!r}])\n"
+        "print(code)\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'visplit'))"
+    )
+    assert loaded == [
+        "0", "visplit", "visplit.cli", "visplit.constraints", "visplit.errors",
+        "visplit.innerloop", "visplit.operators", "visplit.problems", "visplit.solver",
+        "visplit.space",
     ]
 
 

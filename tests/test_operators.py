@@ -13,7 +13,6 @@ from visplit import (
     ConfigError,
     ConstantFunction,
     DimensionMismatch,
-    EmbeddedOperator,
     ExactSet,
     GradientOperator,
     Halfspace,
@@ -88,7 +87,6 @@ def test_affine_operator_rejects_nonmonotone_matrix():
         lambda: Operator(2.5),
         lambda: ConstantFunction(2.5, 0.0),
         lambda: ExactSet(2.5),
-        lambda: EmbeddedOperator(2, _zero(1), 0.5),
         lambda: ConstantFunction(2, "1"),
         lambda: NormFunction([0.0], "2"),
         lambda: ScaledOperator(_zero(1), True),
@@ -99,9 +97,8 @@ def test_affine_operator_rejects_nonmonotone_matrix():
         "affine", "affine-diagonal", "quadratic", "scaled", "norm", "norm-nan",
         "half-sq-distance", "empty-sum", "ball", "ball-nan", "box",
         "whole-space-fraction", "whole-space-text", "operator-fraction",
-        "function-fraction", "set-fraction", "embedded-start-fraction", "constant-text",
-        "norm-scale-text", "scaled-factor-bool", "half-sq-distance-weight-text",
-        "ball-radius-text",
+        "function-fraction", "set-fraction", "constant-text", "norm-scale-text",
+        "scaled-factor-bool", "half-sq-distance-weight-text", "ball-radius-text",
     ],
 )
 def test_invalid_construction_is_a_config_error(make):
@@ -448,12 +445,6 @@ def test_wrapper_operators():
     x = np.array([2.0, 3.0])
     assert np.array_equal(ScaledOperator(base, 0.5).select(x), [1.5, 1.5])
     assert np.array_equal(_zero(2).select(x), [0.0, 0.0])
-    emb = EmbeddedOperator(3, AffineOperator([[2.0]]), 1)
-    assert np.array_equal(emb.select([5.0, 4.0, 3.0]), [0.0, 8.0, 0.0])
-    with pytest.raises(DimensionMismatch):
-        EmbeddedOperator(2, AffineOperator(np.eye(2)), 1)
-    with pytest.raises(DimensionMismatch):
-        EmbeddedOperator(2, AffineOperator([[1.0]]), -1)
     with pytest.raises(ValueError):
         ScaledOperator(base, -1.0)
 

@@ -6,6 +6,7 @@ import pytest
 
 import visplit
 from visplit import (
+    AffineOperator,
     BallSet,
     ConfigError,
     FAMILIES,
@@ -242,18 +243,32 @@ def test_a2_a3_phis_keep_no_dense_matrix():
     phi1 = {"weight": 2.0, "center": rng.standard_normal(3).tolist()}
     phi2 = {"weight": 0.5, "center": rng.standard_normal(3).tolist()}
     a2, a3 = problems.build_a2(L, phi1, phi2), problems.build_a3(L, phi1, phi2)
-    p1, p2 = a2.operators[0].base.fn, a2.operators[1].base.fn
-    q1, q2 = a3.operators[0].base.fn, a3.operators[1].phi2
-    for phi in (p1, p2, q1, q2):
+    p1, p2 = problems._phi("phi1", 3, **phi1), problems._phi("phi2", 3, **phi2)
+    q2 = a3.operators[1].phi2
+    # Each separable block is one diagonal map on the stacked space, and its
+    # selection is the zero-padded phi gradient bit for bit: outside the
+    # block 0 * x + 0.0 gives +0.0 at negative coordinates too, as the
+    # zero-filled array does.
+    points = rng.standard_normal((20, 6))
+    assert (points < 0).any(axis=0).all()
+    for op, phi, start in ((a2.operators[0], p1, 3), (a2.operators[1], p2, 0),
+                           (a3.operators[0], p1, 0)):
+        assert type(op) is AffineOperator
+        assert op._diag is not None and op._matrix is None
+        for x in points:
+            padded = np.zeros(6)
+            padded[start : start + 3] = phi.subgradient(x[start : start + 3])
+            assert op.select(x).tobytes() == padded.tobytes()
+    for phi in (p1, p2, q2):
         assert phi.gradient._diag is not None and phi.gradient._matrix is None
     # The dense formulas, reading each phi's Q, give the same bits.
     x = np.linalg.solve(L.T @ p1.Q @ L + p2.Q, -(L.T @ p1.b + p2.b))
     assert a2.known_solution.tobytes() == np.concatenate([x, L @ x]).tobytes()
-    K = np.block([[q1.Q, L], [-L, q2.Q]])
-    sol = np.linalg.solve(K, -np.concatenate([q1.b, q2.b]))
+    K = np.block([[p1.Q, L], [-L, q2.Q]])
+    sol = np.linalg.solve(K, -np.concatenate([p1.b, q2.b]))
     assert a3.known_solution.tobytes() == sol.tobytes()
     # Each read of Q builds a read-only dense array and leaves none in the map.
-    for phi in (p1, p2, q1, q2):
+    for phi in (p1, p2, q2):
         assert np.array_equal(phi.Q, phi.Q) and not phi.Q.flags.writeable
         assert phi.gradient._matrix is None
 

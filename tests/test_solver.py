@@ -10,6 +10,7 @@ import pytest
 from visplit import (
     AdaptivePowerStepsize,
     AffineOperator,
+    BallSet,
     ConfigError,
     ConstantFunction,
     ConstantStepsize,
@@ -21,6 +22,7 @@ from visplit import (
     NonFiniteValue,
     PowerStepsize,
     Problem,
+    Quadratic,
     ScaledOperator,
     SolverState,
     TRACE_COLUMNS,
@@ -131,6 +133,37 @@ def test_problem_validation():
         certificate=([1.0, 0.0], [0.5, 0.5]),
     )
     assert np.array_equal(cert_p.certificate_sum(), [1.5, 0.5])
+
+
+def test_a_known_solution_is_refused_by_its_distance_bound_at_its_scale():
+    # The squared ball gauge rounds to about radius^2 * eps, so c(x*) alone
+    # would refuse correct solutions of large balls.
+    big = build(
+        "quadratic_over_ball",
+        {"target": [3e4, 1.3e4], "center": [1e3, 2e3], "radius": 1e4},
+    )
+    assert big.constraint.value(big.known_solution) > 1e-9
+    rng = np.random.default_rng(0)
+    for _ in range(1500):
+        scale = 10.0 ** rng.uniform(0, 9)
+        n = int(rng.integers(1, 6))
+        center = scale * rng.standard_normal(n)
+        build("quadratic_over_ball", {
+            "target": (center + 3 * scale * rng.standard_normal(n)).tolist(),
+            "center": center.tolist(),
+            "radius": scale * rng.uniform(0.1, 1.0),
+        })
+    # A point just outside the unit ball is still refused, by either rule.
+    op = AffineOperator(np.eye(2))
+    gauge = Quadratic.ball_gauge([0.0, 0.0], 1.0)
+    slater = Constraint(gauge, slater_point=[0.0, 0.0])
+    exact = Constraint(gauge, exact_set=BallSet([0.0, 0.0], 1.0))
+    for constraint, outside in ((slater, 1e-6), (slater, 6e-10), (exact, 1e-6)):
+        with pytest.raises(ConfigError, match="known solution is infeasible"):
+            Problem((op,), constraint, known_solution=[1.0 + outside, 0.0])
+    # c(x*) = inf makes the Slater bound NaN; the refusal stays a ConfigError.
+    with np.errstate(over="ignore"), pytest.raises(ConfigError, match="is infeasible"):
+        Problem((op,), slater, known_solution=[1e200, 0.0])
 
 
 def test_a_problem_keeps_its_own_meta():

@@ -16,7 +16,7 @@ test could see it or because its job went; its text must no longer occur.
     python tools/mutants.py            # all mutants; writes tools/mutants.json
     python tools/mutants.py P03 I01    # only these; prints, writes nothing
 
-Standard library only. One mutant takes 2-63 s on a two-core host, the list about 32 minutes.
+Standard library only. One mutant takes 3-89 s on a two-core host, the list about 30 minutes.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ CONS = "src/visplit/constraints.py"
 OPS = "src/visplit/operators.py"
 SPACE = "src/visplit/space.py"
 PROBS = "src/visplit/problems.py"
-# The kernels mutated, and the file each lives in.
+# The kernels mutated or deleted from, and the file each lives or lived in.
 KERNELS = {
     "_advance": SOLVER,
     "_diagnose": SOLVER,
@@ -219,8 +219,6 @@ MUTANTS = (
            "return self.rows[i]"),
     Mutant("O03", "_symmetric_part", "branch", "    if not np.all(np.isfinite(sym)):\n",
            "    if False:\n"),
-    Mutant("O04", "EmbeddedOperator.__init__", "term", "if start < 0 or start + base.dim > dim:",
-           "if start + base.dim > dim:"),
     Mutant("O05", "sum_select", "branch", "        if op.dim != out.size:\n", "        if False:\n"),
     Mutant("O06", "AffineOperator._select", "term", "return (self._diag * x + 0.0) + self.offset",
            "return self._diag * x + self.offset"),
@@ -230,8 +228,6 @@ MUTANTS = (
            "    if True:\n        sym = 0.5 * (A + A.T)"),
     Mutant("O14", "ScaledOperator._select", "term", "return self.factor * self.base._select(x)",
            "return self.base._select(x)"),
-    Mutant("O15", "EmbeddedOperator._select", "term",
-           "out[self.start : self.start + self.base.dim] = block", "out[: self.base.dim] = block"),
     Mutant("O16", "Quadratic._value", "constant", "float(0.5 * x * g._diag @ x",
            "float(x * g._diag @ x"),
     Mutant("O17", "NormFunction._subgradient", "branch", "        if r == 0.0:\n", "        if False:\n"),
@@ -253,6 +249,13 @@ DELETED = (
             "the snapshots hook went: outer_step returns the Step, so no step appends it"),
     Deleted("A14", "_advance", "if state.snapshots is not None:",
             "the snapshots hook went: outer_step returns the Step, so no step appends it"),
+    Deleted("O04", "EmbeddedOperator.__init__", "if start < 0 or start + base.dim > dim:",
+            "EmbeddedOperator went: the a2 and a3 blocks are diagonal AffineOperators on the "
+            "stacked space, whose zero diagonal entries set the block"),
+    Deleted("O15", "EmbeddedOperator._select",
+            "out[self.start : self.start + self.base.dim] = block",
+            "EmbeddedOperator went: a diagonal AffineOperator's selection is +0.0 outside its "
+            "block, as the zero-filled array was"),
 )
 
 
