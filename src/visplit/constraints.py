@@ -93,7 +93,7 @@ class Halfspace(ExactSet):
 
     def _init(self, normal: Vector, offset) -> None:
         offset = float(offset)
-        if not np.isfinite(offset):
+        if not math.isfinite(offset):
             raise NonFiniteValue("halfspace offset must be finite")
         self._sq = float(np.vdot(normal, normal))
         if not _MIN_SQ <= self._sq < math.inf and normal.any():
@@ -137,7 +137,7 @@ class Halfspace(ExactSet):
     def _distance(self, y: Vector) -> float:
         if self._sq == 0.0:
             return 0.0
-        return max(0.0, self._residual(y)) / float(np.sqrt(self._sq))
+        return max(0.0, self._residual(y)) / math.sqrt(self._sq)
 
 
 def project_halfspace_pair(sep: Halfspace, z, w) -> Vector:

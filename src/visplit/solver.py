@@ -417,18 +417,8 @@ def _dist_x(problem: Problem, x: Vector) -> float:
     return constraint._dist_upper(x, constraint.fn._value(x))
 
 
-def _diagnose(
-    problem: Problem,
-    step: Step,
-    theta: float,
-    err_x: float | None = None,
-    dist_x: float | None = None,
-) -> tuple[TraceRecord, CycleCheck]:
-    """The record and the ``CycleCheck`` of a ``Step``, read from its fields alone.
-
-    ``err_x`` and ``dist_x`` are computed here unless the caller already
-    has them for ``step.x``.
-    """
+def _diagnose(problem: Problem, step: Step, theta: float) -> tuple[TraceRecord, CycleCheck]:
+    """The record and the ``CycleCheck`` of a ``Step``, read from its fields alone."""
     # Cycle diagnostics: containment in the region and the drift bound.
     points = step.points
     containment = max(step.region._distance(p) for p in points)
@@ -442,8 +432,6 @@ def _diagnose(
     check = CycleCheck(step.k, containment, drift, stress)
 
     # Optional audit quantities against a known solution.
-    if err_x is None:
-        err_x = _err_x(problem, step.x)
     fejer_slack = float("nan")
     if problem.certificate is not None:
         xs = problem.known_solution
@@ -458,18 +446,15 @@ def _diagnose(
         except OverflowError:
             pass
 
-    if dist_x is None:
-        dist_x = _dist_x(problem, step.x)
-
     return TraceRecord(
         k=step.k,
         alpha_k=step.alpha,
         eta_k=step.eta,
         sigma_k=step.sigma,
         inner_iterations=step.inner_iterations,
-        dist_x=dist_x,
+        dist_x=_dist_x(problem, step.x),
         dist_z0=step.dist_z0,
-        err_x=err_x,
+        err_x=_err_x(problem, step.x),
         fejer_slack=fejer_slack,
         wall_time=time.perf_counter() - step.t0,
     ), check
@@ -523,8 +508,12 @@ def kept_rows(problem: Problem, schedule: StepsizeSchedule, state: SolverState, 
     ``(TraceRecord, CycleCheck)``.
 
     ``options`` are those of ``run``; ``run_options`` checks them and fills
-    in their defaults here, before the generator is made. Every cadence-th
-    step and the last, which sets ``state.stop_reason``, are kept.
+    in their defaults here, before the generator is made. It keeps every
+    step whose index is a multiple of cadence, and the last of this call.
+    ``state.stop_reason`` is None until that last step sets it, so a state
+    that stopped runs again: ``max_outer`` counts the steps of this call,
+    and two calls of N steps keep the rows one call of 2N keeps, plus the
+    first call's last row.
     """
     return _kept_rows(problem, schedule, state, **run_options(problem, **options))
 
@@ -536,21 +525,18 @@ def _kept_rows(problem, schedule, state, *, theta, max_outer, target_err, target
     # every step, and the diagnostics only for the rows that are kept.
     for k in range(max_outer):
         step = _advance(problem, schedule, state, theta, max_inner)
-        err_x = dist_x = None
-        if target_err is not None:
-            err_x = _err_x(problem, state.x)
-            if err_x <= target_err:
-                state.stop_reason = "target_err"
-        if state.stop_reason is None and target_dist is not None:
-            dist_x = _dist_x(problem, state.x)
-            if dist_x <= target_dist:
-                state.stop_reason = "target_dist"
-        if state.stop_reason is None and k == max_outer - 1:
-            state.stop_reason = "max_outer"
+        stop = None
+        if target_err is not None and _err_x(problem, step.x) <= target_err:
+            stop = "target_err"
+        elif target_dist is not None and _dist_x(problem, step.x) <= target_dist:
+            stop = "target_dist"
+        elif k == max_outer - 1:
+            stop = "max_outer"
+        state.stop_reason = stop
         # Cadence decimation never drops the final record.
-        if k % cadence == 0 or state.stop_reason is not None:
-            yield _diagnose(problem, step, theta, err_x, dist_x)
-        if state.stop_reason is not None:
+        if step.k % cadence == 0 or stop is not None:
+            yield _diagnose(problem, step, theta)
+        if stop is not None:
             return
 
 
@@ -576,9 +562,10 @@ def run(
     Returns
     -------
     SolverState
-        Final state with stop_reason set. ``trace`` holds every cadence-th
-        record and the final one; ``cycle_checks`` holds the diagnostics of
-        exactly those rows. Both are :func:`kept_rows` collected.
+        Final state with stop_reason set. ``trace`` holds the records of
+        the steps whose index is a multiple of cadence and the final one;
+        ``cycle_checks`` holds the diagnostics of exactly those rows. Both
+        are :func:`kept_rows` collected.
     """
     state = SolverState(np.zeros(problem.dim) if x0 is None else x0)
     for record, check in kept_rows(problem, schedule, state, **options):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 KERNELS = {
-    "_advance", "_diagnose", "_run_inner", "_feasible_shortcut", "_project_pair",
+    "_advance", "_diagnose", "_kept_rows", "_run_inner", "_feasible_shortcut", "_project_pair",
     "Constraint._separator", "Constraint._dist_upper", "Halfspace._project",
     "BallSet._project", "BallSet._distance", "NormFunction._value", "cli._execute_run",
     "_floats", "as_point", "norm", "difference", "as_dim", "_diagonal", "_symmetric_part",

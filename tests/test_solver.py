@@ -544,6 +544,62 @@ def test_a_target_hit_between_cadence_multiples_is_kept(target, value, cadence):
     assert getattr(last, target[len("target_"):] + "_x") <= value
 
 
+def _ball_four_power():
+    return build("quadratic_over_ball", {"target": [3.0, 1.0], "m": 4}), PowerStepsize(0.6, 0.55), [2.0, 0.5]
+
+
+@pytest.mark.parametrize("make", [_ball_four_power, _box_adaptive], ids=["ball", "box"])
+def test_a_continued_state_keeps_the_rows_of_one_long_call(make):
+    # Two calls of 10 steps on one state take the steps of one call of 20;
+    # cadence counts the state's step index, so the second call keeps the
+    # long call's rows from k = 10 on, and the first call its own last row.
+    problem, schedule, x0 = make()
+    state = SolverState(x0)
+    first = list(kept_rows(problem, schedule, state, max_outer=10, cadence=4))
+    assert state.stop_reason == "max_outer"
+    second = list(kept_rows(problem, schedule, state, max_outer=10, cadence=4))
+    long = SolverState(x0)
+    rows = list(kept_rows(problem, schedule, long, max_outer=20, cadence=4))
+    assert [r.k for r, _ in first] == [0, 4, 8, 9]
+    assert [r.k for r, _ in second] == [r.k for r, _ in rows if r.k >= 10] == [12, 16, 19]
+    for (rec, check), (want, want_check) in zip(second, rows[-3:]):
+        assert _bits(rec[:-1]) == _bits(want[:-1]), rec.k
+        assert _bits(check) == _bits(want_check), rec.k
+    assert state.stop_reason == long.stop_reason == "max_outer"
+    assert state.k == long.k == 20
+    assert _bits([state.sigma]) == _bits([long.sigma])
+    assert _bits(state.z) == _bits(long.z) and _bits(state.x) == _bits(long.x)
+
+
+def test_a_stopped_state_runs_again_from_a_clean_stop():
+    problem = build("quadratic_over_ball", {})
+    schedule = PowerStepsize(0.6, 0.55)
+    state = SolverState([2.0, 0.5])
+    rows = [(state.stop_reason, rec.err_x)
+            for rec, _ in kept_rows(problem, schedule, state, max_outer=5000, target_err=1e-2)]
+    assert [reason for reason, _ in rows] == [None] * (len(rows) - 1) + ["target_err"]
+    assert rows[-1][1] <= 1e-2 < rows[-2][1]
+    stopped_at = state.k
+    reasons = [state.stop_reason for _ in kept_rows(problem, schedule, state, max_outer=5)]
+    assert reasons == [None] * 4 + ["max_outer"]
+    assert state.k == stopped_at + 5
+    assert state.stop_reason == "max_outer"
+
+
+def test_a_step_meeting_both_targets_stops_on_target_err(monkeypatch):
+    # target_err is tested first, and dist_x is then evaluated only for the
+    # kept row's record.
+    problem = build("quadratic_over_ball", {})
+    calls = []
+    dist_x = solver._dist_x
+    monkeypatch.setattr(solver, "_dist_x", lambda *args: calls.append(1) or dist_x(*args))
+    state = run(problem, PowerStepsize(0.6, 0.55), x0=[2.0, 0.5], max_outer=100,
+                target_err=1e3, target_dist=1e3)
+    assert state.stop_reason == "target_err"
+    assert state.k == 1 and len(state.trace) == 1
+    assert len(calls) == 1
+
+
 def test_records_and_problems_reject_assignment_and_share_no_state():
     assert TraceRecord._fields == TRACE_COLUMNS
     rec = run(build("a3", {}), PowerStepsize(1.0, 1.0), max_outer=1).trace[0]

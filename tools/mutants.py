@@ -16,7 +16,7 @@ test could see it or because its job went; its text must no longer occur.
     python tools/mutants.py            # all mutants; writes tools/mutants.json
     python tools/mutants.py P03 I01    # only these; prints, writes nothing
 
-Standard library only. One mutant takes 3-89 s on a two-core host, the list about 30 minutes.
+Standard library only. One mutant takes 3-48 s on a two-core host, the list about 30 minutes.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ PROBS = "src/visplit/problems.py"
 KERNELS = {
     "_advance": SOLVER,
     "_diagnose": SOLVER,
+    "_kept_rows": SOLVER,
     "_run_inner": INNER,
     "_feasible_shortcut": INNER,
     "_project_pair": CONS,
@@ -132,6 +133,11 @@ MUTANTS = (
     Mutant("D08", "_diagnose", "term", "2.0 * theta * problem._u_bar", "2.0 * problem._u_bar"),
     Mutant("D09", "_diagnose", "term", "before = norm(step.z - xs) ** 2",
            "before = norm(points[0] - xs) ** 2"),
+    Mutant("K01", "_kept_rows", "term", "step.k % cadence", "k % cadence"),
+    Mutant("K02", "_kept_rows", "branch", "elif target_dist", "if target_dist"),
+    Mutant("K03", "_kept_rows", "comparison", "elif k == max_outer - 1", "elif k == max_outer"),
+    Mutant("K04", "_kept_rows", "term", "state.stop_reason = stop",
+           "state.stop_reason = state.stop_reason or stop"),
     Mutant("I01", "_run_inner", "comparison", "if bound <= tol:", "if bound < tol:"),
     Mutant("I02", "_run_inner", "term", "_project_pair(sep, y, y0)", "_project_pair(sep, y, y)"),
     Mutant("I03", "_run_inner", "constant", "InnerResult(y_next, sep, j + 1, bound)",
