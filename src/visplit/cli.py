@@ -159,21 +159,11 @@ def _build_schedule(spec, where: str) -> StepsizeSchedule:
         raise ConfigError(f"{where}.{exc}") from exc
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _jsonable(value):
-    if isinstance(value, (np.floating, float)):
-        v = float(value)
-        return None if not np.isfinite(v) else v
-    if isinstance(value, (np.integer, int)):
-        return int(value)
+    """An array as a list, and a NaN or infinite float as None: JSON has neither."""
     if isinstance(value, np.ndarray):
         return value.tolist()
-    return value
+    return None if isinstance(value, float) and not np.isfinite(value) else value
 
 
 def _execute_run(job: RunJob, label: str, outdir: str) -> dict:
@@ -197,7 +187,7 @@ def _execute_run(job: RunJob, label: str, outdir: str) -> dict:
         with open(part, "w", encoding="utf-8") as fh:
             fh.write(",".join(TRACE_COLUMNS) + "\n")
             for record, check in kept_rows(problem, schedule, state, **job.options):
-                fh.write(",".join(map(_fmt, record)) + "\n")
+                fh.write(",".join(map(repr, record)) + "\n")
                 containment = max(containment, check.containment)
                 drift = max(drift, check.drift_excess)
                 stress += check.eta_stress

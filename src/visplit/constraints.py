@@ -25,7 +25,8 @@ a kernel that trusts them: ``_project``, ``_distance``, ``_residual``,
 ``_separator`` (for ``separator_at``), ``_dist_upper`` and ``_project_pair``
 (for ``project_halfspace_pair``). An ``ExactSet`` subclass implements only
 the kernels. The separator and distance kernels take a precomputed
-``c(y)``; the normals they take from subgradient oracles are still checked.
+``c(y)``; the normals they take from subgradient oracles are still checked,
+and c(y) and a set's distance are taken in as Python floats.
 """
 
 from __future__ import annotations
@@ -249,7 +250,7 @@ class Constraint:
                 raise ConfigError(
                     f"slater point must be strictly feasible, got c(w) = {cw!r}"
                 )
-            self._slater_value = cw
+            self._slater_value = float(cw)
         self.slater_point = slater_point
         if exact_set is None and slater_point is None:
             raise ConfigError("constraint needs a distance rule: exact_set or slater_point")
@@ -262,13 +263,13 @@ class Constraint:
         return self._dist_upper(y, self.fn._value(y))
 
     def _dist_upper(self, y: Vector, cy: float) -> float:
-        """``dist_upper`` at a finite point ``y`` of length ``dim`` with ``cy = c(y)``."""
+        """``dist_upper``, as a float, at a finite point ``y`` of length ``dim`` with ``cy = c(y)``."""
         if cy <= 0.0:
             return 0.0
         if self.exact_set is not None:
-            return self.exact_set._distance(y)
-        w = self.slater_point
-        bound = norm(y - w) * cy / (cy - self._slater_value)
+            return float(self.exact_set._distance(y))
+        cy = float(cy)
+        bound = norm(y - self.slater_point) * cy / (cy - self._slater_value)
         if not math.isfinite(bound):
             raise NonFiniteValue(f"Slater distance bound is {bound!r} at c(y) = {cy!r}")
         return bound
@@ -288,9 +289,9 @@ class Constraint:
 
         The normal comes from the subgradient oracle, which may be a user's
         ``ConvexFunction`` subclass, so it is checked here as the "constraint
-        subgradient", as is ``cy``, the offset's other term. A zero
-        subgradient at a feasible point gives the constraint's one
-        whole-space region, built with it.
+        subgradient", as is ``cy``, the offset's other term, which enters
+        as a float. A zero subgradient at a feasible point gives the
+        constraint's one whole-space region, built with it.
         """
         g = as_point(self.fn._subgradient(y), self.dim, "constraint subgradient")
         if not math.isfinite(cy):
@@ -303,4 +304,4 @@ class Constraint:
                     "zero subgradient at an infeasible point: feasible set is empty"
                 )
             return self._whole_space
-        return Halfspace._of(g, float(g @ y) - cy)
+        return Halfspace._of(g, float(g @ y) - float(cy))

@@ -198,7 +198,7 @@ class Quadratic(ConvexFunction):
 
     The gradient x -> Qx + b is kept as an ``AffineOperator`` on the
     symmetric part of Q, which stores Q (as its diagonal when Q is diagonal)
-    and checks it; the value reads the same storage.
+    and checks it; the value reads the same storage, except a ball gauge's.
     """
 
     def __init__(self, Q, b=None, constant: float = 0.0, label: str = "quadratic"):
@@ -220,6 +220,7 @@ class Quadratic(ConvexFunction):
         self.gradient = gradient
         self.b = gradient.offset
         self.constant = as_number(constant, "constant")
+        self._center = None
 
     @property
     def Q(self) -> np.ndarray:
@@ -242,19 +243,27 @@ class Quadratic(ConvexFunction):
     def ball_gauge(cls, center, radius: float, label: str = "") -> "Quadratic":
         """||x - center||^2 - radius^2, the smooth gauge of a ball.
 
-        The constant holds radius^2, so ``radius`` is at most the square
-        root of the largest float.
+        Its Q, b and constant are 2I, -2 center and ||center||^2 - radius^2,
+        but its value is taken in the centred form d @ d - radius^2 with
+        d = x - center, which keeps its digits where ||center|| dwarfs the
+        radius. The constant holds radius^2, so ``radius`` is at most the
+        square root of the largest float.
         """
         center = as_point(center, name="center")
         radius = as_number(radius, "radius", at_least=0, at_most=_MAX_SQUARED_RADIUS)
-        return cls.from_diagonal(
+        q = cls.from_diagonal(
             np.full(center.size, 2.0),
             -2.0 * center,
             float(center @ center) - radius**2,
             label or "ball_gauge_sq",
         )
+        q._center, q._sq_radius = center.copy(), radius**2
+        return q
 
     def _value(self, x: Vector) -> float:
+        if self._center is not None:
+            d = x - self._center
+            return float(d @ d) - self._sq_radius
         g = self.gradient
         if g._diag is not None:
             return float(0.5 * x * g._diag @ x + self.b @ x + self.constant)

@@ -26,6 +26,8 @@ from .solver import Problem, SolverState, StepsizeSchedule, outer_step
 from .space import Vector, as_number, as_point
 
 _MAX_QP_ROWS = 12
+# The audit keeps the 8-byte stepsize of every step for its decay fit: 80 MB at the cap.
+_MAX_AUDIT_STEPS = 10**7
 
 
 def qp_project(point, halfspaces) -> Vector:
@@ -423,9 +425,9 @@ def fejer_audit(
     inside the step's region, and compare the endpoint, stepsize, and norm
     bound against the step's own. With a certificate available, recompute
     the per-step quasi-distance inequality toward the known solution with
-    slack tolerance 1e-8.
+    slack tolerance 1e-8. ``steps`` is at most 10**7.
     """
-    steps = as_number(steps, "steps", integer=True, at_least=1)
+    steps = as_number(steps, "steps", integer=True, at_least=1, at_most=_MAX_AUDIT_STEPS)
     state = SolverState(np.zeros(problem.dim) if x0 is None else x0)
     xs = problem.known_solution
     cert = problem.certificate

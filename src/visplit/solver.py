@@ -20,8 +20,8 @@ One outer step, given the current base point z_k:
    z iterates need not converge for merely monotone operators (rotations
    survive); the averaged sequence is the one with guarantees.
 
-A schedule gives only the square-summable numerator beta_k; the step forms
-alpha_k from it and checks it once. Explicit rules take alpha_k = beta_k.
+A schedule gives only the square-summable numerator beta_k, which the step
+checks once and takes in as a float. Explicit rules take alpha_k = beta_k.
 The recorded eta_k is the norm bound max(1, max_i ||u_i||) realized by the
 cycle's own selections, and under the adaptive rule alpha_k is beta_k
 divided by a probe of that bound taken at z_0 before the cycle runs. The
@@ -38,9 +38,10 @@ yields only the rows it keeps, holding none; ``run`` collects them, and
 ``visplit run`` writes each to disk as it comes.
 
 Both phases call only kernels, which trust their points: ``SolverState``
-and ``Problem`` check the points that enter, ``run_options`` the options
-of ``kept_rows``, ``run`` and ``outer_step``, and the step checks that the
-state's dimension is the problem's, and that z_{k+1} is finite.
+and ``Problem`` check the points that enter, ``run_options`` and its rules
+the options, and the step that the state's dimension is the problem's and
+that z_{k+1} is finite. A number from a user's schedule, function or set
+becomes a Python float where the step takes it in.
 """
 
 from __future__ import annotations
@@ -327,11 +328,10 @@ def outer_step(
 
     The step writes only the state's z, x, sigma and k and diagnoses
     nothing: records and ``CycleCheck``s come from ``kept_rows``.
-    ``theta`` and ``max_inner`` are checked by ``run_options``, before the
-    step starts.
+    ``theta`` and ``max_inner`` are checked by the rules of ``run_options``,
+    before the step starts.
     """
-    options = run_options(problem, theta=theta, max_inner=max_inner)
-    return _advance(problem, schedule, state, options["theta"], options["max_inner"])
+    return _advance(problem, schedule, state, _theta(theta), _count(max_inner, "max_inner"))
 
 
 def _advance(
@@ -353,6 +353,9 @@ def _advance(
         raise DimensionMismatch(f"state has dimension {z.size}, problem has {problem.dim}")
     constraint = problem.constraint
     beta = schedule.alpha(k)
+    if not (beta > 0 and math.isfinite(beta)):
+        raise ConfigError(f"schedule produced a nonpositive stepsize {beta!r}")
+    beta = float(beta)
 
     # Feasibility stage. The loop tolerance is theta times the numerator
     # beta_k, which is the stepsize itself for explicit rules.
@@ -377,8 +380,8 @@ def _advance(
             raise NonFiniteIterate(f"operator selection at z0 is not finite at k={k}")
         probe = max(1.0, *norms)
         alpha = beta / probe
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ConfigError(f"schedule produced a nonpositive stepsize {alpha!r}")
+        if alpha == 0.0:
+            raise ConfigError(f"schedule produced a nonpositive stepsize {alpha!r}")
 
     # Cycle stage: one step and one region projection per operator.
     points = [z0]
@@ -421,7 +424,7 @@ def _diagnose(problem: Problem, step: Step, theta: float) -> tuple[TraceRecord, 
     """The record and the ``CycleCheck`` of a ``Step``, read from its fields alone."""
     # Cycle diagnostics: containment in the region and the drift bound.
     points = step.points
-    containment = max(step.region._distance(p) for p in points)
+    containment = float(max(step.region._distance(p) for p in points))
     drift = 0.0
     step_bound = step.eta * step.alpha
     for i in range(len(points)):
@@ -493,14 +496,24 @@ def run_options(
     max_inner : int
         Projection budget per feasibility stage, at least 1.
     """
-    options = {"theta": as_number(theta, "theta", above=0)}
+    options = {"theta": _theta(theta)}
     for name, value in (("max_outer", max_outer), ("cadence", cadence), ("max_inner", max_inner)):
-        options[name] = as_number(value, name, integer=True, at_least=1)
+        options[name] = _count(value, name)
     for name, value in (("target_err", target_err), ("target_dist", target_dist)):
         options[name] = None if value is None else as_number(value, name, at_least=0)
     if target_err is not None and problem.known_solution is None:
         raise ConfigError("target_err needs a problem with a known solution")
     return options
+
+
+def _theta(theta) -> float:
+    """The relaxation factor ``theta`` checked: positive and finite."""
+    return as_number(theta, "theta", above=0)
+
+
+def _count(value, name: str) -> int:
+    """The count option ``name`` checked: an integer of at least 1."""
+    return as_number(value, name, integer=True, at_least=1)
 
 
 def kept_rows(problem: Problem, schedule: StepsizeSchedule, state: SolverState, **options):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from visplit import (
-    AdaptivePowerStepsize, ConfigError, ConstantStepsize, DimensionMismatch, NonFiniteIterate,
-    PowerStepsize, TRACE_COLUMNS, build, checks, cli, oracle, run, solver,
+    AdaptivePowerStepsize, ConfigError, ConstantStepsize, Constraint, ConvexFunction,
+    DimensionMismatch, ExactSet, NonFiniteIterate, PowerStepsize, Problem, StepsizeSchedule,
+    TRACE_COLUMNS, build, checks, cli, oracle, run, solver,
 )
 from visplit.cli import CHECK_SUITES, RUN_KEYS, _build_schedule, main
 from visplit.problems import FAMILIES, FAMILY_PARAMS, MAX_DIM
@@ -395,6 +396,102 @@ def test_an_underflowing_stepsize_fails_alike_in_run_and_visplit_run(tmp_path, c
     assert main(["run", _write_cfg(tmp_path / "cfg.json", cfg), "--output", str(out)]) == 2
     assert "nonpositive stepsize" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _cast_objects(cast):
+    """A user's adaptive schedule, disk gauge ||x||^2 - 1 and unit disk, whose
+    numbers each pass through ``cast`` on the way out."""
+
+    class Schedule(StepsizeSchedule):
+        kind = "cast"
+        adaptive = True
+
+        def __init__(self, a: float = 0.8, p: float = 0.7):
+            self.a, self.p = a, p
+
+        def alpha(self, k):
+            return cast(self.a / (k + 1) ** self.p)
+
+    class Gauge(ConvexFunction):
+        def _value(self, x):
+            return cast(float(x @ x) - 1.0)
+
+        def _subgradient(self, x):
+            return 2.0 * x
+
+    class Disk(ExactSet):
+        def _project(self, y):
+            r = float(np.linalg.norm(y))
+            return y.copy() if r <= 1.0 else y / r
+
+        def _distance(self, y):
+            return cast(max(0.0, float(np.linalg.norm(y)) - 1.0))
+
+    return Schedule, Gauge(2), Disk(2)
+
+
+def _cast_problem(cast, kind):
+    """quadratic_over_ball's operators and solution over the user's disk: its exact set
+    as the region ("exact"), as the loop's distance ("loop"), or a Slater rule ("slater")."""
+    _, gauge, disk = _cast_objects(cast)
+    base = build("quadratic_over_ball", {"target": [2.0, 1.0], "m": 2})
+    if kind == "slater":
+        constraint = Constraint(gauge, slater_point=[0.0, 0.0])
+    else:
+        constraint = Constraint(gauge, exact_set=disk)
+    return Problem(base.operators, constraint, label="cast", known_solution=base.known_solution,
+                   certificate=base.certificate, use_exact_projection=kind == "exact")
+
+
+def _float_twin(scalar):
+    """The cast that hands back what ``scalar`` does, as a Python float."""
+    return lambda v: float(scalar(v))
+
+
+CASTS = pytest.mark.parametrize("scalar", [np.float32, np.float64], ids=["float32", "float64"])
+CAST_KINDS = pytest.mark.parametrize("kind", ["exact", "loop", "slater"])
+
+
+@CASTS
+@CAST_KINDS
+def test_a_users_numpy_scalars_reach_every_record_as_python_floats(scalar, kind):
+    # The step takes each number a user's schedule, gauge or set hands it in
+    # as a Python float, so the records hold only Python numbers and are the
+    # records of the same values handed in as floats.
+    states = []
+    for cast in (scalar, _float_twin(scalar)):
+        schedule = _cast_objects(cast)[0]()
+        states.append(run(_cast_problem(cast, kind), schedule, x0=[3.0, 1.0], theta=0.7,
+                          max_outer=40))
+    state, twin = states
+    assert state.k == 40 and type(state.k) is int and type(state.sigma) is float
+    assert state.sigma == twin.sigma
+    # Only the exact region skips the feasibility loop and its separators.
+    assert (max(r.inner_iterations for r in state.trace) > 0) == (kind != "exact")
+    for row, check, twin_row in zip(state.trace, state.cycle_checks, twin.trace):
+        assert all(type(v) in (int, float) for v in row), row
+        assert [type(v) for v in check] == [int, float, float, bool], check
+        assert repr(row[:-1]) == repr(twin_row[:-1])
+
+
+@CASTS
+@CAST_KINDS
+def test_visplit_run_writes_a_users_numpy_scalars_as_their_float_twin(tmp_path, monkeypatch,
+                                                                      scalar, kind):
+    cfg = _write_cfg(tmp_path / "cfg.json", {"family": "cast", "schedule": {"kind": "cast"},
+                                            "x0": [3.0, 1.0], "theta": 0.7, "max_outer": 40})
+    files = []
+    for name, cast in (("user", scalar), ("twin", _float_twin(scalar))):
+        monkeypatch.setitem(cli.SCHEDULES, "cast", _cast_objects(cast)[0])
+        monkeypatch.setattr(cli.problems, "build", lambda family, params: _cast_problem(cast, kind))
+        out = str(tmp_path / name)
+        assert main(["run", cfg, "--output", out]) == 0
+        header, rows = _read_trace(os.path.join(out, "cast"))
+        summary = _read_summary(os.path.join(out, "cast"))
+        del summary["wall_time_total"], summary["final"]["wall_time"]
+        files.append((header, [row[:WALL] for row in rows], summary))
+    assert files[0] == files[1]
+    assert len(files[0][1]) == 40 and files[0][2]["sigma"] > 0
 
 
 def test_summary_reports_the_kept_rows_cycle_diagnostics(tmp_path):

@@ -15,6 +15,7 @@ KERNELS = {
     "_floats", "as_point", "norm", "difference", "as_dim", "_diagonal", "_symmetric_part",
     "AffineOperator._select", "ScaledOperator._select", "sum_select", "Quadratic._value",
     "NormFunction._subgradient", "MaxOfAffine._value", "MaxOfAffine._subgradient",
+    "Constraint.__init__", "_ball_solution",
 }
 
 

@@ -537,9 +537,11 @@ def test_ball_gauge_is_the_squared_distance_less_the_squared_radius():
     rng = np.random.default_rng(9)
     for _ in range(20):
         x = rng.standard_normal(3)
-        assert fn.value(x) == spelled.value(x)
+        # The value is taken centred, bit for bit; the expanded coefficients
+        # describe the same function and give the subgradient.
+        assert fn.value(x) == float((x - center) @ (x - center)) - 2.25
+        assert fn.value(x) == pytest.approx(spelled.value(x))
         assert fn.subgradient(x).tobytes() == spelled.subgradient(x).tobytes()
-        assert fn.value(x) == pytest.approx(float((x - center) @ (x - center)) - 2.25)
     # The constant holds radius**2, which must be a float.
     for radius in (-1.0, 1e160, float("nan"), "1"):
         with pytest.raises(ConfigError, match="^radius must"):

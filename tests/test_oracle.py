@@ -133,9 +133,14 @@ def test_vi_gap_is_negative_away_from_the_solution():
         ("quadratic_over_ball", {"m": 4, "target": [2.0, 0.0]}),
         ("quadratic_over_ball", {"target": [0.5, 0.0]}),
         ("quadratic_over_ball", {"target": [10.0, 0.0]}),
+        # Targets whose ball multiplier is not dyadic, so that the bisection's
+        # last steps count.
+        ("quadratic_over_ball", {"target": [3.0, 1.0]}),
+        ("quadratic_over_ball", {"target": [0.7, -2.9]}),
+        ("quadratic_over_ball", {"target": [5.0, 4.0, -1.0]}),
     ],
     ids=["a1-relu", "a1-norm", "a1-sqnorm", "a1-moved", "a3", "a3-moved", "a2", "ball-m4",
-         "ball-interior", "ball-far"],
+         "ball-interior", "ball-far", "ball-3-1", "ball-skew", "ball-3d"],
 )
 def test_reference_route_agrees_with_the_builders_solution(family, params):
     # The builder's closed form and the oracle's probe-and-solve route are
@@ -248,7 +253,9 @@ def test_grid_oracle_guards():
         grid_vi_solution(big)
 
 
-@pytest.mark.parametrize("steps", [0, 2.5, "3"])
+# Uncapped, 10**15 steps would ask numpy for a 7.1 PiB stepsize array, a bare
+# MemoryError; the cap refuses it before the audit allocates anything.
+@pytest.mark.parametrize("steps", [0, 2.5, "3", 10**15])
 def test_audit_steps_must_be_a_positive_integer(steps):
     with pytest.raises(ConfigError, match="^steps must"):
         fejer_audit(_line_problem(), PowerStepsize(0.5, 1.0), steps, x0=[0.0])

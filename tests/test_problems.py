@@ -130,6 +130,22 @@ def test_ball_family_gauge_variants():
     assert np.allclose(lin.known_solution, sq.known_solution, atol=1e-12, rtol=0)
 
 
+@pytest.mark.parametrize("s", [1e8, 1e9])
+def test_the_squared_gauge_converges_as_the_norm_gauge_does_far_from_the_origin(s):
+    # Expanded, x.x - 2c.x + (c.c - r^2) loses about eps * ||c||^2 to
+    # cancellation, past r^2 here: the run then failed with an empty
+    # halfspace pair (s = 1e8), or ended 1.08 off while reporting dist_x 0
+    # (s = 1e9). Centred, it tracks the norm gauge's run.
+    params = {"center": [0.3 + s, -0.2 - s / 2], "target": [2.0 + s, 1.0 - s / 2], "radius": 1.0}
+    errs = {}
+    for squared in (True, False):
+        problem = build("quadratic_over_ball", {**params, "squared": squared})
+        state = run(problem, PowerStepsize(1.0, 0.6), x0=problem.meta["center"], max_outer=300)
+        errs[squared] = state.trace[-1].err_x
+        assert state.trace[-1].dist_x <= errs[squared]
+    assert errs[True] <= 2.0 * errs[False], errs
+
+
 def test_box_instance_reference_and_grid_agree():
     prob = build("affine_vi_over_polyhedron", {})
     assert prob.known_solution is None

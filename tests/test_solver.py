@@ -659,6 +659,43 @@ def test_outer_step_rejects_a_bad_option_before_any_projection(monkeypatch, opti
     assert state.k == 0 and state.cycle_checks == []
 
 
+class _ValueSchedule(solver.StepsizeSchedule):
+    """beta_k = ``value`` on every step."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def alpha(self, k):
+        return self.value
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [(math.nan, ConfigError), (-1.0, ConfigError), (np.float32(0.0), ConfigError),
+     ("0.5", TypeError)],
+    ids=["nan", "negative", "float32-zero", "string"],
+)
+def test_a_schedule_value_is_checked_before_the_feasibility_stage(monkeypatch, value, error):
+    # beta_k scales the loop's tolerance, so it is checked before the first
+    # gauge value: with a NaN tolerance the loop would spend its whole
+    # projection budget. A string is compared, never parsed.
+    problem = build("quadratic_over_ball", {})
+    state = SolverState([3.0, 0.0])
+    monkeypatch.setattr(problem.constraint.fn, "_value", lambda y: pytest.fail("the step started"))
+    with pytest.raises(error):
+        outer_step(problem, _ValueSchedule(value), state)
+    assert state.k == 0
+
+
+def test_an_adaptive_stepsize_that_underflows_is_refused_at_its_step():
+    # beta_0 = 5e-324 is a stepsize, but beta_0 / probe with probe >= 2 rounds to 0.
+    problem = build("quadratic_over_ball", {"target": [3.0, 1.0]})
+    state = SolverState([3.0, 1.0])
+    with pytest.raises(ConfigError, match="nonpositive stepsize 0.0"):
+        outer_step(problem, AdaptivePowerStepsize(5e-324, 1.0), state)
+    assert state.k == 0 and state.sigma == 0.0
+
+
 def test_kept_rows_checks_its_options_when_called():
     problem = build("quadratic_over_ball", {})
     state = SolverState([3.0, 0.0])

@@ -1,8 +1,10 @@
-"""One-line mutants of visplit's step kernels and of the operator and space
-kernels they call, each run against tier-1 alone.
+"""One-line mutants of visplit's step kernels, of the operator and space
+kernels they call and of the oracle's ball route, each run against tier-1
+alone.
 
 A mutant replaces one piece of text in one source file: a constant tweak, a
-flipped comparison, a dropped term, a dropped branch or a dropped copy. Each
+flipped comparison, a dropped term, a dropped branch, a dropped copy or a
+dropped conversion of a user's number to a float. Each
 target must occur exactly once in its file, or nothing runs. The script
 copies the checkout to a fresh temporary directory per mutant, applies the
 mutant there (never in the checkout), and runs the tier-1 suite with
@@ -46,6 +48,7 @@ CONS = "src/visplit/constraints.py"
 OPS = "src/visplit/operators.py"
 SPACE = "src/visplit/space.py"
 PROBS = "src/visplit/problems.py"
+ORACLE = "src/visplit/oracle.py"
 # The kernels mutated or deleted from, and the file each lives or lived in.
 KERNELS = {
     "_advance": SOLVER,
@@ -56,6 +59,7 @@ KERNELS = {
     "_project_pair": CONS,
     "Constraint._separator": CONS,
     "Constraint._dist_upper": CONS,
+    "Constraint.__init__": CONS,
     "Halfspace._project": CONS,
     "BallSet._project": CONS,
     "BallSet._distance": CONS,
@@ -77,13 +81,14 @@ KERNELS = {
     "NormFunction._subgradient": PROBS,
     "MaxOfAffine._value": PROBS,
     "MaxOfAffine._subgradient": PROBS,
+    "_ball_solution": ORACLE,
 }
 
 
 class Mutant(NamedTuple):
     id: str
     kernel: str
-    kind: str  # constant, comparison, term, branch or copy
+    kind: str  # constant, comparison, term, branch, copy or conversion
     target: str
     replacement: str
     equivalent: str = ""  # why a surviving mutant is kept, if it is
@@ -117,8 +122,10 @@ MUTANTS = (
     Mutant("A09", "_advance", "term", "sigma = state.sigma + alpha", "sigma = alpha"),
     Mutant("A10", "_advance", "branch", "if not np.isfinite(z_next).all():", "if False:"),
     Mutant("A11", "_advance", "branch", "if not all(map(math.isfinite, norms)):", "if False:"),
-    Mutant("A12", "_advance", "term", "if not (alpha > 0 and math.isfinite(alpha)):",
-           "if not math.isfinite(alpha):"),
+    Mutant("A12", "_advance", "term", "if not (beta > 0 and math.isfinite(beta)):",
+           "if not math.isfinite(beta):"),
+    Mutant("A15", "_advance", "conversion", "    beta = float(beta)\n", ""),
+    Mutant("A16", "_advance", "branch", "if alpha == 0.0:", "if False:"),
     Mutant("D01", "_diagnose", "term", "gap - (j - i) * step_bound", "gap - step_bound"),
     Mutant("D02", "_diagnose", "constant", "    drift = 0.0\n", "    drift = -math.inf\n"),
     Mutant("D03", "_diagnose", "branch", "for j in range(i + 1, len(points)):",
@@ -133,6 +140,7 @@ MUTANTS = (
     Mutant("D08", "_diagnose", "term", "2.0 * theta * problem._u_bar", "2.0 * problem._u_bar"),
     Mutant("D09", "_diagnose", "term", "before = norm(step.z - xs) ** 2",
            "before = norm(points[0] - xs) ** 2"),
+    Mutant("D10", "_diagnose", "conversion", "containment = float(max(", "containment = (max("),
     Mutant("K01", "_kept_rows", "term", "step.k % cadence", "k % cadence"),
     Mutant("K02", "_kept_rows", "branch", "elif target_dist", "if target_dist"),
     Mutant("K03", "_kept_rows", "comparison", "elif k == max_outer - 1", "elif k == max_outer"),
@@ -170,12 +178,20 @@ MUTANTS = (
     Mutant("P10", "_project_pair", "constant", "max(norm(w), norm(z))",
            "max(1.0, norm(w), norm(z))"),
     Mutant("S01", "Constraint._separator", "comparison", "if cy > 0.0:", "if cy >= 0.0:"),
-    Mutant("S02", "Constraint._separator", "term", "float(g @ y) - cy)", "float(g @ y) + cy)"),
+    Mutant("S02", "Constraint._separator", "term", "float(g @ y) - float(cy))",
+           "float(g @ y) + float(cy))"),
     Mutant("S03", "Constraint._separator", "branch", "if not math.isfinite(cy):", "if False:"),
+    Mutant("S04", "Constraint._separator", "conversion", "float(g @ y) - float(cy))",
+           "float(g @ y) - cy)"),
     Mutant("U01", "Constraint._dist_upper", "comparison", "if cy <= 0.0:", "if cy < 0.0:"),
     Mutant("U02", "Constraint._dist_upper", "constant", "cy / (cy - self._slater_value)",
            "cy / (cy - 2.0 * self._slater_value)"),
     Mutant("U03", "Constraint._dist_upper", "branch", "if not math.isfinite(bound):", "if False:"),
+    Mutant("U04", "Constraint._dist_upper", "conversion",
+           "return float(self.exact_set._distance(y))", "return self.exact_set._distance(y)"),
+    Mutant("U05", "Constraint._dist_upper", "conversion", "        cy = float(cy)\n", ""),
+    Mutant("W01", "Constraint.__init__", "conversion", "self._slater_value = float(cw)",
+           "self._slater_value = cw"),
     Mutant("H01", "Halfspace._project", "comparison", "if r <= 0.0:", "if r < 0.0:"),
     Mutant("H02", "Halfspace._project", "branch",
            "        if self._sq == 0.0:\n            return y.copy()\n        r = self",
@@ -241,12 +257,16 @@ MUTANTS = (
            "return np.max(self.rows @ x - self.rhs)"),
     Mutant("O19", "MaxOfAffine._subgradient", "term", "np.argmax(self.rows @ x - self.rhs)",
            "np.argmax(self.rows @ x)"),
+    Mutant("O20", "Quadratic._value", "branch", "        if self._center is not None:\n",
+           "        if False:\n"),
+    Mutant("R01", "_ball_solution", "constant", "for _ in range(200):", "for _ in range(30):"),
 )
 
 # Code that went: earlier mutants showed it equivalent, or it lost its job.
 DELETED = (
     Deleted("X01", "_diagnose", "max(float(region._distance(p)) for p in points)",
-            "every ExactSet._distance already returns a float, so the float() went"),
+            "a float() on every distance is one per cycle point; the containment, their "
+            "max, is converted once instead (D10)"),
     Deleted("X02", "_advance",
             "StepSnapshot(k, z.copy(), z0.copy(), z_next.copy(), region, inner_iters)",
             "a step replaces the state's points and writes none of them in place, so the "
