@@ -41,7 +41,8 @@ Both phases call only kernels, which trust their points: ``SolverState``
 and ``Problem`` check the points that enter, ``run_options`` and its rules
 the options, and the step that the state's dimension is the problem's and
 that z_{k+1} is finite. A number from a user's schedule, function or set
-becomes a Python float where the step takes it in.
+becomes a Python float where the step takes it in, and a selection or
+projection from a user's operator or set a float64 array.
 """
 
 from __future__ import annotations
@@ -362,7 +363,7 @@ def _advance(
     cz = constraint.fn._value(z)
     if problem.use_exact_projection:
         region = constraint.exact_set
-        z0 = z if cz <= 0 else region._project(z)
+        z0 = z if cz <= 0 else np.asarray(region._project(z), dtype=float)
         inner_iters, dist_z0 = 0, 0.0
     elif cz <= 0:
         z0, region, inner_iters, dist_z0 = _feasible_shortcut(constraint, z, cz)
@@ -375,7 +376,7 @@ def _advance(
     # selections at z0; a probe that overflows is a diverged iterate.
     alpha, probe = beta, None
     if schedule.adaptive:
-        norms = [norm(op._select(z0)) for op in problem.operators]
+        norms = [norm(np.asarray(op._select(z0), dtype=float)) for op in problem.operators]
         if not all(map(math.isfinite, norms)):
             raise NonFiniteIterate(f"operator selection at z0 is not finite at k={k}")
         probe = max(1.0, *norms)
@@ -387,9 +388,9 @@ def _advance(
     points = [z0]
     eta = 1.0
     for op in problem.operators:
-        u = op._select(points[-1])
+        u = np.asarray(op._select(points[-1]), dtype=float)
         eta = max(eta, norm(u))
-        points.append(region._project(points[-1] - alpha * u))
+        points.append(np.asarray(region._project(points[-1] - alpha * u), dtype=float))
     z_next = points[-1]
     if not np.isfinite(z_next).all():
         raise NonFiniteIterate(f"outer iterate diverged at k={k}")

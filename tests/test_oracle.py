@@ -120,6 +120,17 @@ def test_vi_gap_is_negative_away_from_the_solution():
     assert vi_gap(prob, [0.0, 1.0], rng) < -0.5
 
 
+def test_vi_gap_is_the_least_sampled_gap_even_when_all_are_positive():
+    # At x* = (1, 0), T(x*) = (-1, 0) and <T(x*), p - x*> = 1 - p1 > 0 at
+    # every interior sample, so the gap is their positive minimum, not 0.
+    prob = build("quadratic_over_ball", {"target": [2.0, 0.0]})
+    x = prob.known_solution
+    samples = feasible_points(prob, np.random.default_rng(3), 50)
+    gap = vi_gap(prob, x, np.random.default_rng(3), count=50)
+    assert gap == min(float((x - [2.0, 0.0]) @ (p - x)) for p in samples)
+    assert gap > 0.0
+
+
 @pytest.mark.parametrize(
     "family, params",
     [
@@ -147,6 +158,22 @@ def test_reference_route_agrees_with_the_builders_solution(family, params):
     # derived apart, from the operators and meta; they agree to roundoff.
     prob = build(family, params)
     assert np.max(np.abs(reference_solution(prob) - prob.known_solution)) <= 1e-15
+
+
+def test_rows_route_skips_a_face_whose_multiplier_is_barely_negative():
+    # T(x) = x - (1, -e) over {x2 <= 0, x1 - x2 <= 1 + e/2} with e = 2^-13:
+    # the face {x2 = 0}, enumerated first, gives the feasible point (1, 0)
+    # with multiplier -e, and the solution is the projection onto the other
+    # face, (1 - e/4, -3e/4). A sign test looser than e takes (1, 0).
+    e = 2.0**-13
+    prob = build(
+        "affine_vi_over_polyhedron",
+        {"matrix": [[1.0, 0.0], [0.0, 1.0]], "offset": [-1.0, e],
+         "rows": [[0.0, 1.0], [1.0, -1.0]], "rhs": [0.0, 1.0 + e / 2],
+         "interior_point": [0.0, -1.0]},
+    )
+    x = reference_solution(prob)
+    assert np.max(np.abs(x - [1.0 - e / 4, -3 * e / 4])) <= 1e-15
 
 
 def test_reference_solution_rejects_unknown_meta():

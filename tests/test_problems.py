@@ -252,6 +252,20 @@ def test_a3_stationary_points():
     assert np.allclose(skew.certificate_sum(), [0.0, 0.0], atol=1e-15, rtol=0)
 
 
+@pytest.mark.parametrize("k", [-6, 0, 3, 6, 9])
+def test_a3_takes_a_rounded_self_adjoint_matrix_at_any_scale(k):
+    # q diag(1, 2, 3) q^T is self-adjoint up to rounding of about |L| eps
+    # (1.75e-10 at scale 1e6), so the symmetry test is relative to |L|; a
+    # matrix asymmetric at a relative 1e-6 is still refused at every scale.
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
+    L = 10.0**k * q @ np.diag([1.0, 2.0, 3.0]) @ q.T
+    state = run(build("a3", {"matrix": L.tolist()}), PowerStepsize(1.0, 1.0), x0=np.ones(6),
+                max_outer=20)
+    assert state.k == 20 and np.isfinite(state.x).all()
+    with pytest.raises(ConfigError, match="self-adjoint"):
+        build("a3", {"matrix": (10.0**k * np.array([[1.0, 1e-6], [0.0, 1.0]])).tolist()})
+
+
 def test_a2_a3_phis_keep_no_dense_matrix():
     rng = np.random.default_rng(52)
     L = rng.standard_normal((3, 3))

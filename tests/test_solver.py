@@ -20,6 +20,7 @@ from visplit import (
     ExactSet,
     Halfspace,
     NonFiniteValue,
+    Operator,
     PowerStepsize,
     Problem,
     Quadratic,
@@ -743,3 +744,60 @@ def test_a_users_subgradient_is_checked_on_every_projection(shape, error):
         return
     with pytest.raises(error, match="^constraint subgradient"):
         run(problem, PowerStepsize(1.0, 1.0), x0=[3.0, 0.0], max_outer=20)
+
+
+class _CastShift(Operator):
+    """x - (2, 1) on R^2, handed back through ``cast``."""
+
+    def __init__(self, cast):
+        super().__init__(2, "shift")
+        self.cast = cast
+
+    def _select(self, x):
+        return self.cast(x - np.array([2.0, 1.0]))
+
+
+class _CastDisk(ExactSet):
+    """The closed unit disk of R^2, whose projections pass through ``cast``."""
+
+    def __init__(self, cast):
+        super().__init__(2)
+        self.cast = cast
+
+    def _project(self, y):
+        r = float(np.linalg.norm(y))
+        return self.cast(y.copy() if r <= 1.0 else y / r)
+
+    def _distance(self, y):
+        return max(0.0, float(np.linalg.norm(y)) - 1.0)
+
+
+def _float32(v):
+    return v.astype(np.float32)
+
+
+def _float32_as_float64(v):
+    return v.astype(np.float32).astype(np.float64)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["relaxed", "exact"])
+@pytest.mark.parametrize("schedule", [PowerStepsize(1.0, 0.6), AdaptivePowerStepsize(1.0, 0.6)],
+                         ids=["power", "adaptive"])
+def test_a_users_float32_vectors_run_as_their_float64_twin(schedule, exact):
+    # The step takes each selection (cycle and adaptive probe) and each
+    # projection of a user's set (cycle and exact stage) in as a float64
+    # array, so float32 returns run as the same values returned as float64.
+    runs = []
+    for cast in (_float32, _float32_as_float64):
+        constraint = Constraint(Quadratic.ball_gauge([0.0, 0.0], 1.0), exact_set=_CastDisk(cast))
+        problem = Problem((_CastShift(cast),), constraint, use_exact_projection=exact)
+        state = run(problem, schedule, x0=[3.0, 1.0], max_outer=50)
+        stepped = SolverState([3.0, 1.0])
+        points = [p for _ in range(50) for p in outer_step(problem, schedule, stepped).points]
+        runs.append((state, points))
+    (state, points), (twin, twin_points) = runs
+    assert len(state.trace) == 50
+    assert [repr(row[:-1]) for row in state.trace] == [repr(row[:-1]) for row in twin.trace]
+    assert np.array_equal(state.x, twin.x) and np.array_equal(state.z, twin.z)
+    assert all(p.dtype == np.float64 for p in [state.z, state.x, *points])
+    assert all(np.array_equal(p, q) for p, q in zip(points, twin_points, strict=True))

@@ -1,19 +1,20 @@
 """One-line mutants of visplit's step kernels, of the operator and space
-kernels they call and of the oracle's ball route, each run against tier-1
-alone.
+kernels they call and of the oracle's reference routes, each run against
+tier-1 alone.
 
-A mutant replaces one piece of text in one source file: a constant tweak, a
-flipped comparison, a dropped term, a dropped branch, a dropped copy or a
-dropped conversion of a user's number to a float. Each
-target must occur exactly once in its file, or nothing runs. The script
-copies the checkout to a fresh temporary directory per mutant, applies the
-mutant there (never in the checkout), and runs the tier-1 suite with
-``-x -p no:cacheprovider`` under a timeout, leaving out only
-``tests/test_mutants.py``, which checks this list against the sources. A
-mutant is killed when the suite fails; one that passes is either marked
-equivalent with its reason in ``MUTANTS`` or reported as a survivor to pin.
-``DELETED`` lists code that was removed, because earlier survivors showed no
-test could see it or because its job went; its text must no longer occur.
+A mutant replaces one piece of text in ``src/visplit``: a constant tweak, a
+flipped comparison, or a dropped term, branch, copy or conversion of a
+user's value. Each target must occur exactly once in the whole package, or
+nothing runs; the module that holds it is the one mutated, so a kernel may
+move between modules with no edit here. The script copies the checkout to a
+fresh temporary directory per mutant, applies the mutant there (never in
+the checkout), and runs the tier-1 suite with ``-x -p no:cacheprovider``
+under a timeout, leaving out only ``tests/test_mutants.py``, which checks
+this list against the sources. A mutant is killed when the suite fails; one
+that passes is either marked equivalent with its reason in ``MUTANTS`` or
+reported as a survivor to pin. ``DELETED`` lists code that was removed,
+because earlier survivors showed no test could see it or because its job
+went; its text must occur nowhere in the package.
 
     python tools/mutants.py            # all mutants; writes tools/mutants.json
     python tools/mutants.py P03 I01    # only these; prints, writes nothing
@@ -42,47 +43,7 @@ TIMEOUT_S = 600
 PYTEST_ARGS = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"]
 
-SOLVER = "src/visplit/solver.py"
-INNER = "src/visplit/innerloop.py"
-CONS = "src/visplit/constraints.py"
-OPS = "src/visplit/operators.py"
-SPACE = "src/visplit/space.py"
-PROBS = "src/visplit/problems.py"
-ORACLE = "src/visplit/oracle.py"
-# The kernels mutated or deleted from, and the file each lives or lived in.
-KERNELS = {
-    "_advance": SOLVER,
-    "_diagnose": SOLVER,
-    "_kept_rows": SOLVER,
-    "_run_inner": INNER,
-    "_feasible_shortcut": INNER,
-    "_project_pair": CONS,
-    "Constraint._separator": CONS,
-    "Constraint._dist_upper": CONS,
-    "Constraint.__init__": CONS,
-    "Halfspace._project": CONS,
-    "BallSet._project": CONS,
-    "BallSet._distance": CONS,
-    "NormFunction._value": PROBS,
-    "cli._execute_run": "src/visplit/cli.py",
-    "_floats": SPACE,
-    "as_point": SPACE,
-    "norm": SPACE,
-    "difference": SPACE,
-    "as_dim": SPACE,
-    "_diagonal": OPS,
-    "_symmetric_part": OPS,
-    "AffineOperator._select": OPS,
-    "ScaledOperator._select": PROBS,
-    "EmbeddedOperator.__init__": PROBS,
-    "EmbeddedOperator._select": PROBS,
-    "sum_select": OPS,
-    "Quadratic._value": OPS,
-    "NormFunction._subgradient": PROBS,
-    "MaxOfAffine._value": PROBS,
-    "MaxOfAffine._subgradient": PROBS,
-    "_ball_solution": ORACLE,
-}
+PACKAGE = "src/visplit"
 
 
 class Mutant(NamedTuple):
@@ -93,20 +54,12 @@ class Mutant(NamedTuple):
     replacement: str
     equivalent: str = ""  # why a surviving mutant is kept, if it is
 
-    @property
-    def path(self) -> str:
-        return KERNELS[self.kernel]
-
 
 class Deleted(NamedTuple):
     id: str
     kernel: str
     text: str
     reason: str
-
-    @property
-    def path(self) -> str:
-        return KERNELS[self.kernel]
 
 
 MUTANTS = (
@@ -115,10 +68,11 @@ MUTANTS = (
     Mutant("A03", "_advance", "term", "z, cz, theta * beta, max_inner", "z, cz, beta, max_inner"),
     Mutant("A04", "_advance", "constant", "probe = max(1.0, *norms)", "probe = max(0.5, *norms)"),
     Mutant("A05", "_advance", "term", "alpha = beta / probe", "alpha = beta"),
-    Mutant("A06", "_advance", "constant", "    eta = 1.0\n", "    eta = 0.5\n"),
+    Mutant("A06", "_advance", "constant", "    points = [z0]\n    eta = 1.0\n",
+           "    points = [z0]\n    eta = 0.5\n"),
     Mutant("A07", "_advance", "term", "eta = max(eta, norm(u))", "eta = max(1.0, norm(u))"),
-    Mutant("A08", "_advance", "branch", "points.append(region._project(points[-1] - alpha * u))",
-           "points.append(points[-1] - alpha * u)"),
+    Mutant("A08", "_advance", "branch", "region._project(points[-1] - alpha * u)",
+           "(points[-1] - alpha * u)"),
     Mutant("A09", "_advance", "term", "sigma = state.sigma + alpha", "sigma = alpha"),
     Mutant("A10", "_advance", "branch", "if not np.isfinite(z_next).all():", "if False:"),
     Mutant("A11", "_advance", "branch", "if not all(map(math.isfinite, norms)):", "if False:"),
@@ -126,10 +80,20 @@ MUTANTS = (
            "if not math.isfinite(beta):"),
     Mutant("A15", "_advance", "conversion", "    beta = float(beta)\n", ""),
     Mutant("A16", "_advance", "branch", "if alpha == 0.0:", "if False:"),
+    Mutant("A17", "_advance", "conversion",
+           "else np.asarray(region._project(z), dtype=float)", "else region._project(z)"),
+    Mutant("A18", "_advance", "conversion", "norm(np.asarray(op._select(z0), dtype=float))",
+           "norm(op._select(z0))"),
+    Mutant("A19", "_advance", "conversion", "u = np.asarray(op._select(points[-1]), dtype=float)",
+           "u = op._select(points[-1])"),
+    Mutant("A20", "_advance", "conversion",
+           "np.asarray(region._project(points[-1] - alpha * u), dtype=float)",
+           "region._project(points[-1] - alpha * u)"),
     Mutant("D01", "_diagnose", "term", "gap - (j - i) * step_bound", "gap - step_bound"),
     Mutant("D02", "_diagnose", "constant", "    drift = 0.0\n", "    drift = -math.inf\n"),
-    Mutant("D03", "_diagnose", "branch", "for j in range(i + 1, len(points)):",
-           "for j in range(i + 1, min(i + 2, len(points))):"),
+    Mutant("D03", "_diagnose", "branch",
+           "for j in range(i + 1, len(points)):\n            gap = norm(",
+           "for j in range(i + 1, min(i + 2, len(points))):\n            gap = norm("),
     Mutant("D04", "_diagnose", "term", "region._distance(p) for p in points)",
            "region._distance(p) for p in points[1:])"),
     Mutant("D05", "_diagnose", "comparison", "step.eta > 10.0 * step.probe",
@@ -260,6 +224,22 @@ MUTANTS = (
     Mutant("O20", "Quadratic._value", "branch", "        if self._center is not None:\n",
            "        if False:\n"),
     Mutant("R01", "_ball_solution", "constant", "for _ in range(200):", "for _ in range(30):"),
+    Mutant("R02", "_rows_solution", "branch", "if len(sel) and float(np.min(mu)) < -1e-9:",
+           "if False:"),
+    Mutant("R03", "_rows_solution", "branch",
+           "if count and float(np.max(R @ x - d)) > 1e-9 * scale:", "if False:"),
+    Mutant("R04", "_solve", "branch",
+           "raise ConfigError(f\"{route} reference route: {exc}\") from exc", "raise"),
+    Mutant("R05", "vi_gap", "term", "worst = min(worst, float(u @ (p - x_star)))",
+           "worst = max(worst, float(u @ (p - x_star)))"),
+    Mutant("R06", "qp_project", "branch", "if float(np.max(A @ x - b)) <= tol:", "if True:"),
+    Mutant("R07", "qp_project", "constant", "for _ in range(3):", "for _ in range(1):"),
+    Mutant("R08", "_rows_solution", "branch",
+           "if float(np.max(np.abs(K @ sol - rside))) > 1e-8 * scale:", "if False:"),
+    Mutant("R09", "_rows_solution", "constant", "float(np.min(mu)) < -1e-9",
+           "float(np.min(mu)) < -1e-3"),
+    Mutant("R10", "qp_project", "constant", "tol = 1e-9 * max(", "tol = 1e-6 * max("),
+    Mutant("R11", "vi_gap", "constant", "    worst = np.inf\n", "    worst = 0.0\n"),
 )
 
 # Code that went: earlier mutants showed it equivalent, or it lost its job.
@@ -285,22 +265,37 @@ DELETED = (
 )
 
 
+def _sources(root: Path) -> dict[str, str]:
+    """The text of every module of the package under ``root``, by path from ``root``."""
+    return {path.relative_to(root).as_posix(): path.read_text(encoding="utf-8")
+            for path in sorted((root / PACKAGE).rglob("*.py"))}
+
+
+def _homes(sources: dict[str, str], text: str) -> list[str]:
+    """The path of each occurrence of ``text`` in ``sources``, once per occurrence."""
+    return [path for path, source in sources.items() for _ in range(source.count(text))]
+
+
 def check_targets(root: Path = ROOT) -> list[str]:
-    """The problems of the lists against the sources under ``root``: a mutant
-    target that does not occur exactly once, a deleted text that occurs, an
-    id used twice, or a replacement equal to its target."""
+    """The problems of the lists against the package under ``root``: a mutant
+    target that does not occur exactly once in all of it, a deleted text that
+    occurs anywhere in it, an id used twice, or a replacement equal to its
+    target."""
     problems = []
     ids = [m.id for m in MUTANTS] + [d.id for d in DELETED]
     problems += [f"id {i} is used twice" for i in sorted({i for i in ids if ids.count(i) > 1})]
+    sources = _sources(root)
     for m in MUTANTS:
-        count = (root / m.path).read_text(encoding="utf-8").count(m.target)
-        if count != 1:
-            problems.append(f"{m.id}: target occurs {count} times in {m.path}")
+        homes = _homes(sources, m.target)
+        if len(homes) != 1:
+            problems.append(f"{m.id}: target occurs {len(homes)} times in "
+                            f"{', '.join(homes) or PACKAGE}")
         if m.replacement == m.target:
             problems.append(f"{m.id}: replacement equals target")
     for d in DELETED:
-        if d.text in (root / d.path).read_text(encoding="utf-8"):
-            problems.append(f"{d.id}: deleted text is back in {d.path}")
+        homes = _homes(sources, d.text)
+        if homes:
+            problems.append(f"{d.id}: deleted text is back in {', '.join(dict.fromkeys(homes))}")
     return problems
 
 
@@ -315,11 +310,9 @@ def run_mutant(m: Mutant) -> dict:
     with tempfile.TemporaryDirectory(prefix="visplit-mutant-") as tmp:
         copy = Path(tmp) / "repo"
         _copy_checkout(copy)
-        path = copy / m.path
-        text = path.read_text(encoding="utf-8")
-        if text.count(m.target) != 1:
-            raise SystemExit(f"{m.id}: target does not occur exactly once in {m.path}")
-        path.write_text(text.replace(m.target, m.replacement), encoding="utf-8")
+        sources = _sources(copy)
+        (home,) = _homes(sources, m.target)  # one, as check_targets requires
+        (copy / home).write_text(sources[home].replace(m.target, m.replacement), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
         t0 = time.perf_counter()
         try:
@@ -337,7 +330,7 @@ def run_mutant(m: Mutant) -> dict:
     record = {
         "id": m.id,
         "kernel": m.kernel,
-        "path": m.path,
+        "path": home,
         "kind": m.kind,
         "target": m.target,
         "replacement": m.replacement,
@@ -367,7 +360,7 @@ def main(argv: list[str]) -> int:
         print(f"{m.id} {rec['verdict']:17s} {rec['seconds']:6.1f} s  {rec['first_failure'] or ''}",
               flush=True)
     if not argv:
-        deleted = [{"id": d.id, "kernel": d.kernel, "path": d.path, "deleted": d.text,
+        deleted = [{"id": d.id, "kernel": d.kernel, "deleted": d.text,
                     "verdict": "deleted", "reason": d.reason} for d in DELETED]
         verdicts = [r["verdict"] for r in records + deleted]
         RECORD.write_text(json.dumps({
