@@ -1,14 +1,19 @@
-"""Self-check suites: seeded random sweeps of the core guarantees.
+"""Self-check suites and the feasibility-loop benchmark: seeded, on demand.
 
 Each suite returns a list of CheckResult rows; the CLI prints one line per
 row and fails the process when any row fails. The sweeps compare the fast
 projection paths against the enumeration oracle, sample the defining
 inequalities of the operator and constraint layers, and audit short solver
 runs step by step.
+
+``run_bench`` measures ``visplit bench``: the feasibility loop's mean
+projections per call against the tolerance on a curved set, their growth
+exponent, and a polyhedral control where one projection always suffices.
 """
 
 from __future__ import annotations
 
+import time
 from typing import NamedTuple
 
 import numpy as np
@@ -28,6 +33,7 @@ from .problems import (
     build,
 )
 from .solver import AdaptivePowerStepsize, PowerStepsize
+from .space import norm
 
 
 class CheckResult(NamedTuple):
@@ -282,3 +288,68 @@ def run_suite(name: str, seed: int = 0, trials: int | None = None) -> list[Check
     if trials is None:
         return fn(seed=seed)
     return fn(seed=seed, trials=trials)
+
+
+def _bench_constraints(dim: int):
+    center = np.zeros(dim)
+    curved = Constraint(
+        Quadratic.ball_gauge(center, 1.0, "unit_ball"),
+        slater_point=center,
+    )
+    rows = np.zeros((2, dim))
+    rows[0, 0] = 1.0
+    flat = Constraint(
+        MaxOfAffine(rows, np.zeros(2), label="halfspace_gauge"),
+        exact_set=Halfspace(rows[0], 0.0),
+    )
+    return curved, flat
+
+
+def projection_growth(constraint: Constraint, grid, reps: int, rng) -> tuple[list, list]:
+    """Mean ``run_inner`` projections and mean seconds per call, per tolerance.
+
+    For each tolerance of ``grid``, ``reps`` base points are drawn outside
+    the unit sphere (a uniform direction scaled by 1 + U(0.05, 2)) and each
+    is driven to the tolerance.
+    """
+    means, seconds = [], []
+    for tol in grid:
+        counts = []
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            d = rng.standard_normal(constraint.dim)
+            d /= norm(d)
+            z = (1.0 + float(rng.uniform(0.05, 2.0))) * d
+            counts.append(run_inner(constraint, z, tol).iterations)
+        seconds.append((time.perf_counter() - t0) / reps)
+        means.append(float(np.mean(counts)))
+    return means, seconds
+
+
+def run_bench(grid: list, reps: int, dim: int, seed: int) -> dict:
+    """The payload of ``bench.json`` for checked bench options.
+
+    The curved set's mean projections and seconds per tolerance, the fitted
+    growth exponent in 1/tolerance (None for a single tolerance), and the
+    worst projection count of the polyhedral control at the finest tolerance.
+    """
+    rng = np.random.default_rng(seed)
+    curved, flat = _bench_constraints(dim)
+    means, seconds = projection_growth(curved, grid, reps, rng)
+
+    # A single-tolerance grid gives nothing to fit.
+    slope = None
+    if len(grid) > 1:
+        slope = float(
+            np.polyfit(np.log([1.0 / t for t in grid]), np.log(means), 1)[0]
+        )
+
+    flat_worst = 0
+    for _ in range(reps):
+        z = rng.standard_normal(dim)
+        z[0] = abs(z[0]) + 0.1
+        flat_worst = max(flat_worst, run_inner(flat, z, min(grid)).iterations)
+
+    return {"grid": grid, "mean_iterations": means, "mean_seconds": seconds,
+            "growth_exponent": slope, "polyhedral_worst_iterations": flat_worst,
+            "reps": reps, "dim": dim, "seed": seed}

@@ -9,15 +9,16 @@ run CONFIG...
     variable, then the config's "output" field, then "runs".
 check
     Seeded random sweeps of the projection, operator, constraint, loop,
-    and audit layers. Exits 3 when any row fails.
+    and audit layers (``checks.run_suite``). Exits 3 when any row fails.
 bench
-    Feasibility-loop cost against the stopping tolerance on a curved set,
-    with a polyhedral control where one projection always suffices.
+    Feasibility-loop cost against the stopping tolerance, measured by
+    ``checks.run_bench``. Both commands import ``checks`` on demand.
 
 Exit codes: 0 success, 2 configuration problem, 3 solver or check failure.
 
 The run configuration fields are ``RUN_KEYS``, documented in the "Command
-line" section of the README; unknown fields are rejected by path.
+line" section of the README; unknown fields are rejected by path. Its
+``schedule`` object is read by ``solver.StepsizeSchedule.from_spec``.
 """
 
 from __future__ import annotations
@@ -33,31 +34,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import problems
-from .constraints import Constraint, Halfspace
 from .errors import ConfigError, VisplitError
-from .innerloop import run_inner
-from .operators import Quadratic
-from .problems import MaxOfAffine
-from .solver import (
-    AdaptivePowerStepsize,
-    ConstantStepsize,
-    PowerStepsize,
-    Problem,
-    SolverState,
-    StepsizeSchedule,
-    TRACE_COLUMNS,
-    kept_rows,
-    run_options,
-)
-from .space import as_number, as_object, as_point, norm
+from .solver import Problem, SolverState, StepsizeSchedule, TRACE_COLUMNS, kept_rows, run_options
+from .space import as_number, as_object, as_point
 
 # The keyword options of ``run``: the parameters of ``run_options`` after ``problem``.
 RUN_OPTIONS = tuple(inspect.signature(run_options).parameters)[1:]
 RUN_KEYS = frozenset(
     {"family", "params", "schedule", "x0", "label", "output", "seed", *RUN_OPTIONS}
 )
-# The schedules by config kind; each one's other fields are its constructor's parameters.
-SCHEDULES = {cls.kind: cls for cls in (PowerStepsize, AdaptivePowerStepsize, ConstantStepsize)}
 # The names of checks.SUITES, written out so that parsing a command line
 # does not import the check sweeps; a test holds the two equal.
 CHECK_SUITES = ("constraints", "fejer", "innerloop", "operators", "projections")
@@ -102,7 +87,7 @@ def _prepare_run(cfg: dict, where: str, args) -> RunJob:
     as_object(cfg, RUN_KEYS, where)
     if "family" not in cfg:
         raise ConfigError(f"{where}.family is required")
-    schedule = _build_schedule(cfg.get("schedule", {}), f"{where}.schedule")
+    schedule = StepsizeSchedule.from_spec(cfg.get("schedule", {}), f"{where}.schedule")
 
     for key in ("label", "output"):
         if key in cfg and not (isinstance(cfg[key], str) and "\0" not in cfg[key]):
@@ -139,24 +124,6 @@ def _prepare_run(cfg: dict, where: str, args) -> RunJob:
     except (TypeError, ValueError, VisplitError) as exc:
         raise ConfigError(f"{where}.x0: {exc}") from exc
     return RunJob(cfg, problem, schedule, x0, seed, options)
-
-
-def _build_schedule(spec, where: str) -> StepsizeSchedule:
-    """The schedule of a config's ``schedule`` object, the inverse of ``spec()``.
-
-    ``kind`` (default "power") picks the class of ``SCHEDULES``, and the other
-    fields are passed to its constructor, whose defaults fill in the rest.
-    """
-    kind = spec.get("kind", "power") if isinstance(spec, dict) else "power"
-    if not (isinstance(kind, str) and kind in SCHEDULES):
-        raise ConfigError(f"{where}: unknown schedule kind {kind!r}")
-    cls = SCHEDULES[kind]
-    as_object(spec, {"kind", *inspect.signature(cls).parameters}, where)
-    try:
-        # Each message of a schedule's constructor starts with the field's name.
-        return cls(**{key: value for key, value in spec.items() if key != "kind"})
-    except ConfigError as exc:
-        raise ConfigError(f"{where}.{exc}") from exc
 
 
 def _jsonable(value):
@@ -279,21 +246,6 @@ def _cmd_check(args) -> int:
     return 0 if failed == 0 else 3
 
 
-def _bench_constraints(dim: int):
-    center = np.zeros(dim)
-    curved = Constraint(
-        Quadratic.ball_gauge(center, 1.0, "unit_ball"),
-        slater_point=center,
-    )
-    rows = np.zeros((2, dim))
-    rows[0, 0] = 1.0
-    flat = Constraint(
-        MaxOfAffine(rows, np.zeros(2), label="halfspace_gauge"),
-        exact_set=Halfspace(rows[0], 0.0),
-    )
-    return curved, flat
-
-
 BENCH_KEYS = frozenset({"grid", "reps", "dim", "seed"})
 
 
@@ -318,67 +270,21 @@ def _bench_config(args) -> dict:
     return {"grid": grid, "reps": reps, "dim": dim, "seed": seed}
 
 
-def projection_growth(constraint: Constraint, grid, reps: int, rng) -> tuple[list, list]:
-    """Mean ``run_inner`` projections and mean seconds per call, per tolerance.
-
-    For each tolerance of ``grid``, ``reps`` base points are drawn outside
-    the unit sphere (a uniform direction scaled by 1 + U(0.05, 2)) and each
-    is driven to the tolerance.
-    """
-    means, seconds = [], []
-    for tol in grid:
-        counts = []
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            d = rng.standard_normal(constraint.dim)
-            d /= norm(d)
-            z = (1.0 + float(rng.uniform(0.05, 2.0))) * d
-            counts.append(run_inner(constraint, z, tol).iterations)
-        seconds.append((time.perf_counter() - t0) / reps)
-        means.append(float(np.mean(counts)))
-    return means, seconds
-
-
 def _cmd_bench(args) -> int:
-    cfg = _bench_config(args)
-    grid, reps, dim = cfg["grid"], cfg["reps"], cfg["dim"]
-    rng = np.random.default_rng(cfg["seed"])
-    curved, flat = _bench_constraints(dim)
-    means, times = projection_growth(curved, grid, reps, rng)
+    from . import checks
 
-    # A single-tolerance grid gives nothing to fit.
-    slope = None
-    if len(grid) > 1:
-        slope = float(
-            np.polyfit(np.log([1.0 / t for t in grid]), np.log(means), 1)[0]
-        )
-
-    flat_worst = 0
-    for _ in range(reps):
-        z = rng.standard_normal(dim)
-        z[0] = abs(z[0]) + 0.1
-        flat_worst = max(flat_worst, run_inner(flat, z, min(grid)).iterations)
-
+    payload = checks.run_bench(**_bench_config(args))
     print("tolerance  mean projections  mean seconds (curved set)")
-    for tol, mean, sec in zip(grid, means, times):
+    for tol, mean, sec in zip(payload["grid"], payload["mean_iterations"],
+                              payload["mean_seconds"]):
         print(f"{tol:9.3f}  {mean:16.2f}  {sec:.2e}")
-    if slope is not None:
-        print(f"growth exponent vs 1/tolerance: {slope:.3f}")
-    print(f"polyhedral control, worst projections: {flat_worst}")
+    if payload["growth_exponent"] is not None:
+        print(f"growth exponent vs 1/tolerance: {payload['growth_exponent']:.3f}")
+    print(f"polyhedral control, worst projections: {payload['polyhedral_worst_iterations']}")
 
     outdir = args.output or os.environ.get("VISPLIT_OUTPUT_DIR")
     if outdir:
         os.makedirs(outdir, exist_ok=True)
-        payload = {
-            "grid": grid,
-            "mean_iterations": means,
-            "mean_seconds": times,
-            "growth_exponent": slope,
-            "polyhedral_worst_iterations": flat_worst,
-            "reps": reps,
-            "dim": dim,
-            "seed": cfg["seed"],
-        }
         with open(os.path.join(outdir, "bench.json"), "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")

@@ -16,6 +16,7 @@ is caught, not reproduced.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -118,14 +119,19 @@ def probe_affine(operators, dim: int):
     """
     ops = list(operators)
     c = sum_select(ops, np.zeros(dim))
+    # Each basis probe is t e_i, t the power of two at or above max|c| (1 below
+    # 1, 2^1023 at most), so that (c + t M e_i) - c keeps M's digits when c
+    # dwarfs M; scaling by t and back is exact.
+    top = float(np.max(np.abs(c)))
+    t = 1.0 if top <= 1.0 else 2.0 ** min(math.frexp(top)[1], 1023)
     M = np.empty((dim, dim))
     for i in range(dim):
         e = np.zeros(dim)
-        e[i] = 1.0
-        M[:, i] = sum_select(ops, e) - c
+        e[i] = t
+        M[:, i] = (sum_select(ops, e) - c) / t
     probe = np.cos(np.arange(1, dim + 1))
     gap = float(np.max(np.abs(sum_select(ops, probe) - (M @ probe + c))))
-    if gap > 1e-8 * max(1.0, float(np.max(np.abs(M)))):
+    if not gap <= 1e-8 * max(1.0, float(np.max(np.abs(M))), top):
         raise ConfigError("operator sum is not affine; no probing route available")
     return M, c
 
@@ -281,8 +287,9 @@ def reference_solution(problem: Problem) -> Vector:
     """Solve the VI along a route independent of both builder and solver.
 
     Probes the operator sum for its affine form, applies the family's own
-    first-order characterization, and checks the VI gap at 200 feasible
-    points drawn by ``np.random.default_rng(0)`` before returning it.
+    first-order characterization, and checks feasibility and the VI gap at
+    200 feasible points drawn by ``np.random.default_rng(0)`` before
+    returning it.
     """
     meta = problem.meta
     family = meta.get("family")
@@ -314,15 +321,23 @@ def reference_solution(problem: Problem) -> Vector:
         x = Z @ t
     elif family == "a3":
         x = _solve(M, -c, "a3")
-        if float(np.linalg.norm(M @ x + c)) > 1e-8:
-            raise ConfigError("stationarity solve failed")
     else:
         raise ConfigError(f"no reference route for family {family!r}")
 
-    if problem.constraint.value(x) > 1e-8:
+    # Each gate is 1e-8 of the instance's scale, so never looser than 1e-8
+    # absolute: T(x) = M x + c rounds at the size of its terms, and c(x) and
+    # the gap grow with the reach of the sampled points from x.
+    terms = max(float(np.linalg.norm(c)), float(np.linalg.norm(M)) * float(np.linalg.norm(x)))
+    if family == "a3" and float(np.linalg.norm(M @ x + c)) > 1e-8 * max(1.0, terms):
+        raise ConfigError("stationarity solve failed")
+    points = feasible_points(problem, np.random.default_rng(0), 200)
+    reach = max(float(np.linalg.norm(p - x)) for p in points)
+    slope = float(np.linalg.norm(problem.constraint.fn.subgradient(x)))
+    if problem.constraint.value(x) > 1e-8 * max(1.0, slope * reach):
         raise ConfigError("reference solution is infeasible")
-    gap = vi_gap(problem, x, np.random.default_rng(0))
-    if gap < -1e-8:
+    u = sum_select(problem.operators, x)
+    gap = min(float(u @ (p - x)) for p in points)
+    if gap < -1e-8 * max(1.0, terms * reach):
         raise ConfigError(f"reference solution fails sampled VI gaps: {gap!r}")
     return x
 

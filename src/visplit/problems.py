@@ -218,7 +218,9 @@ class _SaddleCoupling(Operator):
         n = M.shape[0]
         if M.shape != (n, n):
             raise DimensionMismatch("saddle coupling needs a square matrix")
-        if np.max(np.abs(M - M.T)) > 1e-12 * np.max(np.abs(M)):
+        with np.errstate(over="ignore"):  # an overflowed difference is inf, so refused
+            asymmetry = np.max(np.abs(M - M.T))
+        if asymmetry > 1e-12 * np.max(np.abs(M)):
             raise ConfigError("saddle coupling needs a self-adjoint matrix")
         super().__init__(2 * n, "saddle_coupling")
         self.matrix = M

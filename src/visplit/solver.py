@@ -59,7 +59,7 @@ from .constraints import Constraint, ExactSet
 from .errors import ConfigError, DimensionMismatch, NonFiniteIterate, NonFiniteValue
 from .innerloop import _feasible_shortcut, _run_inner
 from .operators import Operator
-from .space import Vector, as_number, as_point, norm
+from .space import Vector, as_number, as_object, as_point, norm
 
 
 class StepsizeSchedule:
@@ -81,6 +81,25 @@ class StepsizeSchedule:
         """The config object that builds this schedule: its kind and fields."""
         fields = inspect.signature(type(self)).parameters
         return {"kind": self.kind, **{name: getattr(self, name) for name in fields}}
+
+    @staticmethod
+    def from_spec(spec, where: str = "schedule") -> StepsizeSchedule:
+        """The schedule of a config's ``schedule`` object, the inverse of ``spec()``.
+
+        ``kind`` (default "power") picks the class of ``SCHEDULES``, and the other
+        fields are passed to its constructor, whose defaults fill in the rest.
+        Each message starts with ``where``.
+        """
+        kind = spec.get("kind", "power") if isinstance(spec, dict) else "power"
+        if not (isinstance(kind, str) and kind in SCHEDULES):
+            raise ConfigError(f"{where}: unknown schedule kind {kind!r}")
+        cls = SCHEDULES[kind]
+        as_object(spec, {"kind", *inspect.signature(cls).parameters}, where)
+        try:
+            # Each message of a schedule's constructor starts with the field's name.
+            return cls(**{key: value for key, value in spec.items() if key != "kind"})
+        except ConfigError as exc:
+            raise ConfigError(f"{where}.{exc}") from exc
 
 
 class PowerStepsize(StepsizeSchedule):
@@ -125,6 +144,10 @@ class AdaptivePowerStepsize(PowerStepsize):
 
     kind = "adaptive_power"
     adaptive = True
+
+
+# The schedules by config kind; each one's other fields are its constructor's parameters.
+SCHEDULES = {cls.kind: cls for cls in (PowerStepsize, AdaptivePowerStepsize, ConstantStepsize)}
 
 
 class Problem:

@@ -24,8 +24,8 @@ from visplit import (
     run_inner,
     with_reference,
 )
-from visplit.checks import _ball_gauge, projection_samples
-from visplit.cli import main, projection_growth
+from visplit.checks import _ball_gauge, projection_growth, projection_samples
+from visplit.cli import main
 from visplit.oracle import qp_project
 
 # Schedule used by the ergodic-convergence criteria (8 and 9). The exponent

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from visplit import (
-    AdaptivePowerStepsize, ConfigError, ConstantStepsize, Constraint, ConvexFunction,
+    AdaptivePowerStepsize, ConfigError, Constraint, ConvexFunction,
     DimensionMismatch, ExactSet, NonFiniteIterate, PowerStepsize, Problem, StepsizeSchedule,
     TRACE_COLUMNS, build, checks, cli, oracle, run, solver,
 )
-from visplit.cli import CHECK_SUITES, RUN_KEYS, _build_schedule, main
+from visplit.cli import CHECK_SUITES, RUN_KEYS, main
 from visplit.problems import FAMILIES, FAMILY_PARAMS, MAX_DIM
 from visplit.solver import run_options
 
@@ -370,21 +370,6 @@ def test_a_misshapen_vector_field_is_named(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "schedule", [PowerStepsize(0.6, 0.55), AdaptivePowerStepsize(0.5, 0.75), ConstantStepsize(0.3)],
-    ids=lambda s: s.kind,
-)
-def test_a_schedule_spec_builds_the_same_schedule(schedule):
-    built = _build_schedule(schedule.spec(), "schedule")
-    assert type(built) is type(schedule)
-    assert built.spec() == schedule.spec()
-    # Missing fields take the constructor's defaults, and each message of a
-    # constructor is prefixed with the field's path.
-    assert _build_schedule({"kind": schedule.kind}, "schedule").a == 1.0
-    with pytest.raises(ConfigError, match="^schedule.a must be positive and finite"):
-        _build_schedule({"kind": schedule.kind, "a": 0.0}, "schedule")
-
-
 @pytest.mark.parametrize("schedule", [PowerStepsize, AdaptivePowerStepsize])
 def test_an_underflowing_stepsize_fails_alike_in_run_and_visplit_run(tmp_path, capsys, schedule):
     # The step checks its stepsize once: 5e-324 / 2 underflows to 0 at k = 1.
@@ -482,7 +467,7 @@ def test_visplit_run_writes_a_users_numpy_scalars_as_their_float_twin(tmp_path, 
                                             "x0": [3.0, 1.0], "theta": 0.7, "max_outer": 40})
     files = []
     for name, cast in (("user", scalar), ("twin", _float_twin(scalar))):
-        monkeypatch.setitem(cli.SCHEDULES, "cast", _cast_objects(cast)[0])
+        monkeypatch.setitem(solver.SCHEDULES, "cast", _cast_objects(cast)[0])
         monkeypatch.setattr(cli.problems, "build", lambda family, params: _cast_problem(cast, kind))
         out = str(tmp_path / name)
         assert main(["run", cfg, "--output", out]) == 0
@@ -846,6 +831,17 @@ def test_bench_command(tmp_path, capsys):
     assert main(["bench", bad]) == 2
 
 
+def test_bench_numbers_are_pinned(tmp_path, capsys):
+    # The default grid at dim 3 and seed 0: every number but the timings.
+    out = str(tmp_path / "out")
+    assert main(["bench", "--reps", "20", "--output", out]) == 0
+    payload = json.load(open(os.path.join(out, "bench.json")))
+    assert payload["mean_iterations"] == [1.9, 2.2, 2.55, 2.8]
+    assert payload["growth_exponent"] == 0.18912759491762543
+    assert payload["polyhedral_worst_iterations"] == 1
+    assert (payload["grid"], payload["dim"], payload["seed"]) == ([0.2, 0.1, 0.05, 0.025], 3, 0)
+
+
 @pytest.mark.parametrize(
     "cfg, field",
     [
@@ -891,7 +887,7 @@ def test_bench_dim_above_the_cap_exits_2_before_building(tmp_path, capsys, monke
     # A dim past problems.MAX_DIM is a config error, caught before the
     # bench allocates its constraints.
     built = []
-    monkeypatch.setattr(cli, "_bench_constraints", lambda dim: built.append(dim))
+    monkeypatch.setattr(checks, "_bench_constraints", lambda dim: built.append(dim))
     path = _write_cfg(tmp_path / "bench.json", {"dim": MAX_DIM + 1, "reps": 1, "grid": [0.1]})
     assert main(["bench", path]) == 2
     assert f"{path}.dim must be at least 2 and at most {MAX_DIM}" in capsys.readouterr().err

@@ -114,6 +114,19 @@ def test_probe_affine_recovers_matrix_and_offset():
         probe_affine([GradientOperator(NormFunction(np.ones(2)))], 2)
 
 
+def test_probe_affine_keeps_the_matrix_digits_under_a_large_offset():
+    # Unit probes would give (c + M e_i) - c, which keeps only |c| eps of M.
+    rng = np.random.default_rng(62)
+    B = rng.standard_normal((3, 3))
+    M = B @ B.T
+    got_M, _ = probe_affine([AffineOperator(M, 1e10 * rng.standard_normal(3))], 3)
+    assert np.max(np.abs(got_M - M)) <= 1e-14
+    # An offset past 2^1023 is probed at 2^1023, short of overflow.
+    rotation = [[0.0, 0.2], [-0.2, 0.0]]
+    got_M, _ = probe_affine([AffineOperator(rotation, [1e308, 0.0])], 2)
+    assert np.max(np.abs(got_M - rotation)) <= 1e-16
+
+
 def test_vi_gap_is_negative_away_from_the_solution():
     prob = build("quadratic_over_ball", {"target": [2.0, 0.0]})
     rng = np.random.default_rng(1)
@@ -158,6 +171,44 @@ def test_reference_route_agrees_with_the_builders_solution(family, params):
     # derived apart, from the operators and meta; they agree to roundoff.
     prob = build(family, params)
     assert np.max(np.abs(reference_solution(prob) - prob.known_solution)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"phi1": {"center": [1e10]}, "matrix": [[0.7]]},
+        {"phi1": {"center": [1e12]}, "matrix": [[0.7]], "phi2": {"weight": 3.0, "center": [-1e12]}},
+    ],
+    ids=["1e10", "1e12"],
+)
+def test_reference_route_keeps_its_digits_at_a_large_a3_offset(params):
+    # An offset that dwarfs the coupling leaves a residual and VI gap of its
+    # size times eps, which gates relative to the instance's scale take.
+    prob = build("a3", params)
+    x = reference_solution(prob)
+    assert np.linalg.norm(x - prob.known_solution) <= 1e-8 * np.linalg.norm(prob.known_solution)
+
+
+def test_reference_route_takes_balls_at_every_scale():
+    # Balls of radius s U(0.5, 2) around s N(0, I), s = 10^U(-6, 9), with
+    # targets 3 s N(0, I) away: the value, residual and gap of a correct
+    # solution round at the size of s, so no gate may refuse one.
+    rng = np.random.default_rng(0)
+    refused = []
+    for _ in range(200):
+        s = 10.0 ** rng.uniform(-6, 9)
+        center = s * rng.standard_normal(2)
+        radius = s * float(rng.uniform(0.5, 2.0))
+        target = center + 3.0 * s * rng.standard_normal(2)
+        prob = build("quadratic_over_ball",
+                     {"center": center.tolist(), "radius": radius, "target": target.tolist()})
+        try:
+            x = reference_solution(prob)
+        except ConfigError as exc:
+            refused.append((s, str(exc)))
+            continue
+        assert np.linalg.norm(x - prob.known_solution) <= 1e-8 * s
+    assert refused == []
 
 
 def test_rows_route_skips_a_face_whose_multiplier_is_barely_negative():

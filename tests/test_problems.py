@@ -1,5 +1,6 @@
 import inspect
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,14 @@ def test_a3_takes_a_rounded_self_adjoint_matrix_at_any_scale(k):
     assert state.k == 20 and np.isfinite(state.x).all()
     with pytest.raises(ConfigError, match="self-adjoint"):
         build("a3", {"matrix": (10.0**k * np.array([[1.0, 1e-6], [0.0, 1.0]])).tolist()})
+
+
+def test_a3_refuses_an_asymmetric_matrix_whose_asymmetry_overflows():
+    # M - M' overflows to inf, which the symmetry test refuses without a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="saddle coupling needs a self-adjoint matrix"):
+            build("a3", {"matrix": [[1e308, 1e308], [-1e308, 1e308]]})
 
 
 def test_a2_a3_phis_keep_no_dense_matrix():

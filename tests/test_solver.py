@@ -26,6 +26,7 @@ from visplit import (
     Quadratic,
     ScaledOperator,
     SolverState,
+    StepsizeSchedule,
     TRACE_COLUMNS,
     TraceRecord,
     build,
@@ -92,6 +93,21 @@ def test_adaptive_stepsize_divides_by_eta():
     # feasibility tolerance; the step divides it by the probe.
     assert sched.alpha(0) == 0.5
     assert sched.spec() == {"kind": "adaptive_power", "a": 0.5, "p": 0.55}
+
+
+@pytest.mark.parametrize(
+    "schedule", [PowerStepsize(0.6, 0.55), AdaptivePowerStepsize(0.5, 0.75), ConstantStepsize(0.3)],
+    ids=lambda s: s.kind,
+)
+def test_a_schedule_spec_builds_the_same_schedule(schedule):
+    built = StepsizeSchedule.from_spec(schedule.spec(), "schedule")
+    assert type(built) is type(schedule)
+    assert built.spec() == schedule.spec()
+    # Missing fields take the constructor's defaults, and each message of a
+    # constructor is prefixed with the field's path.
+    assert StepsizeSchedule.from_spec({"kind": schedule.kind}, "schedule").a == 1.0
+    with pytest.raises(ConfigError, match="^schedule.a must be positive and finite"):
+        StepsizeSchedule.from_spec({"kind": schedule.kind, "a": 0.0}, "schedule")
 
 
 def test_problem_validation():

@@ -46,7 +46,8 @@ KEPT = {
     ("oracle.py", "feasible_points", 'raise ConfigError("sampler produced an infeasible point")'):
         "self-check: each family's sampler draws inside its own set",
     ("oracle.py", "reference_solution", 'raise ConfigError("stationarity solve failed")'):
-        "self-check: fires when the a3 solve leaves a residual above 1e-8",
+        "self-check: fires when the a3 solve leaves a residual above 1e-8 of the size of "
+        "M x and c",
     ("oracle.py", "reference_solution", 'raise ConfigError("reference solution is infeasible")'):
         "self-check: fires when a route returns a point outside the constraint",
     ("oracle.py", "reference_solution",

@@ -240,6 +240,18 @@ MUTANTS = (
            "float(np.min(mu)) < -1e-3"),
     Mutant("R10", "qp_project", "constant", "tol = 1e-9 * max(", "tol = 1e-6 * max("),
     Mutant("R11", "vi_gap", "constant", "    worst = np.inf\n", "    worst = 0.0\n"),
+    Mutant("R12", "reference_solution", "constant",
+           "float(np.linalg.norm(M @ x + c)) > 1e-8 * max(1.0, terms)",
+           "float(np.linalg.norm(M @ x + c)) > 1e-8"),
+    Mutant("R13", "reference_solution", "constant",
+           "problem.constraint.value(x) > 1e-8 * max(1.0, slope * reach)",
+           "problem.constraint.value(x) > 1e-8"),
+    Mutant("R14", "reference_solution", "constant", "gap < -1e-8 * max(1.0, terms * reach)",
+           "gap < -1e-8"),
+    Mutant("R15", "probe_affine", "constant",
+           "t = 1.0 if top <= 1.0 else 2.0 ** min(math.frexp(top)[1], 1023)", "t = 1.0"),
+    Mutant("R16", "probe_affine", "term", "1e-8 * max(1.0, float(np.max(np.abs(M))), top)",
+           "1e-8 * max(1.0, float(np.max(np.abs(M))))"),
 )
 
 # Code that went: earlier mutants showed it equivalent, or it lost its job.
