@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError, InfeasibleConstraint
 from .operators import sum_select
 from .solver import Problem, SolverState, StepsizeSchedule, outer_step
-from .space import Vector, as_number, as_point
+from .space import Vector, as_number, as_point, norm
 
 _MAX_QP_ROWS = 12
 # The audit keeps the 8-byte stepsize of every step for its decay fit: 80 MB at the cap.
@@ -118,17 +118,21 @@ def probe_affine(operators, dim: int):
     fail it; the solution routes below are only valid for affine sums.
     """
     ops = list(operators)
-    c = sum_select(ops, np.zeros(dim))
     # Each basis probe is t e_i, t the power of two at or above max|c| (1 below
     # 1, 2^1023 at most), so that (c + t M e_i) - c keeps M's digits when c
-    # dwarfs M; scaling by t and back is exact.
-    top = float(np.max(np.abs(c)))
-    t = 1.0 if top <= 1.0 else 2.0 ** min(math.frexp(top)[1], 1023)
-    M = np.empty((dim, dim))
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = t
-        M[:, i] = (sum_select(ops, e) - c) / t
+    # dwarfs M; scaling by t and back is exact. A probe past the float range
+    # is refused as such rather than as a warning and a wrong M.
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = sum_select(ops, np.zeros(dim))
+        top = float(np.max(np.abs(c)))
+        t = 1.0 if top <= 1.0 else 2.0 ** min(math.frexp(top)[1], 1023)
+        M = np.empty((dim, dim))
+        for i in range(dim):
+            e = np.zeros(dim)
+            e[i] = t
+            M[:, i] = (sum_select(ops, e) - c) / t
+    if not np.isfinite(M).all():
+        raise ConfigError("operator sum overflows at its probe points; no probing route available")
     probe = np.cos(np.arange(1, dim + 1))
     gap = float(np.max(np.abs(sum_select(ops, probe) - (M @ probe + c))))
     if not gap <= 1e-8 * max(1.0, float(np.max(np.abs(M))), top):
@@ -188,18 +192,23 @@ def feasible_points(problem: Problem, rng, count: int):
     return out
 
 
-def vi_gap(problem: Problem, x_star, rng, count: int = 200) -> float:
-    """min over sampled feasible points of <T(x*), p - x*>.
+def vi_gap(problem: Problem, x_star, points) -> float:
+    """min over feasible ``points`` p of <T(x*), p - x*> / ||p - x*||.
 
     Nonnegative (up to roundoff) exactly when x* solves the VI restricted
-    to the sampled directions.
+    to the directions toward the points; a point at x* is skipped. Taken
+    per unit of distance, the gap stays at the size of T(x*) however far
+    the points are, and a NaN gap is returned as NaN.
     """
     x_star = as_point(x_star, problem.dim)
     u = sum_select(problem.operators, x_star)
     worst = np.inf
-    for p in feasible_points(problem, rng, count):
-        worst = min(worst, float(u @ (p - x_star)))
-    return worst
+    for p in points:
+        d = p - x_star
+        r = norm(d)
+        if r > 0.0:
+            worst = np.minimum(worst, float(u @ (d / r)))
+    return float(worst)
 
 
 def _solve(A, b, route: str) -> Vector:
@@ -212,14 +221,14 @@ def _solve(A, b, route: str) -> Vector:
 
 def _ball_solution(M, c, center, radius):
     x_free = _solve(M, -c, "quadratic_over_ball")
-    if float(np.linalg.norm(x_free - center)) <= radius + 1e-12:
+    if norm(x_free - center) <= radius + 1e-12:
         return x_free
 
     def point(mu):
         return np.linalg.solve(M + 2.0 * mu * np.eye(M.shape[0]), 2.0 * mu * center - c)
 
     def excess(mu):
-        return float(np.linalg.norm(point(mu) - center)) - radius
+        return norm(point(mu) - center) - radius
 
     lo, hi = 0.0, 1.0
     while excess(hi) > 0:
@@ -289,7 +298,7 @@ def reference_solution(problem: Problem) -> Vector:
     Probes the operator sum for its affine form, applies the family's own
     first-order characterization, and checks feasibility and the VI gap at
     200 feasible points drawn by ``np.random.default_rng(0)`` before
-    returning it.
+    returning it. Every gate refuses a NaN.
     """
     meta = problem.meta
     family = meta.get("family")
@@ -325,19 +334,24 @@ def reference_solution(problem: Problem) -> Vector:
         raise ConfigError(f"no reference route for family {family!r}")
 
     # Each gate is 1e-8 of the instance's scale, so never looser than 1e-8
-    # absolute: T(x) = M x + c rounds at the size of its terms, and c(x) and
-    # the gap grow with the reach of the sampled points from x.
-    terms = max(float(np.linalg.norm(c)), float(np.linalg.norm(M)) * float(np.linalg.norm(x)))
-    if family == "a3" and float(np.linalg.norm(M @ x + c)) > 1e-8 * max(1.0, terms):
+    # absolute. T(x) = M x + c rounds at the size of its terms, which bound
+    # the residual and the gap per unit distance. c(x) / ||dc(x)|| is about
+    # the distance from x to the set, held to 1e-8 of the reach of the
+    # sampled points from x, without forming the product that may overflow.
+    terms = max(norm(c), norm(M.ravel()) * norm(x))
+    if not terms < math.inf:
+        raise ConfigError("reference solution is past the float range")
+    tol = 1e-8 * max(1.0, terms)
+    if family == "a3" and not norm(M @ x + c) <= tol:
         raise ConfigError("stationarity solve failed")
     points = feasible_points(problem, np.random.default_rng(0), 200)
-    reach = max(float(np.linalg.norm(p - x)) for p in points)
-    slope = float(np.linalg.norm(problem.constraint.fn.subgradient(x)))
-    if problem.constraint.value(x) > 1e-8 * max(1.0, slope * reach):
+    reach = max(norm(p - x) for p in points)
+    value = problem.constraint.value(x)
+    slope = norm(problem.constraint.fn.subgradient(x))
+    if not (value <= 1e-8 or value / slope <= 1e-8 * reach):
         raise ConfigError("reference solution is infeasible")
-    u = sum_select(problem.operators, x)
-    gap = min(float(u @ (p - x)) for p in points)
-    if gap < -1e-8 * max(1.0, terms * reach):
+    gap = vi_gap(problem, x, points)
+    if not gap >= -tol:
         raise ConfigError(f"reference solution fails sampled VI gaps: {gap!r}")
     return x
 

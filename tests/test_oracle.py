@@ -127,21 +127,37 @@ def test_probe_affine_keeps_the_matrix_digits_under_a_large_offset():
     assert np.max(np.abs(got_M - rotation)) <= 1e-16
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("count", [1, 2], ids=["probe", "offset"])
+def test_probe_affine_refuses_a_probe_past_the_float_range(count):
+    # 2^1023 e_1 + 1e308 overflows, and so does the offset 2e308 of two such
+    # operators: either is named, with no numpy warning on the way.
+    ops = [AffineOperator(np.eye(2), [1e308, 0.0])] * count
+    with pytest.raises(ConfigError, match="overflows at its probe points"):
+        probe_affine(ops, 2)
+
+
 def test_vi_gap_is_negative_away_from_the_solution():
     prob = build("quadratic_over_ball", {"target": [2.0, 0.0]})
-    rng = np.random.default_rng(1)
-    assert vi_gap(prob, [0.0, 1.0], rng) < -0.5
+    points = feasible_points(prob, np.random.default_rng(1), 200)
+    assert vi_gap(prob, [0.0, 1.0], points) < -0.5
 
 
 def test_vi_gap_is_the_least_sampled_gap_even_when_all_are_positive():
     # At x* = (1, 0), T(x*) = (-1, 0) and <T(x*), p - x*> = 1 - p1 > 0 at
-    # every interior sample, so the gap is their positive minimum, not 0.
+    # every interior sample, so the gap is their positive minimum per unit
+    # distance, not 0; a sample at x* itself has no direction and is skipped.
     prob = build("quadratic_over_ball", {"target": [2.0, 0.0]})
     x = prob.known_solution
     samples = feasible_points(prob, np.random.default_rng(3), 50)
-    gap = vi_gap(prob, x, np.random.default_rng(3), count=50)
-    assert gap == min(float((x - [2.0, 0.0]) @ (p - x)) for p in samples)
+    gap = vi_gap(prob, x, samples + [x.copy()])
+    assert gap == min(
+        float((x - [2.0, 0.0]) @ ((p - x) / np.linalg.norm(p - x))) for p in samples
+    )
     assert gap > 0.0
+    # A NaN gap anywhere in the samples is the result, not lost to the minimum.
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(vi_gap(prob, x, [samples[0], np.array([np.inf, 0.0]), samples[1]]))
 
 
 @pytest.mark.parametrize(
@@ -209,6 +225,67 @@ def test_reference_route_takes_balls_at_every_scale():
             continue
         assert np.linalg.norm(x - prob.known_solution) <= 1e-8 * s
     assert refused == []
+
+
+def test_reference_route_takes_row_polyhedra_at_every_scale():
+    # A monotone affine T over k rows around the origin, its offset and
+    # right-hand sides at s = 10^U(0, 9): T(x) at the solution's vertex
+    # rounds at s eps, so its gap per unit distance reads down to about
+    # -1e-7 at s ~ 1e8, which a gate relative to the size of T's terms takes.
+    rng = np.random.default_rng(1)
+    refused = []
+    for _ in range(100):
+        s = 10.0 ** rng.uniform(0, 9)
+        n = int(rng.integers(2, 4))
+        k = int(rng.integers(n + 1, n + 4))
+        B = rng.standard_normal((n, n))
+        S = rng.standard_normal((n, n))
+        params = {
+            "matrix": (B @ B.T + 0.5 * (S - S.T) + 0.1 * np.eye(n)).tolist(),
+            "offset": (s * rng.standard_normal(n)).tolist(),
+            "rows": rng.standard_normal((k, n)).tolist(),
+            "rhs": (s * rng.uniform(0.5, 2.0, k)).tolist(),
+            "interior_point": [0.0] * n,
+        }
+        try:
+            reference_solution(build("affine_vi_over_polyhedron", params))
+        except ConfigError as exc:
+            refused.append((s, str(exc)))
+    assert refused == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "wrong, message",
+    [
+        ([-1e200, 0.0], "fails sampled VI gaps"),
+        ([0.0, 1e200], "fails sampled VI gaps"),
+        ([1e308, 1e308], "past the float range"),
+    ],
+    ids=["far-side", "side", "past-range"],
+)
+def test_reference_route_refuses_a_wrong_point_at_1e200(monkeypatch, wrong, message):
+    # On a ball of radius 1e200 a wrong point's gap <T(x), p - x> is about
+    # -1e400; per unit distance it stays finite and is refused, and a point
+    # whose T(x) is past the float range has no scale to check it against.
+    prob = build("quadratic_over_ball",
+                 {"squared": False, "radius": 1e200, "target": [3e200, 0.0]})
+    assert np.array_equal(reference_solution(prob), [1e200, 0.0])
+    monkeypatch.setattr(oracle, "_ball_solution", lambda *args: np.array(wrong))
+    with pytest.raises(ConfigError, match=message):
+        reference_solution(prob)
+
+
+@pytest.mark.filterwarnings("error")
+def test_reference_route_refuses_an_infeasible_point_near_the_largest_squared_ball(monkeypatch):
+    # c(x) / |dc(x)| is about r 1e-6, past 1e-8 of the reach 2r; the product
+    # |dc(x)| * reach, about 4e308, would have overflowed and passed it.
+    prob = build("quadratic_over_ball", {"radius": 1.3e154, "target": [4e154, 0.0]})
+    assert np.array_equal(reference_solution(prob), [1.3e154, 0.0])
+    monkeypatch.setattr(oracle, "_ball_solution",
+                        lambda *args: np.array([1.3e154 * (1 + 1e-6), 0.0]))
+    with pytest.raises(ConfigError, match="infeasible"):
+        reference_solution(prob)
 
 
 def test_rows_route_skips_a_face_whose_multiplier_is_barely_negative():

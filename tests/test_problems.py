@@ -324,7 +324,7 @@ def test_known_solutions_pass_sampled_vi_gaps():
         build("a3", {"phi1": {"center": [1.0]}}),
     ]
     for prob in instances:
-        gap = vi_gap(prob, prob.known_solution, rng, count=10_000)
+        gap = vi_gap(prob, prob.known_solution, feasible_points(prob, rng, 10_000))
         assert gap >= -1e-8, prob.label
 
 

@@ -48,11 +48,6 @@ KEPT = {
     ("oracle.py", "reference_solution", 'raise ConfigError("stationarity solve failed")'):
         "self-check: fires when the a3 solve leaves a residual above 1e-8 of the size of "
         "M x and c",
-    ("oracle.py", "reference_solution", 'raise ConfigError("reference solution is infeasible")'):
-        "self-check: fires when a route returns a point outside the constraint",
-    ("oracle.py", "reference_solution",
-     'raise ConfigError(f"reference solution fails sampled VI gaps: {gap!r}")'):
-        "self-check: fires when a route returns a point that is not a VI solution",
 }
 
 

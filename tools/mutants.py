@@ -230,8 +230,8 @@ MUTANTS = (
            "if count and float(np.max(R @ x - d)) > 1e-9 * scale:", "if False:"),
     Mutant("R04", "_solve", "branch",
            "raise ConfigError(f\"{route} reference route: {exc}\") from exc", "raise"),
-    Mutant("R05", "vi_gap", "term", "worst = min(worst, float(u @ (p - x_star)))",
-           "worst = max(worst, float(u @ (p - x_star)))"),
+    Mutant("R05", "vi_gap", "term", "worst = np.minimum(worst, float(u @ (d / r)))",
+           "worst = np.maximum(worst, float(u @ (d / r)))"),
     Mutant("R06", "qp_project", "branch", "if float(np.max(A @ x - b)) <= tol:", "if True:"),
     Mutant("R07", "qp_project", "constant", "for _ in range(3):", "for _ in range(1):"),
     Mutant("R08", "_rows_solution", "branch",
@@ -240,18 +240,24 @@ MUTANTS = (
            "float(np.min(mu)) < -1e-3"),
     Mutant("R10", "qp_project", "constant", "tol = 1e-9 * max(", "tol = 1e-6 * max("),
     Mutant("R11", "vi_gap", "constant", "    worst = np.inf\n", "    worst = 0.0\n"),
-    Mutant("R12", "reference_solution", "constant",
-           "float(np.linalg.norm(M @ x + c)) > 1e-8 * max(1.0, terms)",
-           "float(np.linalg.norm(M @ x + c)) > 1e-8"),
+    Mutant("R12", "reference_solution", "constant", "not norm(M @ x + c) <= tol",
+           "not norm(M @ x + c) <= 1e-8"),
     Mutant("R13", "reference_solution", "constant",
-           "problem.constraint.value(x) > 1e-8 * max(1.0, slope * reach)",
-           "problem.constraint.value(x) > 1e-8"),
-    Mutant("R14", "reference_solution", "constant", "gap < -1e-8 * max(1.0, terms * reach)",
-           "gap < -1e-8"),
+           "value <= 1e-8 or value / slope <= 1e-8 * reach", "value <= 1e-8"),
+    Mutant("R14", "reference_solution", "constant", "if not gap >= -tol:",
+           "if not gap >= -1e-8:"),
     Mutant("R15", "probe_affine", "constant",
            "t = 1.0 if top <= 1.0 else 2.0 ** min(math.frexp(top)[1], 1023)", "t = 1.0"),
     Mutant("R16", "probe_affine", "term", "1e-8 * max(1.0, float(np.max(np.abs(M))), top)",
            "1e-8 * max(1.0, float(np.max(np.abs(M))))"),
+    Mutant("R17", "reference_solution", "branch", "    if not terms < math.inf:\n",
+           "    if False:\n"),
+    Mutant("R18", "vi_gap", "term", "float(u @ (d / r))", "float(u @ d)"),
+    Mutant("R19", "vi_gap", "branch", "        if r > 0.0:\n            worst",
+           "        if True:\n            worst"),
+    Mutant("R20", "vi_gap", "term", "worst = np.minimum(worst,", "worst = min(worst,"),
+    Mutant("R21", "probe_affine", "branch", "    if not np.isfinite(M).all():\n",
+           "    if False:\n"),
 )
 
 # Code that went: earlier mutants showed it equivalent, or it lost its job.
