@@ -43,6 +43,8 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch, NonFiniteValue
 from .space import Vector, as_dim, as_matrix, as_number, as_point
 
+# Least eigenvalue of a monotone map's symmetric part S, relative to max(1, max |S_ij|):
+# eigvalsh rounds at about that scale times eps.
 _PSD_TOL = -1e-10
 # Largest radius whose square, held by the squared ball gauge, is a float.
 _MAX_SQUARED_RADIUS = math.sqrt(sys.float_info.max)
@@ -120,16 +122,18 @@ class AffineOperator(Operator):
         The smallest eigenvalue of the symmetric part is read off its diagonal
         when that part is diagonal: always for ``diag``, and for a skew or
         skew-plus-diagonal ``dense``. Only other dense maps call ``eigvalsh``.
+        It may be as low as ``_PSD_TOL * max(1, max |S_ij|)``.
         """
         if dense is None:
-            lo, n = float(diag.min()), diag.size
+            lo, top, n = float(diag.min()), float(np.max(np.abs(diag))), diag.size
         else:
             sym = _symmetric_part(dense)
             sym_diag = _diagonal(sym)
             lo = float((np.linalg.eigvalsh(sym) if sym_diag is None else sym_diag).min())
+            top = float(np.max(np.abs(sym)))
             n = dense.shape[0]
             dense.flags.writeable = False
-        if not lo >= _PSD_TOL:
+        if not lo >= _PSD_TOL * max(1.0, top):
             raise ConfigError(
                 f"affine map {label!r} is not monotone: "
                 f"symmetric part has eigenvalue {lo:.3e}"
@@ -232,10 +236,15 @@ class Quadratic(ConvexFunction):
         """0.5 * weight * ||x - center||^2."""
         center = as_point(center)
         w = as_number(weight, "weight", at_least=0)
+        with np.errstate(over="ignore"):
+            b = -w * center
+            constant = 0.5 * w * float(center @ center)
+        if not (constant < math.inf and np.isfinite(b).all()):
+            raise ConfigError("center is past the float range: weight * ||center||^2 overflows")
         return cls.from_diagonal(
             np.full(center.size, w),
-            -w * center,
-            0.5 * w * float(center @ center),
+            b,
+            constant,
             label or f"half_sq_dist(w={w})",
         )
 
@@ -246,15 +255,22 @@ class Quadratic(ConvexFunction):
         Its Q, b and constant are 2I, -2 center and ||center||^2 - radius^2,
         but its value is taken in the centred form d @ d - radius^2 with
         d = x - center, which keeps its digits where ||center|| dwarfs the
-        radius. The constant holds radius^2, so ``radius`` is at most the
-        square root of the largest float.
+        radius. The constant holds radius^2 and ||center||^2, so ``radius``
+        and ||center|| are at most the square root of the largest float.
         """
         center = as_point(center, name="center")
         radius = as_number(radius, "radius", at_least=0, at_most=_MAX_SQUARED_RADIUS)
+        with np.errstate(over="ignore"):
+            constant = float(center @ center) - radius**2
+        if not constant < math.inf:
+            raise ConfigError(
+                "center is past the float range of the squared ball gauge, whose constant "
+                "holds ||center||^2; the norm gauge (squared: false) builds this ball"
+            )
         q = cls.from_diagonal(
             np.full(center.size, 2.0),
             -2.0 * center,
-            float(center @ center) - radius**2,
+            constant,
             label or "ball_gauge_sq",
         )
         q._center, q._sq_radius = center.copy(), radius**2

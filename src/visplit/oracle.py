@@ -142,54 +142,46 @@ def probe_affine(operators, dim: int):
 
 def feasible_points(problem: Problem, rng, count: int):
     """Sample points of the feasible set, by family; used to test VI gaps."""
-    meta = problem.meta
-    family = meta.get("family")
-    dim = problem.dim
-    out = []
-    if family == "quadratic_over_ball":
-        center, radius = meta["center"], meta["radius"]
-        for _ in range(count):
-            d = rng.standard_normal(dim)
-            d /= max(float(np.linalg.norm(d)), 1e-12)
-            r = radius * rng.uniform() ** (1.0 / dim)
-            out.append(center + r * d)
-    elif family == "affine_vi_over_polyhedron" and "box" in meta:
-        lo, hi = meta["box"]
-        for _ in range(count):
-            out.append(lo + rng.uniform(size=dim) * (hi - lo))
-    elif family == "affine_vi_over_polyhedron":
-        rows, rhs, w = meta["rows"], meta["rhs"], meta["interior_point"]
-        for _ in range(count):
-            d = rng.standard_normal(dim)
-            d /= max(float(np.linalg.norm(d)), 1e-12)
-            num = rhs - rows @ w
-            den = rows @ d
-            ts = [n / q for n, q in zip(num, den) if q > 1e-12]
-            t_max = min(ts) if ts else 1.0
-            out.append(w + rng.uniform(0.0, 0.99 * t_max) * d)
-    elif family == "a1":
-        kind = meta.get("objective", "relu")
-        if kind == "relu":
-            for _ in range(count):
-                p = rng.standard_normal(dim)
-                p[0] = -abs(p[0])
-                out.append(p)
-        else:
-            out = [np.zeros(dim) for _ in range(count)]
-    elif family == "a2":
-        L = meta["matrix"]
-        n = L.shape[1]
-        for _ in range(count):
-            x = rng.standard_normal(n)
-            out.append(np.concatenate([x, L @ x]))
-    elif family == "a3":
-        out = [rng.standard_normal(dim) for _ in range(count)]
-    else:
+    family = problem.meta.get("family")
+    if family not in ("quadratic_over_ball", "affine_vi_over_polyhedron", "a1", "a2", "a3"):
         raise ConfigError(f"no feasible sampler for family {family!r}")
-    for p in out:
-        if problem.constraint.value(p) > 1e-9:
-            raise ConfigError("sampler produced an infeasible point")
+    out = [_feasible_point(problem.meta, problem.dim, rng) for _ in range(count)]
+    if any(problem.constraint.value(p) > 1e-9 for p in out):
+        raise ConfigError("sampler produced an infeasible point")
     return out
+
+
+def _feasible_point(meta, dim: int, rng) -> Vector:
+    """One point of the feasible set of ``meta``'s family, drawn from ``rng``."""
+    family = meta["family"]
+    if family == "quadratic_over_ball":
+        d = rng.standard_normal(dim)
+        d /= max(float(np.linalg.norm(d)), 1e-12)
+        r = meta["radius"] * rng.uniform() ** (1.0 / dim)
+        return meta["center"] + r * d
+    if family == "affine_vi_over_polyhedron" and "box" in meta:
+        lo, hi = meta["box"]
+        return lo + rng.uniform(size=dim) * (hi - lo)
+    if family == "affine_vi_over_polyhedron":
+        rows, rhs, w = meta["rows"], meta["rhs"], meta["interior_point"]
+        d = rng.standard_normal(dim)
+        d /= max(float(np.linalg.norm(d)), 1e-12)
+        num = rhs - rows @ w
+        den = rows @ d
+        ts = [n / q for n, q in zip(num, den) if q > 1e-12]
+        t_max = min(ts) if ts else 1.0
+        return w + rng.uniform(0.0, 0.99 * t_max) * d
+    if family == "a1" and meta.get("objective", "relu") == "relu":
+        p = rng.standard_normal(dim)
+        p[0] = -abs(p[0])
+        return p
+    if family == "a1":
+        return np.zeros(dim)
+    if family == "a2":
+        L = meta["matrix"]
+        x = rng.standard_normal(L.shape[1])
+        return np.concatenate([x, L @ x])
+    return rng.standard_normal(dim)
 
 
 def vi_gap(problem: Problem, x_star, points) -> float:
@@ -257,13 +249,15 @@ def _rows_solution(M, c, R, d):
         K = np.block([[M, Rs.T], [Rs, np.zeros((len(sel), len(sel)))]])
         rside = np.concatenate([-c, d[sel]])
         sol, *_ = np.linalg.lstsq(K, rside, rcond=None)
-        if float(np.max(np.abs(K @ sol - rside))) > 1e-8 * scale:
-            continue
-        x, mu = sol[:n], sol[n:]
-        if len(sel) and float(np.min(mu)) < -1e-9:
-            continue
-        if count and float(np.max(R @ x - d)) > 1e-9 * scale:
-            continue
+        # Written as ``not ... <=`` so that a non-finite candidate is skipped.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not float(np.max(np.abs(K @ sol - rside))) <= 1e-8 * scale:
+                continue
+            x, mu = sol[:n], sol[n:]
+            if len(sel) and float(np.min(mu)) < -1e-9:
+                continue
+            if count and not float(np.max(R @ x - d)) <= 1e-9 * scale:
+                continue
         return x
     raise ConfigError("active-set enumeration found no KKT point")
 

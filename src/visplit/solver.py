@@ -386,7 +386,7 @@ def _advance(
     cz = constraint.fn._value(z)
     if problem.use_exact_projection:
         region = constraint.exact_set
-        z0 = z if cz <= 0 else np.asarray(region._project(z), dtype=float)
+        z0 = z if cz <= 0 else _intake(region._project(z), problem.dim, region)
         inner_iters, dist_z0 = 0, 0.0
     elif cz <= 0:
         z0, region, inner_iters, dist_z0 = _feasible_shortcut(constraint, z, cz)
@@ -399,7 +399,7 @@ def _advance(
     # selections at z0; a probe that overflows is a diverged iterate.
     alpha, probe = beta, None
     if schedule.adaptive:
-        norms = [norm(np.asarray(op._select(z0), dtype=float)) for op in problem.operators]
+        norms = [norm(_intake(op._select(z0), problem.dim, op)) for op in problem.operators]
         if not all(map(math.isfinite, norms)):
             raise NonFiniteIterate(f"operator selection at z0 is not finite at k={k}")
         probe = max(1.0, *norms)
@@ -411,9 +411,9 @@ def _advance(
     points = [z0]
     eta = 1.0
     for op in problem.operators:
-        u = np.asarray(op._select(points[-1]), dtype=float)
+        u = _intake(op._select(points[-1]), problem.dim, op)
         eta = max(eta, norm(u))
-        points.append(np.asarray(region._project(points[-1] - alpha * u), dtype=float))
+        points.append(_intake(region._project(points[-1] - alpha * u), problem.dim, region))
     z_next = points[-1]
     if not np.isfinite(z_next).all():
         raise NonFiniteIterate(f"outer iterate diverged at k={k}")
@@ -429,6 +429,21 @@ def _advance(
     state.sigma = sigma
     return Step(k, z, points, region, inner_iters, dist_z0, probe, beta, alpha, eta, sigma,
                 x_next, t0)
+
+
+def _intake(value, dim: int, source) -> Vector:
+    """``source``'s selection or projection as a float64 vector of shape ``(dim,)``.
+
+    A wrong shape would broadcast through the step, so it raises a
+    ``DimensionMismatch`` naming the operator's label or the set's class.
+    """
+    v = np.asarray(value, dtype=float)
+    if v.shape != (dim,):
+        name = type(source).__name__
+        if isinstance(source, Operator):
+            name = f"operator {source.label!r}"
+        raise DimensionMismatch(f"{name} returned shape {v.shape}, problem has dimension {dim}")
+    return v
 
 
 def _err_x(problem: Problem, x: Vector) -> float:

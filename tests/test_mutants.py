@@ -21,7 +21,8 @@ KERNELS = {
     "AffineOperator._select", "ScaledOperator._select", "sum_select", "Quadratic._value",
     "NormFunction._subgradient", "MaxOfAffine._value", "MaxOfAffine._subgradient",
     "Constraint.__init__", "_ball_solution", "_rows_solution", "_solve", "vi_gap", "qp_project",
-    "reference_solution", "probe_affine",
+    "reference_solution", "probe_affine", "_feasible_point", "AffineOperator._setup",
+    "Quadratic.half_sq_distance", "Quadratic.ball_gauge",
 }
 
 

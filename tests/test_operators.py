@@ -224,6 +224,32 @@ def test_psd_tolerance_boundary(shape):
         _make(cls, shape, shape([1.0, -1e-11]))
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [np.diag, _rotated, _from_vector, _skewed],
+    ids=["diagonal", "dense", "from_diagonal", "skew_plus_diagonal"],
+)
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e9])
+def test_psd_tolerance_is_relative_to_the_largest_entry(shape, scale):
+    # The least eigenvalue of the symmetric part S may fall below zero by
+    # 1e-10 of max(1, max |S_ij|): 1e-6 of that is refused at every scale,
+    # and 1e-12 of it is rounding.
+    top = max(1.0, scale)
+    for cls in (AffineOperator, Quadratic):
+        with pytest.raises(ConfigError, match="not monotone"):
+            _make(cls, shape, shape([scale, -1e-6 * top]))
+        _make(cls, shape, shape([scale, -1e-12 * top]))
+
+
+def test_psd_matrices_at_a_large_scale_are_monotone():
+    # 1e8 B B' is PSD, and eigvalsh rounds its zero eigenvalue to as low as
+    # -3.5e-16 of its largest entry: an absolute bound refused 93 of these.
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        B = rng.standard_normal((6, 5))
+        AffineOperator(1e8 * B @ B.T)
+
+
 def _cli_batch_matrices(seed):
     """The ``box`` and ``hexagon`` matrices of the benchmark's batch at ``seed``."""
     rng = np.random.default_rng(seed)

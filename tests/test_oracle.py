@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import inspect
 import tracemalloc
 
@@ -161,6 +162,39 @@ def test_vi_gap_is_the_least_sampled_gap_even_when_all_are_positive():
 
 
 @pytest.mark.parametrize(
+    "family, params, samples, solution",
+    [
+        ("quadratic_over_ball", {}, "fe76304aade4d992", "000000000000f03f0000000000000000"),
+        ("quadratic_over_ball", {"target": [3, 1, -2], "center": [0.5, 0, 1], "radius": 1.5},
+         "76e7bda929a2e6e4", "5e710bd858e2f63f63b578268ed0d73fa880a8cda9c6bdbf"),
+        ("affine_vi_over_polyhedron", {}, "e21b9ed4a5160f2e", "07fc302f344f5d3c020000000000f03f"),
+        ("affine_vi_over_polyhedron", {"box": [[-1.0, 0.5], [2.0, 3.0]]},
+         "74d38daaeb027995", "000000000000d0bf000000000000e03f"),
+        ("affine_vi_over_polyhedron",
+         {"rows": [[1, 0], [0, 1], [-1, -1]], "rhs": [1, 1, 1], "interior_point": [0, 0]},
+         "88a240bb42ba4c5f", "000000000000d0bf000000000000e03f"),
+        ("a1", {}, "58e2b76ef121c8ea", "896a35bab19560bc0000000000000000"),
+        ("a1", {"objective": "norm"}, "67042dfda5683aea", "00000000000000000000000000000000"),
+        ("a1", {"objective": "sqnorm"}, "67042dfda5683aea", "00000000000000000000000000000000"),
+        ("a2", {}, "4c7be183f3f3f4a8", "9a9999999999e93f9a9999999999f93f"),
+        ("a3", {}, "c6bda76931e24e00", "00000000000000000000000000000080"),
+    ],
+    ids=["ball", "ball-moved", "box", "box-moved", "rows", "a1-relu", "a1-norm", "a1-sqnorm", "a2", "a3"],
+)
+def test_samplers_and_routes_keep_their_pinned_numbers(
+    family, params, samples, solution
+):
+    # Every sampler's draws, in order and to the bit, and every route's
+    # solution: first 16 hex digits of the sha256 of the 50 points drawn by
+    # default_rng(5), and the bytes of the reference solution.
+    prob = build(family, params)
+    points = feasible_points(prob, np.random.default_rng(5), 50)
+    assert len(points) == 50
+    assert hashlib.sha256(b"".join(p.tobytes() for p in points)).hexdigest()[:16] == samples
+    assert reference_solution(prob).tobytes().hex() == solution
+
+
+@pytest.mark.parametrize(
     "family, params",
     [
         ("a1", {}),
@@ -302,6 +336,16 @@ def test_rows_route_skips_a_face_whose_multiplier_is_barely_negative():
     )
     x = reference_solution(prob)
     assert np.max(np.abs(x - [1.0 - e / 4, -3 * e / 4])) <= 1e-15
+
+
+@pytest.mark.filterwarnings("error")
+def test_rows_route_skips_a_non_finite_candidate_without_a_warning():
+    # The offset 1e308 gives the unconstrained candidate x = (0, -inf), whose
+    # residual is NaN. A NaN compares False under ``>``, so the residual and
+    # feasibility tests read ``not ... <=`` and skip it, with no warning.
+    prob = build("affine_vi_over_polyhedron", {"offset": [1e308, 0.0]})
+    with pytest.raises(ConfigError, match="no KKT point"):
+        reference_solution(prob)
 
 
 def test_reference_solution_rejects_unknown_meta():

@@ -275,6 +275,32 @@ def test_a3_refuses_an_asymmetric_matrix_whose_asymmetry_overflows():
             build("a3", {"matrix": [[1e308, 1e308], [-1e308, 1e308]]})
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "family, params, message",
+    [
+        ("a2", {"phi1": {"center": [1e300]}}, r"^phi1\.center is past the float range"),
+        ("a3", {"phi2": {"center": [1e150], "weight": 1e10}}, r"^phi2\.center is past"),
+        ("quadratic_over_ball", {"center": [1e200, 0.0], "radius": 1.0, "target": [1e200, 5.0]},
+         r"^center is past .* \(squared: false\) builds this ball"),
+    ],
+    ids=["a2-center", "a3-weighted-center", "squared-ball"],
+)
+def test_a_center_past_the_float_range_is_refused_by_its_name_without_a_warning(
+    family, params, message
+):
+    # ||center||^2 overflows the quadratic's constant. The refusal names the
+    # field the user gave, not the constant, and comes with no RuntimeWarning.
+    with pytest.raises(ConfigError, match=message):
+        build(family, params)
+
+
+def test_the_norm_gauge_builds_the_ball_whose_squared_gauge_overflows():
+    prob = build("quadratic_over_ball", {"center": [1e200, 0.0], "radius": 1.0,
+                                         "target": [1e200, 5.0], "squared": False})
+    assert np.array_equal(reference_solution(prob), [1e200, 1.0])
+
+
 def test_a2_a3_phis_keep_no_dense_matrix():
     rng = np.random.default_rng(52)
     L = rng.standard_normal((3, 3))

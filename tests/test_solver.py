@@ -817,3 +817,61 @@ def test_a_users_float32_vectors_run_as_their_float64_twin(schedule, exact):
     assert np.array_equal(state.x, twin.x) and np.array_equal(state.z, twin.z)
     assert all(p.dtype == np.float64 for p in [state.z, state.x, *points])
     assert all(np.array_equal(p, q) for p, q in zip(points, twin_points, strict=True))
+
+
+class _WrongOnce:
+    """A cast that hands back ``reshape(v)`` on its first call and ``v`` after."""
+
+    def __init__(self, reshape):
+        self.reshape = reshape
+        self.calls = 0
+
+    def __call__(self, v):
+        self.calls += 1
+        return self.reshape(v) if self.calls == 1 else v
+
+
+def _same(v):
+    return v
+
+
+@pytest.mark.parametrize("reshape", [lambda v: v[:1], lambda v: v[None, :]],
+                         ids=["length-1", "row"])
+@pytest.mark.parametrize(
+    "schedule, x0, wrong, message",
+    [
+        (PowerStepsize(1.0, 1.0), [0.5, 0.5], "select", "^operator 'shift' returned shape"),
+        (AdaptivePowerStepsize(1.0, 1.0), [0.5, 0.5], "select", "^operator 'shift' returned shape"),
+        (PowerStepsize(1.0, 1.0), [0.5, 0.5], "project", "^_CastDisk returned shape"),
+        (PowerStepsize(1.0, 1.0), [3.0, 1.0], "project", "^_CastDisk returned shape"),
+    ],
+    ids=["cycle-selection", "adaptive-probe", "cycle-projection", "exact-stage"],
+)
+def test_a_users_wrong_shaped_vector_is_refused_where_the_step_takes_it(
+    schedule, x0, wrong, message, reshape
+):
+    # Each intake's first call is the only wrong one, so a check at a later
+    # intake cannot stand in for it: a length-1 selection would broadcast
+    # over both coordinates, a (1, 2) one reach matmul, and a short
+    # projection surface a step later as a wrong state.
+    cast = _WrongOnce(reshape)
+    shift = _CastShift(cast if wrong == "select" else _same)
+    disk = _CastDisk(cast if wrong == "project" else _same)
+    constraint = Constraint(Quadratic.ball_gauge([0.0, 0.0], 1.0), exact_set=disk)
+    problem = Problem((shift,), constraint, use_exact_projection=True)
+    with pytest.raises(DimensionMismatch, match=message + r" \((1,|1, 2)\), problem has dimension 2"):
+        run(problem, schedule, x0=x0, max_outer=50)
+    assert cast.calls == 1
+
+
+def test_a_length_1_selection_is_refused_not_broadcast():
+    # Broadcast over both coordinates, the selection x1 - 2 would take 50
+    # steps to x = (1.0135, 1.0135), outside the unit ball, with no error.
+    class Short(Operator):
+        def _select(self, x):
+            return np.array([x[0] - 2.0])
+
+    problem = Problem((Short(2, "short"),),
+                      Constraint(Quadratic.ball_gauge([0.0, 0.0], 1.0), slater_point=[0.0, 0.0]))
+    with pytest.raises(DimensionMismatch, match="^operator 'short' returned shape \\(1,\\)"):
+        run(problem, PowerStepsize(1.0, 1.0), x0=[0.5, 0.5], max_outer=50)

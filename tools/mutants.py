@@ -81,14 +81,24 @@ MUTANTS = (
     Mutant("A15", "_advance", "conversion", "    beta = float(beta)\n", ""),
     Mutant("A16", "_advance", "branch", "if alpha == 0.0:", "if False:"),
     Mutant("A17", "_advance", "conversion",
-           "else np.asarray(region._project(z), dtype=float)", "else region._project(z)"),
-    Mutant("A18", "_advance", "conversion", "norm(np.asarray(op._select(z0), dtype=float))",
+           "else _intake(region._project(z), problem.dim, region)", "else region._project(z)"),
+    Mutant("A18", "_advance", "conversion", "norm(_intake(op._select(z0), problem.dim, op))",
            "norm(op._select(z0))"),
-    Mutant("A19", "_advance", "conversion", "u = np.asarray(op._select(points[-1]), dtype=float)",
+    Mutant("A19", "_advance", "conversion", "u = _intake(op._select(points[-1]), problem.dim, op)",
            "u = op._select(points[-1])"),
     Mutant("A20", "_advance", "conversion",
-           "np.asarray(region._project(points[-1] - alpha * u), dtype=float)",
+           "_intake(region._project(points[-1] - alpha * u), problem.dim, region)",
            "region._project(points[-1] - alpha * u)"),
+    Mutant("A21", "_advance", "branch",
+           "else _intake(region._project(z), problem.dim, region)",
+           "else np.asarray(region._project(z), dtype=float)"),
+    Mutant("A22", "_advance", "branch", "norm(_intake(op._select(z0), problem.dim, op))",
+           "norm(np.asarray(op._select(z0), dtype=float))"),
+    Mutant("A23", "_advance", "branch", "u = _intake(op._select(points[-1]), problem.dim, op)",
+           "u = np.asarray(op._select(points[-1]), dtype=float)"),
+    Mutant("A24", "_advance", "branch",
+           "_intake(region._project(points[-1] - alpha * u), problem.dim, region)",
+           "np.asarray(region._project(points[-1] - alpha * u), dtype=float)"),
     Mutant("D01", "_diagnose", "term", "gap - (j - i) * step_bound", "gap - step_bound"),
     Mutant("D02", "_diagnose", "constant", "    drift = 0.0\n", "    drift = -math.inf\n"),
     Mutant("D03", "_diagnose", "branch",
@@ -223,11 +233,17 @@ MUTANTS = (
            "np.argmax(self.rows @ x)"),
     Mutant("O20", "Quadratic._value", "branch", "        if self._center is not None:\n",
            "        if False:\n"),
+    Mutant("O21", "AffineOperator._setup", "constant", "if not lo >= _PSD_TOL * max(1.0, top):",
+           "if not lo >= _PSD_TOL:"),
+    Mutant("O22", "Quadratic.half_sq_distance", "branch",
+           "if not (constant < math.inf and np.isfinite(b).all()):", "if False:"),
+    Mutant("O23", "Quadratic.ball_gauge", "branch", "        if not constant < math.inf:\n",
+           "        if False:\n"),
     Mutant("R01", "_ball_solution", "constant", "for _ in range(200):", "for _ in range(30):"),
     Mutant("R02", "_rows_solution", "branch", "if len(sel) and float(np.min(mu)) < -1e-9:",
            "if False:"),
     Mutant("R03", "_rows_solution", "branch",
-           "if count and float(np.max(R @ x - d)) > 1e-9 * scale:", "if False:"),
+           "if count and not float(np.max(R @ x - d)) <= 1e-9 * scale:", "if False:"),
     Mutant("R04", "_solve", "branch",
            "raise ConfigError(f\"{route} reference route: {exc}\") from exc", "raise"),
     Mutant("R05", "vi_gap", "term", "worst = np.minimum(worst, float(u @ (d / r)))",
@@ -235,7 +251,7 @@ MUTANTS = (
     Mutant("R06", "qp_project", "branch", "if float(np.max(A @ x - b)) <= tol:", "if True:"),
     Mutant("R07", "qp_project", "constant", "for _ in range(3):", "for _ in range(1):"),
     Mutant("R08", "_rows_solution", "branch",
-           "if float(np.max(np.abs(K @ sol - rside))) > 1e-8 * scale:", "if False:"),
+           "if not float(np.max(np.abs(K @ sol - rside))) <= 1e-8 * scale:", "if False:"),
     Mutant("R09", "_rows_solution", "constant", "float(np.min(mu)) < -1e-9",
            "float(np.min(mu)) < -1e-3"),
     Mutant("R10", "qp_project", "constant", "tol = 1e-9 * max(", "tol = 1e-6 * max("),
@@ -258,6 +274,39 @@ MUTANTS = (
     Mutant("R20", "vi_gap", "term", "worst = np.minimum(worst,", "worst = min(worst,"),
     Mutant("R21", "probe_affine", "branch", "    if not np.isfinite(M).all():\n",
            "    if False:\n"),
+    Mutant("R22", "_rows_solution", "comparison",
+           "if not float(np.max(np.abs(K @ sol - rside))) <= 1e-8 * scale:\n"
+           "                continue\n"
+           "            x, mu = sol[:n], sol[n:]\n"
+           "            if len(sel) and float(np.min(mu)) < -1e-9:\n"
+           "                continue\n"
+           "            if count and not float(np.max(R @ x - d)) <= 1e-9 * scale:",
+           "if float(np.max(np.abs(K @ sol - rside))) > 1e-8 * scale:\n"
+           "                continue\n"
+           "            x, mu = sol[:n], sol[n:]\n"
+           "            if len(sel) and float(np.min(mu)) < -1e-9:\n"
+           "                continue\n"
+           "            if count and float(np.max(R @ x - d)) > 1e-9 * scale:"),
+    Mutant("R23", "reference_solution", "constant", "row[0, 0] = 1.0", "row[0, 0] = -1.0"),
+    Mutant("R24", "reference_solution", "constant", "            x = np.zeros(dim)\n",
+           "            x = np.ones(dim)\n"),
+    Mutant("R25", "reference_solution", "term", "Z = np.vstack([np.eye(n), L])",
+           "Z = np.vstack([np.eye(n), -L])"),
+    Mutant("R26", "reference_solution", "term", 'x = _solve(M, -c, "a3")',
+           'x = _solve(M, c, "a3")'),
+    Mutant("G01", "_feasible_point", "term", 'r = meta["radius"] * rng.uniform() ** (1.0 / dim)',
+           'r = meta["radius"] * rng.uniform()'),
+    Mutant("G02", "_feasible_point", "term", "return lo + rng.uniform(size=dim) * (hi - lo)",
+           "return lo + rng.uniform(size=dim) * hi"),
+    Mutant("G03", "_feasible_point", "comparison", "t_max = min(ts) if ts else 1.0",
+           "t_max = max(ts) if ts else 1.0"),
+    Mutant("G04", "_feasible_point", "term", "p[0] = -abs(p[0])", "p[0] = abs(p[0])"),
+    Mutant("G05", "_feasible_point", "branch",
+           '    if family == "a1":\n        return np.zeros(dim)\n', ""),
+    Mutant("G06", "_feasible_point", "term", "return np.concatenate([x, L @ x])",
+           "return np.concatenate([x, -(L @ x)])"),
+    Mutant("G07", "_feasible_point", "constant", "    return rng.standard_normal(dim)\n",
+           "    return rng.uniform(-1.0, 1.0, dim)\n"),
 )
 
 # Code that went: earlier mutants showed it equivalent, or it lost its job.
