@@ -5,20 +5,22 @@ Subcommands
 run CONFIG...
     Execute one or more JSON run configurations. Each run writes
     <outdir>/<label>/trace.csv and summary.json. The output directory is
-    resolved as: --output flag, then the VISPLIT_OUTPUT_DIR environment
-    variable, then the config's "output" field, then "runs".
+    the --output flag, else the config's "output" field, else "runs".
 check
     Seeded random sweeps of the projection, operator, constraint, loop,
     and audit layers (``checks.run_suite``). Exits 3 when any row fails.
 bench
     Feasibility-loop cost against the stopping tolerance, measured by
-    ``checks.run_bench``. Both commands import ``checks`` on demand.
+    ``checks.run_bench``, written to <output>/bench.json under --output.
+    Both commands import ``checks`` on demand.
 
 Exit codes: 0 success, 2 configuration problem, 3 solver or check failure.
 
 The run configuration fields are ``RUN_KEYS``, documented in the "Command
 line" section of the README; unknown fields are rejected by path. Its
 ``schedule`` object is read by ``solver.StepsizeSchedule.from_spec``.
+Every setting of ``run`` and ``bench`` but the output directory comes from
+the config alone, so one config file always gives the same run.
 """
 
 from __future__ import annotations
@@ -49,11 +51,7 @@ CHECK_SUITES = ("constraints", "fejer", "innerloop", "operators", "projections")
 
 
 class RunJob(NamedTuple):
-    """A validated run config and the objects its run is built from.
-
-    options are the checked keyword options of ``run``, ``--cadence``
-    folded in.
-    """
+    """A validated run config, the objects built from it and its checked ``run`` options."""
 
     cfg: dict
     problem: Problem
@@ -78,7 +76,7 @@ def _load_configs(path: str) -> list[dict]:
     return data
 
 
-def _prepare_run(cfg: dict, where: str, args) -> RunJob:
+def _prepare_run(cfg: dict, where: str) -> RunJob:
     """Validate ``cfg`` and build its problem, schedule and start point (default the origin).
 
     Every config of a batch passes through here before any run starts, so
@@ -101,19 +99,15 @@ def _prepare_run(cfg: dict, where: str, args) -> RunJob:
     x0 = cfg.get("x0")
     if not (x0 is None or x0 == "random" or isinstance(x0, list)):
         raise ConfigError(f'{where}.x0 must be a list of numbers or "random"')
-    seed = cfg.get("seed", 0) if args.seed is None else args.seed
-    seed = as_number(seed, f"{where}.seed", integer=True, at_least=0)
+    seed = as_number(cfg.get("seed", 0), f"{where}.seed", integer=True, at_least=0)
 
     try:
         problem = problems.build(cfg["family"], cfg.get("params", {}))
     except (LookupError, TypeError, ValueError, VisplitError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    options = {key: cfg[key] for key in RUN_OPTIONS if key in cfg}
-    if args.cadence is not None:
-        options["cadence"] = args.cadence
     try:
         # Each message of run_options starts with the option's name.
-        options = run_options(problem, **options)
+        options = run_options(problem, **{key: cfg[key] for key in RUN_OPTIONS if key in cfg})
     except ConfigError as exc:
         raise ConfigError(f"{where}.{exc}") from exc
     try:
@@ -198,7 +192,7 @@ def _cmd_run(args) -> int:
         loaded = _load_configs(path)
         for i, cfg in enumerate(loaded):
             where = f"{path}[{i}]" if len(loaded) > 1 else path
-            jobs.append(_prepare_run(cfg, where, args))
+            jobs.append(_prepare_run(cfg, where))
 
     # Resolve labels first so duplicates cannot overwrite each other: a
     # taken label gets the first free "-n" suffix.
@@ -211,16 +205,9 @@ def _cmd_run(args) -> int:
             label = f"{base}-{n}"
         labels.append(label)
 
-    def outdir_for(cfg):
-        if args.output:
-            return args.output
-        env = os.environ.get("VISPLIT_OUTPUT_DIR")
-        if env:
-            return env
-        return cfg.get("output", "runs")
-
     summaries = [
-        _execute_run(job, label, outdir_for(job.cfg)) for job, label in zip(jobs, labels)
+        _execute_run(job, label, args.output or job.cfg.get("output", "runs"))
+        for job, label in zip(jobs, labels)
     ]
     for s in summaries:
         final = s["final"]
@@ -249,31 +236,29 @@ def _cmd_check(args) -> int:
 BENCH_KEYS = frozenset({"grid", "reps", "dim", "seed"})
 
 
-def _bench_config(args) -> dict:
+def _bench_config(path: str | None) -> dict:
     cfg = {}
-    if args.config:
-        loaded = _load_configs(args.config)
+    if path:
+        loaded = _load_configs(path)
         if len(loaded) != 1:
-            raise ConfigError(f"{args.config} must hold a single object")
-        cfg = as_object(loaded[0], BENCH_KEYS, args.config)
-    where = args.config or "bench"
+            raise ConfigError(f"{path} must hold a single object")
+        cfg = as_object(loaded[0], BENCH_KEYS, path)
+    where = path or "bench"
     grid = cfg.get("grid", [0.2, 0.1, 0.05, 0.025])
     if not isinstance(grid, list) or not grid:
         raise ConfigError(f"{where}.grid must be a non-empty list of tolerances")
     grid = [as_number(t, f"{where}.grid[{i}]", above=0) for i, t in enumerate(grid)]
-    reps = args.reps if args.reps is not None else cfg.get("reps", 50)
-    reps = as_number(reps, f"{where}.reps", integer=True, at_least=1)
+    reps = as_number(cfg.get("reps", 50), f"{where}.reps", integer=True, at_least=1)
     dim = as_number(cfg.get("dim", 3), f"{where}.dim", integer=True, at_least=2,
                     at_most=problems.MAX_DIM)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    seed = as_number(seed, f"{where}.seed", integer=True, at_least=0)
+    seed = as_number(cfg.get("seed", 0), f"{where}.seed", integer=True, at_least=0)
     return {"grid": grid, "reps": reps, "dim": dim, "seed": seed}
 
 
 def _cmd_bench(args) -> int:
     from . import checks
 
-    payload = checks.run_bench(**_bench_config(args))
+    payload = checks.run_bench(**_bench_config(args.config))
     print("tolerance  mean projections  mean seconds (curved set)")
     for tol, mean, sec in zip(payload["grid"], payload["mean_iterations"],
                               payload["mean_seconds"]):
@@ -282,10 +267,9 @@ def _cmd_bench(args) -> int:
         print(f"growth exponent vs 1/tolerance: {payload['growth_exponent']:.3f}")
     print(f"polyhedral control, worst projections: {payload['polyhedral_worst_iterations']}")
 
-    outdir = args.output or os.environ.get("VISPLIT_OUTPUT_DIR")
-    if outdir:
-        os.makedirs(outdir, exist_ok=True)
-        with open(os.path.join(outdir, "bench.json"), "w", encoding="utf-8") as fh:
+    if args.output:
+        os.makedirs(args.output, exist_ok=True)
+        with open(os.path.join(args.output, "bench.json"), "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     return 0
@@ -301,9 +285,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute JSON run configurations")
     p_run.add_argument("configs", nargs="+", help="JSON config files")
-    p_run.add_argument("--output", help="output directory (overrides env and config)")
-    p_run.add_argument("--cadence", type=int, help="keep every N-th trace row")
-    p_run.add_argument("--seed", type=int, help="seed for random starting points")
+    p_run.add_argument("--output", help="output directory (overrides the config's)")
 
     p_check = sub.add_parser("check", help="run self-check sweeps")
     p_check.add_argument(
@@ -320,8 +302,6 @@ def _parser() -> argparse.ArgumentParser:
         "config", nargs="?", help="optional JSON object: grid, reps, dim, seed"
     )
     p_bench.add_argument("--output", help="directory for bench.json")
-    p_bench.add_argument("--seed", type=int, default=None)
-    p_bench.add_argument("--reps", type=int, default=None)
     return parser
 
 

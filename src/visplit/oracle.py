@@ -151,19 +151,28 @@ def feasible_points(problem: Problem, rng, count: int):
     return out
 
 
+def _fields(meta, *keys) -> tuple:
+    """``meta``'s values of ``keys``; a missing one is a ``ConfigError`` naming the family and it."""
+    for key in keys:
+        if key not in meta:
+            raise ConfigError(f"family {meta.get('family')!r}: meta has no field {key!r}")
+    return tuple(meta[key] for key in keys)
+
+
 def _feasible_point(meta, dim: int, rng) -> Vector:
     """One point of the feasible set of ``meta``'s family, drawn from ``rng``."""
     family = meta["family"]
     if family == "quadratic_over_ball":
+        center, radius = _fields(meta, "center", "radius")
         d = rng.standard_normal(dim)
         d /= max(float(np.linalg.norm(d)), 1e-12)
-        r = meta["radius"] * rng.uniform() ** (1.0 / dim)
-        return meta["center"] + r * d
+        r = radius * rng.uniform() ** (1.0 / dim)
+        return center + r * d
     if family == "affine_vi_over_polyhedron" and "box" in meta:
         lo, hi = meta["box"]
         return lo + rng.uniform(size=dim) * (hi - lo)
     if family == "affine_vi_over_polyhedron":
-        rows, rhs, w = meta["rows"], meta["rhs"], meta["interior_point"]
+        rows, rhs, w = _fields(meta, "rows", "rhs", "interior_point")
         d = rng.standard_normal(dim)
         d /= max(float(np.linalg.norm(d)), 1e-12)
         num = rhs - rows @ w
@@ -178,7 +187,7 @@ def _feasible_point(meta, dim: int, rng) -> Vector:
     if family == "a1":
         return np.zeros(dim)
     if family == "a2":
-        L = meta["matrix"]
+        (L,) = _fields(meta, "matrix")
         x = rng.standard_normal(L.shape[1])
         return np.concatenate([x, L @ x])
     return rng.standard_normal(dim)
@@ -213,7 +222,7 @@ def _solve(A, b, route: str) -> Vector:
 
 def _ball_solution(M, c, center, radius):
     x_free = _solve(M, -c, "quadratic_over_ball")
-    if norm(x_free - center) <= radius + 1e-12:
+    if norm(x_free - center) <= radius:
         return x_free
 
     def point(mu):
@@ -243,20 +252,29 @@ def _rows_solution(M, c, R, d):
         raise ConfigError(f"oracle handles at most {_MAX_QP_ROWS} rows")
     n = M.shape[0]
     scale = max(1.0, float(np.max(np.abs(d))) if count else 1.0)
+    # The multipliers are about max|c| and the right-hand sides about scale.
+    # Unscaled, lstsq leaves x off by about eps max|c|, which an offset far
+    # above the right-hand sides makes miss every gate, so the multiplier
+    # columns and the row equations are scaled by s and the solve is for
+    # mu / s. Where max|c| <= scale, s is 1 and K is the unscaled one.
+    s = max(1.0, float(np.max(np.abs(c))) / scale)
     for mask in range(2**count):
         sel = [i for i in range(count) if (mask >> i) & 1]
         Rs = R[sel] if sel else np.zeros((0, n))
-        K = np.block([[M, Rs.T], [Rs, np.zeros((len(sel), len(sel)))]])
-        rside = np.concatenate([-c, d[sel]])
+        K = np.block([[M, s * Rs.T], [s * Rs, np.zeros((len(sel), len(sel)))]])
+        rside = np.concatenate([-c, s * d[sel]])
         sol, *_ = np.linalg.lstsq(K, rside, rcond=None)
-        # Written as ``not ... <=`` so that a non-finite candidate is skipped.
+        x, mu = sol[:n], sol[n:]
+        # The rounding of R x and K sol grows with x, which lies far out on
+        # an unbounded set. Written as ``not ... <=``, and the residual over
+        # reach, so that a non-finite candidate is skipped.
+        reach = max(scale, float(np.max(np.abs(x))))
         with np.errstate(over="ignore", invalid="ignore"):
-            if not float(np.max(np.abs(K @ sol - rside))) <= 1e-8 * scale:
+            if not float(np.max(np.abs(K @ sol - rside))) / reach <= 1e-8 * s:
                 continue
-            x, mu = sol[:n], sol[n:]
             if len(sel) and float(np.min(mu)) < -1e-9:
                 continue
-            if count and not float(np.max(R @ x - d)) <= 1e-9 * scale:
+            if count and not float(np.max(R @ x - d)) <= 1e-9 * reach:
                 continue
         return x
     raise ConfigError("active-set enumeration found no KKT point")
@@ -300,14 +318,14 @@ def reference_solution(problem: Problem) -> Vector:
     M, c = probe_affine(problem.operators, dim)
 
     if family == "quadratic_over_ball":
-        x = _ball_solution(M, c, meta["center"], meta["radius"])
+        x = _ball_solution(M, c, *_fields(meta, "center", "radius"))
     elif family == "affine_vi_over_polyhedron":
         if "box" in meta:
             lo, hi = meta["box"]
             rows = np.vstack([np.eye(dim), -np.eye(dim)])
             rhs = np.concatenate([hi, -lo])
         else:
-            rows, rhs = meta["rows"], meta["rhs"]
+            rows, rhs = _fields(meta, "rows", "rhs")
         x = _rows_solution(M, c, rows, rhs)
     elif family == "a1":
         if meta.get("objective", "relu") == "relu":
@@ -317,7 +335,7 @@ def reference_solution(problem: Problem) -> Vector:
         else:
             x = np.zeros(dim)
     elif family == "a2":
-        L = meta["matrix"]
+        (L,) = _fields(meta, "matrix")
         n = L.shape[1]
         Z = np.vstack([np.eye(n), L])
         t = _solve(Z.T @ M @ Z, -(Z.T @ c), "a2")

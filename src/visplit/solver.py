@@ -59,7 +59,7 @@ from .constraints import Constraint, ExactSet
 from .errors import ConfigError, DimensionMismatch, NonFiniteIterate, NonFiniteValue
 from .innerloop import _feasible_shortcut, _run_inner
 from .operators import Operator
-from .space import Vector, as_number, as_object, as_point, norm
+from .space import Vector, _floats, as_number, as_object, as_point, norm
 
 
 class StepsizeSchedule:
@@ -220,7 +220,7 @@ class Problem:
             ("known_solution", known_solution),
             ("certificate", certificate),
             ("use_exact_projection", use_exact_projection),
-            ("meta", MappingProxyType({k: _frozen(v) for k, v in (meta or {}).items()})),
+            ("meta", MappingProxyType({k: _frozen(k, v) for k, v in (meta or {}).items()})),
             ("_eta_bar", None),
             ("_u_bar", None),
         ):
@@ -250,10 +250,15 @@ class Problem:
         return np.sum(np.stack(self.certificate), axis=0)
 
 
-def _frozen(value):
+def _frozen(key, value):
+    """``meta[key]`` as kept: a str or number as given, anything else a read-only float copy.
+
+    The copy's entries pass ``space``'s rule for real numbers, so a word, a
+    mapping or None is a ``ConfigError`` naming ``meta.<key>``.
+    """
     if isinstance(value, (str, bool, int, float)):
         return value
-    value = np.array(value, dtype=float)
+    value = _floats(value, f"meta.{key}", "list").copy()
     value.flags.writeable = False
     return value
 

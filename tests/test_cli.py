@@ -184,23 +184,33 @@ def test_a_label_that_is_taken_gets_the_next_free_suffix(tmp_path):
 
 
 def test_output_directory_precedence(tmp_path, monkeypatch):
-    base = {"family": "a3", "max_outer": 2, "output": str(tmp_path / "fromcfg")}
-    cfg = _write_cfg(tmp_path / "cfg.json", base)
-    env = str(tmp_path / "fromenv")
-    flag = str(tmp_path / "fromflag")
+    # The --output flag, else the config's output, else runs; the
+    # environment is never read, so VISPLIT_OUTPUT_DIR moves nothing.
+    env = tmp_path / "fromenv"
+    monkeypatch.setenv("VISPLIT_OUTPUT_DIR", str(env))
+    monkeypatch.chdir(tmp_path)
+    base = {"family": "a3", "max_outer": 2}
+    with_output = _write_cfg(tmp_path / "cfg.json", {**base, "output": "fromcfg"})
+    without = _write_cfg(tmp_path / "bare.json", base)
 
-    monkeypatch.setenv("VISPLIT_OUTPUT_DIR", env)
-    assert main(["run", cfg, "--output", flag]) == 0
-    assert os.path.isdir(os.path.join(flag, "a3"))
-    assert not os.path.isdir(env)
+    assert main(["run", with_output, "--output", "fromflag"]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["bare.json", "cfg.json", "fromflag"]
+    assert os.listdir(tmp_path / "fromflag") == ["a3"]
 
-    assert main(["run", cfg]) == 0
-    assert os.path.isdir(os.path.join(env, "a3"))
-    assert not os.path.isdir(base["output"])
+    assert main(["run", with_output]) == 0
+    assert os.listdir(tmp_path / "fromcfg") == ["a3"]
 
-    monkeypatch.delenv("VISPLIT_OUTPUT_DIR")
-    assert main(["run", cfg]) == 0
-    assert os.path.isdir(os.path.join(base["output"], "a3"))
+    assert main(["run", without]) == 0
+    assert os.listdir(tmp_path / "runs") == ["a3"]
+
+    bench = _write_cfg(tmp_path / "bench.json", {"grid": [0.1], "reps": 1})
+    assert main(["bench", bench]) == 0
+    assert sorted(os.listdir(tmp_path)) == [
+        "bare.json", "bench.json", "cfg.json", "fromcfg", "fromflag", "runs"
+    ]
+    assert main(["bench", bench, "--output", "benchout"]) == 0
+    assert os.listdir(tmp_path / "benchout") == ["bench.json"]
+    assert not env.exists()
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
@@ -595,28 +605,31 @@ def test_a_scalar_field_outside_its_range_exits_2_naming_it(tmp_path, capsys, co
 
 
 @pytest.mark.parametrize(
-    "cfg, flags",
-    [
-        ({"x0": "random", "seed": -1}, []),
-        ({"seed": -1}, []),
-        ({"x0": "random"}, ["--seed", "-5"]),
-    ],
-    ids=["field-random-x0", "field-origin-x0", "flag"],
+    "cfg", [{"x0": "random", "seed": -1}, {"seed": -1}], ids=["field-random-x0", "field-origin-x0"]
 )
-def test_a_negative_seed_is_rejected_before_any_run(tmp_path, capsys, cfg, flags):
+def test_a_negative_seed_is_rejected_before_any_run(tmp_path, capsys, cfg):
     path = _write_cfg(tmp_path / "cfg.json", {"family": "a3", "max_outer": 3, **cfg})
     out = tmp_path / "out"
-    assert main(["run", path, "--output", str(out), *flags]) == 2
+    assert main(["run", path, "--output", str(out)]) == 2
     assert f"{path}.seed must be nonnegative" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_cadence_flag_is_checked_before_any_run(tmp_path, capsys):
-    path = _write_cfg(tmp_path / "cfg.json", {"family": "a3", "max_outer": 3})
-    out = tmp_path / "out"
-    assert main(["run", path, "--output", str(out), "--cadence", "0"]) == 2
-    assert f"{path}.cadence must be at least 1" in capsys.readouterr().err
-    assert not out.exists()
+@pytest.mark.parametrize(
+    "command, flag",
+    [("run", "--cadence"), ("run", "--seed"), ("bench", "--reps"), ("bench", "--seed")],
+)
+def test_a_setting_of_the_config_has_no_flag(tmp_path, monkeypatch, capsys, command, flag):
+    # cadence, seed and reps come from the config alone: the parser refuses
+    # their flags before anything is read, run or written.
+    monkeypatch.chdir(tmp_path)
+    path = _write_cfg(tmp_path / "cfg.json", {"family": "a3", "max_outer": 3}
+                      if command == "run" else {"grid": [0.1], "reps": 1})
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, "--output", "out", flag, "2"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("label", ["../escaped", "a/b", "..", ".", ""])
@@ -834,7 +847,8 @@ def test_bench_command(tmp_path, capsys):
 def test_bench_numbers_are_pinned(tmp_path, capsys):
     # The default grid at dim 3 and seed 0: every number but the timings.
     out = str(tmp_path / "out")
-    assert main(["bench", "--reps", "20", "--output", out]) == 0
+    path = _write_cfg(tmp_path / "bench.json", {"reps": 20})
+    assert main(["bench", path, "--output", out]) == 0
     payload = json.load(open(os.path.join(out, "bench.json")))
     assert payload["mean_iterations"] == [1.9, 2.2, 2.55, 2.8]
     assert payload["growth_exponent"] == 0.18912759491762543

@@ -261,11 +261,8 @@ def test_reference_route_takes_balls_at_every_scale():
     assert refused == []
 
 
-def test_reference_route_takes_row_polyhedra_at_every_scale():
-    # A monotone affine T over k rows around the origin, its offset and
-    # right-hand sides at s = 10^U(0, 9): T(x) at the solution's vertex
-    # rounds at s eps, so its gap per unit distance reads down to about
-    # -1e-7 at s ~ 1e8, which a gate relative to the size of T's terms takes.
+def _refused_row_polyhedra(rhs_scales):
+    """The refusals of reference_solution on 100 seeded row polyhedra at s = 10^U(0, 9)."""
     rng = np.random.default_rng(1)
     refused = []
     for _ in range(100):
@@ -278,14 +275,64 @@ def test_reference_route_takes_row_polyhedra_at_every_scale():
             "matrix": (B @ B.T + 0.5 * (S - S.T) + 0.1 * np.eye(n)).tolist(),
             "offset": (s * rng.standard_normal(n)).tolist(),
             "rows": rng.standard_normal((k, n)).tolist(),
-            "rhs": (s * rng.uniform(0.5, 2.0, k)).tolist(),
+            "rhs": ((s if rhs_scales else 1.0) * rng.uniform(0.5, 2.0, k)).tolist(),
             "interior_point": [0.0] * n,
         }
         try:
             reference_solution(build("affine_vi_over_polyhedron", params))
         except ConfigError as exc:
             refused.append((s, str(exc)))
-    assert refused == []
+    return refused
+
+
+def test_reference_route_takes_row_polyhedra_at_every_scale():
+    # A monotone affine T over k rows around the origin, its offset and
+    # right-hand sides at s = 10^U(0, 9): T(x) at the solution's vertex
+    # rounds at s eps, so its gap per unit distance reads down to about
+    # -1e-7 at s ~ 1e8, which a gate relative to the size of T's terms takes.
+    assert _refused_row_polyhedra(rhs_scales=True) == []
+
+
+def test_reference_route_takes_row_polyhedra_whose_offset_alone_scales():
+    # The same draws with right-hand sides at 1: the KKT multipliers are
+    # about s while x is about 1, or far out on an unbounded set.
+    assert _refused_row_polyhedra(rhs_scales=False) == []
+
+
+@pytest.mark.parametrize("offset", [1e9, 1e12, 1e15, 1e20])
+def test_rows_route_solves_the_box_at_a_large_offset(offset):
+    # T(x) = M x + (offset, 0) over the unit box is solved by every (0, t),
+    # t in [0, 1]. The multipliers are about the offset; the route solves
+    # for them divided by it, so x keeps its digits, and the returned point
+    # has passed reference_solution's final gates.
+    x = reference_solution(build("affine_vi_over_polyhedron", {"offset": [offset, 0.0]}))
+    assert abs(x[0]) <= 1e-9 and -1e-9 <= x[1] <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize(
+    "target, radius",
+    [([1e-13, 0.0], 1e-20), ([1.0 + 5e-13, 0.0], 1.0)],
+    ids=["1e7-radii-out", "5e-13-out"],
+)
+def test_ball_route_projects_a_target_just_outside(target, radius):
+    # A target outside the ball by any margin is projected onto it: the
+    # inside test compares with the radius alone, with no absolute slack.
+    prob = build("quadratic_over_ball", {"target": target, "radius": radius})
+    assert np.max(np.abs(reference_solution(prob) - prob.known_solution)) <= 1e-15 * radius
+
+
+@pytest.mark.parametrize(
+    "family, field",
+    [("quadratic_over_ball", "center"), ("a2", "matrix"), ("affine_vi_over_polyhedron", "rows")],
+)
+def test_a_meta_missing_its_familys_field_is_refused_by_name(family, field):
+    prob = build(family, {})
+    bare = Problem(prob.operators, prob.constraint, meta={"family": family})
+    message = f"family '{family}': meta has no field '{field}'"
+    with pytest.raises(ConfigError, match=message):
+        reference_solution(bare)
+    with pytest.raises(ConfigError, match=message):
+        feasible_points(bare, np.random.default_rng(0), 2)
 
 
 @pytest.mark.filterwarnings("error")
@@ -342,10 +389,14 @@ def test_rows_route_skips_a_face_whose_multiplier_is_barely_negative():
 def test_rows_route_skips_a_non_finite_candidate_without_a_warning():
     # The offset 1e308 gives the unconstrained candidate x = (0, -inf), whose
     # residual is NaN. A NaN compares False under ``>``, so the residual and
-    # feasibility tests read ``not ... <=`` and skip it, with no warning.
+    # feasibility tests read ``not ... <=`` and skip it, with no warning;
+    # the face {x1 = 0, x2 = 0} then solves it.
     prob = build("affine_vi_over_polyhedron", {"offset": [1e308, 0.0]})
-    with pytest.raises(ConfigError, match="no KKT point"):
-        reference_solution(prob)
+    M, c = probe_affine(prob.operators, 2)
+    with np.errstate(all="ignore"):
+        first, *_ = np.linalg.lstsq(M, -c, rcond=None)
+    assert not np.isfinite(first).all()
+    assert reference_solution(prob).tolist() == [0.0, 0.0]
 
 
 def test_reference_solution_rejects_unknown_meta():

@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -221,6 +222,19 @@ def test_a_problem_keeps_its_own_meta():
         build("a3", {}).meta["family"] = "x"
     with pytest.raises(ValueError):
         build("a2", {}).meta["matrix"][0, 0] = 5.0
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [([1, "a"], "[1, 'a']"), ({"a": 1}, "{'a': 1}"), (None, "None")],
+    ids=["word", "mapping", "none"],
+)
+def test_a_meta_value_that_is_not_numbers_is_refused_by_its_key(value, shown):
+    # A str or number is kept as given; anything else must be real numbers,
+    # read by the rule points and matrices share.
+    prob = build("quadratic_over_ball", {})
+    with pytest.raises(ConfigError, match=re.escape(f"meta.x must be a list of numbers, got {shown}")):
+        Problem(prob.operators, prob.constraint, meta={"family": "a3", "x": value})
 
 
 def test_first_outer_step_on_ball_frozen():

@@ -243,7 +243,7 @@ MUTANTS = (
     Mutant("R02", "_rows_solution", "branch", "if len(sel) and float(np.min(mu)) < -1e-9:",
            "if False:"),
     Mutant("R03", "_rows_solution", "branch",
-           "if count and not float(np.max(R @ x - d)) <= 1e-9 * scale:", "if False:"),
+           "if count and not float(np.max(R @ x - d)) <= 1e-9 * reach:", "if False:"),
     Mutant("R04", "_solve", "branch",
            "raise ConfigError(f\"{route} reference route: {exc}\") from exc", "raise"),
     Mutant("R05", "vi_gap", "term", "worst = np.minimum(worst, float(u @ (d / r)))",
@@ -251,7 +251,7 @@ MUTANTS = (
     Mutant("R06", "qp_project", "branch", "if float(np.max(A @ x - b)) <= tol:", "if True:"),
     Mutant("R07", "qp_project", "constant", "for _ in range(3):", "for _ in range(1):"),
     Mutant("R08", "_rows_solution", "branch",
-           "if not float(np.max(np.abs(K @ sol - rside))) <= 1e-8 * scale:", "if False:"),
+           "if not float(np.max(np.abs(K @ sol - rside))) / reach <= 1e-8 * s:", "if False:"),
     Mutant("R09", "_rows_solution", "constant", "float(np.min(mu)) < -1e-9",
            "float(np.min(mu)) < -1e-3"),
     Mutant("R10", "qp_project", "constant", "tol = 1e-9 * max(", "tol = 1e-6 * max("),
@@ -275,18 +275,16 @@ MUTANTS = (
     Mutant("R21", "probe_affine", "branch", "    if not np.isfinite(M).all():\n",
            "    if False:\n"),
     Mutant("R22", "_rows_solution", "comparison",
-           "if not float(np.max(np.abs(K @ sol - rside))) <= 1e-8 * scale:\n"
+           "if not float(np.max(np.abs(K @ sol - rside))) / reach <= 1e-8 * s:\n"
            "                continue\n"
-           "            x, mu = sol[:n], sol[n:]\n"
            "            if len(sel) and float(np.min(mu)) < -1e-9:\n"
            "                continue\n"
-           "            if count and not float(np.max(R @ x - d)) <= 1e-9 * scale:",
-           "if float(np.max(np.abs(K @ sol - rside))) > 1e-8 * scale:\n"
+           "            if count and not float(np.max(R @ x - d)) <= 1e-9 * reach:",
+           "if float(np.max(np.abs(K @ sol - rside))) / reach > 1e-8 * s:\n"
            "                continue\n"
-           "            x, mu = sol[:n], sol[n:]\n"
            "            if len(sel) and float(np.min(mu)) < -1e-9:\n"
            "                continue\n"
-           "            if count and float(np.max(R @ x - d)) > 1e-9 * scale:"),
+           "            if count and float(np.max(R @ x - d)) > 1e-9 * reach:"),
     Mutant("R23", "reference_solution", "constant", "row[0, 0] = 1.0", "row[0, 0] = -1.0"),
     Mutant("R24", "reference_solution", "constant", "            x = np.zeros(dim)\n",
            "            x = np.ones(dim)\n"),
@@ -294,8 +292,25 @@ MUTANTS = (
            "Z = np.vstack([np.eye(n), -L])"),
     Mutant("R26", "reference_solution", "term", 'x = _solve(M, -c, "a3")',
            'x = _solve(M, c, "a3")'),
-    Mutant("G01", "_feasible_point", "term", 'r = meta["radius"] * rng.uniform() ** (1.0 / dim)',
-           'r = meta["radius"] * rng.uniform()'),
+    Mutant("R27", "_ball_solution", "constant", "if norm(x_free - center) <= radius:",
+           "if norm(x_free - center) <= radius + 1e-12:"),
+    Mutant("R28", "_rows_solution", "constant",
+           "s = max(1.0, float(np.max(np.abs(c))) / scale)", "s = 1.0"),
+    Mutant("R29", "_rows_solution", "term",
+           "float(np.max(np.abs(K @ sol - rside))) / reach <= 1e-8 * s",
+           "float(np.max(np.abs(K @ sol - rside))) <= 1e-8 * scale"),
+    Mutant("R30", "_rows_solution", "term",
+           "[s * Rs, np.zeros((len(sel), len(sel)))]])\n"
+           "        rside = np.concatenate([-c, s * d[sel]])",
+           "[Rs, np.zeros((len(sel), len(sel)))]])\n"
+           "        rside = np.concatenate([-c, d[sel]])"),
+    Mutant("R31", "_rows_solution", "term", "reach = max(scale, float(np.max(np.abs(x))))",
+           "reach = scale"),
+    Mutant("R32", "_fields", "branch", "        if key not in meta:\n", "        if False:\n"),
+    Mutant("M01", "_frozen", "conversion", 'value = _floats(value, f"meta.{key}", "list").copy()',
+           "value = np.array(value, dtype=float)"),
+    Mutant("G01", "_feasible_point", "term", "r = radius * rng.uniform() ** (1.0 / dim)",
+           "r = radius * rng.uniform()"),
     Mutant("G02", "_feasible_point", "term", "return lo + rng.uniform(size=dim) * (hi - lo)",
            "return lo + rng.uniform(size=dim) * hi"),
     Mutant("G03", "_feasible_point", "comparison", "t_max = min(ts) if ts else 1.0",
