@@ -27,8 +27,10 @@ from .solver import Problem, SolverState, StepsizeSchedule, outer_step
 from .space import Vector, as_number, as_point, norm
 
 _MAX_QP_ROWS = 12
-# The audit keeps the 8-byte stepsize of every step for its decay fit: 80 MB at the cap.
+# The audit holds one step at a time, so its memory is flat; the cap bounds its run time.
 _MAX_AUDIT_STEPS = 10**7
+# The grid oracle's arrays peak at about 112 bytes a grid point: 450 MB at the cap.
+_MAX_GRID_POINTS = 4 * 10**6
 
 
 def qp_project(point, halfspaces) -> Vector:
@@ -142,9 +144,6 @@ def probe_affine(operators, dim: int):
 
 def feasible_points(problem: Problem, rng, count: int):
     """Sample points of the feasible set, by family; used to test VI gaps."""
-    family = problem.meta.get("family")
-    if family not in ("quadratic_over_ball", "affine_vi_over_polyhedron", "a1", "a2", "a3"):
-        raise ConfigError(f"no feasible sampler for family {family!r}")
     out = [_feasible_point(problem.meta, problem.dim, rng) for _ in range(count)]
     if any(problem.constraint.value(p) > 1e-9 for p in out):
         raise ConfigError("sampler produced an infeasible point")
@@ -161,7 +160,7 @@ def _fields(meta, *keys) -> tuple:
 
 def _feasible_point(meta, dim: int, rng) -> Vector:
     """One point of the feasible set of ``meta``'s family, drawn from ``rng``."""
-    family = meta["family"]
+    family = meta.get("family")
     if family == "quadratic_over_ball":
         center, radius = _fields(meta, "center", "radius")
         d = rng.standard_normal(dim)
@@ -190,7 +189,9 @@ def _feasible_point(meta, dim: int, rng) -> Vector:
         (L,) = _fields(meta, "matrix")
         x = rng.standard_normal(L.shape[1])
         return np.concatenate([x, L @ x])
-    return rng.standard_normal(dim)
+    if family == "a3":
+        return rng.standard_normal(dim)
+    raise ConfigError(f"no feasible sampler for family {family!r}")
 
 
 def vi_gap(problem: Problem, x_star, points) -> float:
@@ -285,7 +286,8 @@ def grid_vi_solution(problem: Problem) -> Vector:
 
     Minimizes the natural residual ||x - clip(x - T(x))|| over a regular
     grid of the box with pitch 1e-3. Accurate only to the grid pitch; meant
-    to confirm the active-set route, not replace it.
+    to confirm the active-set route, not replace it. A box whose grid would
+    hold more than 4e6 points is refused before anything is allocated.
     """
     meta = problem.meta
     if meta.get("family") != "affine_vi_over_polyhedron" or "box" not in meta:
@@ -293,6 +295,13 @@ def grid_vi_solution(problem: Problem) -> Vector:
     if problem.dim != 2:
         raise ConfigError("grid oracle only covers dimension 2")
     lo, hi = meta["box"]
+    # Written as ``not ... <=`` so that a side past the float range is refused too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        count = float(np.prod(np.floor((hi - lo) / 1e-3) + 1))
+    if not count <= _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"grid oracle takes at most {_MAX_GRID_POINTS} points; the box needs {count:.3g}"
+        )
     M, c = probe_affine(problem.operators, 2)
     xs = np.arange(lo[0], hi[0] + 0.5e-3, 1e-3)
     ys = np.arange(lo[1], hi[1] + 0.5e-3, 1e-3)
@@ -400,10 +409,10 @@ class AuditReport(NamedTuple):
     """Outcome of replaying the steps of a run against recomputed bounds.
 
     Gap fields are worst cases over all replayed steps; the fejer fields are
-    populated only when the problem carries a certificate. The decay fields
-    report a bucketed log-log fit of alpha_k against k and the two
-    summability verdicts the averaging analysis needs (divergent sum,
-    convergent square sum).
+    populated only when the problem carries a certificate. Whether the
+    stepsizes have the sums the averaging analysis needs is not audited: the
+    schedule states it (``StepsizeSchedule.stepsum_divergent`` and
+    ``sqsum_convergent``).
     """
 
     steps: int
@@ -415,9 +424,6 @@ class AuditReport(NamedTuple):
     fejer_checked: bool
     fejer_violations: int
     worst_fejer_slack: float
-    decay_exponent: float
-    stepsum_divergent: bool | None
-    sqsum_convergent: bool | None
 
     @property
     def ok(self) -> bool:
@@ -429,24 +435,6 @@ class AuditReport(NamedTuple):
             and self.worst_drift_excess <= 1e-9
         )
         return clean and (not self.fejer_checked or self.fejer_violations == 0)
-
-
-def _decay_fit(alphas):
-    """Fitted p in alpha_k ~ k**(-p), from geometric-bucket means of log alpha."""
-    a = np.asarray(alphas, dtype=float)
-    k = np.arange(1, a.size + 1, dtype=float)
-    if a.size < 8:
-        return float("nan")
-    edges = np.unique(np.geomspace(1, a.size, num=min(24, a.size)).astype(int))
-    xs, ys = [], []
-    lo = 1
-    for hi in edges[1:]:
-        seg = slice(lo - 1, hi)
-        xs.append(float(np.mean(np.log(k[seg]))))
-        ys.append(float(np.mean(np.log(a[seg]))))
-        lo = hi
-    slope = np.polyfit(xs, ys, 1)[0]
-    return float(-slope)
 
 
 def fejer_audit(
@@ -482,9 +470,8 @@ def fejer_audit(
     worst_contain = worst_drift = 0.0
     violations = 0
     worst_slack = np.inf
-    alphas = np.empty(steps)
 
-    for k in range(steps):
+    for _ in range(steps):
         snap = outer_step(problem, schedule, state, theta)
         alpha = schedule.alpha(snap.k)
         if schedule.adaptive:
@@ -492,7 +479,6 @@ def fejer_audit(
             for op in problem.operators:
                 probe = max(probe, float(np.linalg.norm(op.select(snap.points[0]))))
             alpha /= probe
-        alphas[k] = alpha
 
         points = [snap.points[0]]
         cur = snap.points[0]
@@ -527,9 +513,6 @@ def fejer_audit(
             if slack < -1e-8 * max(1.0, before):
                 violations += 1
 
-    p_hat = _decay_fit(alphas)
-    diverges = None if np.isnan(p_hat) else bool(p_hat <= 1.05)
-    sq_ok = None if np.isnan(p_hat) else bool(p_hat > 0.505)
     return AuditReport(
         steps=steps,
         max_replay_gap=max_replay,
@@ -540,7 +523,4 @@ def fejer_audit(
         fejer_checked=fejer_checked,
         fejer_violations=violations,
         worst_fejer_slack=float(worst_slack) if fejer_checked else float("nan"),
-        decay_exponent=p_hat,
-        stepsum_divergent=diverges,
-        sqsum_convergent=sq_ok,
     )

@@ -69,10 +69,17 @@ class StepsizeSchedule:
     tolerance. Explicit rules take alpha_k = beta_k; ``adaptive`` ones are
     divided by the step's operator-norm probe. ``kind`` names the rule in a
     config, whose other fields are the constructor's parameters.
+
+    ``stepsum_divergent`` and ``sqsum_convergent`` state whether the sum of
+    beta_k diverges and the sum of its squares converges; None is unknown.
+    Under the adaptive rule alpha_k <= beta_k, so its squares sum too, and
+    its sum diverges only if the probes stay bounded.
     """
 
     kind = None
     adaptive = False
+    stepsum_divergent = None
+    sqsum_convergent = None
 
     def alpha(self, k: int) -> float:
         raise NotImplementedError
@@ -110,6 +117,8 @@ class PowerStepsize(StepsizeSchedule):
     """
 
     kind = "power"
+    stepsum_divergent = True
+    sqsum_convergent = True
 
     def __init__(self, a: float = 1.0, p: float = 1.0):
         self.a = as_number(a, "a", above=0)
@@ -122,10 +131,12 @@ class PowerStepsize(StepsizeSchedule):
 class ConstantStepsize(StepsizeSchedule):
     """Fixed alpha_k. Violates the square-summability the averaging analysis
     needs, so it is shipped for diagnostics only: per-step descent bounds
-    still hold and the audit's summability report flags the divergence.
+    still hold, and ``sqsum_convergent`` is False.
     """
 
     kind = "constant"
+    stepsum_divergent = True
+    sqsum_convergent = False
 
     def __init__(self, a: float = 1.0):
         self.a = as_number(a, "a", above=0)

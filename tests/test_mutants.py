@@ -23,6 +23,7 @@ KERNELS = {
     "Constraint.__init__", "_ball_solution", "_rows_solution", "_solve", "vi_gap", "qp_project",
     "reference_solution", "probe_affine", "_feasible_point", "AffineOperator._setup",
     "Quadratic.half_sq_distance", "Quadratic.ball_gauge", "_fields", "_frozen",
+    "grid_vi_solution", "StepsizeSchedule", "PowerStepsize", "ConstantStepsize",
 }
 
 

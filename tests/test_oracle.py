@@ -12,7 +12,6 @@ from visplit import (
     BallSet,
     ConfigError,
     ConstantFunction,
-    ConstantStepsize,
     Constraint,
     GradientOperator,
     Halfspace,
@@ -503,8 +502,26 @@ def test_grid_oracle_guards():
         grid_vi_solution(big)
 
 
-# Uncapped, 10**15 steps would ask numpy for a 7.1 PiB stepsize array, a bare
-# MemoryError; the cap refuses it before the audit allocates anything.
+@pytest.mark.parametrize(
+    "box",
+    [[[0.0, 0.0], [10.0, 10.0]], [[0.0, 0.0], [1e300, 1e300]], [[-1e308, -1e308], [1e308, 1e308]]],
+    ids=["side-10", "1e300", "1e308"],
+)
+def test_grid_oracle_refuses_a_box_too_large_to_grid(monkeypatch, box):
+    # A side of 10 has 10001**2 grid points, about 1.6 GB for each array of
+    # them, and the far boxes more points than a float can count. Each is
+    # refused by name before the grid exists.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(np, "meshgrid", refuse)
+    prob = build("affine_vi_over_polyhedron", {"box": box})
+    with pytest.raises(ConfigError, match="^grid oracle takes at most 4000000 points"):
+        grid_vi_solution(prob)
+
+
+# The audit's memory is flat, but its time is not: at tens of microseconds a
+# step, 10**15 steps would run for decades. The cap refuses it before any step.
 @pytest.mark.parametrize("steps", [0, 2.5, "3", 10**15])
 def test_audit_steps_must_be_a_positive_integer(steps):
     with pytest.raises(ConfigError, match="^steps must"):
@@ -528,10 +545,6 @@ def test_audit_slacks_are_closed_form_on_the_line():
     assert report.worst_containment == 0.0
     assert report.worst_drift_excess == 0.0
     assert report.ok
-    # Too few steps for a decay fit.
-    assert np.isnan(report.decay_exponent)
-    assert report.stepsum_divergent is None
-    assert report.sqsum_convergent is None
 
 
 def test_audit_replays_a_constrained_run_exactly():
@@ -565,9 +578,9 @@ def test_audit_counts_the_steps_a_wrong_solution_breaks():
 
 
 def test_audit_holds_one_step_at_a_time():
-    # The audit holds one step at a time. What it keeps per step is only the
-    # 8-byte stepsize its decay fit reads, and the fit's own index array;
-    # a kept Step of the line problem takes about 800 bytes.
+    # The audit holds one step at a time and keeps nothing per step, so its
+    # peak is flat in the run's length (about 3.7 kB on the line problem). A
+    # kept Step of the line problem takes about 800 bytes, a kept stepsize 8.
     prob = _line_problem()
     sched = PowerStepsize(0.5, 0.75)
     fejer_audit(prob, sched, 10, x0=[0.0])
@@ -579,7 +592,7 @@ def test_audit_holds_one_step_at_a_time():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] - peaks[0] < 32 * 1800, peaks
+    assert peaks[1] - peaks[0] < 1000, peaks
 
 
 def test_outer_step_and_the_audit_diagnose_nothing(monkeypatch):
@@ -599,21 +612,6 @@ def test_outer_step_and_the_audit_diagnose_nothing(monkeypatch):
     assert report.steps == 50 and report.fejer_checked and report.ok
 
 
-def test_audit_summability_verdicts():
-    prob = _line_problem()
-    flat = ConstantStepsize(0.05)
-    report = fejer_audit(prob, flat, 300, x0=[0.0])
-    assert report.fejer_violations == 0
-    assert abs(report.decay_exponent) <= 0.05
-    assert report.stepsum_divergent is True
-    assert report.sqsum_convergent is False
-    decaying = PowerStepsize(1.0, 0.55)
-    report = fejer_audit(prob, decaying, 300, x0=[0.0])
-    assert abs(report.decay_exponent - 0.55) <= 0.1
-    assert report.stepsum_divergent is True
-    assert report.sqsum_convergent is True
-
-
 def test_audit_report_ok_thresholds():
     good = dict(
         steps=1,
@@ -625,9 +623,6 @@ def test_audit_report_ok_thresholds():
         fejer_checked=True,
         fejer_violations=0,
         worst_fejer_slack=1.0,
-        decay_exponent=1.0,
-        stepsum_divergent=True,
-        sqsum_convergent=True,
     )
     assert AuditReport(**good).ok
     assert not AuditReport(**{**good, "max_replay_gap": 1e-6}).ok

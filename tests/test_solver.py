@@ -111,6 +111,25 @@ def test_a_schedule_spec_builds_the_same_schedule(schedule):
         StepsizeSchedule.from_spec({"kind": schedule.kind, "a": 0.0}, "schedule")
 
 
+def test_schedules_state_their_summability_class():
+    # The averaging analysis needs sum alpha_k = inf and sum alpha_k**2 < inf.
+    # Each shipped rule knows its class: the power window holds up to its
+    # edge (p = 0.503), and a constant is not square-summable. A user's rule
+    # is unknown unless it says.
+    class Harmonic(StepsizeSchedule):
+        def alpha(self, k):
+            return 1.0 / (k + 1)
+
+    for schedule, divergent, convergent in [
+        (PowerStepsize(1.0, 0.503), True, True),
+        (AdaptivePowerStepsize(1.0, 0.503), True, True),
+        (ConstantStepsize(0.05), True, False),
+        (Harmonic(), None, None),
+    ]:
+        assert schedule.stepsum_divergent is divergent, schedule
+        assert schedule.sqsum_convergent is convergent, schedule
+
+
 def test_problem_validation():
     op = AffineOperator(np.eye(2))
     c = Constraint(ConstantFunction(2, -1.0), exact_set=Halfspace.whole_space(2))

@@ -1,6 +1,6 @@
 """One-line mutants of visplit's step kernels, of the operator and space
-kernels they call and of the oracle's reference routes, each run against
-tier-1 alone.
+kernels they call, of the oracle's reference routes and of the summability
+class each schedule declares, each run against tier-1 alone.
 
 A mutant replaces one piece of text in ``src/visplit``: a constant tweak, a
 flipped comparison, or a dropped term, branch, copy or conversion of a
@@ -307,6 +307,8 @@ MUTANTS = (
     Mutant("R31", "_rows_solution", "term", "reach = max(scale, float(np.max(np.abs(x))))",
            "reach = scale"),
     Mutant("R32", "_fields", "branch", "        if key not in meta:\n", "        if False:\n"),
+    Mutant("R33", "grid_vi_solution", "branch", "    if not count <= _MAX_GRID_POINTS:\n",
+           "    if False:\n"),
     Mutant("M01", "_frozen", "conversion", 'value = _floats(value, f"meta.{key}", "list").copy()',
            "value = np.array(value, dtype=float)"),
     Mutant("G01", "_feasible_point", "term", "r = radius * rng.uniform() ** (1.0 / dim)",
@@ -320,8 +322,20 @@ MUTANTS = (
            '    if family == "a1":\n        return np.zeros(dim)\n', ""),
     Mutant("G06", "_feasible_point", "term", "return np.concatenate([x, L @ x])",
            "return np.concatenate([x, -(L @ x)])"),
-    Mutant("G07", "_feasible_point", "constant", "    return rng.standard_normal(dim)\n",
-           "    return rng.uniform(-1.0, 1.0, dim)\n"),
+    Mutant("G07", "_feasible_point", "constant", "        return rng.standard_normal(dim)\n",
+           "        return rng.uniform(-1.0, 1.0, dim)\n"),
+    Mutant("T01", "StepsizeSchedule", "constant", "stepsum_divergent = None",
+           "stepsum_divergent = True"),
+    Mutant("T02", "StepsizeSchedule", "constant", "sqsum_convergent = None",
+           "sqsum_convergent = True"),
+    Mutant("T03", "PowerStepsize", "constant", 'kind = "power"\n    stepsum_divergent = True',
+           'kind = "power"\n    stepsum_divergent = None'),
+    Mutant("T04", "PowerStepsize", "constant", "sqsum_convergent = True",
+           "sqsum_convergent = None"),
+    Mutant("T05", "ConstantStepsize", "constant", 'kind = "constant"\n    stepsum_divergent = True',
+           'kind = "constant"\n    stepsum_divergent = False'),
+    Mutant("T06", "ConstantStepsize", "constant", "sqsum_convergent = False",
+           "sqsum_convergent = True"),
 )
 
 # Code that went: earlier mutants showed it equivalent, or it lost its job.
