@@ -249,12 +249,13 @@ def check_innerloop(seed: int = 0, trials: int = 150) -> list[CheckResult]:
 
 
 def check_fejer(seed: int = 0, trials: int = 200) -> list[CheckResult]:
-    """Replay audit of a short run on every shipped family."""
+    """Replay audit of a short run on every shipped family, from seeded start points."""
+    rng = np.random.default_rng(seed)
     out = []
     for family in FAMILIES:
         problem = oracle.with_reference(build(family, {}))
         for schedule in (PowerStepsize(0.5, 1.0), AdaptivePowerStepsize(0.5, 0.75)):
-            x0 = np.full(problem.dim, 0.3)
+            x0 = rng.standard_normal(problem.dim)
             report = oracle.fejer_audit(problem, schedule, max(20, min(trials, 200)), x0=x0)
             name = f"audit {family} [{schedule.spec()['kind']}]"
             detail = (

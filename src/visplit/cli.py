@@ -4,8 +4,8 @@ Subcommands
 -----------
 run CONFIG...
     Execute one or more JSON run configurations. Each run writes
-    <outdir>/<label>/trace.csv and summary.json. The output directory is
-    the --output flag, else the config's "output" field, else "runs".
+    <outdir>/<label>/trace.csv and summary.json, where <outdir> is the
+    --output flag, else "runs".
 check
     Seeded random sweeps of the projection, operator, constraint, loop,
     and audit layers (``checks.run_suite``). Exits 3 when any row fails.
@@ -19,8 +19,8 @@ Exit codes: 0 success, 2 configuration problem, 3 solver or check failure.
 The run configuration fields are ``RUN_KEYS``, documented in the "Command
 line" section of the README; unknown fields are rejected by path. Its
 ``schedule`` object is read by ``solver.StepsizeSchedule.from_spec``.
-Every setting of ``run`` and ``bench`` but the output directory comes from
-the config alone, so one config file always gives the same run.
+Each setting of ``run`` and ``bench`` has one source, the config, or for the
+output directory ``--output``, so one config file always gives the same run.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .space import as_number, as_object, as_point
 # The keyword options of ``run``: the parameters of ``run_options`` after ``problem``.
 RUN_OPTIONS = tuple(inspect.signature(run_options).parameters)[1:]
 RUN_KEYS = frozenset(
-    {"family", "params", "schedule", "x0", "label", "output", "seed", *RUN_OPTIONS}
+    {"family", "params", "schedule", "x0", "label", "seed", *RUN_OPTIONS}
 )
 # The names of checks.SUITES, written out so that parsing a command line
 # does not import the check sweeps; a test holds the two equal.
@@ -87,10 +87,9 @@ def _prepare_run(cfg: dict, where: str) -> RunJob:
         raise ConfigError(f"{where}.family is required")
     schedule = StepsizeSchedule.from_spec(cfg.get("schedule", {}), f"{where}.schedule")
 
-    for key in ("label", "output"):
-        if key in cfg and not (isinstance(cfg[key], str) and "\0" not in cfg[key]):
-            raise ConfigError(f"{where}.{key} must be a string without NUL characters")
     label = cfg.get("label")
+    if "label" in cfg and not (isinstance(label, str) and "\0" not in label):
+        raise ConfigError(f"{where}.label must be a string without NUL characters")
     if label is not None and (
         label in ("", ".", "..")
         or any(sep and sep in label for sep in ("/", os.sep, os.altsep))
@@ -118,6 +117,20 @@ def _prepare_run(cfg: dict, where: str) -> RunJob:
     except (TypeError, ValueError, VisplitError) as exc:
         raise ConfigError(f"{where}.x0: {exc}") from exc
     return RunJob(cfg, problem, schedule, x0, seed, options)
+
+
+def _check_outdir(outdir: str, labels=()) -> None:
+    """Refuse an output directory that no run could write into, creating nothing.
+
+    Refused: a path on the way to ``outdir`` (its nearest existing ancestor,
+    or itself) or a ``<outdir>/<label>`` that exists and is not a directory.
+    """
+    ancestor = os.path.abspath(outdir)
+    while not os.path.lexists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    for path in (ancestor, *(os.path.join(outdir, label) for label in labels)):
+        if os.path.lexists(path) and not os.path.isdir(path):
+            raise ConfigError(f"output path {path} is not a directory")
 
 
 def _jsonable(value):
@@ -205,10 +218,9 @@ def _cmd_run(args) -> int:
             label = f"{base}-{n}"
         labels.append(label)
 
-    summaries = [
-        _execute_run(job, label, args.output or job.cfg.get("output", "runs"))
-        for job, label in zip(jobs, labels)
-    ]
+    outdir = args.output or "runs"
+    _check_outdir(outdir, labels)
+    summaries = [_execute_run(job, label, outdir) for job, label in zip(jobs, labels)]
     for s in summaries:
         final = s["final"]
         dist, err = ("n/a" if v is None else f"{v:.3e}" for v in (final["dist_x"], final["err_x"]))
@@ -258,7 +270,10 @@ def _bench_config(path: str | None) -> dict:
 def _cmd_bench(args) -> int:
     from . import checks
 
-    payload = checks.run_bench(**_bench_config(args.config))
+    options = _bench_config(args.config)
+    if args.output:
+        _check_outdir(args.output)
+    payload = checks.run_bench(**options)
     print("tolerance  mean projections  mean seconds (curved set)")
     for tol, mean, sec in zip(payload["grid"], payload["mean_iterations"],
                               payload["mean_seconds"]):
@@ -285,7 +300,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute JSON run configurations")
     p_run.add_argument("configs", nargs="+", help="JSON config files")
-    p_run.add_argument("--output", help="output directory (overrides the config's)")
+    p_run.add_argument("--output", help="output directory (default runs)")
 
     p_check = sub.add_parser("check", help="run self-check sweeps")
     p_check.add_argument(

@@ -5,9 +5,9 @@ the solver only ever needs one element of ``T(x)`` per visit. At kinks the
 selection returns the minimum-norm subgradient where that is cheap to
 compute; otherwise the tie-break convention is documented on the oracle.
 This module holds the interfaces, the affine map, the quadratic and
-``sum_select``; the oracles only the shipped families use (gradient, scaled
-and embedded operators, norm, max-of-affine and constant functions) live in
-``problems``.
+``sum_select``; the oracles the shipped families use (the scaled operator,
+norm, max-of-affine and constant functions) and the gradient operator live
+in ``problems``.
 
 Monotonicity of the shipped affine family is enforced at construction time
 (symmetric part positive semidefinite, tolerance ``-1e-10`` on the smallest

@@ -29,7 +29,8 @@ from .space import Vector, as_number, as_point, norm
 _MAX_QP_ROWS = 12
 # The audit holds one step at a time, so its memory is flat; the cap bounds its run time.
 _MAX_AUDIT_STEPS = 10**7
-# The grid oracle's arrays peak at about 112 bytes a grid point: 450 MB at the cap.
+# The grid oracle holds one x-row at a time, so its memory is that of a row;
+# the cap bounds its run time (under a second) and refuses counts past the float range.
 _MAX_GRID_POINTS = 4 * 10**6
 
 
@@ -285,9 +286,10 @@ def grid_vi_solution(problem: Problem) -> Vector:
     """Brute-force cross-check for 2-D box instances.
 
     Minimizes the natural residual ||x - clip(x - T(x))|| over a regular
-    grid of the box with pitch 1e-3. Accurate only to the grid pitch; meant
-    to confirm the active-set route, not replace it. A box whose grid would
-    hold more than 4e6 points is refused before anything is allocated.
+    grid of the box with pitch 1e-3, walked one x-row at a time. Accurate
+    only to the grid pitch; meant to confirm the active-set route, not
+    replace it. A box whose grid would hold more than 4e6 points is refused
+    before anything is allocated.
     """
     meta = problem.meta
     if meta.get("family") != "affine_vi_over_polyhedron" or "box" not in meta:
@@ -305,12 +307,20 @@ def grid_vi_solution(problem: Problem) -> Vector:
     M, c = probe_affine(problem.operators, 2)
     xs = np.arange(lo[0], hi[0] + 0.5e-3, 1e-3)
     ys = np.arange(lo[1], hi[1] + 0.5e-3, 1e-3)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    moved = pts - (pts @ M.T + c)
-    clipped = np.clip(moved, lo, hi)
-    res = np.linalg.norm(pts - clipped, axis=1)
-    return pts[int(np.argmin(res))]
+    if not (xs.size and ys.size):
+        raise ConfigError("grid oracle cannot step 1e-3 along the box: its coordinates "
+                          "are too large to tell the step apart")
+    # One x-row at a time. np.argmin over [best, row's pick] keeps its pick
+    # over the whole grid in row-major order: the first NaN, else the first least.
+    best = best_res = None
+    for x in xs:
+        pts = np.column_stack([np.full(len(ys), x), ys])
+        moved = pts - (pts @ M.T + c)
+        res = np.linalg.norm(pts - np.clip(moved, lo, hi), axis=1)
+        i = int(np.argmin(res))
+        if best is None or np.argmin([best_res, res[i]]) == 1:
+            best, best_res = pts[i], res[i]
+    return best
 
 
 def reference_solution(problem: Problem) -> Vector:

@@ -1,9 +1,10 @@
 """Shipped problem families with oracle-checkable solutions, and their oracles.
 
 Beside the builders, this module holds the operators, functions and exact
-sets that only the families use: ``GradientOperator``, ``ScaledOperator``,
-``NormFunction``, ``MaxOfAffine``, ``ConstantFunction``, ``BoxSet`` and
-``GraphSet``, and the private ``_GraphResidual`` and ``_SaddleCoupling``.
+sets that the families use: ``ScaledOperator``, ``NormFunction``,
+``MaxOfAffine``, ``ConstantFunction``, ``BoxSet`` and ``GraphSet``, and the
+private ``_GraphResidual`` and ``_SaddleCoupling``; and ``GradientOperator``,
+which no family builds but ``checks`` and users do.
 The solver needs none of them, so they live here and not in ``operators``
 or ``constraints``: a solver run on a problem of its own never loads or
 compiles them. The separable blocks of a2 and a3 are gradients of diagonal

@@ -183,8 +183,8 @@ def test_a_label_that_is_taken_gets_the_next_free_suffix(tmp_path):
     assert {name: len(_read_trace(out / name)[1]) for name in runs} == runs
 
 
-def test_output_directory_precedence(tmp_path, monkeypatch):
-    # The --output flag, else the config's output, else runs; the
+def test_output_directory_precedence(tmp_path, monkeypatch, capsys):
+    # The --output flag, else runs. A config has no output field, and the
     # environment is never read, so VISPLIT_OUTPUT_DIR moves nothing.
     env = tmp_path / "fromenv"
     monkeypatch.setenv("VISPLIT_OUTPUT_DIR", str(env))
@@ -193,24 +193,60 @@ def test_output_directory_precedence(tmp_path, monkeypatch):
     with_output = _write_cfg(tmp_path / "cfg.json", {**base, "output": "fromcfg"})
     without = _write_cfg(tmp_path / "bare.json", base)
 
-    assert main(["run", with_output, "--output", "fromflag"]) == 0
-    assert sorted(os.listdir(tmp_path)) == ["bare.json", "cfg.json", "fromflag"]
-    assert os.listdir(tmp_path / "fromflag") == ["a3"]
+    assert main(["run", with_output, "--output", "fromflag"]) == 2
+    assert main(["run", with_output]) == 2
+    assert capsys.readouterr().err.count(f"unknown field {with_output}.output") == 2
+    assert sorted(os.listdir(tmp_path)) == ["bare.json", "cfg.json"]
 
-    assert main(["run", with_output]) == 0
-    assert os.listdir(tmp_path / "fromcfg") == ["a3"]
+    assert main(["run", without, "--output", "fromflag"]) == 0
+    assert os.listdir(tmp_path / "fromflag") == ["a3"]
 
     assert main(["run", without]) == 0
     assert os.listdir(tmp_path / "runs") == ["a3"]
 
     bench = _write_cfg(tmp_path / "bench.json", {"grid": [0.1], "reps": 1})
     assert main(["bench", bench]) == 0
-    assert sorted(os.listdir(tmp_path)) == [
-        "bare.json", "bench.json", "cfg.json", "fromcfg", "fromflag", "runs"
-    ]
+    assert sorted(os.listdir(tmp_path)) == ["bare.json", "bench.json", "cfg.json", "fromflag",
+                                            "runs"]
     assert main(["bench", bench, "--output", "benchout"]) == 0
     assert os.listdir(tmp_path / "benchout") == ["bench.json"]
     assert not env.exists()
+
+
+def _tree(root):
+    return sorted((os.path.relpath(d, root), sorted(f)) for d, _, f in os.walk(root))
+
+
+@pytest.mark.parametrize("command, output", [
+    ("run", "afile"), ("run", os.path.join("afile", "sub")), ("bench", "afile"),
+], ids=["run-file", "run-under", "bench-file"])
+def test_an_output_directory_that_is_a_file_exits_2_before_any_run(tmp_path, monkeypatch, capsys,
+                                                                   command, output):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(checks, "run_bench", lambda **kw: pytest.fail("the bench was measured"))
+    (tmp_path / "afile").write_text("keep\n", encoding="utf-8")
+    path = _write_cfg(tmp_path / "c.json", {"family": "a3", "max_outer": 5}
+                      if command == "run" else {"grid": [0.1], "reps": 1})
+    before = _tree(tmp_path)
+    assert main([command, path, "--output", output]) == 2
+    assert f"output path {tmp_path / 'afile'} is not a directory" in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
+def test_a_run_directory_that_is_a_file_stops_the_batch_before_any_run(tmp_path, monkeypatch,
+                                                                         capsys):
+    # The second run's directory is taken by a file; the first run must not
+    # write before that is found.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "second").write_text("keep\n", encoding="utf-8")
+    path = _write_cfg(tmp_path / "c.json", [{"family": "a3", "max_outer": 5, "label": "first"},
+                                            {"family": "a3", "max_outer": 5, "label": "second"}])
+    before = _tree(tmp_path)
+    assert main(["run", path, "--output", "out"]) == 2
+    err = capsys.readouterr().err
+    assert f"output path {os.path.join('out', 'second')} is not a directory" in err
+    assert _tree(tmp_path) == before
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
@@ -798,6 +834,20 @@ def test_check_command(capsys):
         main(["check", "--help"])
     usage = capsys.readouterr().out
     assert all(name in usage for name in CHECK_SUITES)
+
+
+def test_check_seed_reaches_the_audit_suite(monkeypatch):
+    # Each seed draws its own start points, and every audit row passes from them.
+    starts, audit = {}, oracle.fejer_audit
+    details = {}
+    for seed in range(5):
+        monkeypatch.setattr(oracle, "fejer_audit", lambda *a, x0, **kw: starts.setdefault(
+            seed, []).append(x0.tolist()) or audit(*a, x0=x0, **kw))
+        rows = checks.run_suite("fejer", seed=seed)
+        assert [row.name for row in rows if not row.passed] == []
+        details[seed] = [row.detail for row in rows]
+    assert details[0] != details[1]
+    assert len({str(points) for points in starts.values()}) == 5
 
 
 def test_a_suite_runs_at_its_default_trials_and_an_unknown_one_is_refused():

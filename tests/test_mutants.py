@@ -10,13 +10,17 @@ needs no edit of the list.
 
 import importlib.util
 import shutil
+import subprocess
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 KERNELS = {
     "_advance", "_diagnose", "_kept_rows", "_run_inner", "_feasible_shortcut", "_project_pair",
     "Constraint._separator", "Constraint._dist_upper", "Halfspace._project",
     "BallSet._project", "BallSet._distance", "NormFunction._value", "cli._execute_run",
+    "cli._check_outdir",
     "_floats", "as_point", "norm", "difference", "as_dim", "_diagonal", "_symmetric_part",
     "AffineOperator._select", "ScaledOperator._select", "sum_select", "Quadratic._value",
     "NormFunction._subgradient", "MaxOfAffine._value", "MaxOfAffine._subgradient",
@@ -72,3 +76,52 @@ def test_a_kernel_moved_to_another_module_needs_no_edit(tmp_path):
     with open(package / "space.py", "a", encoding="utf-8") as f:
         f.write("\n\n" + kernel)
     assert mutants.check_targets(tmp_path) == []
+
+
+RECORDED = "tests/test_golden.py::test_every_reported_number_matches_the_golden_table"
+
+
+def _stub_runs(monkeypatch, mutants, outcomes):
+    """Stub the mutant's copy to the package alone and each pytest run to the
+    next of ``outcomes`` (exit code, output); return the argument lists run."""
+    calls = []
+
+    def run(args, **kwargs):
+        calls.append(args[1:])
+        return subprocess.CompletedProcess(args, *outcomes[len(calls) - 1])
+
+    monkeypatch.setattr(mutants, "_copy_checkout", _package_copy)
+    monkeypatch.setattr(subprocess, "run", run)
+    return calls
+
+
+def test_a_recorded_failure_that_still_fails_kills_without_the_suite(monkeypatch):
+    mutants = _mutants()
+    calls = _stub_runs(monkeypatch, mutants, [(1, f"FAILED {RECORDED} - AssertionError\n")])
+    record = mutants.run_mutant(mutants.MUTANTS[0], RECORDED)
+    assert calls == [[*mutants.FIRST_ARGS, RECORDED]]
+    assert (record["verdict"], record["first_failure"]) == ("killed", RECORDED)
+
+
+@pytest.mark.parametrize("code, out", [
+    (0, "1 passed\n"),
+    (1, "FAILED tests/test_space.py::test_other - AssertionError\n"),
+    (4, "ERROR: not found: " + RECORDED + "\n"),
+], ids=["passes", "another-fails", "gone"])
+def test_a_recorded_failure_that_does_not_fail_falls_through_to_the_suite(monkeypatch, code,
+                                                                            out):
+    mutants = _mutants()
+    new = "tests/test_cli.py::test_check_command"
+    calls = _stub_runs(monkeypatch, mutants, [(code, out), (1, f"FAILED {new} - Error\n")])
+    record = mutants.run_mutant(mutants.MUTANTS[0], RECORDED)
+    assert calls == [[*mutants.FIRST_ARGS, RECORDED], mutants.PYTEST_ARGS]
+    assert (record["verdict"], record["first_failure"]) == ("killed", new)
+
+
+@pytest.mark.parametrize("recorded", [None, "timeout after 600 s"], ids=["none", "not-a-test"])
+def test_a_mutant_without_a_recorded_test_runs_the_suite(monkeypatch, recorded):
+    mutants = _mutants()
+    calls = _stub_runs(monkeypatch, mutants, [(0, "640 passed\n")])
+    record = mutants.run_mutant(mutants.MUTANTS[0], recorded)
+    assert calls == [mutants.PYTEST_ARGS]
+    assert (record["verdict"], record["first_failure"]) == ("survived", None)

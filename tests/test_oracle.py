@@ -508,15 +508,45 @@ def test_grid_oracle_guards():
     ids=["side-10", "1e300", "1e308"],
 )
 def test_grid_oracle_refuses_a_box_too_large_to_grid(monkeypatch, box):
-    # A side of 10 has 10001**2 grid points, about 1.6 GB for each array of
-    # them, and the far boxes more points than a float can count. Each is
-    # refused by name before the grid exists.
+    # A side of 10 has 10001**2 grid points, about ten seconds of rows,
+    # and the far boxes more points than a float can count. Each is refused
+    # by name before anything is allocated: np.arange, which lays out the
+    # grid's axes (and the probe's points), is never called.
     def refuse(*args, **kwargs):
         raise AssertionError("the grid was allocated")
 
-    monkeypatch.setattr(np, "meshgrid", refuse)
     prob = build("affine_vi_over_polyhedron", {"box": box})
+    monkeypatch.setattr(np, "arange", refuse)
     with pytest.raises(ConfigError, match="^grid oracle takes at most 4000000 points"):
+        grid_vi_solution(prob)
+
+
+def test_grid_oracle_holds_one_row_at_a_time():
+    # The unit box has 1001**2 points: held at once with their residuals they
+    # take about 112 MB, walked one row at a time about 0.12 MB.
+    prob = build("affine_vi_over_polyhedron", {})
+    tracemalloc.start()
+    try:
+        grid_vi_solution(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_grid_oracle_keeps_the_first_least_point_in_row_major_order():
+    # With T = 0 every grid point has residual 0; the first one, lo, is kept.
+    prob = build("affine_vi_over_polyhedron", {
+        "matrix": [[0.0, 0.0], [0.0, 0.0]], "offset": [0.0, 0.0],
+        "box": [[0.0, 0.0], [0.003, 0.002]],
+    })
+    assert grid_vi_solution(prob).tolist() == [0.0, 0.0]
+
+
+def test_grid_oracle_refuses_a_box_too_far_out_to_step():
+    # At 1e308 a step of 1e-3 rounds away, so the box has no grid to walk.
+    prob = build("affine_vi_over_polyhedron", {"box": [[1e308, 1e308], [1e308, 1e308]]})
+    with pytest.raises(ConfigError, match="^grid oracle cannot step 1e-3 along the box"):
         grid_vi_solution(prob)
 
 

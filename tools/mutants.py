@@ -8,18 +8,24 @@ user's value. Each target must occur exactly once in the whole package, or
 nothing runs; the module that holds it is the one mutated, so a kernel may
 move between modules with no edit here. The script copies the checkout to a
 fresh temporary directory per mutant, applies the mutant there (never in
-the checkout), and runs the tier-1 suite with ``-x -p no:cacheprovider``
-under a timeout, leaving out only ``tests/test_mutants.py``, which checks
-this list against the sources. A mutant is killed when the suite fails; one
-that passes is either marked equivalent with its reason in ``MUTANTS`` or
-reported as a survivor to pin. ``DELETED`` lists code that was removed,
-because earlier survivors showed no test could see it or because its job
-went; its text must occur nowhere in the package.
+the checkout), and runs tests there under a timeout, failure first: the
+test that ``mutants.json`` records as the mutant's first failure runs alone,
+and the mutant is killed when that run exits 1 naming that test as failing.
+Any other outcome (the test passes, is gone, or there is no record) falls
+through to the tier-1 suite with ``-x -p no:cacheprovider``, leaving out
+only ``tests/test_mutants.py``, which checks this list against the sources,
+and the suite's first failure is recorded. A mutant is killed when a run
+fails; one that passes the whole suite is either marked equivalent with its
+reason in ``MUTANTS`` or reported as a survivor to pin. ``DELETED`` lists
+code that was removed, because earlier survivors showed no test could see
+it or because its job went; its text must occur nowhere in the package.
 
     python tools/mutants.py            # all mutants; writes tools/mutants.json
     python tools/mutants.py P03 I01    # only these; prints, writes nothing
 
-Standard library only. One mutant takes 3-48 s on a two-core host, the list about 30 minutes.
+Standard library only. On a two-core host a mutant killed by its recorded
+test takes 1-6 s, one that runs the suite 15-53 s, and the list about 9
+minutes (529 s; it took 3,262 s when every mutant ran the suite).
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ TIMEOUT_S = 600
 # Tier-1 but the list's own check, which every applied mutant fails by design.
 PYTEST_ARGS = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"]
+# One recorded test alone, tried before the suite.
+FIRST_ARGS = ["-m", "pytest", "-q", "-p", "no:cacheprovider"]
 
 PACKAGE = "src/visplit"
 
@@ -191,6 +199,16 @@ MUTANTS = (
            "drift = check.drift_excess"),
     Mutant("C04", "cli._execute_run", "term", "stress += check.eta_stress",
            "stress = check.eta_stress"),
+    Mutant("C05", "cli._check_outdir", "branch",
+           "        if os.path.lexists(path) and not os.path.isdir(path):\n",
+           "        if False:\n"),
+    Mutant("C06", "cli._check_outdir", "term", "for path in (ancestor, *(",
+           "for path in (outdir, *("),
+    Mutant("C07", "cli._check_outdir", "term",
+           "for path in (ancestor, *(os.path.join(outdir, label) for label in labels)):",
+           "for path in (ancestor,):"),
+    Mutant("C08", "cli._check_outdir", "comparison", "while not os.path.lexists(ancestor):",
+           "while not os.path.isdir(ancestor):"),
     Mutant("Z01", "norm", "branch", "    if sq != math.inf:\n", "    if True:\n"),
     Mutant("Z02", "norm", "branch", "return top if top == math.inf else top * norm(x / top)",
            "return top * norm(x / top)"),
@@ -309,6 +327,12 @@ MUTANTS = (
     Mutant("R32", "_fields", "branch", "        if key not in meta:\n", "        if False:\n"),
     Mutant("R33", "grid_vi_solution", "branch", "    if not count <= _MAX_GRID_POINTS:\n",
            "    if False:\n"),
+    Mutant("R34", "grid_vi_solution", "comparison", "np.argmin([best_res, res[i]]) == 1",
+           "res[i] <= best_res"),
+    Mutant("R35", "grid_vi_solution", "comparison", "i = int(np.argmin(res))",
+           "i = len(res) - 1 - int(np.argmin(res[::-1]))"),
+    Mutant("R36", "grid_vi_solution", "branch", "    if not (xs.size and ys.size):\n",
+           "    if False:\n"),
     Mutant("M01", "_frozen", "conversion", 'value = _floats(value, f"meta.{key}", "list").copy()',
            "value = np.array(value, dtype=float)"),
     Mutant("G01", "_feasible_point", "term", "r = radius * rng.uniform() ** (1.0 / dim)",
@@ -401,8 +425,20 @@ def _copy_checkout(dest: Path) -> None:
     shutil.copytree(ROOT, dest, ignore=ignore)
 
 
-def run_mutant(m: Mutant) -> dict:
-    """Apply ``m`` to a fresh copy of the checkout and run tier-1 there."""
+def _pytest(args: list[str], copy: Path, env: dict) -> tuple[int | None, str, list[str]]:
+    """Run pytest in ``copy``: its exit code (None on timeout), output and failing test ids."""
+    try:
+        proc = subprocess.run([sys.executable, *args], cwd=copy, env=env,
+                              capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None, f"timeout after {TIMEOUT_S} s", []
+    return proc.returncode, proc.stdout, re.findall(r"^(?:FAILED|ERROR) (\S+)", proc.stdout,
+                                                    re.MULTILINE)
+
+
+def run_mutant(m: Mutant, first: str | None = None) -> dict:
+    """Apply ``m`` to a fresh copy of the checkout and run ``first``, its recorded
+    first failing test, alone there; unless that kills it, run tier-1."""
     with tempfile.TemporaryDirectory(prefix="visplit-mutant-") as tmp:
         copy = Path(tmp) / "repo"
         _copy_checkout(copy)
@@ -411,14 +447,13 @@ def run_mutant(m: Mutant) -> dict:
         (copy / home).write_text(sources[home].replace(m.target, m.replacement), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
         t0 = time.perf_counter()
-        try:
-            proc = subprocess.run([sys.executable, *PYTEST_ARGS], cwd=copy, env=env,
-                                  capture_output=True, text=True, timeout=TIMEOUT_S)
-            out, code = proc.stdout, proc.returncode
-        except subprocess.TimeoutExpired:
-            out, code = f"timeout after {TIMEOUT_S} s", None
+        killed_first = False
+        if first and re.fullmatch(r"tests/\S+::\S+", first):
+            code, out, failed = _pytest([*FIRST_ARGS, first], copy, env)
+            killed_first = code == 1 and first in failed
+        if not killed_first:
+            code, out, failed = _pytest(PYTEST_ARGS, copy, env)
         seconds = time.perf_counter() - t0
-    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", out, re.MULTILINE)
     if code == 0:
         verdict = "equivalent, kept" if m.equivalent else "survived"
     else:
@@ -431,7 +466,7 @@ def run_mutant(m: Mutant) -> dict:
         "target": m.target,
         "replacement": m.replacement,
         "verdict": verdict,
-        "first_failure": failed.group(1) if failed else (None if code == 0 else out[-200:]),
+        "first_failure": failed[0] if failed else (None if code == 0 else out[-200:]),
         "seconds": round(seconds, 1),
     }
     if m.equivalent:
@@ -449,9 +484,12 @@ def main(argv: list[str]) -> int:
     if unknown:
         print(f"unknown mutant ids: {' '.join(sorted(unknown))}", file=sys.stderr)
         return 2
+    last = json.loads(RECORD.read_text(encoding="utf-8"))["mutants"]
+    recorded = {r["id"]: r["first_failure"] for r in last if r["verdict"] == "killed"}
     records = []
+    t0 = time.perf_counter()
     for m in chosen:
-        rec = run_mutant(m)
+        rec = run_mutant(m, recorded.get(m.id))
         records.append(rec)
         print(f"{m.id} {rec['verdict']:17s} {rec['seconds']:6.1f} s  {rec['first_failure'] or ''}",
               flush=True)
@@ -461,8 +499,10 @@ def main(argv: list[str]) -> int:
         verdicts = [r["verdict"] for r in records + deleted]
         RECORD.write_text(json.dumps({
             "command": "python -m pytest " + " ".join(PYTEST_ARGS[2:]),
+            "first_command": "python -m pytest " + " ".join(FIRST_ARGS[2:]) + " FIRST_FAILURE",
             "python": platform.python_version(),
             "cpus": os.cpu_count(),
+            "wall_seconds": round(time.perf_counter() - t0),
             "counts": {v: verdicts.count(v) for v in sorted(set(verdicts))},
             "mutants": records + deleted,
         }, indent=2) + "\n", encoding="utf-8")
