@@ -119,11 +119,12 @@ def _prepare_run(cfg: dict, where: str) -> RunJob:
     return RunJob(cfg, problem, schedule, x0, seed, options)
 
 
-def _check_outdir(outdir: str, labels=()) -> None:
+def _check_outdir(outdir: str, labels=(), files=()) -> None:
     """Refuse an output directory that no run could write into, creating nothing.
 
     Refused: a path on the way to ``outdir`` (its nearest existing ancestor,
-    or itself) or a ``<outdir>/<label>`` that exists and is not a directory.
+    or itself) or a ``<outdir>/<label>`` that exists and is not a directory,
+    and a ``<outdir>/<file>`` of ``files`` that exists and is not a regular file.
     """
     ancestor = os.path.abspath(outdir)
     while not os.path.lexists(ancestor):
@@ -131,6 +132,9 @@ def _check_outdir(outdir: str, labels=()) -> None:
     for path in (ancestor, *(os.path.join(outdir, label) for label in labels)):
         if os.path.lexists(path) and not os.path.isdir(path):
             raise ConfigError(f"output path {path} is not a directory")
+    for path in (os.path.join(outdir, file) for file in files):
+        if os.path.lexists(path) and not os.path.isfile(path):
+            raise ConfigError(f"output path {path} is not a regular file")
 
 
 def _jsonable(value):
@@ -219,7 +223,8 @@ def _cmd_run(args) -> int:
         labels.append(label)
 
     outdir = args.output or "runs"
-    _check_outdir(outdir, labels)
+    files = ("trace.csv.part", "trace.csv", "summary.json")
+    _check_outdir(outdir, labels, [os.path.join(label, f) for label in labels for f in files])
     summaries = [_execute_run(job, label, outdir) for job, label in zip(jobs, labels)]
     for s in summaries:
         final = s["final"]
@@ -272,7 +277,7 @@ def _cmd_bench(args) -> int:
 
     options = _bench_config(args.config)
     if args.output:
-        _check_outdir(args.output)
+        _check_outdir(args.output, files=["bench.json"])
     payload = checks.run_bench(**options)
     print("tolerance  mean projections  mean seconds (curved set)")
     for tol, mean, sec in zip(payload["grid"], payload["mean_iterations"],

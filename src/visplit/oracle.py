@@ -145,7 +145,8 @@ def probe_affine(operators, dim: int):
 
 def feasible_points(problem: Problem, rng, count: int):
     """Sample points of the feasible set, by family; used to test VI gaps."""
-    out = [_feasible_point(problem.meta, problem.dim, rng) for _ in range(count)]
+    sample, _ = _family(problem.meta, problem.dim)
+    out = [sample(rng) for _ in range(count)]
     if any(problem.constraint.value(p) > 1e-9 for p in out):
         raise ConfigError("sampler produced an infeasible point")
     return out
@@ -159,40 +160,64 @@ def _fields(meta, *keys) -> tuple:
     return tuple(meta[key] for key in keys)
 
 
-def _feasible_point(meta, dim: int, rng) -> Vector:
-    """One point of the feasible set of ``meta``'s family, drawn from ``rng``."""
+def _family(meta, dim: int):
+    """``meta``'s family as ``(sample, solve)``, reading and checking ``meta`` once.
+
+    ``sample(rng)`` draws a point of the feasible set from ``rng``, and
+    ``solve(M, c)`` is the family's first-order route for T(x) = M x + c.
+    """
     family = meta.get("family")
     if family == "quadratic_over_ball":
         center, radius = _fields(meta, "center", "radius")
-        d = rng.standard_normal(dim)
-        d /= max(float(np.linalg.norm(d)), 1e-12)
-        r = radius * rng.uniform() ** (1.0 / dim)
-        return center + r * d
+
+        def sample(rng):
+            d = rng.standard_normal(dim)
+            d /= max(float(np.linalg.norm(d)), 1e-12)
+            r = radius * rng.uniform() ** (1.0 / dim)
+            return center + r * d
+
+        return sample, lambda M, c: _ball_solution(M, c, center, radius)
     if family == "affine_vi_over_polyhedron" and "box" in meta:
         lo, hi = meta["box"]
-        return lo + rng.uniform(size=dim) * (hi - lo)
+        rows = np.vstack([np.eye(dim), -np.eye(dim)])
+        rhs = np.concatenate([hi, -lo])
+        return (lambda rng: lo + rng.uniform(size=dim) * (hi - lo),
+                lambda M, c: _rows_solution(M, c, rows, rhs))
     if family == "affine_vi_over_polyhedron":
         rows, rhs, w = _fields(meta, "rows", "rhs", "interior_point")
-        d = rng.standard_normal(dim)
-        d /= max(float(np.linalg.norm(d)), 1e-12)
         num = rhs - rows @ w
-        den = rows @ d
-        ts = [n / q for n, q in zip(num, den) if q > 1e-12]
-        t_max = min(ts) if ts else 1.0
-        return w + rng.uniform(0.0, 0.99 * t_max) * d
+
+        def sample(rng):
+            d = rng.standard_normal(dim)
+            d /= max(float(np.linalg.norm(d)), 1e-12)
+            ts = [n / q for n, q in zip(num, rows @ d) if q > 1e-12]
+            t_max = min(ts) if ts else 1.0
+            return w + rng.uniform(0.0, 0.99 * t_max) * d
+
+        return sample, lambda M, c: _rows_solution(M, c, rows, rhs)
     if family == "a1" and meta.get("objective", "relu") == "relu":
-        p = rng.standard_normal(dim)
-        p[0] = -abs(p[0])
-        return p
+        row = np.eye(1, dim)
+
+        def sample(rng):
+            p = rng.standard_normal(dim)
+            p[0] = -abs(p[0])
+            return p
+
+        return sample, lambda M, c: _rows_solution(M, c, row, np.zeros(1))
     if family == "a1":
-        return np.zeros(dim)
+        return (lambda rng: np.zeros(dim)), (lambda M, c: np.zeros(dim))
     if family == "a2":
         (L,) = _fields(meta, "matrix")
-        x = rng.standard_normal(L.shape[1])
-        return np.concatenate([x, L @ x])
+        Z = np.vstack([np.eye(L.shape[1]), L])
+
+        def sample(rng):
+            x = rng.standard_normal(L.shape[1])
+            return np.concatenate([x, L @ x])
+
+        return sample, lambda M, c: Z @ _solve(Z.T @ M @ Z, -(Z.T @ c), "a2")
     if family == "a3":
-        return rng.standard_normal(dim)
-    raise ConfigError(f"no feasible sampler for family {family!r}")
+        return (lambda rng: rng.standard_normal(dim)), (lambda M, c: _solve(M, -c, "a3"))
+    raise ConfigError(f"no feasible sampler or reference route for family {family!r}")
 
 
 def vi_gap(problem: Problem, x_star, points) -> float:
@@ -258,7 +283,9 @@ def _rows_solution(M, c, R, d):
     # Unscaled, lstsq leaves x off by about eps max|c|, which an offset far
     # above the right-hand sides makes miss every gate, so the multiplier
     # columns and the row equations are scaled by s and the solve is for
-    # mu / s. Where max|c| <= scale, s is 1 and K is the unscaled one.
+    # mu / s. Where max|c| <= scale, s is 1 and K is the unscaled one. Where
+    # s > 1, x may lie far out on an unbounded face, at about max|c| / ||M||,
+    # so two passes on the residual recover the digits s does not.
     s = max(1.0, float(np.max(np.abs(c))) / scale)
     for mask in range(2**count):
         sel = [i for i in range(count) if (mask >> i) & 1]
@@ -266,12 +293,14 @@ def _rows_solution(M, c, R, d):
         K = np.block([[M, s * Rs.T], [s * Rs, np.zeros((len(sel), len(sel)))]])
         rside = np.concatenate([-c, s * d[sel]])
         sol, *_ = np.linalg.lstsq(K, rside, rcond=None)
-        x, mu = sol[:n], sol[n:]
         # The rounding of R x and K sol grows with x, which lies far out on
         # an unbounded set. Written as ``not ... <=``, and the residual over
         # reach, so that a non-finite candidate is skipped.
-        reach = max(scale, float(np.max(np.abs(x))))
         with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(2 if s > 1.0 else 0):
+                sol += np.linalg.lstsq(K, rside - K @ sol, rcond=None)[0]
+            x, mu = sol[:n], sol[n:]
+            reach = max(scale, float(np.max(np.abs(x))))
             if not float(np.max(np.abs(K @ sol - rside))) / reach <= 1e-8 * s:
                 continue
             if len(sel) and float(np.min(mu)) < -1e-9:
@@ -331,38 +360,9 @@ def reference_solution(problem: Problem) -> Vector:
     200 feasible points drawn by ``np.random.default_rng(0)`` before
     returning it. Every gate refuses a NaN.
     """
-    meta = problem.meta
-    family = meta.get("family")
-    dim = problem.dim
-    M, c = probe_affine(problem.operators, dim)
-
-    if family == "quadratic_over_ball":
-        x = _ball_solution(M, c, *_fields(meta, "center", "radius"))
-    elif family == "affine_vi_over_polyhedron":
-        if "box" in meta:
-            lo, hi = meta["box"]
-            rows = np.vstack([np.eye(dim), -np.eye(dim)])
-            rhs = np.concatenate([hi, -lo])
-        else:
-            rows, rhs = _fields(meta, "rows", "rhs")
-        x = _rows_solution(M, c, rows, rhs)
-    elif family == "a1":
-        if meta.get("objective", "relu") == "relu":
-            row = np.zeros((1, dim))
-            row[0, 0] = 1.0
-            x = _rows_solution(M, c, row, np.zeros(1))
-        else:
-            x = np.zeros(dim)
-    elif family == "a2":
-        (L,) = _fields(meta, "matrix")
-        n = L.shape[1]
-        Z = np.vstack([np.eye(n), L])
-        t = _solve(Z.T @ M @ Z, -(Z.T @ c), "a2")
-        x = Z @ t
-    elif family == "a3":
-        x = _solve(M, -c, "a3")
-    else:
-        raise ConfigError(f"no reference route for family {family!r}")
+    M, c = probe_affine(problem.operators, problem.dim)
+    _, solve = _family(problem.meta, problem.dim)
+    x = solve(M, c)
 
     # Each gate is 1e-8 of the instance's scale, so never looser than 1e-8
     # absolute. T(x) = M x + c rounds at the size of its terms, which bound
@@ -373,7 +373,7 @@ def reference_solution(problem: Problem) -> Vector:
     if not terms < math.inf:
         raise ConfigError("reference solution is past the float range")
     tol = 1e-8 * max(1.0, terms)
-    if family == "a3" and not norm(M @ x + c) <= tol:
+    if problem.meta.get("family") == "a3" and not norm(M @ x + c) <= tol:
         raise ConfigError("stationarity solve failed")
     points = feasible_points(problem, np.random.default_rng(0), 200)
     reach = max(norm(p - x) for p in points)

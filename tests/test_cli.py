@@ -249,6 +249,35 @@ def test_a_run_directory_that_is_a_file_stops_the_batch_before_any_run(tmp_path,
     assert _tree(tmp_path) == before
 
 
+@pytest.mark.parametrize("name", ["trace.csv.part", "trace.csv", "summary.json"])
+def test_a_run_file_that_is_a_directory_exits_2_before_any_run(tmp_path, monkeypatch, capsys,
+                                                                  name):
+    # Each file a run writes is refused up front when it exists and is not a
+    # regular file; found only when written, it ended in a traceback after
+    # the run, leaving trace.csv.part or trace.csv behind.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out" / "a3" / name).mkdir(parents=True)
+    path = _write_cfg(tmp_path / "c.json", {"family": "a3", "max_outer": 5})
+    before = _tree(tmp_path)
+    assert main(["run", path, "--output", "out"]) == 2
+    err = capsys.readouterr().err
+    assert f"output path {os.path.join('out', 'a3', name)} is not a regular file" in err
+    assert _tree(tmp_path) == before
+
+
+def test_a_bench_json_that_is_a_directory_exits_2_before_the_bench(tmp_path, monkeypatch,
+                                                                    capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(checks, "run_bench", lambda **kw: pytest.fail("the bench was measured"))
+    (tmp_path / "bo" / "bench.json").mkdir(parents=True)
+    path = _write_cfg(tmp_path / "b.json", {"grid": [0.1], "reps": 1})
+    before = _tree(tmp_path)
+    assert main(["bench", path, "--output", "bo"]) == 2
+    err = capsys.readouterr().err
+    assert f"output path {os.path.join('bo', 'bench.json')} is not a regular file" in err
+    assert _tree(tmp_path) == before
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     bad_field = _write_cfg(
         tmp_path / "a.json", {"family": "a3", "bogus": 1}

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import inspect
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -296,6 +297,48 @@ def test_reference_route_takes_row_polyhedra_whose_offset_alone_scales():
     # The same draws with right-hand sides at 1: the KKT multipliers are
     # about s while x is about 1, or far out on an unbounded set.
     assert _refused_row_polyhedra(rhs_scales=False) == []
+
+
+@pytest.mark.parametrize("offset", [[1e14, -1e14], [1e16, -1e16], [-1e16, -7e15]],
+                         ids=["1e14", "1e16", "1e16-far-corner"])
+def test_rows_route_finds_the_boxs_vertex_at_a_large_offset(offset):
+    # The solution is a vertex of the unit box, fixed by two row equations
+    # while the multipliers are about the offset. Scaling the multiplier
+    # columns by s without the row equations leaves no KKT point here.
+    x = reference_solution(build("affine_vi_over_polyhedron", {"offset": offset}))
+    assert np.max(np.abs(x - [0.0 if o > 0 else 1.0 for o in offset])) <= 1e-12
+
+
+def _kkt_point_on_row(M, c, r, d):
+    """In rationals, the point x of {<r, x> = d} where M x + c = -mu r (2-D, M invertible)."""
+    (a, b), (e, f) = [[Fraction(v) for v in row] for row in M]
+    det = a * f - b * e
+
+    def solve(v):  # M^-1 v
+        return [(f * v[0] - b * v[1]) / det, (a * v[1] - e * v[0]) / det]
+
+    r, c = [Fraction(v) for v in r], [Fraction(v) for v in c]
+    u, w = solve(r), solve(c)
+    mu = -(Fraction(d) + r[0] * w[0] + r[1] * w[1]) / (r[0] * u[0] + r[1] * u[1])
+    return np.array([float(-wi - mu * ui) for wi, ui in zip(w, u)])
+
+
+@pytest.mark.parametrize("t", [5e8, 3.9e9, 1e12, 1e14])
+def test_rows_route_keeps_its_digits_far_out_on_an_unbounded_face(t):
+    # With only the offset large, x lies on the face {x : row 2 active} at
+    # about t, far above the right-hand sides the scale s assumes. The
+    # route's two refinement passes bring it to within 1e-9 of the exact
+    # KKT point on that face; without them it was refused at 3.9e9 and
+    # 1e14, and 1.3e-8 off at 5e8 and 1.5e-5 at 1e12.
+    M = [[1.1, -0.61], [-0.25, 0.29]]
+    rows = [[0.56, 3.2], [0.29, 0.25], [0.17, -1.0], [1.0, -0.6]]
+    rhs = [1.6, 1.2, 1.0, 0.74]
+    offset = [t, -t * 7.7e8 / 3.9e9]
+    prob = build("affine_vi_over_polyhedron", {"matrix": M, "offset": offset, "rows": rows,
+                                               "rhs": rhs, "interior_point": [0.0, 0.0]})
+    exact = _kkt_point_on_row(M, offset, rows[2], rhs[2])
+    x = reference_solution(prob)
+    assert np.linalg.norm(x - exact) <= 1e-9 * np.linalg.norm(exact)
 
 
 @pytest.mark.parametrize("offset", [1e9, 1e12, 1e15, 1e20])

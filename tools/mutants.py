@@ -24,8 +24,8 @@ it or because its job went; its text must occur nowhere in the package.
     python tools/mutants.py P03 I01    # only these; prints, writes nothing
 
 Standard library only. On a two-core host a mutant killed by its recorded
-test takes 1-6 s, one that runs the suite 15-53 s, and the list about 9
-minutes (529 s; it took 3,262 s when every mutant ran the suite).
+test takes 1-6 s, one that runs the suite 15-53 s, and the list about 11
+minutes (671 s; it took 3,262 s when every mutant ran the suite).
 """
 
 from __future__ import annotations
@@ -209,6 +209,9 @@ MUTANTS = (
            "for path in (ancestor,):"),
     Mutant("C08", "cli._check_outdir", "comparison", "while not os.path.lexists(ancestor):",
            "while not os.path.isdir(ancestor):"),
+    Mutant("C09", "cli._check_outdir", "branch",
+           "        if os.path.lexists(path) and not os.path.isfile(path):\n",
+           "        if False:\n"),
     Mutant("Z01", "norm", "branch", "    if sq != math.inf:\n", "    if True:\n"),
     Mutant("Z02", "norm", "branch", "return top if top == math.inf else top * norm(x / top)",
            "return top * norm(x / top)"),
@@ -303,13 +306,12 @@ MUTANTS = (
            "            if len(sel) and float(np.min(mu)) < -1e-9:\n"
            "                continue\n"
            "            if count and float(np.max(R @ x - d)) > 1e-9 * reach:"),
-    Mutant("R23", "reference_solution", "constant", "row[0, 0] = 1.0", "row[0, 0] = -1.0"),
-    Mutant("R24", "reference_solution", "constant", "            x = np.zeros(dim)\n",
-           "            x = np.ones(dim)\n"),
-    Mutant("R25", "reference_solution", "term", "Z = np.vstack([np.eye(n), L])",
-           "Z = np.vstack([np.eye(n), -L])"),
-    Mutant("R26", "reference_solution", "term", 'x = _solve(M, -c, "a3")',
-           'x = _solve(M, c, "a3")'),
+    Mutant("R23", "_family", "constant", "row = np.eye(1, dim)", "row = -np.eye(1, dim)"),
+    Mutant("R24", "_family", "constant", "(lambda M, c: np.zeros(dim))",
+           "(lambda M, c: np.ones(dim))"),
+    Mutant("R25", "_family", "term", "Z = np.vstack([np.eye(L.shape[1]), L])",
+           "Z = np.vstack([np.eye(L.shape[1]), -L])"),
+    Mutant("R26", "_family", "term", '_solve(M, -c, "a3")', '_solve(M, c, "a3")'),
     Mutant("R27", "_ball_solution", "constant", "if norm(x_free - center) <= radius:",
            "if norm(x_free - center) <= radius + 1e-12:"),
     Mutant("R28", "_rows_solution", "constant",
@@ -333,21 +335,26 @@ MUTANTS = (
            "i = len(res) - 1 - int(np.argmin(res[::-1]))"),
     Mutant("R36", "grid_vi_solution", "branch", "    if not (xs.size and ys.size):\n",
            "    if False:\n"),
+    Mutant("R37", "_rows_solution", "comparison", "for _ in range(2 if s > 1.0 else 0):",
+           "for _ in range(2 if s >= 1.0 else 0):"),
+    Mutant("R38", "_rows_solution", "branch", "for _ in range(2 if s > 1.0 else 0):",
+           "for _ in range(0):"),
     Mutant("M01", "_frozen", "conversion", 'value = _floats(value, f"meta.{key}", "list").copy()',
            "value = np.array(value, dtype=float)"),
-    Mutant("G01", "_feasible_point", "term", "r = radius * rng.uniform() ** (1.0 / dim)",
+    Mutant("G01", "_family", "term", "r = radius * rng.uniform() ** (1.0 / dim)",
            "r = radius * rng.uniform()"),
-    Mutant("G02", "_feasible_point", "term", "return lo + rng.uniform(size=dim) * (hi - lo)",
-           "return lo + rng.uniform(size=dim) * hi"),
-    Mutant("G03", "_feasible_point", "comparison", "t_max = min(ts) if ts else 1.0",
+    Mutant("G02", "_family", "term", "lambda rng: lo + rng.uniform(size=dim) * (hi - lo)",
+           "lambda rng: lo + rng.uniform(size=dim) * hi"),
+    Mutant("G03", "_family", "comparison", "t_max = min(ts) if ts else 1.0",
            "t_max = max(ts) if ts else 1.0"),
-    Mutant("G04", "_feasible_point", "term", "p[0] = -abs(p[0])", "p[0] = abs(p[0])"),
-    Mutant("G05", "_feasible_point", "branch",
-           '    if family == "a1":\n        return np.zeros(dim)\n', ""),
-    Mutant("G06", "_feasible_point", "term", "return np.concatenate([x, L @ x])",
+    Mutant("G04", "_family", "term", "p[0] = -abs(p[0])", "p[0] = abs(p[0])"),
+    Mutant("G05", "_family", "branch",
+           '    if family == "a1":\n'
+           '        return (lambda rng: np.zeros(dim)), (lambda M, c: np.zeros(dim))\n', ""),
+    Mutant("G06", "_family", "term", "return np.concatenate([x, L @ x])",
            "return np.concatenate([x, -(L @ x)])"),
-    Mutant("G07", "_feasible_point", "constant", "        return rng.standard_normal(dim)\n",
-           "        return rng.uniform(-1.0, 1.0, dim)\n"),
+    Mutant("G07", "_family", "constant", "(lambda rng: rng.standard_normal(dim))",
+           "(lambda rng: rng.uniform(-1.0, 1.0, dim))"),
     Mutant("T01", "StepsizeSchedule", "constant", "stepsum_divergent = None",
            "stepsum_divergent = True"),
     Mutant("T02", "StepsizeSchedule", "constant", "sqsum_convergent = None",
